@@ -88,7 +88,7 @@ fn main() {
     // One extra warm VM pass, metered: aggregate execution counters and
     // the allocation events the whole workload costs after warmup.
     let vm_opts = engine_opts(Engine::Bytecode);
-    let ((ctr, _checksum), allocs) = alloc_counter::count(|| {
+    let ((ctr, _checksum), allocs) = alloc_counter::count_process(|| {
         let mut ctr = VmCounters::default();
         let mut checksum = 0u64;
         for (name, p) in &programs {

@@ -167,14 +167,26 @@ pub fn fmt_dur(d: Duration) -> String {
 ///
 /// Install [`alloc_counter::CountingAlloc`] as the binary's
 /// `#[global_allocator]`, then bracket the region of interest with
-/// [`alloc_counter::count`]. The counter is a single relaxed atomic —
-/// cheap enough to leave on for timed runs, precise enough to prove a
-/// hot path steady-states at zero.
+/// [`alloc_counter::count`]. Every event bumps a relaxed process-wide
+/// atomic and a per-thread counter — cheap enough to leave on for timed
+/// runs, precise enough to prove a hot path steady-states at zero.
 pub mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        // `const`-initialised with no destructor: reading or bumping it
+        // never allocates, so the allocator itself may touch it.
+        static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn bump() {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
+    }
 
     /// `System` allocator wrapper that counts every allocation event
     /// (`alloc`, `alloc_zeroed`, and growth via `realloc`; frees are not
@@ -183,12 +195,12 @@ pub mod alloc_counter {
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            bump();
             System.alloc(layout)
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            bump();
             System.alloc_zeroed(layout)
         }
 
@@ -197,25 +209,38 @@ pub mod alloc_counter {
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            bump();
             System.realloc(ptr, layout, new_size)
         }
     }
 
-    /// Allocation events since process start (0 forever unless
-    /// [`CountingAlloc`] is the installed global allocator).
+    /// Allocation events of the whole process since it started (0
+    /// forever unless [`CountingAlloc`] is the installed global
+    /// allocator).
     pub fn allocations() -> u64 {
         ALLOCS.load(Ordering::Relaxed)
     }
 
+    /// Allocation events of the calling thread since it started.
+    fn thread_allocations() -> u64 {
+        THREAD_ALLOCS.with(Cell::get)
+    }
+
     /// Run `f` and return its result plus the number of allocation
-    /// events it performed. Only meaningful on a single-threaded region:
-    /// the counter is process-global.
+    /// events the calling thread performed meanwhile. Other threads'
+    /// allocations — a concurrently running test, say — do not leak in.
     pub fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = thread_allocations();
+        let out = f();
+        (out, thread_allocations() - before)
+    }
+
+    /// [`count`] over the whole process: every thread's allocations while
+    /// `f` runs. Only meaningful when nothing else runs concurrently.
+    pub fn count_process<T>(f: impl FnOnce() -> T) -> (T, u64) {
         let before = allocations();
         let out = f();
-        let n = allocations() - before;
-        (out, n)
+        (out, allocations() - before)
     }
 }
 

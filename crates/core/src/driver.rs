@@ -24,7 +24,7 @@
 //!   down its neighbours. See DESIGN.md's "Failure model".
 //!
 //! Concurrency never changes results: every cell is a pure function of its
-//! (program, registry, mode) inputs, the threaded verification run merges
+//! (program, registry, mode) inputs, the chunked verification run merges
 //! write logs in iteration order, and assembly is by suite order — so the
 //! driver's output is byte-identical across worker counts (asserted by the
 //! `driver_determinism` integration tests).
@@ -97,8 +97,9 @@ pub fn default_configs() -> Vec<CellConfig> {
 pub struct DriverOptions {
     /// Worker threads (0 = one per available core).
     pub workers: usize,
-    /// Threads for the correctness-checking parallel runs (0 is clamped
-    /// to 1 — see [`DriverOptions::effective_verify_threads`]).
+    /// Chunk count of the correctness-checking chunked runs
+    /// ([`ExecOptions::threads`]; 0 is clamped to 1 — see
+    /// [`DriverOptions::effective_verify_threads`]).
     pub verify_threads: usize,
     /// Machines simulated for Figure 20.
     pub machines: Vec<Machine>,
@@ -172,11 +173,12 @@ impl Default for DriverOptions {
 
 impl DriverOptions {
     /// Resolved worker count, clamped to the host's available
-    /// parallelism. Every cell's verification already runs a threaded
-    /// executor ([`DriverOptions::verify_threads`]), so oversubscribing
-    /// the pool on top of that only adds scheduler churn — a request for
-    /// more workers than cores is capped, and `workers = 0` asks for one
-    /// per available core.
+    /// parallelism. The cell fan-out is the only place the driver runs
+    /// work in parallel (each cell's chunked verification gate runs on
+    /// its worker's thread), and a CPU-bound worker per core already
+    /// saturates the host: more workers than cores only add scheduler
+    /// churn, so a larger request is capped, and `workers = 0` asks for
+    /// one per available core.
     pub fn effective_workers(&self) -> usize {
         let avail = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -188,9 +190,9 @@ impl DriverOptions {
         }
     }
 
-    /// Resolved verification thread count: `verify_threads = 0` is a
-    /// configuration mistake, not a request for zero-thread execution —
-    /// clamp it to 1 rather than handing the executor an empty pool.
+    /// Resolved verification chunk count: `verify_threads = 0` is a
+    /// configuration mistake, not a request for zero-chunk execution —
+    /// clamp it to 1 rather than handing the executor an empty partition.
     pub fn effective_verify_threads(&self) -> usize {
         self.verify_threads.max(1)
     }

@@ -67,7 +67,7 @@ pub struct RequestReport {
     pub loc: usize,
     /// Gate 1: optimized output ≡ original output.
     pub matches_original: bool,
-    /// Gate 2: threaded run ≡ sequential run.
+    /// Gate 2: chunked run ≡ sequential run.
     pub parallel_consistent: bool,
     /// Advisory cross-iteration race count.
     pub races: usize,

@@ -6,8 +6,10 @@
 //!
 //! 1. the optimized program's *sequential* run must match the original
 //!    program's run bit-for-bit on I/O and COMMON memory;
-//! 2. the optimized program's *threaded* run must match its own sequential
-//!    run (floating reductions compared with a tolerance);
+//! 2. the optimized program's *chunked* run (`threads > 1`: every
+//!    directive loop split into contiguous chunks that start from the
+//!    pre-loop memory) must match its own sequential run (floating
+//!    reductions compared with a tolerance);
 //! 3. the runtime race checker must find no cross-iteration conflicts in
 //!    any parallelized loop.
 
@@ -19,7 +21,7 @@ use fruntime::{run, run_compiled, Engine, ExecOptions, RtError};
 pub struct VerifyResult {
     /// Gate 1: optimized (sequential) ≡ original.
     pub matches_original: bool,
-    /// Gate 2: threaded ≡ sequential.
+    /// Gate 2: chunked ≡ sequential.
     pub parallel_consistent: bool,
     /// Advisory: conservative race-checker hits. Annotation-parallelized
     /// loops legitimately trip this on global temporaries that the
@@ -64,7 +66,7 @@ pub fn baseline_run_with(
 
 /// Verify `optimized` against an already-computed baseline run of the
 /// original program. Two interpreter runs: the optimized program
-/// sequentially with race checking, then threaded.
+/// sequentially with race checking, then chunked.
 pub fn verify_with_baseline(
     base: &fruntime::RunResult,
     optimized: &Program,
@@ -81,10 +83,7 @@ pub fn verify_with_baseline(
 }
 
 /// [`verify_with_baseline`] with explicit executor options for the
-/// threaded run. The legacy evaluation path passes
-/// `spawn_threads: Some(true)` to reproduce the seed executor's
-/// always-spawn behavior; the gates and the result are identical
-/// either way.
+/// chunked (`threads > 1`) run.
 pub fn verify_with_baseline_using(
     base: &fruntime::RunResult,
     optimized: &Program,
@@ -123,8 +122,8 @@ pub fn verify_with_baseline_using(
     })
 }
 
-/// Verify `optimized` against `original`, running the threaded executor
-/// with `threads` workers (three interpreter runs; see
+/// Verify `optimized` against `original`, running the chunked executor
+/// with `threads` chunks per directive loop (three interpreter runs; see
 /// [`verify_with_baseline`] for the baseline-sharing variant).
 pub fn verify(
     original: &Program,

@@ -132,13 +132,8 @@ pub fn evaluate_app_serial(app: &App, machines: &[Machine]) -> AppEvaluation {
     let mut verifies = Vec::new();
     let mut fig20 = Vec::new();
 
-    // The seed's executor spawned OS threads for every parallel chunk
-    // regardless of host CPU count; the threaded verification run here
-    // does the same so this baseline reproduces the pre-driver
-    // evaluation cost faithfully (the results are identical either way).
     let par_opts = ExecOptions {
         threads: VERIFY_THREADS,
-        spawn_threads: Some(true),
         ..Default::default()
     };
 

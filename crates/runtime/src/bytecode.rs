@@ -33,13 +33,13 @@
 //! steady-state allocation — the vector analogue of `race_scratch`.
 //!
 //! Compile once, run many: [`compile`] + [`run_compiled`] let `verify`
-//! lower a program a single time for its sequential and threaded runs.
-//! [`CompiledProgram`] owns all its data and is `Sync`, so chunk workers
-//! share it without cloning.
+//! lower a program a single time for its sequential and chunked runs.
+//! [`CompiledProgram`] owns all its data and is `Sync`, so the driver's
+//! workers share it without cloning.
 
 use crate::interp::{
-    eval_bin, eval_intrinsic, host_cpus, ExecOptions, ParLoopEvent, RaceViolation, RtError,
-    RunResult, VmCounters, DEFAULT_MAX_OPS, MAX_CALL_DEPTH,
+    eval_bin, eval_intrinsic, red_fold, red_identity, ExecOptions, ParLoopEvent, RaceViolation,
+    RtError, RunResult, VmCounters, DEFAULT_MAX_OPS, MAX_CALL_DEPTH,
 };
 use crate::memory::{flat_view, view_len, Memory, Scalar};
 use fir::ast::*;
@@ -920,7 +920,8 @@ pub(crate) struct VmState {
     pub(crate) par_depth: usize,
     /// Depth of nested `Call` frames (bounded like the reference engine).
     pub(crate) call_depth: usize,
-    pub(crate) write_log: Option<Vec<(usize, usize, f64)>>,
+    /// Chunk mode only: the chunk's write and undo journal.
+    pub(crate) log: Option<ChunkLog>,
     pub(crate) race: RaceState,
     /// Value stack, shared by every frame of this VM (stack body only).
     pub(crate) stack: Vec<Scalar>,
@@ -949,13 +950,30 @@ pub(crate) struct VmState {
     /// WRITE line under construction.
     pub(crate) line: String,
     pub(crate) line_items: usize,
-    /// Reusable chunk arena for inline (no-spawn) threaded execution.
-    scratch: Option<Memory>,
+    /// Retained chunk executor for directive loops (see
+    /// [`exec_parallel`]): its register file, loop stack and journals
+    /// serve every chunk of every execution.
+    chunk: Option<Box<VmState>>,
     /// Always-on execution counters.
     pub(crate) ctr: VmCounters,
 }
 
-/// Immutable run context (shared by chunk workers).
+/// What a chunk of a directive loop records while it runs on the live
+/// arena. Every buffer is retained across chunks and executions.
+#[derive(Debug, Default)]
+pub(crate) struct ChunkLog {
+    /// `(slot, offset, new raw)` per logged store, in chunk order: merged
+    /// into the arena once every chunk has run.
+    writes: Vec<(usize, usize, f64)>,
+    /// `(slot, offset, pre-write raw)` of every element the running chunk
+    /// overwrote, replayed newest first when the chunk ends.
+    undo: Vec<(usize, usize, f64)>,
+    /// Each reduction's pre-loop value, then every chunk's final values,
+    /// chunk-major.
+    folds: Vec<f64>,
+}
+
+/// Immutable run context.
 #[derive(Clone, Copy)]
 pub(crate) struct Vx<'a> {
     pub(crate) prog: &'a CompiledProgram,
@@ -1111,9 +1129,12 @@ pub(crate) fn retire_race(st: &mut VmState) {
 /// resolution — callers bound-check with [`flat_view`] first).
 #[inline]
 fn store_at(st: &mut VmState, slot: usize, off: usize, val: Scalar) {
-    st.mem.slots[slot].set(off, val);
-    if let Some(log) = &mut st.write_log {
-        log.push((slot, off, st.mem.slots[slot].data[off]));
+    let s = &mut st.mem.slots[slot];
+    let old = s.data[off];
+    s.set(off, val);
+    if let Some(log) = &mut st.log {
+        log.undo.push((slot, off, old));
+        log.writes.push((slot, off, s.data[off]));
     }
     record(st, slot, off, true);
 }
@@ -1124,10 +1145,12 @@ fn store_at(st: &mut VmState, slot: usize, off: usize, val: Scalar) {
 /// (and the logged raw) is bit-identical to the stack engine's.
 #[inline]
 pub(crate) fn store_raw(st: &mut VmState, slot: usize, off: usize, raw: f64) {
-    st.mem.slots[slot].data[off] = raw;
-    if let Some(log) = &mut st.write_log {
-        log.push((slot, off, raw));
+    let cell = &mut st.mem.slots[slot].data[off];
+    if let Some(log) = &mut st.log {
+        log.undo.push((slot, off, *cell));
+        log.writes.push((slot, off, raw));
     }
+    *cell = raw;
     record(st, slot, off, true);
 }
 
@@ -1142,6 +1165,20 @@ pub(crate) fn write_var(mem: &mut Memory, r: Reg, val: Scalar) {
     if r.dims_len == 0 || r.offset < s.data.len() {
         s.set(r.offset, val);
     }
+}
+
+/// [`write_var`] that, in chunk mode, first journals the element's raw on
+/// the undo log. Used where the chunk overwrites a variable unlogged: the
+/// entry of a nested DO loop (the back-edge rewrites the same element)
+/// and the chunk's own loop variable and reduction identities.
+#[inline]
+pub(crate) fn write_var_journaled(st: &mut VmState, r: Reg, val: Scalar) {
+    if let Some(log) = &mut st.log {
+        if let Some(old) = st.mem.slots.get(r.slot).and_then(|s| s.data.get(r.offset)) {
+            log.undo.push((r.slot, r.offset, *old));
+        }
+    }
+    write_var(&mut st.mem, r, val);
 }
 
 /// Scalar read through a register (empty-subscript read in the old
@@ -1779,7 +1816,7 @@ pub(crate) fn run_frame(
                         pc = meta.exit_pc as usize;
                         continue;
                     }
-                    write_var(&mut st.mem, var, Scalar::I(lo));
+                    write_var_journaled(st, var, Scalar::I(lo));
                     st.loop_stack.push(LoopRec {
                         meta: *mi,
                         cur: lo,
@@ -1897,113 +1934,110 @@ pub(crate) fn run_frame(
     }
 }
 
-/// What one chunk of a threaded directive loop produced.
-struct ChunkOut {
-    log: Vec<(usize, usize, f64)>,
-    io: Vec<String>,
-    ops: u64,
-    red_finals: Vec<f64>,
-    flow_stop: Option<u32>,
-    err: Option<VmErr>,
-    ctr: VmCounters,
-}
-
-/// Execute one contiguous chunk (`start..start+len` of the iteration
-/// space) on its own arena. Mirrors the reference engine's `exec_chunk`:
-/// same write-log, same reduction identities, `Return` breaks the chunk
-/// silently. The chunk's register stack is seeded from the parent's: the
-/// whole dims arena (so `dims_at` indices stay valid) plus the enclosing
-/// frame's register window rebased to 0. `typed` runs the typed register
-/// body the parent frame was already executing (the guard held for the
-/// parent, and the chunk aliases the same slots).
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    cx: Vx<'_>,
-    mem: Memory,
-    parent: &RegStack,
-    fb: usize,
-    nlocals: usize,
-    red_slots: &[(RedOp, Reg, f64)],
-    var: Reg,
+/// The static shape of one chunked directive-loop execution.
+struct ChunkPlan<'a> {
     u: usize,
     mi: u32,
+    var: Reg,
     lo: i64,
     step: i64,
+    reductions: &'a [(RedOp, u32)],
+    /// Seeded register window and dims-arena lengths.
+    nlocals: usize,
+    dims: usize,
+    /// Entry of the loop body in the body (`typed` or stack) being run.
+    body_pc: usize,
+    typed: bool,
+}
+
+/// Run iterations `start..start + len` as one chunk on `cs`, whose arena
+/// is the live one, then rewind the arena to its pre-loop contents.
+/// Mirrors the reference engine's `exec_chunk`: chunk-local op count and
+/// call depth, reductions start at their identities, the write log
+/// records every store, `Return` ends the chunk silently. Returns the
+/// chunk's STOP message, if it stopped.
+fn run_chunk(
+    cx: Vx<'_>,
+    cs: &mut VmState,
+    plan: &ChunkPlan<'_>,
     start: usize,
     len: usize,
-    typed: bool,
-) -> (ChunkOut, Memory) {
-    let mut st = VmState {
-        mem,
-        write_log: Some(Vec::new()),
-        par_depth: 1,
-        ..Default::default()
-    };
-    st.regs.dims.extend_from_slice(&parent.dims);
-    st.regs
-        .regs
-        .extend_from_slice(&parent.regs[fb..fb + nlocals]);
-    for &(op, r, _) in red_slots {
-        let id = match op {
-            RedOp::Add => 0.0,
-            RedOp::Mul => 1.0,
-            RedOp::Min => f64::INFINITY,
-            RedOp::Max => f64::NEG_INFINITY,
-        };
-        write_var(&mut st.mem, r, Scalar::F(id));
+) -> Result<Option<u32>, VmErr> {
+    cs.ops = 0;
+    cs.call_depth = 0;
+    cs.par_depth = 1;
+    cs.stack.clear();
+    cs.loop_stack.clear();
+    cs.line.clear();
+    cs.line_items = 0;
+    cs.regs.regs.truncate(plan.nlocals);
+    cs.regs.dims.truncate(plan.dims);
+    cs.scal.truncate(plan.nlocals);
+    cs.ctr.chunks_run += 1;
+    let cp = cs.mem.checkpoint();
+    for &(op, l) in plan.reductions {
+        if let Some(r) = reg(cs, 0, l) {
+            write_var_journaled(cs, r, Scalar::F(red_identity(op)));
+        }
     }
-    let unit = &cx.prog.units[u];
-    let body_pc = if typed {
-        st.vregs.resize(cx.prog.max_vregs, 0);
-        unit.typed.as_ref().map(|t| t.loops[mi as usize].body_pc)
-    } else {
-        Some(unit.loops[mi as usize].body_pc)
-    }
-    .unwrap_or(0) as usize;
-    let mut flow_stop = None;
-    let mut err = None;
+    let mut out = Ok(None);
     for k in 0..len {
-        let i = lo.wrapping_add(((start + k) as i64).wrapping_mul(step));
-        write_var(&mut st.mem, var, Scalar::I(i));
-        let r = if typed {
-            crate::treg::exec_typed(cx, &mut st, u, 0, body_pc, Some(mi))
+        let i = plan
+            .lo
+            .wrapping_add(((start + k) as i64).wrapping_mul(plan.step));
+        if k == 0 {
+            write_var_journaled(cs, plan.var, Scalar::I(i));
         } else {
-            run_frame(cx, &mut st, u, 0, body_pc, Some(mi))
+            write_var(&mut cs.mem, plan.var, Scalar::I(i));
+        }
+        let r = if plan.typed {
+            crate::treg::exec_typed(cx, cs, plan.u, 0, plan.body_pc, Some(plan.mi))
+        } else {
+            run_frame(cx, cs, plan.u, 0, plan.body_pc, Some(plan.mi))
         };
         match r {
             Ok(Flow::Normal) => {}
             Ok(Flow::Stop(m)) => {
-                flow_stop = Some(m);
+                out = Ok(Some(m));
                 break;
             }
             Ok(Flow::Return) => break,
             Err(e) => {
-                err = Some(e);
+                out = Err(e);
                 break;
             }
         }
     }
-    let red_finals = red_slots
-        .iter()
-        .map(|&(_, r, _)| read_var(&st.mem, r).map(|s| s.as_f()).unwrap_or(0.0))
-        .collect();
-    (
-        ChunkOut {
-            log: st.write_log.unwrap_or_default(),
-            io: st.io,
-            ops: st.ops,
-            red_finals,
-            flow_stop,
-            err,
-            ctr: st.ctr,
-        },
-        st.mem,
-    )
+    for &(_, l) in plan.reductions {
+        if let Some(r) = reg(cs, 0, l) {
+            let x = read_var(&cs.mem, r).map_or(0.0, Scalar::as_f);
+            if let Some(log) = &mut cs.log {
+                log.folds.push(x);
+            }
+        }
+    }
+    // Rewind: undo entries newest first (an element's oldest entry holds
+    // its pre-chunk raw), then the arena's shape.
+    if let Some(log) = &mut cs.log {
+        cs.ctr.chunk_undo_writes += log.undo.len() as u64;
+        for &(slot, off, raw) in log.undo.iter().rev() {
+            if slot < cp.slots {
+                cs.mem.slots[slot].data[off] = raw;
+            }
+        }
+        log.undo.clear();
+    }
+    cs.mem.rollback(cp);
+    out
 }
 
-/// Threaded execution of a directive loop: contiguous chunks, write logs
-/// merged in iteration order, reductions folded associatively — the
-/// reference engine's `exec_parallel` on arithmetic chunk ranges.
+/// Chunked execution of a directive loop, on the calling thread: the
+/// iteration space splits into `threads` contiguous chunks, each runs
+/// from the pre-loop memory, and their write logs merge in chunk order
+/// while reductions fold in chunk order — the reference engine's
+/// `exec_parallel` on arithmetic chunk ranges. Chunks run on the live
+/// arena and an undo log isolates them, so no chunk copies memory; the
+/// retained chunk state makes a steady-state execution allocation-free.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_parallel(
     cx: Vx<'_>,
@@ -2018,97 +2052,81 @@ pub(crate) fn exec_parallel(
     excluded: &[usize],
     typed: bool,
 ) -> Result<Flow, VmErr> {
-    let meta = &cx.prog.units[u].loops[mi as usize];
+    let unit = &cx.prog.units[u];
+    let meta = &unit.loops[mi as usize];
     let dir = meta.dir.as_ref().expect("directive present");
-    let nlocals = cx.prog.units[u].plan.nlocals;
-    let threads = cx.opts.threads.min(n as usize).max(1);
-    let base = n as usize / threads;
-    let extra = n as usize % threads;
-    let mut ranges = Vec::with_capacity(threads);
+    let body_pc = if typed {
+        unit.typed.as_ref().map(|t| t.loops[mi as usize].body_pc)
+    } else {
+        Some(meta.body_pc)
+    }
+    .unwrap_or(0) as usize;
+    let nlocals = unit.plan.nlocals;
+
+    // Seed the chunk state: the enclosing frame's register window rebased
+    // to 0, plus the whole dims arena so `dims_at` indices stay valid.
+    let mut cs = st.chunk.take().unwrap_or_default();
+    cs.regs.regs.clear();
+    cs.regs
+        .regs
+        .extend_from_slice(&st.regs.regs[fb..fb + nlocals]);
+    cs.regs.dims.clear();
+    cs.regs.dims.extend_from_slice(&st.regs.dims);
+    cs.scal.clear();
+    cs.io.clear();
+    cs.ctr = VmCounters::default();
+    let log = cs.log.get_or_insert_with(ChunkLog::default);
+    log.writes.clear();
+    log.folds.clear();
+    for &(_, l) in &dir.reductions {
+        if let Some(r) = reg(st, fb, l) {
+            log.folds
+                .push(read_var(&st.mem, r).map_or(0.0, Scalar::as_f));
+        }
+    }
+    let nred = log.folds.len();
+    std::mem::swap(&mut st.mem, &mut cs.mem);
+
+    let plan = ChunkPlan {
+        u,
+        mi,
+        var,
+        lo,
+        step,
+        reductions: &dir.reductions,
+        nlocals,
+        dims: cs.regs.dims.len(),
+        body_pc,
+        typed,
+    };
+    let chunks = cx.opts.threads.min(n as usize).max(1);
+    let (base, extra) = (n as usize / chunks, n as usize % chunks);
     let mut start = 0usize;
-    for k in 0..threads {
+    let mut ops = 0u64;
+    let mut flow = Ok(Flow::Normal);
+    for k in 0..chunks {
         let len = base + usize::from(k < extra);
-        ranges.push((start, len));
+        match run_chunk(cx, &mut cs, &plan, start, len) {
+            Ok(stop) => {
+                ops += cs.ops;
+                if let Some(m) = stop {
+                    flow = Ok(Flow::Stop(m));
+                }
+            }
+            // The first failing chunk decides the error; later chunks
+            // could not change it.
+            Err(e) => {
+                flow = Err(e);
+                break;
+            }
+        }
         start += len;
     }
+    std::mem::swap(&mut st.mem, &mut cs.mem);
 
-    // Reduction slots: remember pre-values, identify op. `Reg` is `Copy`,
-    // so chunks share this slice without per-thread clones.
-    let mut red_slots: Vec<(RedOp, Reg, f64)> = Vec::new();
-    for &(op, l) in &dir.reductions {
-        if let Some(r) = reg(st, fb, l) {
-            let pre = read_var(&st.mem, r).map(|s| s.as_f()).unwrap_or(0.0);
-            red_slots.push((op, r, pre));
-        }
-    }
-
-    // Lend the register stack to the chunks: they only need `&` access to
-    // the enclosing frame's window and the dims arena.
-    let regs = std::mem::take(&mut st.regs);
-    let spawn = cx.opts.spawn_threads.unwrap_or_else(|| host_cpus() > 1);
-    let results: Vec<ChunkOut> = if spawn {
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for &(start, len) in &ranges {
-                let base_mem = st.mem.clone();
-                let regs = &regs;
-                let red_slots = &red_slots;
-                handles.push(scope.spawn(move || {
-                    run_chunk(
-                        cx, base_mem, regs, fb, nlocals, red_slots, var, u, mi, lo, step, start,
-                        len, typed,
-                    )
-                    .0
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-    } else {
-        // Single-CPU host: identical chunk semantics, run inline on one
-        // re-seeded scratch arena.
-        let mut scratch = st.scratch.take().unwrap_or_default();
-        let mut outs = Vec::with_capacity(ranges.len());
-        for &(start, len) in &ranges {
-            scratch.clone_from(&st.mem);
-            let (out, mem) = run_chunk(
-                cx,
-                std::mem::take(&mut scratch),
-                &regs,
-                fb,
-                nlocals,
-                &red_slots,
-                var,
-                u,
-                mi,
-                lo,
-                step,
-                start,
-                len,
-                typed,
-            );
-            scratch = mem;
-            outs.push(out);
-        }
-        st.scratch = Some(scratch);
-        outs
-    };
-    st.regs = regs;
-
-    // Merge in chunk (iteration) order.
-    let mut flow = Flow::Normal;
-    for out in &results {
-        if let Some(e) = &out.err {
-            return Err(e.clone());
-        }
-        if let Some(m) = out.flow_stop {
-            flow = Flow::Stop(m);
-        }
-    }
-    for out in &results {
-        for &(slot, off, val) in &out.log {
+    if flow.is_ok() {
+        let log = cs.log.as_ref().expect("chunk state carries a log");
+        for &(slot, off, val) in &log.writes {
             if excluded.binary_search(&slot).is_ok() {
                 continue;
             }
@@ -2116,24 +2134,22 @@ pub(crate) fn exec_parallel(
                 st.mem.slots[slot].data[off] = val;
             }
         }
-        st.io.extend(out.io.iter().cloned());
-        st.ops += out.ops;
-        st.ctr.absorb(&out.ctr);
-    }
-    for (k, &(op, r, pre)) in red_slots.iter().enumerate() {
-        let mut acc = pre;
-        for out in &results {
-            let x = out.red_finals[k];
-            acc = match op {
-                RedOp::Add => acc + x,
-                RedOp::Mul => acc * x,
-                RedOp::Min => acc.min(x),
-                RedOp::Max => acc.max(x),
-            };
+        st.io.append(&mut cs.io);
+        st.ops += ops;
+        st.ctr.absorb(&cs.ctr);
+        let mut k = 0;
+        for &(op, l) in &dir.reductions {
+            if let Some(r) = reg(st, fb, l) {
+                let acc = (1..=chunks).fold(log.folds[k], |acc, c| {
+                    red_fold(op, acc, log.folds[c * nred + k])
+                });
+                write_var(&mut st.mem, r, Scalar::F(acc));
+                k += 1;
+            }
         }
-        write_var(&mut st.mem, r, Scalar::F(acc));
     }
-    Ok(flow)
+    st.chunk = Some(cs);
+    flow
 }
 
 #[cfg(test)]

@@ -11,16 +11,17 @@
 //! * **runtime race checking** (`check_races`) — the paper's "runtime
 //!   testers": iterations of each parallel loop record their shared
 //!   read/write sets and cross-iteration conflicts are reported;
-//! * **threaded execution** (`threads > 1`) — iterations are partitioned
-//!   into per-thread chunks, each running on its own memory arena with a
-//!   write log; logs are merged in iteration order, reductions are
-//!   combined associatively. The merge order makes the result fully
-//!   deterministic, so on a single-CPU host the same chunk semantics run
-//!   inline on one reusable scratch arena instead of paying OS-thread
-//!   spawns and per-chunk allocations for no parallelism (override with
-//!   [`ExecOptions::spawn_threads`]). Data-race freedom is by
+//! * **chunked execution** (`threads > 1`) — the threaded gate. Iterations
+//!   are partitioned into `threads` contiguous chunks that each run from
+//!   the pre-loop memory with a write log; logs are merged in chunk
+//!   order and reductions folded in chunk order, so the result is fully
+//!   deterministic. The chunks run one after another on the calling
+//!   thread — a chunk is far too small to pay for a cross-thread hand-off,
+//!   and the driver already keeps every core busy with cells. This
+//!   walker isolates chunks by copying the arena; the VM runs them on the
+//!   live arena behind an undo log. Data-race freedom is by
 //!   construction; an *illegally* parallelized loop shows up as a
-//!   sequential-vs-parallel output mismatch, not as UB.
+//!   sequential-vs-chunked output mismatch, not as UB.
 
 use crate::memory::{Memory, Scalar, View};
 use fir::ast::*;
@@ -56,16 +57,16 @@ pub const MAX_CALL_DEPTH: usize = 128;
 /// Execution options.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Worker threads for directive loops (1 = pure sequential).
+    /// Chunks per directive-loop execution (1 = pure sequential). The
+    /// iterations split into this many contiguous chunks that each start
+    /// from the pre-loop memory, so the count decides which
+    /// cross-iteration dependences the threaded gate can expose; chunks
+    /// run one after another on the calling thread.
     pub threads: usize,
     /// Record cross-iteration conflicts in directive loops.
     pub check_races: bool,
     /// Fuel: maximum op count before aborting (runaway protection).
     pub max_ops: u64,
-    /// Run directive-loop chunks on OS threads. `None` (default) spawns
-    /// only when the host has more than one CPU; the chunked write-log
-    /// semantics — and therefore the results — are identical either way.
-    pub spawn_threads: Option<bool>,
     /// Which engine to run on.
     pub engine: Engine,
 }
@@ -76,20 +77,9 @@ impl Default for ExecOptions {
             threads: 1,
             check_races: false,
             max_ops: DEFAULT_MAX_OPS,
-            spawn_threads: None,
             engine: Engine::default(),
         }
     }
-}
-
-/// Host CPU count, sampled once per process.
-pub(crate) fn host_cpus() -> usize {
-    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CPUS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
 }
 
 /// One dynamic execution of a directive-carrying loop.
@@ -159,6 +149,14 @@ pub struct VmCounters {
     /// Instructions retired per opcode class (typed register engine
     /// only), index-aligned with [`OP_CLASS_NAMES`].
     pub class_retired: [u64; N_OP_CLASSES],
+    /// Directive-loop chunks executed by the chunked (`threads > 1`) gate.
+    pub chunks_run: u64,
+    /// Undo-log entries replayed to isolate those chunks: one per store
+    /// a chunk made, plus one per unlogged variable write it journaled
+    /// (each nested DO-loop entry, and per chunk its own loop variable
+    /// and reduction identities). The elements the undo log restores are
+    /// the only memory a chunk touches — no chunk copies the arena.
+    pub chunk_undo_writes: u64,
 }
 
 impl VmCounters {
@@ -178,6 +176,8 @@ impl VmCounters {
         for (k, v) in self.class_retired.iter_mut().zip(o.class_retired) {
             *k += v;
         }
+        self.chunks_run += o.chunks_run;
+        self.chunk_undo_writes += o.chunk_undo_writes;
     }
 }
 
@@ -480,7 +480,7 @@ struct State {
     /// Slots already reported as conflicting in the current directive
     /// loop (one violation per slot per loop instance).
     race_reported: SlotSet,
-    /// Reusable chunk arena for inline (no-spawn) threaded execution.
+    /// Reusable chunk arena for chunked directive-loop execution.
     scratch: Option<Memory>,
 }
 
@@ -847,7 +847,7 @@ impl<'a> Interp<'a> {
         Ok(flow)
     }
 
-    /// Threaded execution of a parallel loop with write-log merging.
+    /// Chunked execution of a parallel loop with write-log merging.
     #[allow(clippy::too_many_arguments)]
     fn exec_parallel(
         &mut self,
@@ -871,63 +871,29 @@ impl<'a> Interp<'a> {
             }
         }
 
-        let red_init: Vec<(RedOp, View)> = red_slots
-            .iter()
-            .map(|(op, v, _)| (*op, v.clone()))
-            .collect();
-
-        let spawn = self.opts.spawn_threads.unwrap_or_else(|| host_cpus() > 1);
-        let results: Vec<ChunkOut> = if spawn {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for chunk in &chunks {
-                    let base_mem = self.st.mem.clone();
-                    let ctx = self.ctx;
-                    let opts = self.opts;
-                    let red_init = red_init.clone();
-                    let var_view = var_view.clone();
-                    let frame = frame.clone();
-                    let unit = unit.to_string();
-                    let chunk: Vec<i64> = chunk.to_vec();
-                    handles.push(scope.spawn(move || {
-                        exec_chunk(
-                            ctx, opts, base_mem, &red_init, &var_view, &frame, &unit, d, &chunk,
-                        )
-                        .0
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-        } else {
-            // Single-CPU host: identical chunk semantics, run inline.
-            // Chunks execute in iteration order on one scratch arena that
-            // is re-seeded (allocation-free after the first loop) from the
-            // live arena, so the write-log merge below sees exactly what
-            // the spawning path would produce.
-            let mut scratch = self.st.scratch.take().unwrap_or_default();
-            let mut outs = Vec::with_capacity(chunks.len());
-            for chunk in &chunks {
-                scratch.clone_from(&self.st.mem);
-                let (out, mem) = exec_chunk(
-                    self.ctx,
-                    self.opts,
-                    std::mem::take(&mut scratch),
-                    &red_init,
-                    var_view,
-                    frame,
-                    unit,
-                    d,
-                    chunk,
-                );
-                scratch = mem;
-                outs.push(out);
-            }
-            self.st.scratch = Some(scratch);
-            outs
-        };
+        // Chunks run in iteration order on one scratch arena re-seeded
+        // (allocation-free after the first loop) from the live arena:
+        // copy isolation, the executable spec the VM's undo-log isolation
+        // is differentially checked against.
+        let mut scratch = self.st.scratch.take().unwrap_or_default();
+        let mut results = Vec::with_capacity(chunks.len());
+        for chunk in &chunks {
+            scratch.clone_from(&self.st.mem);
+            let (out, mem) = exec_chunk(
+                self.ctx,
+                self.opts,
+                std::mem::take(&mut scratch),
+                &red_slots,
+                var_view,
+                frame,
+                unit,
+                d,
+                chunk,
+            );
+            scratch = mem;
+            results.push(out);
+        }
+        self.st.scratch = Some(scratch);
 
         // Merge in chunk (iteration) order.
         let mut flow = Flow::Normal;
@@ -952,16 +918,9 @@ impl<'a> Interp<'a> {
             self.st.ops += out.ops;
         }
         for (k, (op, v, pre)) in red_slots.iter().enumerate() {
-            let mut acc = *pre;
-            for out in &results {
-                let x = out.red_finals[k];
-                acc = match op {
-                    RedOp::Add => acc + x,
-                    RedOp::Mul => acc * x,
-                    RedOp::Min => acc.min(x),
-                    RedOp::Max => acc.max(x),
-                };
-            }
+            let acc = results
+                .iter()
+                .fold(*pre, |acc, out| red_fold(*op, acc, out.red_finals[k]));
             self.st.mem.write(v, &[], Scalar::F(acc));
         }
         Ok(flow)
@@ -1435,7 +1394,7 @@ fn exec_chunk(
     ctx: &Ctx<'_>,
     opts: &ExecOptions,
     mem: Memory,
-    red_init: &[(RedOp, View)],
+    red_slots: &[(RedOp, View, f64)],
     var_view: &View,
     frame: &Frame,
     unit: &str,
@@ -1449,14 +1408,8 @@ fn exec_chunk(
         ..Default::default()
     };
     // Reduction slots start at the identity in each chunk.
-    for (op, v) in red_init {
-        let id = match op {
-            RedOp::Add => 0.0,
-            RedOp::Mul => 1.0,
-            RedOp::Min => f64::INFINITY,
-            RedOp::Max => f64::NEG_INFINITY,
-        };
-        st.mem.write(v, &[], Scalar::F(id));
+    for (op, v, _) in red_slots {
+        st.mem.write(v, &[], Scalar::F(red_identity(*op)));
     }
     let mut t = Interp { ctx, st, opts };
     let mut flow_stop = None;
@@ -1476,9 +1429,9 @@ fn exec_chunk(
             }
         }
     }
-    let red_finals = red_init
+    let red_finals = red_slots
         .iter()
-        .map(|(_, v)| t.st.mem.read(v, &[]).map(|s| s.as_f()).unwrap_or(0.0))
+        .map(|(_, v, _)| t.st.mem.read(v, &[]).map(|s| s.as_f()).unwrap_or(0.0))
         .collect();
     let State {
         mem,
@@ -1501,6 +1454,26 @@ fn exec_chunk(
 }
 
 /// Split `items` into `n` contiguous chunks of near-equal size.
+/// The value a reduction slot starts each chunk at.
+pub(crate) fn red_identity(op: RedOp) -> f64 {
+    match op {
+        RedOp::Add => 0.0,
+        RedOp::Mul => 1.0,
+        RedOp::Min => f64::INFINITY,
+        RedOp::Max => f64::NEG_INFINITY,
+    }
+}
+
+/// Fold one chunk's final reduction value `x` into the accumulator.
+pub(crate) fn red_fold(op: RedOp, acc: f64, x: f64) -> f64 {
+    match op {
+        RedOp::Add => acc + x,
+        RedOp::Mul => acc * x,
+        RedOp::Min => acc.min(x),
+        RedOp::Max => acc.max(x),
+    }
+}
+
 fn chunk_evenly<T>(items: &[T], n: usize) -> Vec<&[T]> {
     let n = n.max(1).min(items.len().max(1));
     let mut out = Vec::with_capacity(n);
@@ -1616,64 +1589,6 @@ mod tests {
             let err = run(&p, &opts).expect_err("recursive program must fail");
             assert!(err.is_budget(), "{engine:?}: {err:?}");
             assert!(err.message.contains("call depth"), "{engine:?}: {err:?}");
-        }
-    }
-
-    #[test]
-    fn inline_chunks_match_spawned_threads() {
-        // The spawning and inline chunk paths must be byte-identical:
-        // same I/O, ops, memory, and reduction results. Exercises
-        // reductions, lastprivate-free merges, and a STOP-free program
-        // with several dynamic directive-loop instances.
-        let src = "      PROGRAM P
-      COMMON /OUT/ A(64), TOT
-      DO K = 1, 5
-        DO I = 1, 64
-          A(I) = A(I) + I*0.5 + K
-        ENDDO
-      ENDDO
-      TOT = 0.0
-      DO I = 1, 64
-        TOT = TOT + A(I)
-      ENDDO
-      WRITE(6,*) TOT
-      END
-";
-        let mut p = parse(src).unwrap();
-        fir::visit::walk_loops_mut(&mut p.units[0].body, &mut |d| {
-            let mut dir = OmpDirective::default();
-            let sums_tot = d.body.iter().any(|s| {
-                matches!(&s.kind, StmtKind::Assign { lhs, .. }
-                    if matches!(lhs, Expr::Var(n) if n == "TOT"))
-            });
-            if d.var == "I" && sums_tot {
-                dir.reductions.push((RedOp::Add, "TOT".to_string()));
-            }
-            d.directive = Some(dir);
-        });
-        let spawned = run(
-            &p,
-            &ExecOptions {
-                threads: 4,
-                spawn_threads: Some(true),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let inline = run(
-            &p,
-            &ExecOptions {
-                threads: 4,
-                spawn_threads: Some(false),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(spawned.io, inline.io);
-        assert_eq!(spawned.total_ops, inline.total_ops);
-        assert_eq!(spawned.par_events, inline.par_events);
-        for (a, b) in spawned.memory.slots.iter().zip(&inline.memory.slots) {
-            assert_eq!(a.data, b.data);
         }
     }
 
@@ -1853,7 +1768,7 @@ mod tests {
 
     #[test]
     fn illegal_parallelization_changes_results() {
-        // A recurrence wrongly marked parallel: the threaded run must
+        // A recurrence wrongly marked parallel: the chunked run must
         // diverge from sequential (that is how runtime testing catches bad
         // annotations).
         let src = "      PROGRAM P

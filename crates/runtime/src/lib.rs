@@ -4,9 +4,10 @@
 //! *measured*:
 //!
 //! * [`interp`] — a sequential interpreter with Fortran call-by-reference /
-//!   sequence-association semantics, plus a threaded executor (std
-//!   scoped threads, per-thread write logs merged in iteration order) and a
-//!   runtime race checker — the paper's "runtime testers" (§III-D).
+//!   sequence-association semantics, plus a chunked executor (contiguous
+//!   iteration chunks run from the pre-loop memory on the calling thread,
+//!   per-chunk write logs merged in iteration order) and a runtime race
+//!   checker — the paper's "runtime testers" (§III-D).
 //! * [`bytecode`] — the default engine: each unit is lowered once into a
 //!   flat, slot-resolved instruction stream (compile-then-execute), with
 //!   an allocation-free epoch-vector race checker. Byte-identical

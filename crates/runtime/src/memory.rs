@@ -70,8 +70,9 @@ impl Clone for Slot {
     }
 
     // Hand-written so `clone_from` reuses the existing data buffer — the
-    // threaded executor re-seeds a scratch arena from the live arena once
-    // per chunk, and the derive would reallocate every slot every time.
+    // tree-walker's chunked executor re-seeds a scratch arena from the
+    // live arena once per chunk, and the derive would reallocate every
+    // slot every time.
     fn clone_from(&mut self, src: &Slot) {
         self.ty = src.ty;
         self.data.clone_from(&src.data);
@@ -264,6 +265,15 @@ pub struct Memory {
     pool: Vec<Vec<f64>>,
     /// Scratch key for allocation-free COMMON directory lookups.
     key_buf: String,
+    /// While a [`Checkpoint`] is open: pre-growth lengths `(slot, len)` of
+    /// the COMMON slots grown since.
+    grown: Option<Vec<(usize, usize)>>,
+}
+
+/// Slot count and COMMON directory size at [`Memory::checkpoint`].
+pub(crate) struct Checkpoint {
+    pub(crate) slots: usize,
+    commons: usize,
 }
 
 impl Clone for Memory {
@@ -274,6 +284,7 @@ impl Clone for Memory {
             // Scratch state stays with the original arena.
             pool: Vec::new(),
             key_buf: String::new(),
+            grown: None,
         }
     }
 
@@ -312,7 +323,11 @@ impl Memory {
         self.key_buf.push('\u{1F}');
         self.key_buf.push_str(name);
         if let Some(&idx) = self.commons.get(self.key_buf.as_str()) {
-            if self.slots[idx].data.len() < len {
+            let have = self.slots[idx].data.len();
+            if have < len {
+                if let Some(grown) = &mut self.grown {
+                    grown.push((idx, have));
+                }
                 self.slots[idx].data.resize(len, 0.0);
             }
             return idx;
@@ -377,6 +392,32 @@ impl Memory {
         for s in self.slots.drain(keep..).rev() {
             self.pool.push(s.data);
         }
+    }
+
+    /// Open a checkpoint: remember the arena's shape so [`Memory::rollback`]
+    /// can drop what is allocated, created or grown until then. Element
+    /// values are not journaled here — the caller restores those.
+    pub(crate) fn checkpoint(&mut self) -> Checkpoint {
+        self.grown = Some(Vec::new());
+        Checkpoint {
+            slots: self.slots.len(),
+            commons: self.commons.len(),
+        }
+    }
+
+    /// Close `cp` and return the arena to its shape: shrink COMMON slots
+    /// grown since, unbind COMMON members created since, and recycle
+    /// every slot allocated since.
+    pub(crate) fn rollback(&mut self, cp: Checkpoint) {
+        for (idx, len) in self.grown.take().into_iter().flatten().rev() {
+            if idx < cp.slots {
+                self.slots[idx].data.truncate(len);
+            }
+        }
+        if self.commons.len() != cp.commons {
+            self.commons.retain(|_, idx| *idx < cp.slots);
+        }
+        self.recycle_from(cp.slots);
     }
 
     /// Read through a view.

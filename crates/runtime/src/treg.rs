@@ -46,8 +46,8 @@
 
 use crate::bytecode::{
     activate_race, call_unit, exec_parallel, is_barrier, leading_cost, record, reg, retire_race,
-    run_frame, store_raw, trip_count, unwind_loops, write_var, Flow, LoopMeta, LoopRec, Reg,
-    SecDimPlan, UnitCode, UnitCompiler, VmErr, VmState, Vx, UNBOUND,
+    run_frame, store_raw, trip_count, unwind_loops, write_var, write_var_journaled, Flow, LoopMeta,
+    LoopRec, Reg, SecDimPlan, UnitCode, UnitCompiler, VmErr, VmState, Vx, UNBOUND,
 };
 use crate::interp::{ParLoopEvent, RtError};
 use crate::memory::{flat_view, view_len, Scalar};
@@ -3137,7 +3137,7 @@ fn step_cold(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr
                 if niter == 0 {
                     return Ok(Ctl::Goto(meta.exit_pc));
                 }
-                write_var(&mut st.mem, var, Scalar::I(lo));
+                write_var_journaled(st, var, Scalar::I(lo));
                 st.loop_stack.push(LoopRec {
                     meta: mi,
                     cur: lo,

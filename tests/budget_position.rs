@@ -24,6 +24,18 @@
 //!    (the set of boundaries is non-trivial, so the equality case is not
 //!    vacuous).
 
+//!
+//! The sweep also runs at `threads: 4` over directive loops, as the
+//! chunked verification gate runs them. Each chunk counts its ops from
+//! zero, so a budget that runs out inside a chunk is located at the
+//! chunk's count, and a chunked loop's ops land on the enclosing count
+//! all at once after it — the tree-walker's positions skip ahead there
+//! instead of stepping by one. Invariants 1–3 still hold, stated over
+//! each engine's set of charge boundaries: each engine stops at its least
+//! boundary past the budget, and the VM stops exactly where the
+//! tree-walker does whenever that is one of the VM's boundaries.
+
+use fir::ast::{OmpDirective, Program};
 use fruntime::{run, Engine, ExecOptions, RtErrorKind};
 
 /// Loop-heavy programs whose typed lowering exercises every fold site:
@@ -105,116 +117,197 @@ const PROGRAMS: &[(&str, &str)] = &[
     ),
 ];
 
-fn opts(engine: Engine, max_ops: u64) -> ExecOptions {
-    ExecOptions {
-        engine,
-        max_ops,
-        ..Default::default()
-    }
-}
-
 #[test]
 fn budget_positions_are_pinned_across_engines() {
     for (label, src) in PROGRAMS {
         let p = fir::parse(src).expect(label);
-        let total = run(&p, &opts(Engine::Bytecode, u64::MAX))
-            .unwrap_or_else(|e| panic!("{label}: full run failed: {e}"))
-            .total_ops;
-        let tree_total = run(&p, &opts(Engine::TreeWalk, u64::MAX))
-            .unwrap_or_else(|e| panic!("{label}: tree run failed: {e}"))
-            .total_ops;
-        assert_eq!(total, tree_total, "{label}: engines disagree on totals");
-        assert!(total > 40, "{label}: workload too small to straddle folds");
+        pin_positions(label, &p, 1);
+    }
+}
 
-        // First pass: collect the VM's charge boundaries over the whole
-        // sweep. `err.ops` is the cumulative count at the failing check,
-        // so the set of distinct values *is* the set of charge points.
-        let mut boundaries = std::collections::BTreeSet::new();
-        let mut vm_errs = Vec::with_capacity(total as usize);
-        for max_ops in 0..total {
-            let e = run(&p, &opts(Engine::Bytecode, max_ops))
-                .expect_err(&format!("{label}: vm must exhaust at {max_ops} < {total}"));
-            assert_eq!(e.kind, RtErrorKind::Budget, "{label} @ {max_ops}");
-            let at = e
-                .ops
-                .unwrap_or_else(|| panic!("{label} @ {max_ops}: budget error carries no position"));
-            boundaries.insert(at);
-            vm_errs.push((max_ops, at, e));
-        }
+/// Directive-loop programs (every loop over `I` carries the directive)
+/// whose chunks hold many fold sites: nested DO odometers, branch folds
+/// and integer compare-and-branch folds inside each iteration.
+const CHUNKED_PROGRAMS: &[(&str, &str)] = &[
+    (
+        "chunked-nested-if",
+        "      PROGRAM Q1
+      COMMON /C/ A(8), S
+      DO I = 1, 8
+        A(I) = 0.0
+        DO J = 1, 6
+          IF (J .GT. 3) THEN
+            A(I) = A(I) + J*0.5
+          ELSE
+            A(I) = A(I) - 1.0
+          ENDIF
+        ENDDO
+      ENDDO
+      S = 0.0
+      DO K = 1, 8
+        S = S + A(K)
+      ENDDO
+      WRITE(6,*) S
+      END
+",
+    ),
+    (
+        "chunked-int-chain",
+        "      PROGRAM Q2
+      COMMON /C/ W(9), S
+      DO I = 1, 6
+        K = I
+        DO J = 1, 5
+          K = MOD(K*3 + J, 9) + 1
+          IF (K .GT. 4) THEN
+            W(I) = W(I) + K*0.25
+          ENDIF
+        ENDDO
+      ENDDO
+      S = 0.0
+      DO L = 1, 9
+        S = S + W(L)
+      ENDDO
+      WRITE(6,*) S
+      END
+",
+    ),
+];
 
-        // The tree-walker's first checked tick: frame construction
-        // evaluates dimension extents through an unbounded throwaway
-        // interpreter, so a fixed prefix of ops accrues before the first
-        // budget check can fire. Past that prefix the position is exactly
-        // `max_ops + 1`.
-        let tree_first = run(&p, &opts(Engine::TreeWalk, 0))
-            .expect_err(&format!("{label}: tree must exhaust at 0"))
-            .ops
-            .unwrap_or_else(|| panic!("{label}: tree error carries no position"));
+#[test]
+fn budget_positions_are_pinned_across_engines_in_chunked_loops() {
+    for (label, src) in CHUNKED_PROGRAMS {
+        let mut p = fir::parse(src).expect(label);
+        fir::visit::walk_loops_mut(&mut p.units[0].body, &mut |d| {
+            if d.var == "I" {
+                d.directive = Some(OmpDirective::default());
+            }
+        });
+        let chunked = run(&p, &opts(Engine::Bytecode, u64::MAX, 4))
+            .unwrap_or_else(|e| panic!("{label}: chunked run failed: {e}"));
+        assert!(chunked.vm.chunks_run > 0, "{label}: no chunk ran");
+        pin_positions(label, &p, 4);
+    }
+}
 
-        let mut aligned = 0u64;
-        for (max_ops, vm_at, vm_err) in vm_errs {
-            let tree_err = run(&p, &opts(Engine::TreeWalk, max_ops)).expect_err(&format!(
-                "{label}: tree must exhaust at {max_ops} < {total}"
+fn opts(engine: Engine, max_ops: u64, threads: usize) -> ExecOptions {
+    ExecOptions {
+        engine,
+        max_ops,
+        threads,
+        ..Default::default()
+    }
+}
+
+/// Sweep every budget below the total at `threads` and pin the three
+/// invariants of the module doc.
+fn pin_positions(label: &str, p: &Program, threads: usize) {
+    let opts = |engine, max_ops| opts(engine, max_ops, threads);
+    let total = run(p, &opts(Engine::Bytecode, u64::MAX))
+        .unwrap_or_else(|e| panic!("{label}: full run failed: {e}"))
+        .total_ops;
+    let tree_total = run(p, &opts(Engine::TreeWalk, u64::MAX))
+        .unwrap_or_else(|e| panic!("{label}: tree run failed: {e}"))
+        .total_ops;
+    assert_eq!(total, tree_total, "{label}: engines disagree on totals");
+    assert!(total > 40, "{label}: workload too small to straddle folds");
+
+    // First pass: collect both engines' charge boundaries over the whole
+    // sweep. `err.ops` is the count at the failing check, so the set of
+    // distinct values *is* the set of charge points.
+    let mut vm_bounds = std::collections::BTreeSet::new();
+    let mut tree_bounds = std::collections::BTreeSet::new();
+    let mut errs = Vec::with_capacity(total as usize);
+    for max_ops in 0..total {
+        let at = |engine| {
+            let e = run(p, &opts(engine, max_ops)).expect_err(&format!(
+                "{label}: {engine:?} must exhaust at {max_ops} < {total}"
             ));
-            assert_eq!(tree_err.kind, RtErrorKind::Budget, "{label} @ {max_ops}");
             assert_eq!(
-                tree_err.message, vm_err.message,
-                "{label} @ {max_ops}: messages diverged"
+                e.kind,
+                RtErrorKind::Budget,
+                "{label} {engine:?} @ {max_ops}"
             );
-            // The tree-walker charges one op per step: position is one
-            // past the budget, clamped up to the first checked tick
-            // (frame-construction ops are charged before any check).
-            let tree_at = tree_err
-                .ops
-                .unwrap_or_else(|| panic!("{label} @ {max_ops}: tree error carries no position"));
+            let ops = e.ops.unwrap_or_else(|| {
+                panic!("{label} {engine:?} @ {max_ops}: budget error carries no position")
+            });
+            (ops, e.message)
+        };
+        let (vm_at, vm_msg) = at(Engine::Bytecode);
+        let (tree_at, tree_msg) = at(Engine::TreeWalk);
+        assert_eq!(tree_msg, vm_msg, "{label} @ {max_ops}: messages diverged");
+        vm_bounds.insert(vm_at);
+        tree_bounds.insert(tree_at);
+        errs.push((max_ops, vm_at, tree_at));
+    }
+
+    // The tree-walker's first checked tick: frame construction evaluates
+    // dimension extents through an unbounded throwaway interpreter, so a
+    // fixed prefix of ops accrues before the first budget check can fire.
+    let tree_first = *tree_bounds.first().expect("sweep is non-empty");
+    let least_past = |bounds: &std::collections::BTreeSet<u64>, max_ops: u64| {
+        *bounds
+            .range(max_ops + 1..)
+            .next()
+            .unwrap_or_else(|| panic!("{label} @ {max_ops}: no boundary past budget"))
+    };
+
+    let mut aligned = 0u64;
+    for (max_ops, vm_at, tree_at) in errs {
+        // Each engine stops at its least charge boundary past the budget.
+        assert_eq!(
+            tree_at,
+            least_past(&tree_bounds, max_ops),
+            "{label} @ {max_ops}: tree-walker position is not the least boundary past the budget"
+        );
+        assert_eq!(
+            vm_at,
+            least_past(&vm_bounds, max_ops),
+            "{label} @ {max_ops}: VM position is not the least boundary past the budget"
+        );
+        if threads == 1 {
+            // Sequentially the tree-walker checks after every step: one
+            // past the budget, clamped up to the first checked tick. (In
+            // chunks the count a loop adds lands at once, after it.)
             assert_eq!(
                 tree_at,
                 (max_ops + 1).max(tree_first),
                 "{label} @ {max_ops}: tree-walker position"
             );
-            // The VM charges merged runs: position is the least charge
-            // boundary past the budget — never earlier than the tree's.
-            let least = *boundaries
-                .range(max_ops + 1..)
-                .next()
-                .unwrap_or_else(|| panic!("{label} @ {max_ops}: no boundary past budget"));
-            assert_eq!(
-                vm_at, least,
-                "{label} @ {max_ops}: VM position is not the least boundary past the budget"
-            );
-            assert!(vm_at > max_ops, "{label} @ {max_ops}: charge before check");
-            // Alignment: whenever the budget ends one short of a charge
-            // boundary, the two engines must agree exactly.
-            if boundaries.contains(&(max_ops + 1)) {
-                assert_eq!(
-                    vm_at,
-                    max_ops + 1,
-                    "{label} @ {max_ops}: aligned budgets must agree"
-                );
-                aligned += 1;
-            }
         }
-        // The equality case must actually exercise fold boundaries, not
-        // hold vacuously.
+        // The VM charges merged runs: never earlier than the tree-walker,
+        // and exactly where the tree-walker stops on one of its boundaries.
         assert!(
-            aligned >= 8,
-            "{label}: only {aligned} aligned budget points in 0..{total}"
+            vm_at >= tree_at,
+            "{label} @ {max_ops}: VM charged before the tree-walker"
         );
-        assert!(
-            boundaries.len() >= 8,
-            "{label}: only {} distinct charge boundaries",
-            boundaries.len()
-        );
+        if vm_bounds.contains(&tree_at) {
+            assert_eq!(
+                vm_at, tree_at,
+                "{label} @ {max_ops}: aligned budgets must agree"
+            );
+            aligned += 1;
+        }
+    }
+    // The equality case must actually exercise fold boundaries, not hold
+    // vacuously.
+    assert!(
+        aligned >= 8,
+        "{label}: only {aligned} aligned budget points in 0..{total}"
+    );
+    assert!(
+        vm_bounds.len() >= 8,
+        "{label}: only {} distinct charge boundaries",
+        vm_bounds.len()
+    );
 
-        // At and past the total both engines finish cleanly.
-        for max_ops in [total, total + 1] {
-            let t = run(&p, &opts(Engine::TreeWalk, max_ops));
-            let v = run(&p, &opts(Engine::Bytecode, max_ops));
-            match (t, v) {
-                (Ok(t), Ok(v)) => assert_eq!(t.io, v.io, "{label}: io diverged at {max_ops}"),
-                (t, v) => panic!("{label} @ {max_ops}: unexpected failure: {t:?} {v:?}"),
-            }
+    // At and past the total both engines finish cleanly.
+    for max_ops in [total, total + 1] {
+        let t = run(p, &opts(Engine::TreeWalk, max_ops));
+        let v = run(p, &opts(Engine::Bytecode, max_ops));
+        match (t, v) {
+            (Ok(t), Ok(v)) => assert_eq!(t.io, v.io, "{label}: io diverged at {max_ops}"),
+            (t, v) => panic!("{label} @ {max_ops}: unexpected failure: {t:?} {v:?}"),
         }
     }
 }

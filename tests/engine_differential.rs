@@ -83,7 +83,7 @@ fn engines_agree_on_perfect_suite_all_modes_all_worker_counts() {
                     &ExecOptions {
                         threads,
                         // The sequential configuration is the race-checked
-                        // verification run; threaded runs don't check.
+                        // verification run; chunked runs don't check.
                         check_races: threads == 1,
                         ..Default::default()
                     },

@@ -2,14 +2,22 @@
 //!
 //! 1. **Counter-level** — on a call-heavy program the frame pool reaches a
 //!    100% hit rate after warmup: every steady-state CALL reuses recycled
-//!    register capacity instead of growing the file.
+//!    register capacity instead of growing the file; and the chunked gate
+//!    touches only the elements its undo log restores.
 //! 2. **Allocator-level** — with a counting global allocator installed,
 //!    straight-line VM execution performs the same number of allocation
 //!    events regardless of iteration count: all allocation is setup, none
-//!    is per-iteration.
+//!    is per-iteration. The same holds for the chunked (`threads > 1`)
+//!    gate across directive-loop executions: its chunk state is retained.
+//!
+//! The counter is per thread, so the tests in this binary may run in
+//! parallel without leaking into each other's counts.
 
 use bench::harness::alloc_counter::{self, CountingAlloc};
+use fir::ast::OmpDirective;
 use fruntime::{compile, run, run_compiled, Engine, ExecOptions};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -142,6 +150,66 @@ fn typed_register_frames_keep_pool_invariants_while_fusing() {
 }
 
 #[test]
+fn chunk_undo_log_counts_every_logged_store() {
+    // The chunked gate isolates chunks by undoing their writes on the
+    // live arena, never by copying it: `chunk_undo_writes` is all the
+    // memory a chunk costs. Ten iterations in four chunks (3+3+2+2), two
+    // logged stores per iteration plus each chunk's loop-variable journal
+    // entry; then a body under a nested loop whose entry journals its
+    // variable once per outer iteration.
+    let run_chunked = |src: &str| {
+        let mut p = fir::parse(src).unwrap();
+        fir::visit::walk_loops_mut(&mut p.units[0].body, &mut |d| {
+            if d.var == "I" {
+                d.directive = Some(OmpDirective::default());
+            }
+        });
+        let at = |threads| {
+            run(
+                &p,
+                &ExecOptions {
+                    threads,
+                    ..vm_opts()
+                },
+            )
+            .unwrap()
+        };
+        let (seq, par) = (at(1), at(4));
+        assert_eq!(seq.io, par.io);
+        assert_eq!((seq.vm.chunks_run, seq.vm.chunk_undo_writes), (0, 0));
+        par.vm
+    };
+    let flat = run_chunked(
+        "      PROGRAM P
+      COMMON /B/ A(10), C(10)
+      DO I = 1, 10
+        A(I) = I*1.0
+        C(I) = A(I) + 1.0
+      ENDDO
+      WRITE(6,*) A(10), C(10)
+      END
+",
+    );
+    assert_eq!(flat.chunks_run, 4);
+    assert_eq!(flat.chunk_undo_writes, 20 + 4);
+    let nested = run_chunked(
+        "      PROGRAM P
+      COMMON /B/ A(10)
+      DO I = 1, 10
+        A(I) = 0.0
+        DO J = 1, 3
+          A(I) = A(I) + J*1.0
+        ENDDO
+      ENDDO
+      WRITE(6,*) A(10)
+      END
+",
+    );
+    assert_eq!(nested.chunks_run, 4);
+    assert_eq!(nested.chunk_undo_writes, 10 * 4 + 10 + 4);
+}
+
+#[test]
 fn straight_line_execution_allocates_nothing_per_iteration() {
     // Same program shape at two iteration counts: if the hot loop
     // allocated anything per iteration, the 10x-longer run would perform
@@ -187,5 +255,97 @@ fn straight_line_execution_allocates_nothing_per_iteration() {
     assert_eq!(
         small, large,
         "VM execution allocates per iteration: {small} allocs at 2k iters vs {large} at 20k"
+    );
+}
+
+#[test]
+fn allocation_count_excludes_other_threads() {
+    // A helper thread allocates nonstop while the main thread counts a
+    // region with exactly ten allocations, held open until the helper
+    // has allocated at least a hundred times inside it.
+    let stop = AtomicBool::new(false);
+    let spun = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                black_box(Vec::<u8>::with_capacity(64));
+                spun.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let process_before = alloc_counter::allocations();
+        let ((), own) = alloc_counter::count(|| {
+            let start = spun.load(Ordering::Relaxed);
+            for k in 0..10u64 {
+                black_box(Box::new(k));
+            }
+            while spun.load(Ordering::Relaxed) < start + 100 {
+                std::hint::spin_loop();
+            }
+        });
+        let process = alloc_counter::allocations() - process_before;
+        stop.store(true, Ordering::Relaxed);
+        assert_eq!(own, 10, "another thread's allocations leaked into count");
+        assert!(
+            process >= 110,
+            "helper did not allocate in the window: {process}"
+        );
+    });
+}
+
+#[test]
+fn chunked_directive_loops_allocate_nothing_per_execution() {
+    // A directive loop executed `execs` times by a sequential outer loop,
+    // at four chunks per execution. Every execution also records one
+    // `ParLoopEvent` (whose `LoopId` owns a string) — as the sequential
+    // gate does — so the claim is measured against the same program at
+    // `threads: 1`: the chunked gate's extra allocations must not grow
+    // with the number of executions.
+    let program_with = |execs: u64| {
+        let src = format!(
+            "      PROGRAM MAIN
+      COMMON /OUT/ S
+      DIMENSION A(32), B(32)
+      DO J = 1, 32
+        A(J) = J*0.5
+      ENDDO
+      S = 0.0
+      DO K = 1, {execs}
+        DO I = 1, 32
+          B(I) = A(I)*1.0001 + K
+        ENDDO
+        S = S + B(MOD(K, 32) + 1)
+      ENDDO
+      WRITE(6,*) S
+      END
+"
+        );
+        let mut p = fir::parse(&src).unwrap();
+        fir::visit::walk_loops_mut(&mut p.units[0].body, &mut |d| {
+            if d.var == "I" {
+                d.directive = Some(OmpDirective::default());
+            }
+        });
+        p
+    };
+    let run_counted = |execs: u64, threads: usize| -> u64 {
+        let compiled = compile(&program_with(execs));
+        let opts = ExecOptions {
+            threads,
+            ..vm_opts()
+        };
+        run_compiled(&compiled, &opts).unwrap();
+        let (res, allocs) = alloc_counter::count(|| run_compiled(&compiled, &opts).unwrap());
+        assert_eq!(res.par_events.len() as u64, execs);
+        if threads > 1 {
+            assert_eq!(res.vm.chunks_run, 4 * execs);
+        }
+        allocs
+    };
+    let chunk_cost = |execs: u64| run_counted(execs, 4) - run_counted(execs, 1);
+    let small = chunk_cost(2_000);
+    let large = chunk_cost(20_000);
+    assert_eq!(
+        small, large,
+        "chunked gate allocates per execution: +{small} allocs at 2k executions vs +{large} at 20k"
     );
 }
