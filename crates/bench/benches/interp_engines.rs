@@ -99,7 +99,7 @@ fn main() {
         (ctr, checksum)
     });
     println!(
-        "vm counters: insns={} fused={} fused_ticks={} fused_int={} scal_prebound={} calls={} pool_hits={} pool_misses={} peak_depth={} warm_allocs={} (pass allocs={allocs})",
+        "vm counters: insns={} fused={} fused_ticks={} fused_int={} scal_prebound={} calls={} pool_hits={} pool_misses={} peak_depth={} warm_allocs={} typed_specializations={} reference_runs={} (pass allocs={allocs})",
         ctr.insns_retired,
         ctr.fused_insns,
         ctr.fused_ticks,
@@ -109,7 +109,9 @@ fn main() {
         ctr.pool_hits,
         ctr.pool_misses,
         ctr.peak_call_depth,
-        ctr.warm_allocs
+        ctr.warm_allocs,
+        ctr.typed_specializations,
+        ctr.reference_runs
     );
     let class_json: Vec<String> = OP_CLASS_NAMES
         .iter()
@@ -125,7 +127,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\"bench\":\"interp_engines\",\"samples_per_point\":{},\"workload\":\"race-checked sequential verification run, {} programs ({} apps x 3 inline modes); tick-folded control ops charge merged budget runs\",\"tree_walker_median_ns\":{},\"bytecode_vm_median_ns\":{},\"speedup_vm_vs_tree\":{:.4},\"vm_counters\":{{\"insns_retired\":{},\"fused_insns\":{},\"fused_ticks\":{},\"fused_int\":{},\"scal_prebound\":{},\"calls\":{},\"pool_hits\":{},\"pool_misses\":{},\"peak_call_depth\":{},\"warm_allocs\":{}}},\"vm_class_retired\":{{{}}},\"vm_pass_alloc_events\":{}}}\n",
+        "{{\"bench\":\"interp_engines\",\"samples_per_point\":{},\"workload\":\"race-checked sequential verification run, {} programs ({} apps x 3 inline modes); tick-folded control ops charge merged budget runs\",\"tree_walker_median_ns\":{},\"bytecode_vm_median_ns\":{},\"speedup_vm_vs_tree\":{:.4},\"vm_counters\":{{\"insns_retired\":{},\"fused_insns\":{},\"fused_ticks\":{},\"fused_int\":{},\"scal_prebound\":{},\"calls\":{},\"pool_hits\":{},\"pool_misses\":{},\"peak_call_depth\":{},\"warm_allocs\":{},\"typed_specializations\":{},\"reference_runs\":{}}},\"vm_class_retired\":{{{}}},\"vm_pass_alloc_events\":{}}}\n",
         samples,
         programs.len(),
         apps.len(),
@@ -142,6 +144,8 @@ fn main() {
         ctr.pool_misses,
         ctr.peak_call_depth,
         ctr.warm_allocs,
+        ctr.typed_specializations,
+        ctr.reference_runs,
         class_json,
         allocs
     );

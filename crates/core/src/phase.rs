@@ -224,8 +224,8 @@ pub struct CellMetrics {
 /// Serialize a [`fruntime::VmCounters`] block.
 pub(crate) fn vm_to_json(c: &fruntime::VmCounters) -> String {
     format!(
-        "{{\"insns_retired\":{},\"fused_insns\":{},\"fused_ticks\":{},\"fused_int\":{},\"scal_prebound\":{},\"calls\":{},\"pool_hits\":{},\"pool_misses\":{},\"peak_call_depth\":{},\"warm_allocs\":{},\"chunks_run\":{},\"chunk_undo_writes\":{}}}",
-        c.insns_retired, c.fused_insns, c.fused_ticks, c.fused_int, c.scal_prebound, c.calls, c.pool_hits, c.pool_misses, c.peak_call_depth, c.warm_allocs, c.chunks_run, c.chunk_undo_writes
+        "{{\"insns_retired\":{},\"fused_insns\":{},\"fused_ticks\":{},\"fused_int\":{},\"scal_prebound\":{},\"calls\":{},\"pool_hits\":{},\"pool_misses\":{},\"peak_call_depth\":{},\"warm_allocs\":{},\"chunks_run\":{},\"chunk_undo_writes\":{},\"typed_specializations\":{},\"reference_runs\":{}}}",
+        c.insns_retired, c.fused_insns, c.fused_ticks, c.fused_int, c.scal_prebound, c.calls, c.pool_hits, c.pool_misses, c.peak_call_depth, c.warm_allocs, c.chunks_run, c.chunk_undo_writes, c.typed_specializations, c.reference_runs
     )
 }
 

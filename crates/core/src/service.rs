@@ -967,6 +967,36 @@ mod tests {
     }
 
     #[test]
+    fn expression_nesting_limit_holds_on_a_worker_stack() {
+        use fir::parser::MAX_DEPTH;
+        // `X = 1.0+(1.0+(...))`, nested `levels` deep.
+        let src = |levels: usize| {
+            format!(
+                "      PROGRAM P\n      X = {}1.0{}\n      WRITE(6,*) X\n      END\n",
+                "1.0+(".repeat(levels - 1),
+                ")".repeat(levels - 1)
+            )
+        };
+        // A daemon worker runs requests on a default 2 MiB thread stack.
+        let worker = std::thread::Builder::new().stack_size(2 << 20);
+        let run = move || {
+            let opts = DriverOptions::default();
+            for mode in InlineMode::all() {
+                let r = evaluate_request("T", &src(MAX_DEPTH), "", mode, &opts);
+                assert!(r.as_ref().is_ok_and(|r| r.verified()), "{mode:?}: {r:?}");
+                let e = evaluate_request("T", &src(MAX_DEPTH + 1), "", mode, &opts).unwrap_err();
+                assert_eq!(e.stage, FailStage::Parse, "{mode:?}: {e}");
+                let FailCause::Diag(d) = &e.cause else {
+                    panic!("{mode:?}: not a diagnostic: {e}");
+                };
+                assert!(d.message.contains("nested deeper"), "{mode:?}: {e}");
+                assert_eq!(d.span.line, 2, "{mode:?}: {e}");
+            }
+        };
+        worker.spawn(run).unwrap().join().unwrap();
+    }
+
+    #[test]
     fn request_key_separates_parts_and_budgets() {
         let k = |m, s, a, b| request_key(m, s, a, b);
         assert_ne!(

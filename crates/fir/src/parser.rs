@@ -16,6 +16,13 @@ use crate::lexer::lex;
 use crate::loc::Span;
 use crate::token::{Tok, Token};
 
+/// Deepest expression nesting [`parse`] accepts: a statement's expression
+/// is level 1, and each enclosing parenthesis, argument or subscript list,
+/// unary operator or exponent adds one. Deeper input is a located parse
+/// error instead of a native-stack overflow in this recursive-descent
+/// parser or in the recursive passes after it.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete MiniF77 source file into a [`Program`].
 pub fn parse(src: &str) -> Result<Program> {
     let tokens = lex(src)?;
@@ -43,6 +50,8 @@ struct Parser {
     /// Set when a shared terminal label has been consumed by the innermost
     /// loop and outer loops with the same target must also close.
     pending_close: Option<u32>,
+    /// Current expression nesting level (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -54,6 +63,7 @@ impl Parser {
             loop_counter: 0,
             do_stack: Vec::new(),
             pending_close: None,
+            depth: 0,
         }
     }
 
@@ -699,7 +709,21 @@ impl Parser {
 
     /// Entry: lowest precedence is `.OR.`.
     fn expr(&mut self) -> Result<Expr> {
-        self.or_expr()
+        self.nested(Self::or_expr)
+    }
+
+    /// Parse `f` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        if self.depth >= MAX_DEPTH {
+            return Err(Error::parse(
+                format!("expression nested deeper than {MAX_DEPTH}"),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        let e = f(self);
+        self.depth -= 1;
+        e
     }
 
     fn or_expr(&mut self) -> Result<Expr> {
@@ -722,7 +746,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Not) {
-            let e = self.not_expr()?;
+            let e = self.nested(Self::not_expr)?;
             return Ok(Expr::Un(UnOp::Not, Box::new(e)));
         }
         self.rel_expr()
@@ -776,11 +800,11 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr> {
         if self.eat(&Tok::Minus) {
-            let e = self.unary_expr()?;
+            let e = self.nested(Self::unary_expr)?;
             return Ok(Expr::Un(UnOp::Neg, Box::new(e)));
         }
         if self.eat(&Tok::Plus) {
-            return self.unary_expr();
+            return self.nested(Self::unary_expr);
         }
         self.pow_expr()
     }
@@ -791,7 +815,7 @@ impl Parser {
             // `**` is right-associative and binds tighter than unary minus
             // on its left, looser on its right: `-X**2` is `-(X**2)`,
             // `X**-2` is allowed.
-            let exp = self.unary_expr()?;
+            let exp = self.nested(Self::unary_expr)?;
             return Ok(Expr::bin(BinOp::Pow, base, exp));
         }
         Ok(base)
@@ -1041,6 +1065,39 @@ mod tests {
         );
         assert!(matches!(&b[1].kind, StmtKind::Write { unit: 6, items } if items.len() == 3));
         assert!(matches!(&b[2].kind, StmtKind::Stop { message: Some(m) } if m == "F SINGULAR"));
+    }
+
+    /// `X = 1.0+(1.0+(...))`, nested `levels` deep.
+    fn nested_assign(levels: usize) -> String {
+        format!(
+            "      PROGRAM P\n      X = {}1.0{}\n      END\n",
+            "1.0+(".repeat(levels - 1),
+            ")".repeat(levels - 1)
+        )
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_located_error() {
+        parse_ok(&nested_assign(MAX_DEPTH));
+        let e = parse(&nested_assign(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nested deeper"), "{e}");
+        assert_eq!(e.span.line, 2, "{e}");
+        // Unary chains and exponent towers count as nesting too.
+        let minus = format!(
+            "      PROGRAM P\n      X = {}1\n      END\n",
+            "-".repeat(MAX_DEPTH)
+        );
+        assert!(parse(&minus).is_err());
+        let pow = format!(
+            "      PROGRAM P\n      X = 2{}\n      END\n",
+            "**2".repeat(MAX_DEPTH)
+        );
+        assert!(parse(&pow).is_err());
+        let nots = format!(
+            "      PROGRAM P\n      L = {}.TRUE.\n      END\n",
+            ".NOT.".repeat(MAX_DEPTH)
+        );
+        assert!(parse(&nots).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Slot-resolved bytecode engine — the fast path of the runtime testers.
+//! Slot-resolved register VM — the fast path of the runtime testers.
 //!
 //! The tree-walker in [`crate::interp`] re-resolves every variable
 //! reference through an `Ident → HashMap<Ident, View>` lookup, collects
@@ -8,22 +8,34 @@
 //! tree-walker's observable semantics *exactly* — same io, same total op
 //! count, same `ParLoopEvent`s, same races, same final memory:
 //!
-//! * each [`ProcUnit`] is lowered once into a flat `Insn` stream whose
-//!   operands are frame-local indices resolved at compile time; a frame is
-//!   a window of bare `(slot, offset)` registers on one flat register
-//!   stack (shapes live in a side arena), released by truncation so
-//!   steady-state calls allocate nothing;
-//! * DO loops execute as jump-back instructions (`Insn::DoInit` /
-//!   `Insn::DoNext`) with an arithmetic trip count — no iteration vector
-//!   is ever materialized;
-//! * subscript vectors reuse one scratch buffer in the VM state;
-//! * op accounting is amortized to straight-line runs: one `Insn::Tick`
-//!   carries the statically known cost of a maximal block of simple
-//!   statements. Totals stay byte-identical because the reference engine's
-//!   per-node costs are static (its `eval` never short-circuits) and every
-//!   point where an op counter is *observed* — `ParLoopEvent::ops` capture
-//!   at a directive-loop head — is a run barrier. Dynamic costs (section
-//!   odometer steps, frame-build extent evaluation) stay dynamic.
+//! * each [`ProcUnit`] is lowered once into one typed three-address body
+//!   ([`crate::treg`]) whose operands are frame-local indices resolved at
+//!   compile time; a frame is a window of bare `(slot, offset)` registers
+//!   on one flat register stack (shapes live in a side arena), released by
+//!   truncation so steady-state calls allocate nothing;
+//! * DO loops execute as jump-back instructions with an arithmetic trip
+//!   count — no iteration vector is ever materialized;
+//! * op accounting is amortized to straight-line runs: one `Tick` carries
+//!   the statically known cost of a maximal block of simple statements.
+//!   Totals stay byte-identical because the reference engine's per-node
+//!   costs are static (its `eval` never short-circuits) and every point
+//!   where an op counter is *observed* — `ParLoopEvent::ops` capture at a
+//!   directive-loop head — is a run barrier.
+//!
+//! **One body per bound type classes.** The typed body picks each
+//! operation from the static type of its operands, but Fortran lets a
+//! caller bind an INTEGER actual to a REAL formal, and a COMMON member can
+//! be redeclared at another type in another unit. Frame build therefore
+//! reads the type class of the storage each such local is bound to (the
+//! unit's *guards*). When every class matches the declaration the frame
+//! runs the body lowered at compile time; otherwise it runs a body lowered
+//! with those bound classes in place of the declared ones — exact, because
+//! the reference engine types every read by its slot. Such specialized
+//! bodies are lowered on first use and cached on the program, so a
+//! steady state allocates nothing. A program whose units overflow the
+//! packed typed encoding (more than 255 arguments or subscripts, more
+//! than `u16` locals or registers) is marked at [`compile`] time, and
+//! [`run_compiled`] runs it on the tree-walker, the oracle.
 //!
 //! The race checker is rebuilt on the same epoch idea the ROADMAP queued:
 //! instead of a `(slot, offset) → (iter, had_write)` hash map cleared per
@@ -34,95 +46,37 @@
 //!
 //! Compile once, run many: [`compile`] + [`run_compiled`] let `verify`
 //! lower a program a single time for its sequential and chunked runs.
-//! [`CompiledProgram`] owns all its data and is `Sync`, so the driver's
-//! workers share it without cloning.
+//! [`CompiledProgram`] borrows the source program and is `Sync`, so the
+//! driver's workers share it without cloning.
 
 use crate::interp::{
-    eval_bin, eval_intrinsic, red_fold, red_identity, ExecOptions, ParLoopEvent, RaceViolation,
-    RtError, RunResult, VmCounters, DEFAULT_MAX_OPS, MAX_CALL_DEPTH,
+    red_fold, red_identity, Engine, ExecOptions, ParLoopEvent, RaceViolation, RtError, RunResult,
+    VmCounters, DEFAULT_MAX_OPS, MAX_CALL_DEPTH,
 };
-use crate::memory::{flat_view, view_len, Memory, Scalar};
+use crate::memory::{Memory, Scalar};
+use crate::treg::{exec_typed, lower_typed, ty_class, TypedUnit};
 use fir::ast::*;
-use fir::symbol::{Storage, SymbolTable};
-use std::collections::HashMap;
+use fir::symbol::{Storage, Symbol, SymbolTable};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Compiled form
 
-/// One lowered instruction. Locals are indices into the frame's register
-/// window; string-valued operands index the program's literal pool.
-#[derive(Debug, Clone)]
-pub(crate) enum Insn {
-    /// Add the statically known cost of a straight-line run to the op
-    /// counter and check the budget.
-    Tick(u64),
-    PushI(i64),
-    PushF(f64),
-    PushB(bool),
-    /// Read a scalar local (or the first element of a whole-array read).
-    Load(u32),
-    /// Read an array element: pops `n` subscripts.
-    LoadElem(u32, u8),
-    /// Pop a value into a scalar local (or fill a whole array with it).
-    StoreVar(u32),
-    /// Pop `n` subscripts, then the value; store one element.
-    StoreElem(u32, u8),
-    /// Section assignment: pops the bound values of section plan `s`,
-    /// then the fill value. Odometer ticks dynamically.
-    StoreSection(u32, u32),
-    Bin(BinOp),
-    Neg,
-    Not,
-    Intr(Intrinsic, u8),
-    UnknownOp(u32, u8),
-    UniqueOp(u32, u8),
-    Jump(u32),
-    JumpIfFalse(u32),
-    WriteBegin,
-    WriteStr(u32),
-    WriteVal,
-    WriteEnd,
-    /// Unconditional runtime error with a pooled message (lowered from
-    /// expressions the reference engine rejects at evaluation time).
-    Bad(u32),
-    Stop(u32),
-    Ret,
-    /// Pop step (if the loop has one), hi, lo; enter loop `l`.
-    DoInit(u32),
-    /// Advance loop `l`: jump back to its body or fall through to exit.
-    DoNext(u32),
-    /// Push an argument view for a variable (allocating an implicit
-    /// scalar when unbound).
-    ArgVar(u32),
-    /// Pop `n` subscripts; push a view of the addressed element.
-    ArgElem(u32, u8),
-    /// Pop a value; materialize it as a fresh scalar slot and push its
-    /// view (by-value argument).
-    ArgVal,
-    /// Call unit `u` with the top `n` argument views.
-    Call(u32, u8),
-    CallUnknown(u32),
-    EndUnit,
-}
-
-/// Static description of one DO loop. Shared by the stack body and the
-/// typed register body (same index space: both lower loops in the same
-/// traversal order, only the `*_pc` fields differ per body).
+/// Static description of one DO loop of a typed body.
 #[derive(Debug, Clone)]
 pub(crate) struct LoopMeta {
     pub(crate) var: u32,
-    pub(crate) has_step: bool,
     /// First instruction of the body (the one after `DoInit`).
     pub(crate) body_pc: u32,
     /// First instruction after the loop (the one after `DoNext`).
     pub(crate) exit_pc: u32,
     pub(crate) id: LoopId,
     pub(crate) dir: Option<DirPlan>,
-    /// Typed body only: when the body opens with a `Tick`/`TickP`, its
-    /// cost — the back-edge charges it and re-enters past the tick
-    /// (identical op totals and budget positions, one fewer dispatch per
-    /// iteration). 0 in the stack body and when the body has no leading
-    /// tick.
+    /// When the body opens with a `Tick`/`TickP`, its cost — the
+    /// back-edge charges it and re-enters past the tick (identical op
+    /// totals and budget positions, one fewer dispatch per iteration).
+    /// 0 when the body has no leading tick.
     pub(crate) body_cost: u64,
 }
 
@@ -134,8 +88,8 @@ pub(crate) struct DirPlan {
     pub(crate) reductions: Vec<(RedOp, u32)>,
 }
 
-/// One dimension of a section plan; bound values that exist are on the
-/// stack (or in consecutive value registers) in declaration order.
+/// One dimension of a section plan; bound values that exist sit in
+/// consecutive value registers in declaration order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SecDimPlan {
     Full,
@@ -144,12 +98,14 @@ pub(crate) enum SecDimPlan {
 }
 
 /// How one frame-plan dimension resolves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum DimPlan {
     Assumed,
-    /// Value code (`Tick` + expression ops) evaluated against the frame
-    /// under construction.
-    Extent(Vec<Insn>),
+    /// An integer literal: one op, no code.
+    Lit(i64),
+    /// Extent snippet `k` of the frame's body ([`TypedUnit::extents`]),
+    /// evaluated against the frame under construction.
+    Extent(u32),
 }
 
 /// PARAMETER constant materialized during frame build.
@@ -173,6 +129,19 @@ struct LocalPlan {
     dims: Vec<DimPlan>,
 }
 
+/// A local whose bound storage may carry another type class than its
+/// declaration: every formal, and every COMMON member the program declares
+/// at more than one class.
+#[derive(Debug, Clone)]
+struct Guard {
+    local: u32,
+    /// Declared class ([`ty_class`]).
+    class: u8,
+    /// The member's COMMON block (its class is read from the directory
+    /// before phase 3 binds it); `None` for a formal.
+    block: Option<String>,
+}
+
 /// Everything needed to build a call frame, phase for phase in the
 /// reference engine's allocation order (slot indices must match).
 #[derive(Debug, Clone, Default)]
@@ -185,29 +154,38 @@ pub(crate) struct FramePlan {
     /// Array formals whose shapes re-resolve against the full frame
     /// (phase 4), in parameter order.
     formal_dims: Vec<(u32, Vec<DimPlan>)>,
+    guards: Vec<Guard>,
+}
+
+/// A typed body lowered for one tuple of bound guard classes.
+#[derive(Debug, Clone)]
+struct Spec {
+    /// Bound class per guard, in [`FramePlan::guards`] order.
+    key: Box<[u8]>,
+    body: TypedUnit,
+    next: OnceLock<Box<Spec>>,
 }
 
 /// One lowered procedure unit.
 #[derive(Debug, Clone)]
 pub(crate) struct UnitCode {
     pub(crate) name: String,
-    pub(crate) code: Vec<Insn>,
     /// Local index → variable name (error messages only).
     pub(crate) names: Vec<String>,
-    pub(crate) loops: Vec<LoopMeta>,
-    pub(crate) secs: Vec<Vec<SecDimPlan>>,
-    pub(crate) plan: FramePlan,
-    /// Typed three-address body (the fast path), when the unit's operand
-    /// types are fully static. Frames whose actual slot types diverge
-    /// from the declared types (COMMON/formal type punning) fall back to
-    /// the stack body above — see [`typed_body`].
-    pub(crate) typed: Option<crate::treg::TypedUnit>,
+    plan: FramePlan,
+    /// The body for the declared type classes, lowered at compile time.
+    body: TypedUnit,
+    /// Bodies for other bound classes, lowered on first use: an
+    /// append-only list, so a found body lives as long as the program.
+    specs: OnceLock<Box<Spec>>,
 }
 
-/// A fully lowered program: owned, immutable, `Sync` — compile once, run
-/// from any number of threads.
+/// A fully lowered program: immutable apart from its cache of specialized
+/// bodies, and `Sync` — compile once, run from any number of threads.
 #[derive(Debug, Clone)]
-pub struct CompiledProgram {
+pub struct CompiledProgram<'p> {
+    /// The source, for on-demand specialization and the reference route.
+    src: &'p Program,
     pub(crate) units: Vec<UnitCode>,
     main: Option<usize>,
     /// Pre-resolved COMMON allocations `(block, member, ty, len)` in the
@@ -217,25 +195,32 @@ pub struct CompiledProgram {
     /// error texts. Instructions and [`Flow::Stop`] carry `u32` indices
     /// into this pool, so stop/error propagation across unit boundaries
     /// never clones a string — text materializes once, at the engine
-    /// boundary in [`run_compiled`].
+    /// boundary in [`run_compiled`]. Never changes after [`compile`].
     pub(crate) strs: Vec<String>,
-    /// Widest typed-register bank any unit needs; the shared bank is
-    /// sized once per run (frames hold no live value registers across
-    /// calls, so every frame reuses the same bank).
-    pub(crate) max_vregs: usize,
+    /// Some unit overflows the typed encoding: the program runs on the
+    /// tree-walker, and `units` is empty.
+    reference: bool,
 }
 
-/// Deduplicating string interner backing [`CompiledProgram::strs`].
+/// Deduplicating string interner backing [`CompiledProgram::strs`]. A
+/// frozen pool (specialization) only looks strings up.
 #[derive(Default)]
 struct StrPool {
     strs: Vec<String>,
     map: HashMap<String, u32>,
+    frozen: bool,
+    /// A frozen pool was asked for a string it lacks.
+    missed: bool,
 }
 
 impl StrPool {
     fn intern(&mut self, s: &str) -> u32 {
         if let Some(&i) = self.map.get(s) {
             return i;
+        }
+        if self.frozen {
+            self.missed = true;
+            return 0;
         }
         let i = self.strs.len() as u32;
         self.strs.push(s.to_string());
@@ -334,18 +319,47 @@ pub(crate) fn is_barrier(s: &Stmt) -> bool {
     )
 }
 
-/// Per-unit lowering state. Strings intern into the program-wide pool.
-/// The typed lowering pass ([`crate::treg`]) shares this compiler's name
-/// map and string pool so local indices agree across both bodies.
+/// The symbols frame build visits after the PARAMETER constants: COMMON
+/// members and locals sorted by name (phase 3), then array formals in
+/// parameter order (phase 4).
+fn frame_symbols<'t>(
+    unit: &ProcUnit,
+    table: &'t SymbolTable,
+) -> (Vec<&'t Symbol>, Vec<&'t Symbol>) {
+    let mut locals: Vec<&Symbol> = table
+        .iter()
+        .filter(|s| matches!(s.storage, Storage::Common(_) | Storage::Local))
+        .collect();
+    locals.sort_by(|a, b| a.name.cmp(&b.name));
+    let formals = unit
+        .params
+        .iter()
+        .filter_map(|p| table.get(p))
+        .filter(|s| s.is_array())
+        .collect();
+    (locals, formals)
+}
+
+/// The extents frame build evaluates as code, in evaluation order: entry
+/// `k` is [`DimPlan::Extent`]`(k)`. Integer literals resolve without code.
+fn frame_extents<'t>(unit: &ProcUnit, table: &'t SymbolTable) -> Vec<&'t Expr> {
+    let (locals, formals) = frame_symbols(unit, table);
+    locals
+        .iter()
+        .chain(&formals)
+        .flat_map(|s| &s.dims)
+        .filter_map(|d| match d {
+            Dim::Extent(Expr::Int(_)) | Dim::Assumed => None,
+            Dim::Extent(e) => Some(e),
+        })
+        .collect()
+}
+
+/// Per-unit lowering state: the local-name map and the program-wide
+/// string pool the typed lowering ([`crate::treg`]) interns into.
 pub(crate) struct UnitCompiler<'p> {
     pub(crate) names: Vec<String>,
     name_idx: HashMap<String, u32>,
-    code: Vec<Insn>,
-    /// Completed generic loop metadata. The typed lowering clones entry
-    /// `k` for its own loop `k` (same traversal order), so directive
-    /// plans and loop ids are identical across bodies by construction.
-    pub(crate) loops: Vec<LoopMeta>,
-    secs: Vec<Vec<SecDimPlan>>,
     strs: &'p mut StrPool,
     pub(crate) unit_by_name: &'p HashMap<&'p str, usize>,
 }
@@ -365,349 +379,122 @@ impl<'p> UnitCompiler<'p> {
         self.strs.intern(s)
     }
 
-    fn emit(&mut self, i: Insn) -> usize {
-        self.code.push(i);
-        self.code.len() - 1
-    }
-
-    fn here(&self) -> u32 {
-        self.code.len() as u32
-    }
-
-    /// Lower a block, merging the leading costs of each maximal
-    /// straight-line run of statements into a single `Tick`.
-    fn block(&mut self, b: &Block) {
-        let mut i = 0;
-        while i < b.len() {
-            let mut j = i;
-            let mut sum = 0u64;
-            while j < b.len() {
-                sum += leading_cost(&b[j]);
-                j += 1;
-                if is_barrier(&b[j - 1]) {
-                    break;
-                }
-            }
-            if sum > 0 {
-                self.emit(Insn::Tick(sum));
-            }
-            for s in &b[i..j] {
-                self.stmt(s);
-            }
-            i = j;
-        }
-    }
-
-    /// Lower one statement's code (its leading cost is already ticked).
-    fn stmt(&mut self, s: &Stmt) {
-        match &s.kind {
-            StmtKind::Assign { lhs, rhs } => {
-                self.expr(rhs);
-                match lhs {
-                    Expr::Var(n) => {
-                        let l = self.local(n);
-                        self.emit(Insn::StoreVar(l));
-                    }
-                    Expr::Index(n, subs) => {
-                        for sub in subs {
-                            self.expr(sub);
-                        }
-                        let l = self.local(n);
-                        self.emit(Insn::StoreElem(l, subs.len() as u8));
-                    }
-                    Expr::Section(n, ranges) => {
-                        let mut plan = Vec::with_capacity(ranges.len());
-                        for r in ranges {
-                            match r {
-                                SecRange::Full => plan.push(SecDimPlan::Full),
-                                SecRange::At(e) => {
-                                    self.expr(e);
-                                    plan.push(SecDimPlan::At);
-                                }
-                                SecRange::Range { lo, hi, .. } => {
-                                    if let Some(e) = lo {
-                                        self.expr(e);
-                                    }
-                                    if let Some(e) = hi {
-                                        self.expr(e);
-                                    }
-                                    plan.push(SecDimPlan::Range {
-                                        has_lo: lo.is_some(),
-                                        has_hi: hi.is_some(),
-                                    });
-                                }
-                            }
-                        }
-                        let l = self.local(n);
-                        self.secs.push(plan);
-                        let sidx = (self.secs.len() - 1) as u32;
-                        self.emit(Insn::StoreSection(l, sidx));
-                    }
-                    other => {
-                        let m = self.stri(&format!("invalid assignment target {other:?}"));
-                        self.emit(Insn::Bad(m));
-                    }
-                }
-            }
-            StmtKind::If {
-                cond,
-                then_blk,
-                else_blk,
-            } => {
-                self.expr(cond);
-                let jf = self.emit(Insn::JumpIfFalse(0));
-                self.block(then_blk);
-                let j = self.emit(Insn::Jump(0));
-                let else_pc = self.here();
-                self.code[jf] = Insn::JumpIfFalse(else_pc);
-                self.block(else_blk);
-                let end = self.here();
-                self.code[j] = Insn::Jump(end);
-            }
-            StmtKind::Do(d) => {
-                self.expr(&d.lo);
-                self.expr(&d.hi);
-                if let Some(e) = &d.step {
-                    self.expr(e);
-                }
-                let dir = d.directive.as_ref().map(|dir| DirPlan {
-                    privates: dir
-                        .private
-                        .iter()
-                        .chain(dir.lastprivate.iter())
-                        .map(|n| self.local(n))
-                        .collect(),
-                    reductions: dir
-                        .reductions
-                        .iter()
-                        .map(|(op, n)| (*op, self.local(n)))
-                        .collect(),
-                });
-                let m = self.loops.len() as u32;
-                let var = self.local(&d.var);
-                self.loops.push(LoopMeta {
-                    var,
-                    has_step: d.step.is_some(),
-                    body_pc: 0,
-                    exit_pc: 0,
-                    id: d.id.clone(),
-                    dir,
-                    body_cost: 0,
-                });
-                self.emit(Insn::DoInit(m));
-                self.loops[m as usize].body_pc = self.here();
-                self.block(&d.body);
-                self.emit(Insn::DoNext(m));
-                self.loops[m as usize].exit_pc = self.here();
-            }
-            StmtKind::Call { name, args } => {
-                for a in args {
-                    match a {
-                        Expr::Var(n) => {
-                            let l = self.local(n);
-                            self.emit(Insn::ArgVar(l));
-                        }
-                        Expr::Index(n, subs) => {
-                            for sub in subs {
-                                self.expr(sub);
-                            }
-                            let l = self.local(n);
-                            self.emit(Insn::ArgElem(l, subs.len() as u8));
-                        }
-                        e => {
-                            self.expr(e);
-                            self.emit(Insn::ArgVal);
-                        }
-                    }
-                }
-                match self.unit_by_name.get(name.as_str()) {
-                    Some(&u) => {
-                        self.emit(Insn::Call(u as u32, args.len() as u8));
-                    }
-                    None => {
-                        let m = self.stri(&format!("call to undefined subroutine {name}"));
-                        self.emit(Insn::CallUnknown(m));
-                    }
-                }
-            }
-            StmtKind::Write { items, .. } => {
-                self.emit(Insn::WriteBegin);
-                for item in items {
-                    match item {
-                        Expr::Str(text) => {
-                            let m = self.stri(text);
-                            self.emit(Insn::WriteStr(m));
-                        }
-                        e => {
-                            self.expr(e);
-                            self.emit(Insn::WriteVal);
-                        }
-                    }
-                }
-                self.emit(Insn::WriteEnd);
-            }
-            StmtKind::Stop { message } => {
-                let m = self.stri(&message.clone().unwrap_or_default());
-                self.emit(Insn::Stop(m));
-            }
-            StmtKind::Return => {
-                self.emit(Insn::Ret);
-            }
-            StmtKind::Continue => {}
-            StmtKind::Tagged { body, .. } => self.block(body),
-        }
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        match e {
-            Expr::Int(v) => {
-                self.emit(Insn::PushI(*v));
-            }
-            Expr::Real(R64(x)) => {
-                self.emit(Insn::PushF(*x));
-            }
-            Expr::Logical(b) => {
-                self.emit(Insn::PushB(*b));
-            }
-            Expr::Str(_) => {
-                let m = self.stri("string in arithmetic context");
-                self.emit(Insn::Bad(m));
-            }
-            Expr::Var(n) => {
-                let l = self.local(n);
-                self.emit(Insn::Load(l));
-            }
-            Expr::Index(n, subs) => {
-                for sub in subs {
-                    self.expr(sub);
-                }
-                let l = self.local(n);
-                self.emit(Insn::LoadElem(l, subs.len() as u8));
-            }
-            Expr::Section(_, _) => {
-                let m = self.stri("array section in scalar context");
-                self.emit(Insn::Bad(m));
-            }
-            Expr::Intrinsic(i, args) => {
-                for a in args {
-                    self.expr(a);
-                }
-                self.emit(Insn::Intr(*i, args.len() as u8));
-            }
-            Expr::Bin(op, l, r) => {
-                self.expr(l);
-                self.expr(r);
-                self.emit(Insn::Bin(*op));
-            }
-            Expr::Un(UnOp::Neg, inner) => {
-                self.expr(inner);
-                self.emit(Insn::Neg);
-            }
-            Expr::Un(UnOp::Not, inner) => {
-                self.expr(inner);
-                self.emit(Insn::Not);
-            }
-            Expr::Unknown(id, args) => {
-                for a in args {
-                    self.expr(a);
-                }
-                self.emit(Insn::UnknownOp(*id, args.len() as u8));
-            }
-            Expr::Unique(id, args) => {
-                for a in args {
-                    self.expr(a);
-                }
-                self.emit(Insn::UniqueOp(*id, args.len() as u8));
-            }
-        }
-    }
-
-    /// Lower one declared dimension into a value-code snippet (ticked
-    /// like the reference engine's per-extent `eval`).
-    fn dim_plan(&mut self, d: &Dim) -> DimPlan {
+    fn dim_plan(d: &Dim, next: &mut u32) -> DimPlan {
         match d {
             Dim::Assumed => DimPlan::Assumed,
-            Dim::Extent(e) => {
-                let saved = std::mem::take(&mut self.code);
-                self.emit(Insn::Tick(cost(e)));
-                self.expr(e);
-                let code = std::mem::replace(&mut self.code, saved);
-                DimPlan::Extent(code)
+            Dim::Extent(Expr::Int(v)) => DimPlan::Lit(*v),
+            Dim::Extent(_) => {
+                *next += 1;
+                DimPlan::Extent(*next - 1)
             }
         }
     }
 
-    fn frame_plan(&mut self, unit: &ProcUnit, table: &SymbolTable) -> FramePlan {
+    /// The frame plan of `unit`. `classes` holds every COMMON member's
+    /// declared type classes across the program, one bit per class.
+    fn frame_plan(
+        &mut self,
+        unit: &ProcUnit,
+        table: &SymbolTable,
+        classes: &BTreeMap<(&str, &str), u8>,
+    ) -> FramePlan {
         let formals = unit.params.iter().map(|p| self.local(p)).collect();
         let mut consts = Vec::new();
+        let mut guards = Vec::new();
         for sym in table.iter() {
-            if sym.storage == Storage::Param {
-                let val = table.param_value(&sym.name).and_then(|e| e.as_int_const());
-                let local = self.local(&sym.name);
-                consts.push(ParamConstPlan {
-                    local,
-                    ty: sym.ty,
-                    val,
-                });
+            match &sym.storage {
+                Storage::Param => {
+                    let val = table.param_value(&sym.name).and_then(|e| e.as_int_const());
+                    let local = self.local(&sym.name);
+                    consts.push(ParamConstPlan {
+                        local,
+                        ty: sym.ty,
+                        val,
+                    });
+                }
+                Storage::Formal(_) => guards.push(Guard {
+                    local: self.local(&sym.name),
+                    class: ty_class(sym.ty),
+                    block: None,
+                }),
+                Storage::Common(b) => {
+                    let declared = classes.get(&(b.as_str(), sym.name.as_str()));
+                    if declared.is_some_and(|c| c.count_ones() > 1) {
+                        guards.push(Guard {
+                            local: self.local(&sym.name),
+                            class: ty_class(sym.ty),
+                            block: Some(b.clone()),
+                        });
+                    }
+                }
+                Storage::Local => {}
             }
         }
-        let mut pending: Vec<&fir::symbol::Symbol> = table
-            .iter()
-            .filter(|s| matches!(s.storage, Storage::Common(_) | Storage::Local))
-            .collect();
-        pending.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut locals = Vec::with_capacity(pending.len());
-        for sym in pending {
-            let local = self.local(&sym.name);
-            let dims = sym.dims.iter().map(|d| self.dim_plan(d)).collect();
-            locals.push(LocalPlan {
-                local,
+        let (syms, formal_syms) = frame_symbols(unit, table);
+        let mut next = 0;
+        let locals = syms
+            .into_iter()
+            .map(|sym| LocalPlan {
+                local: self.local(&sym.name),
                 ty: sym.ty,
                 block: match &sym.storage {
                     Storage::Common(b) => Some(b.clone()),
                     _ => None,
                 },
-                dims,
-            });
-        }
-        let mut formal_dims = Vec::new();
-        for p in &unit.params {
-            let sym = table.get_or_implicit(p);
-            if sym.is_array() {
-                let local = self.local(p);
-                let dims = sym.dims.iter().map(|d| self.dim_plan(d)).collect();
-                formal_dims.push((local, dims));
-            }
-        }
+                dims: sym
+                    .dims
+                    .iter()
+                    .map(|d| Self::dim_plan(d, &mut next))
+                    .collect(),
+            })
+            .collect();
+        let formal_dims = formal_syms
+            .into_iter()
+            .map(|sym| {
+                let dims = sym
+                    .dims
+                    .iter()
+                    .map(|d| Self::dim_plan(d, &mut next))
+                    .collect();
+                (self.local(&sym.name), dims)
+            })
+            .collect();
         FramePlan {
-            nlocals: 0, // patched after the body compiles
+            nlocals: 0, // patched after the body lowers
             formals,
             consts,
             locals,
             formal_dims,
+            guards,
         }
     }
+}
+
+/// Unit name → first unit index with that name.
+fn unit_index(p: &Program) -> HashMap<&str, usize> {
+    let mut by_name = HashMap::new();
+    for (i, u) in p.units.iter().enumerate() {
+        by_name.entry(u.name.as_str()).or_insert(i);
+    }
+    by_name
 }
 
 /// Lower a program. Infallible: everything the reference engine reports
 /// at runtime (undefined names, non-constant PARAMETERs, bad extents)
 /// stays a runtime error here too.
-pub fn compile(p: &Program) -> CompiledProgram {
-    let mut unit_by_name: HashMap<&str, usize> = HashMap::new();
-    let mut main = None;
-    for (i, u) in p.units.iter().enumerate() {
-        unit_by_name.entry(u.name.as_str()).or_insert(i);
-        if u.kind == UnitKind::Program {
-            main = Some(i);
-        }
-    }
+pub fn compile(p: &Program) -> CompiledProgram<'_> {
+    let unit_by_name = unit_index(p);
+    let main = p.units.iter().rposition(|u| u.kind == UnitKind::Program);
     let tables: Vec<SymbolTable> = p.units.iter().map(SymbolTable::build).collect();
 
     // COMMON preallocation, in the reference engine's order: units in
-    // program order, members sorted by name, constant extents only.
+    // program order, members sorted by name, constant extents only. On
+    // the way, collect each member's declared type classes (bit per
+    // class): a member declared at one class is always bound to it.
     let mut commons = Vec::new();
-    for (u, table) in p.units.iter().zip(&tables) {
-        let mut members: Vec<&fir::symbol::Symbol> = table
+    let mut classes: BTreeMap<(&str, &str), u8> = BTreeMap::new();
+    for table in &tables {
+        let mut members: Vec<&Symbol> = table
             .iter()
             .filter(|s| matches!(s.storage, Storage::Common(_)))
             .collect();
@@ -716,6 +503,9 @@ pub fn compile(p: &Program) -> CompiledProgram {
             let Storage::Common(block) = &sym.storage else {
                 unreachable!()
             };
+            *classes
+                .entry((block.as_str(), sym.name.as_str()))
+                .or_default() |= 1 << ty_class(sym.ty);
             let mut len = 1usize;
             let mut resolvable = true;
             for d in &sym.dims {
@@ -731,50 +521,92 @@ pub fn compile(p: &Program) -> CompiledProgram {
                 commons.push((block.clone(), sym.name.clone(), sym.ty, len.max(1)));
             }
         }
-        let _ = u;
     }
 
+    // Specialized bodies look their strings up in the finished pool, so
+    // the one message whose emission depends on operand types is always
+    // there.
     let mut pool = StrPool::default();
+    pool.intern("negation of logical");
     let mut units = Vec::with_capacity(p.units.len());
     for (u, table) in p.units.iter().zip(&tables) {
         let mut c = UnitCompiler {
             names: Vec::new(),
             name_idx: HashMap::new(),
-            code: Vec::new(),
-            loops: Vec::new(),
-            secs: Vec::new(),
             strs: &mut pool,
             unit_by_name: &unit_by_name,
         };
-        let mut plan = c.frame_plan(u, table);
-        c.block(&u.body);
-        c.emit(Insn::EndUnit);
-        let typed = crate::treg::lower_typed(u, table, &mut c);
+        let mut plan = c.frame_plan(u, table, &classes);
+        let body = lower_typed(u, table, &mut c, &frame_extents(u, table), &[]);
+        // A specialization may need one register more than this body
+        // (see `treg`'s elem-store fusion hole), so leave it headroom.
+        let Some(body) = body.filter(|b| b.nvregs <= u16::MAX as usize) else {
+            return CompiledProgram {
+                src: p,
+                units: Vec::new(),
+                main,
+                commons: Vec::new(),
+                strs: Vec::new(),
+                reference: true,
+            };
+        };
         plan.nlocals = c.names.len();
         units.push(UnitCode {
             name: u.name.clone(),
-            code: c.code,
             names: c.names,
-            loops: c.loops,
-            secs: c.secs,
             plan,
-            typed,
+            body,
+            specs: OnceLock::new(),
         });
     }
-
-    let max_vregs = units
-        .iter()
-        .filter_map(|u| u.typed.as_ref())
-        .map(|t| t.nvregs)
-        .max()
-        .unwrap_or(0);
     CompiledProgram {
+        src: p,
         units,
         main,
         commons,
         strs: pool.strs,
-        max_vregs,
+        reference: false,
     }
+}
+
+/// Lower unit `u` again with the bound classes `key` in place of the
+/// declared ones. The unit's local numbering and the program's string pool
+/// are reused as they are; `None` if the lowering would need to extend
+/// either (it never does: both depend only on the source).
+fn lower_specialized(prog: &CompiledProgram<'_>, u: usize, key: &[u8]) -> Option<TypedUnit> {
+    let unit = &prog.units[u];
+    let src = &prog.src.units[u];
+    let table = SymbolTable::build(src);
+    let unit_by_name = unit_index(prog.src);
+    let mut pool = StrPool {
+        map: prog
+            .strs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.clone(), i as u32))
+            .collect(),
+        frozen: true,
+        ..StrPool::default()
+    };
+    let mut c = UnitCompiler {
+        names: unit.names.clone(),
+        name_idx: (0u32..)
+            .zip(&unit.names)
+            .map(|(i, n)| (n.clone(), i))
+            .collect(),
+        strs: &mut pool,
+        unit_by_name: &unit_by_name,
+    };
+    let over: Vec<(&str, u8)> = unit
+        .plan
+        .guards
+        .iter()
+        .zip(key)
+        .filter(|(g, &k)| g.class != k)
+        .map(|(g, &k)| (unit.names[g.local as usize].as_str(), k))
+        .collect();
+    let body = lower_typed(src, &table, &mut c, &frame_extents(src, &table), &over)?;
+    (c.names.len() == unit.names.len() && !pool.missed).then_some(body)
 }
 
 // ---------------------------------------------------------------------------
@@ -888,7 +720,7 @@ impl RegStack {
 /// error paths of the hot loop never clone pool strings.
 #[derive(Debug, Clone)]
 pub(crate) enum VmErr {
-    /// An interned lowered message (`Insn::Bad`, `Insn::CallUnknown`).
+    /// An interned lowered message (`Bad`, `CallUnknown`).
     Raise(u32),
     /// An already-materialized runtime error.
     Rt(RtError),
@@ -923,18 +755,16 @@ pub(crate) struct VmState {
     /// Chunk mode only: the chunk's write and undo journal.
     pub(crate) log: Option<ChunkLog>,
     pub(crate) race: RaceState,
-    /// Value stack, shared by every frame of this VM (stack body only).
-    pub(crate) stack: Vec<Scalar>,
-    /// Typed value registers (typed body only): one flat `u64` bank —
-    /// i64 bits, f64 bits, or 0/1 logicals, per the lowering's static
-    /// types. Frames hold no live value registers across calls, so every
-    /// frame shares this bank, sized once per run.
+    /// Typed value registers: one flat `u64` bank — i64 bits, f64 bits,
+    /// or 0/1 logicals, per the lowering's static types. Frames hold no
+    /// live value registers across calls, so every frame shares this
+    /// bank, grown to the widest body entered.
     pub(crate) vregs: Vec<u64>,
     /// Register file + dims arena, shared by every frame of this VM.
     pub(crate) regs: RegStack,
     /// Live DO loops of every frame (each frame owns a base index).
     pub(crate) loop_stack: Vec<LoopRec>,
-    /// Typed body only: pre-resolved scalar operand stream — one packed
+    /// Pre-resolved scalar operand stream — one packed
     /// `(slot << 32) | offset` word per frame register, snapshotted at
     /// `exec_typed` entry and truncated with the frame on return.
     /// `u64::MAX` marks unbound (or unpackably large) entries, which
@@ -944,12 +774,14 @@ pub(crate) struct VmState {
     pub(crate) scal: Vec<u64>,
     /// Reusable subscript buffer.
     pub(crate) idx_scratch: Vec<i64>,
-    /// Reusable section-bounds buffers (`StoreSection`).
+    /// Reusable section-bounds buffers (`StoreSec`).
     pub(crate) sec_bounds: Vec<(i64, i64)>,
     pub(crate) sec_idx: Vec<i64>,
     /// WRITE line under construction.
     pub(crate) line: String,
     pub(crate) line_items: usize,
+    /// Reusable specialization key (bound class per guard).
+    spec_key: Vec<u8>,
     /// Retained chunk executor for directive loops (see
     /// [`exec_parallel`]): its register file, loop stack and journals
     /// serve every chunk of every execution.
@@ -976,7 +808,7 @@ pub(crate) struct ChunkLog {
 /// Immutable run context.
 #[derive(Clone, Copy)]
 pub(crate) struct Vx<'a> {
-    pub(crate) prog: &'a CompiledProgram,
+    pub(crate) prog: &'a CompiledProgram<'a>,
     pub(crate) opts: &'a ExecOptions,
 }
 
@@ -1013,22 +845,28 @@ pub fn run_program(p: &Program, opts: &ExecOptions) -> Result<RunResult, RtError
     run_compiled(&prog, opts)
 }
 
-/// Run an already-lowered program.
-pub fn run_compiled(prog: &CompiledProgram, opts: &ExecOptions) -> Result<RunResult, RtError> {
+/// Run an already-lowered program. A program [`compile`] marked as beyond
+/// the typed encoding runs on the tree-walker and counts one
+/// `reference_runs`.
+pub fn run_compiled(prog: &CompiledProgram<'_>, opts: &ExecOptions) -> Result<RunResult, RtError> {
+    if prog.reference {
+        let tree = ExecOptions {
+            engine: Engine::TreeWalk,
+            ..opts.clone()
+        };
+        let mut r = crate::interp::run(prog.src, &tree)?;
+        r.vm.reference_runs += 1;
+        return Ok(r);
+    }
     let cx = Vx { prog, opts };
     let mut st = VmState::default();
     for (block, name, ty, len) in &prog.commons {
         st.mem.common(block, name, *ty, *len);
     }
     let main = prog.main.ok_or_else(|| RtError::new("no PROGRAM unit"))?;
-    st.vregs.resize(prog.max_vregs, 0);
-    let fb = build_frame(cx, &mut st, main, 0, 0).map_err(|e| e.into_rt(&prog.strs))?;
-    let flow = if typed_body(&st, fb, &prog.units[main]).is_some() {
-        crate::treg::exec_typed(cx, &mut st, main, fb, 0, None)
-    } else {
-        run_frame(cx, &mut st, main, fb, 0, None)
-    }
-    .map_err(|e| e.into_rt(&prog.strs))?;
+    let flow = build_frame(cx, &mut st, main, 0, 0)
+        .and_then(|(fb, body)| exec_typed(cx, &mut st, main, body, fb, 0, None))
+        .map_err(|e| e.into_rt(&prog.strs))?;
     let stopped = match flow {
         Flow::Stop(m) => Some(prog.strs[m as usize].clone()),
         _ => None,
@@ -1124,25 +962,11 @@ pub(crate) fn retire_race(st: &mut VmState) {
     st.race.excluded.clear();
 }
 
-/// Memory write at a resolved `(slot, offset)` with write-logging and
-/// race recording (the reference engine's `store`, minus the subscript
-/// resolution — callers bound-check with [`flat_view`] first).
-#[inline]
-fn store_at(st: &mut VmState, slot: usize, off: usize, val: Scalar) {
-    let s = &mut st.mem.slots[slot];
-    let old = s.data[off];
-    s.set(off, val);
-    if let Some(log) = &mut st.log {
-        log.undo.push((slot, off, old));
-        log.writes.push((slot, off, s.data[off]));
-    }
-    record(st, slot, off, true);
-}
-
-/// [`store_at`] for a value already converted to the slot's raw `f64`
-/// representation — the typed engine's store path. The conversion opcodes
-/// replicate `Slot::set`'s per-type formula exactly, so the written raw
-/// (and the logged raw) is bit-identical to the stack engine's.
+/// Memory write of a value already converted to the slot's raw `f64`
+/// representation, at a bound-checked `(slot, offset)`, with write-logging
+/// and race recording (the reference engine's `store`). The conversion
+/// opcodes replicate `Slot::set`'s per-type formula exactly, so the
+/// written raw (and the logged raw) is bit-identical to the reference's.
 #[inline]
 pub(crate) fn store_raw(st: &mut VmState, slot: usize, off: usize, raw: f64) {
     let cell = &mut st.mem.slots[slot].data[off];
@@ -1192,19 +1016,6 @@ pub(crate) fn read_var(mem: &Memory, r: Reg) -> Option<Scalar> {
     Some(s.get(r.offset))
 }
 
-/// Pop `n` subscripts off the value stack into the scratch buffer,
-/// preserving order.
-#[inline]
-fn pop_subs(st: &mut VmState, n: usize) {
-    let base = st.stack.len() - n;
-    st.idx_scratch.clear();
-    for k in base..st.stack.len() {
-        let v = st.stack[k].as_i();
-        st.idx_scratch.push(v);
-    }
-    st.stack.truncate(base);
-}
-
 /// Iteration count of `DO var = lo, hi, step` (the reference engine's
 /// materialized `iters.len()`, computed arithmetically).
 pub(crate) fn trip_count(lo: i64, hi: i64, step: i64) -> u64 {
@@ -1224,7 +1035,7 @@ pub(crate) fn trip_count(lo: i64, hi: i64, step: i64) -> u64 {
 /// Pop this frame's live loop records (everything above `lb`), retiring
 /// directive instances exactly as the reference engine does when a
 /// `Stop`/`Return` unwinds out of them. `loops` is the metadata table of
-/// whichever body (stack or typed) pushed the records.
+/// the body that pushed the records.
 pub(crate) fn unwind_loops(st: &mut VmState, loops: &[LoopMeta], lb: usize) {
     while st.loop_stack.len() > lb {
         debug_assert!(!st.loop_stack.is_empty(), "len > lb implies a live loop");
@@ -1245,20 +1056,6 @@ pub(crate) fn unwind_loops(st: &mut VmState, loops: &[LoopMeta], lb: usize) {
     }
 }
 
-/// Pop the top of the value stack. Lowering guarantees a value was pushed
-/// before every pop, so the empty case is unreachable; a
-/// `debug_assert!`-backed structured error replaces the old panicking
-/// `expect` so release builds degrade to a reported `RtError` under any
-/// future lowering bug (chaos campaigns must never see a panic).
-#[inline]
-fn pop_val(st: &mut VmState) -> Result<Scalar, VmErr> {
-    debug_assert!(!st.stack.is_empty(), "lowering pushes before every pop");
-    match st.stack.pop() {
-        Some(v) => Ok(v),
-        None => Err(RtError::new("internal error: value stack underflow").into()),
-    }
-}
-
 /// Fetch the register of local `l` in the frame at `fb`; `None` when the
 /// local is unbound.
 #[inline]
@@ -1271,161 +1068,60 @@ pub(crate) fn reg(st: &VmState, fb: usize, l: u32) -> Option<Reg> {
     }
 }
 
-/// Execute a value-producing instruction (shared by the main loop and
-/// frame-build extent evaluation). `budget` is the op ceiling `Tick`
-/// enforces. Force-inlined into both callers: in [`run_frame`] the
-/// dispatch then collapses into the outer instruction switch instead of
-/// paying a call plus a second discriminant test per value instruction.
-#[inline(always)]
-fn exec_value(
-    st: &mut VmState,
-    unit: &UnitCode,
-    fb: usize,
-    insn: &Insn,
-    budget: u64,
-) -> Result<(), VmErr> {
-    match insn {
-        Insn::Tick(n) => {
-            st.ops += n;
-            if st.ops > budget {
-                return Err(RtError::budget_at(st.ops).into());
-            }
-        }
-        Insn::PushI(v) => st.stack.push(Scalar::I(*v)),
-        Insn::PushF(x) => st.stack.push(Scalar::F(*x)),
-        Insn::PushB(b) => st.stack.push(Scalar::B(*b)),
-        Insn::Load(l) => {
-            let Some(r) = reg(st, fb, *l) else {
-                return Err(RtError::new(format!(
-                    "undefined variable {}",
-                    unit.names[*l as usize]
-                ))
-                .into());
-            };
-            // Arrays read their first element (scalar context).
-            let val = st.mem.slots[r.slot].get(r.offset);
-            record(st, r.slot, r.offset, false);
-            st.stack.push(val);
-        }
-        Insn::LoadElem(l, n) => {
-            let Some(r) = reg(st, fb, *l) else {
-                return Err(
-                    RtError::new(format!("undefined array {}", unit.names[*l as usize])).into(),
-                );
-            };
-            pop_subs(st, *n as usize);
-            let slot_len = st.mem.slots[r.slot].data.len();
-            let Some(off) = flat_view(r.offset, st.regs.dims_of(r), &st.idx_scratch, slot_len)
-            else {
-                return Err(RtError::new(format!(
-                    "subscript out of range for {}{:?}",
-                    unit.names[*l as usize], st.idx_scratch
-                ))
-                .into());
-            };
-            record(st, r.slot, off, false);
-            let val = st.mem.slots[r.slot].get(off);
-            st.stack.push(val);
-        }
-        Insn::Bin(op) => {
-            let b = pop_val(st)?;
-            let a = pop_val(st)?;
-            st.stack.push(eval_bin(*op, a, b)?);
-        }
-        Insn::Neg => {
-            let v = match pop_val(st)? {
-                Scalar::I(v) => Scalar::I(-v),
-                Scalar::F(v) => Scalar::F(-v),
-                Scalar::B(_) => return Err(RtError::new("negation of logical").into()),
-            };
-            st.stack.push(v);
-        }
-        Insn::Not => {
-            let v = pop_val(st)?.as_b();
-            st.stack.push(Scalar::B(!v));
-        }
-        Insn::Intr(i, n) => {
-            let base = st.stack.len() - *n as usize;
-            let r = eval_intrinsic(*i, &st.stack[base..])?;
-            st.stack.truncate(base);
-            st.stack.push(r);
-        }
-        Insn::UnknownOp(id, n) => {
-            let base = st.stack.len() - *n as usize;
-            let mut h = 0x9E3779B97F4A7C15u64 ^ (*id as u64);
-            for v in &st.stack[base..] {
-                h = h
-                    .wrapping_mul(0x100000001B3)
-                    .wrapping_add(v.as_f().to_bits());
-            }
-            st.stack.truncate(base);
-            st.stack
-                .push(Scalar::F((h % 1_000_000) as f64 / 1_000_000.0));
-        }
-        Insn::UniqueOp(id, n) => {
-            let base = st.stack.len() - *n as usize;
-            let mut h = 0xDEADBEEFu64 ^ (*id as u64);
-            for v in &st.stack[base..] {
-                h = h.wrapping_mul(31).wrapping_add(v.as_i() as u64);
-            }
-            st.stack.truncate(base);
-            st.stack.push(Scalar::I((h % (1 << 31)) as i64));
-        }
-        Insn::Bad(m) => {
-            return Err(VmErr::Raise(*m));
-        }
-        other => unreachable!("non-value instruction in value context: {other:?}"),
-    }
-    Ok(())
-}
-
-/// Evaluate a frame-build extent snippet against the frame under
-/// construction. Runs under the *default* op budget — the reference
-/// engine's `resolve_dims` uses a throwaway default-option interpreter.
-fn eval_extent(
-    st: &mut VmState,
-    unit: &UnitCode,
-    fb: usize,
-    code: &[Insn],
-) -> Result<Scalar, VmErr> {
-    for insn in code {
-        st.ctr.insns_retired += 1;
-        exec_value(st, unit, fb, insn, DEFAULT_MAX_OPS)?;
-    }
-    pop_val(st)
-}
-
 /// Resolve a dims plan into the dims arena; returns the arena window
-/// `(dims_at, dims_len)`.
+/// `(dims_at, dims_len)`. Extents run under the *default* op budget — the
+/// reference engine's `resolve_dims` uses a throwaway default-option
+/// interpreter.
 fn resolve_dims(
     cx: Vx<'_>,
     st: &mut VmState,
-    unit: &UnitCode,
+    (u, body): (usize, &TypedUnit),
     fb: usize,
     dims: &[DimPlan],
     local: u32,
 ) -> Result<(usize, usize), VmErr> {
     let at = st.regs.dims.len();
-    for d in dims {
-        match d {
-            DimPlan::Assumed => st.regs.dims.push(0),
-            DimPlan::Extent(code) => {
-                let v = eval_extent(st, unit, fb, code).map_err(|err| {
-                    let name = &unit.names[local as usize];
-                    let inner = err.into_rt(&cx.prog.strs);
-                    VmErr::Rt(RtError::new(format!(
-                        "bad extent for {name}: {}",
-                        inner.message
-                    )))
-                })?;
-                let n = v.as_i();
-                if n < 0 {
-                    let name = &unit.names[local as usize];
-                    return Err(RtError::new(format!("negative extent for {name}")).into());
-                }
-                st.regs.dims.push(n as usize);
+    for &d in dims {
+        let v = match d {
+            DimPlan::Assumed => {
+                st.regs.dims.push(0);
+                continue;
             }
+            DimPlan::Lit(v) => {
+                st.ctr.insns_retired += 1;
+                st.ops += 1;
+                if st.ops > DEFAULT_MAX_OPS {
+                    Err(RtError::budget_at(st.ops).into())
+                } else {
+                    Ok(v)
+                }
+            }
+            DimPlan::Extent(k) => {
+                let opts = ExecOptions {
+                    max_ops: DEFAULT_MAX_OPS,
+                    ..cx.opts.clone()
+                };
+                let ecx = Vx {
+                    prog: cx.prog,
+                    opts: &opts,
+                };
+                let entry = body.extents[k as usize] as usize;
+                // The snippet leaves its INTEGER value in register 0.
+                exec_typed(ecx, st, u, body, fb, entry, None).map(|_| st.vregs[0] as i64)
+            }
+        };
+        let name = &cx.prog.units[u].names[local as usize];
+        let n = v.map_err(|err: VmErr| {
+            let inner = err.into_rt(&cx.prog.strs);
+            VmErr::Rt(RtError::new(format!(
+                "bad extent for {name}: {}",
+                inner.message
+            )))
+        })?;
+        if n < 0 {
+            return Err(RtError::new(format!("negative extent for {name}")).into());
         }
+        st.regs.dims.push(n as usize);
     }
     Ok((at, dims.len()))
 }
@@ -1434,14 +1130,15 @@ fn resolve_dims(
 /// same allocation order, as the reference engine's `build_frame` — slot
 /// indices must match exactly. The frame's arguments are the top `nargs`
 /// registers starting at `args_base`; the new frame is the `nlocals`
-/// registers pushed on top of them. Returns the frame base.
-pub(crate) fn build_frame(
-    cx: Vx<'_>,
+/// registers pushed on top of them. Returns the frame base and the body
+/// the frame runs, chosen by [`select_body`] once its guards are bound.
+pub(crate) fn build_frame<'a>(
+    cx: Vx<'a>,
     st: &mut VmState,
     u: usize,
     args_base: usize,
     nargs: usize,
-) -> Result<usize, VmErr> {
+) -> Result<(usize, &'a TypedUnit), VmErr> {
     let unit = &cx.prog.units[u];
     let plan = &unit.plan;
     let fb = st.regs.regs.len();
@@ -1478,10 +1175,14 @@ pub(crate) fn build_frame(
         st.regs.regs[fb + c.local as usize] = Reg::scalar(slot, 0);
     }
 
+    // Every guard's class is known now: formals are bound, and a COMMON
+    // member keeps the class of whichever unit created it.
+    let body = select_body(cx, st, u, fb)?;
+
     // Phase 3: COMMON members and locals, sorted by name; extents may
     // reference anything already bound.
     for lp in &plan.locals {
-        let (dims_at, dims_len) = resolve_dims(cx, st, unit, fb, &lp.dims, lp.local)?;
+        let (dims_at, dims_len) = resolve_dims(cx, st, (u, body), fb, &lp.dims, lp.local)?;
         let len: usize = st.regs.dims[dims_at..dims_at + dims_len]
             .iter()
             .map(|&d| d.max(1))
@@ -1503,7 +1204,7 @@ pub(crate) fn build_frame(
 
     // Phase 4: formal array shapes against the full frame.
     for (l, dims) in &plan.formal_dims {
-        let (dims_at, dims_len) = resolve_dims(cx, st, unit, fb, dims, *l)?;
+        let (dims_at, dims_len) = resolve_dims(cx, st, (u, body), fb, dims, *l)?;
         let r = &mut st.regs.regs[fb + *l as usize];
         if r.slot != UNBOUND {
             r.dims_at = dims_at;
@@ -1511,36 +1212,83 @@ pub(crate) fn build_frame(
         }
     }
 
-    Ok(fb)
+    // Extent snippets pre-resolved the half-built window; the body
+    // re-resolves the finished one.
+    st.scal.truncate(fb);
+    Ok((fb, body))
 }
 
-/// Pick the body a freshly built frame runs: the typed register body when
-/// the unit has one and every guarded local's actual slot type matches
-/// the type the lowering assumed, else the stack body. The guard makes
-/// static typing sound under Fortran type punning: a formal or COMMON
-/// member bound to storage of a different declared type simply drops that
-/// call to the (exact, slower) stack body.
-#[inline]
-pub(crate) fn typed_body<'a>(
-    st: &VmState,
+/// The body a frame runs: the compile-time body when every guard's bound
+/// class matches its declaration, else the body specialized on the bound
+/// classes. Reads a formal's class from the storage it is bound to, and a
+/// COMMON member's from the directory (the unit that created the member
+/// fixed its type).
+fn select_body<'a>(
+    cx: Vx<'a>,
+    st: &mut VmState,
+    u: usize,
     fb: usize,
-    unit: &'a UnitCode,
-) -> Option<&'a crate::treg::TypedUnit> {
-    let tu = unit.typed.as_ref()?;
-    for &(l, class) in &tu.guards {
-        if let Some(r) = reg(st, fb, l) {
-            if crate::treg::ty_class(st.mem.slots[r.slot].ty) != class {
-                return None;
-            }
-        }
+) -> Result<&'a TypedUnit, VmErr> {
+    let unit = &cx.prog.units[u];
+    let mut key = std::mem::take(&mut st.spec_key);
+    key.clear();
+    let mut punned = false;
+    for g in &unit.plan.guards {
+        let ty = match &g.block {
+            None => reg(st, fb, g.local).map(|r| st.mem.slots[r.slot].ty),
+            Some(block) => st.mem.common_ty(block, &unit.names[g.local as usize]),
+        };
+        let class = ty.map_or(g.class, ty_class);
+        punned |= class != g.class;
+        key.push(class);
     }
-    Some(tu)
+    let body = if punned {
+        specialized(cx, st, u, &key)
+    } else {
+        Ok(&unit.body)
+    };
+    st.spec_key = key;
+    body
+}
+
+/// Find unit `u`'s body for the bound classes `key`, lowering and
+/// publishing it on first use. Lock-free: the cache is a list of
+/// set-once links, and a run that loses a publishing race re-reads the
+/// winner.
+fn specialized<'a>(
+    cx: Vx<'a>,
+    st: &mut VmState,
+    u: usize,
+    key: &[u8],
+) -> Result<&'a TypedUnit, VmErr> {
+    let unit = &cx.prog.units[u];
+    let mut link = &unit.specs;
+    loop {
+        if let Some(spec) = link.get() {
+            if *spec.key == *key {
+                return Ok(&spec.body);
+            }
+            link = &spec.next;
+            continue;
+        }
+        let Some(body) = lower_specialized(cx.prog, u, key) else {
+            return Err(RtError::new(format!(
+                "internal error: {} has no typed body for its bound types",
+                unit.name
+            ))
+            .into());
+        };
+        st.ctr.typed_specializations += 1;
+        let _ = link.set(Box::new(Spec {
+            key: key.into(),
+            body,
+            next: OnceLock::new(),
+        }));
+    }
 }
 
 /// Build the callee frame for unit `target` over the top `nargs` argument
-/// views, run whichever body [`typed_body`] picks, and release the frame.
-/// Shared by both engines' `Call` instructions so mixed call stacks
-/// (typed caller → guarded-out stack callee and vice versa) work.
+/// views, run the body [`build_frame`] picked, and release the frame.
 pub(crate) fn call_unit(
     cx: Vx<'_>,
     st: &mut VmState,
@@ -1554,14 +1302,10 @@ pub(crate) fn call_unit(
     let dims_mark = st.regs.dims.len();
     let mark = st.mem.mark();
     st.ctr.calls += 1;
-    let cfb = build_frame(cx, st, target, args_base, nargs)?;
+    let (cfb, body) = build_frame(cx, st, target, args_base, nargs)?;
     st.call_depth += 1;
     st.ctr.peak_call_depth = st.ctr.peak_call_depth.max(st.call_depth as u64);
-    let flow = if typed_body(st, cfb, &cx.prog.units[target]).is_some() {
-        crate::treg::exec_typed(cx, st, target, cfb, 0, None)
-    } else {
-        run_frame(cx, st, target, cfb, 0, None)
-    };
+    let flow = exec_typed(cx, st, target, body, cfb, 0, None);
     st.call_depth -= 1;
     let flow = flow?;
     // Release the callee frame and its argument window: pure truncation,
@@ -1573,370 +1317,10 @@ pub(crate) fn call_unit(
     Ok(flow)
 }
 
-/// Execute a unit's code from `entry` in the frame at register base `fb`.
-/// `chunk_of` marks chunk mode: the body of directive loop `m` runs as
-/// one iteration, and reaching that loop's `DoNext` with no live loop
-/// record ends the iteration.
-pub(crate) fn run_frame(
-    cx: Vx<'_>,
-    st: &mut VmState,
-    u: usize,
-    fb: usize,
-    entry: usize,
-    chunk_of: Option<u32>,
-) -> Result<Flow, VmErr> {
-    let unit = &cx.prog.units[u];
-    let code = &unit.code;
-    let max_ops = cx.opts.max_ops;
-    // This frame's loops live above `lb` on the shared loop stack.
-    let lb = st.loop_stack.len();
-    let mut pc = entry;
-    loop {
-        let insn = &code[pc];
-        pc += 1;
-        st.ctr.insns_retired += 1;
-        match insn {
-            Insn::Jump(t) => pc = *t as usize,
-            Insn::JumpIfFalse(t) => {
-                if !pop_val(st)?.as_b() {
-                    pc = *t as usize;
-                }
-            }
-            Insn::StoreVar(l) => {
-                let Some(r) = reg(st, fb, *l) else {
-                    return Err(RtError::new(format!(
-                        "assignment to undeclared {}",
-                        unit.names[*l as usize]
-                    ))
-                    .into());
-                };
-                let val = pop_val(st)?;
-                if r.dims_len == 0 {
-                    store_at(st, r.slot, r.offset, val);
-                } else {
-                    // Whole-array assignment (annotation collective form).
-                    let slot_len = st.mem.slots[r.slot].data.len();
-                    let len = view_len(r.offset, st.regs.dims_of(r), slot_len);
-                    for k in 0..len {
-                        store_at(st, r.slot, r.offset + k, val);
-                    }
-                }
-            }
-            Insn::StoreElem(l, n) => {
-                let Some(r) = reg(st, fb, *l) else {
-                    return Err(RtError::new(format!(
-                        "undefined array {}",
-                        unit.names[*l as usize]
-                    ))
-                    .into());
-                };
-                pop_subs(st, *n as usize);
-                let val = pop_val(st)?;
-                let slot_len = st.mem.slots[r.slot].data.len();
-                let Some(off) = flat_view(r.offset, st.regs.dims_of(r), &st.idx_scratch, slot_len)
-                else {
-                    return Err(RtError::new("subscript out of range on store").into());
-                };
-                store_at(st, r.slot, off, val);
-            }
-            Insn::StoreSection(l, sidx) => {
-                let Some(r) = reg(st, fb, *l) else {
-                    return Err(RtError::new(format!(
-                        "undefined array {}",
-                        unit.names[*l as usize]
-                    ))
-                    .into());
-                };
-                let plan = &unit.secs[*sidx as usize];
-                let mut bounds = std::mem::take(&mut st.sec_bounds);
-                bounds.clear();
-                bounds.resize(plan.len(), (0i64, 0i64));
-                for k in (0..plan.len()).rev() {
-                    let extent = st.regs.dims_of(r).get(k).copied().unwrap_or(1).max(1) as i64;
-                    bounds[k] = match plan[k] {
-                        SecDimPlan::Full => (1, extent),
-                        SecDimPlan::At => {
-                            let v = pop_val(st)?.as_i();
-                            (v, v)
-                        }
-                        SecDimPlan::Range { has_lo, has_hi } => {
-                            let h = if has_hi { pop_val(st)?.as_i() } else { extent };
-                            let l = if has_lo { pop_val(st)?.as_i() } else { 1 };
-                            (l, h)
-                        }
-                    };
-                }
-                let val = pop_val(st)?;
-                let slot_len = st.mem.slots[r.slot].data.len();
-                let mut idx = std::mem::take(&mut st.sec_idx);
-                idx.clear();
-                idx.extend(bounds.iter().map(|&(l, _)| l));
-                'fill: loop {
-                    if let Some(off) = flat_view(r.offset, st.regs.dims_of(r), &idx, slot_len) {
-                        store_at(st, r.slot, off, val);
-                    }
-                    // Odometer increment, one tick per advance.
-                    let mut k = 0;
-                    loop {
-                        if k == idx.len() {
-                            break 'fill;
-                        }
-                        idx[k] += 1;
-                        if idx[k] <= bounds[k].1 {
-                            break;
-                        }
-                        idx[k] = bounds[k].0;
-                        k += 1;
-                    }
-                    st.ops += 1;
-                    if st.ops > max_ops {
-                        st.sec_bounds = bounds;
-                        st.sec_idx = idx;
-                        return Err(RtError::budget_at(st.ops).into());
-                    }
-                }
-                st.sec_bounds = bounds;
-                st.sec_idx = idx;
-            }
-            Insn::WriteBegin => {
-                st.line.clear();
-                st.line_items = 0;
-            }
-            Insn::WriteStr(m) => {
-                if st.line_items > 0 {
-                    st.line.push(' ');
-                }
-                st.line.push_str(&cx.prog.strs[*m as usize]);
-                st.line_items += 1;
-            }
-            Insn::WriteVal => {
-                let v = pop_val(st)?;
-                if st.line_items > 0 {
-                    st.line.push(' ');
-                }
-                match v {
-                    Scalar::I(i) => {
-                        use std::fmt::Write as _;
-                        let _ = write!(st.line, "{i}");
-                    }
-                    Scalar::F(x) => {
-                        use std::fmt::Write as _;
-                        let _ = write!(st.line, "{x:.9E}");
-                    }
-                    Scalar::B(b) => st.line.push_str(if b { "T" } else { "F" }),
-                }
-                st.line_items += 1;
-            }
-            Insn::WriteEnd => {
-                let line = st.line.clone();
-                st.io.push(line);
-            }
-            Insn::Stop(m) => {
-                unwind_loops(st, &unit.loops, lb);
-                return Ok(Flow::Stop(*m));
-            }
-            Insn::Ret => {
-                unwind_loops(st, &unit.loops, lb);
-                return Ok(Flow::Return);
-            }
-            Insn::EndUnit => return Ok(Flow::Normal),
-            Insn::ArgVar(l) => match reg(st, fb, *l) {
-                Some(r) => st.regs.regs.push(r),
-                None => {
-                    // Unbound name: fresh implicit scalar.
-                    let ty = Type::implicit_for(&unit.names[*l as usize]);
-                    let slot = st.mem.alloc(ty, 1);
-                    st.regs.regs.push(Reg::scalar(slot, 0));
-                }
-            },
-            Insn::ArgElem(l, n) => {
-                let Some(r) = reg(st, fb, *l) else {
-                    return Err(RtError::new(format!(
-                        "undefined array {}",
-                        unit.names[*l as usize]
-                    ))
-                    .into());
-                };
-                pop_subs(st, *n as usize);
-                let slot_len = st.mem.slots[r.slot].data.len();
-                let Some(off) = flat_view(r.offset, st.regs.dims_of(r), &st.idx_scratch, slot_len)
-                else {
-                    return Err(RtError::new(format!(
-                        "subscript out of range for {}",
-                        unit.names[*l as usize]
-                    ))
-                    .into());
-                };
-                st.regs.regs.push(Reg::elem(r.slot, off));
-            }
-            Insn::ArgVal => {
-                let v = pop_val(st)?;
-                let ty = match v {
-                    Scalar::I(_) => Type::Integer,
-                    Scalar::F(_) => Type::Double,
-                    Scalar::B(_) => Type::Logical,
-                };
-                let slot = st.mem.alloc(ty, 1);
-                st.mem.slots[slot].set(0, v);
-                st.regs.regs.push(Reg::scalar(slot, 0));
-            }
-            Insn::Call(target, nargs) => {
-                let flow = call_unit(cx, st, *target as usize, *nargs as usize)?;
-                if let Flow::Stop(m) = flow {
-                    unwind_loops(st, &unit.loops, lb);
-                    return Ok(Flow::Stop(m));
-                }
-            }
-            Insn::CallUnknown(m) => {
-                return Err(VmErr::Raise(*m));
-            }
-            Insn::DoInit(mi) => {
-                let meta = &unit.loops[*mi as usize];
-                let step = if meta.has_step {
-                    pop_val(st)?.as_i()
-                } else {
-                    1
-                };
-                let hi = pop_val(st)?.as_i();
-                let lo = pop_val(st)?.as_i();
-                if step == 0 {
-                    return Err(RtError::new("zero DO step").into());
-                }
-                let Some(var) = reg(st, fb, meta.var) else {
-                    return Err(RtError::new(format!(
-                        "unbound loop variable {}",
-                        unit.names[meta.var as usize]
-                    ))
-                    .into());
-                };
-                let n = trip_count(lo, hi, step);
-                let is_outer_parallel = meta.dir.is_some() && st.par_depth == 0;
-                if !is_outer_parallel {
-                    if n == 0 {
-                        pc = meta.exit_pc as usize;
-                        continue;
-                    }
-                    write_var_journaled(st, var, Scalar::I(lo));
-                    st.loop_stack.push(LoopRec {
-                        meta: *mi,
-                        cur: lo,
-                        step,
-                        n,
-                        done: 0,
-                        var,
-                        par: None,
-                    });
-                    continue; // pc already at body_pc
-                }
-
-                // Outermost directive loop. The excluded-slot set recycles
-                // the race checker's buffer (free while no loop is active).
-                let dir = meta.dir.as_ref().expect("directive present");
-                let ops_before = st.ops;
-                let mut excluded = std::mem::take(&mut st.race.excluded);
-                excluded.clear();
-                excluded.push(var.slot);
-                for &l in &dir.privates {
-                    if let Some(r) = reg(st, fb, l) {
-                        excluded.push(r.slot);
-                    }
-                }
-                for &(_, l) in &dir.reductions {
-                    if let Some(r) = reg(st, fb, l) {
-                        excluded.push(r.slot);
-                    }
-                }
-                excluded.sort_unstable();
-
-                if cx.opts.threads > 1 && n > 1 {
-                    let flow =
-                        exec_parallel(cx, st, u, fb, *mi, var, lo, step, n, &excluded, false);
-                    st.race.excluded = excluded;
-                    let flow = flow?;
-                    st.par_events.push(ParLoopEvent {
-                        id: meta.id.clone(),
-                        ops: st.ops - ops_before,
-                        iters: n,
-                    });
-                    if let Flow::Stop(m) = flow {
-                        unwind_loops(st, &unit.loops, lb);
-                        return Ok(Flow::Stop(m));
-                    }
-                    pc = meta.exit_pc as usize;
-                } else {
-                    st.par_depth += 1;
-                    if cx.opts.check_races {
-                        activate_race(st, excluded);
-                    } else {
-                        st.race.excluded = excluded;
-                    }
-                    if n == 0 {
-                        if st.race.active {
-                            retire_race(st);
-                        }
-                        st.par_depth -= 1;
-                        st.par_events.push(ParLoopEvent {
-                            id: meta.id.clone(),
-                            ops: st.ops - ops_before,
-                            iters: 0,
-                        });
-                        pc = meta.exit_pc as usize;
-                    } else {
-                        write_var(&mut st.mem, var, Scalar::I(lo));
-                        st.loop_stack.push(LoopRec {
-                            meta: *mi,
-                            cur: lo,
-                            step,
-                            n,
-                            done: 0,
-                            var,
-                            par: Some(ops_before),
-                        });
-                    }
-                }
-            }
-            Insn::DoNext(mi) => {
-                if st.loop_stack.len() <= lb {
-                    // Chunk mode: the controlled loop's body completed one
-                    // iteration.
-                    debug_assert_eq!(chunk_of, Some(*mi));
-                    return Ok(Flow::Normal);
-                }
-                let li = st.loop_stack.len() - 1;
-                let mut rec = st.loop_stack[li];
-                rec.done += 1;
-                if rec.done < rec.n {
-                    rec.cur = rec.cur.wrapping_add(rec.step);
-                    if rec.par.is_some() && st.race.active {
-                        st.race.cur = rec.done as i64;
-                    }
-                    write_var(&mut st.mem, rec.var, Scalar::I(rec.cur));
-                    st.loop_stack[li] = rec;
-                    pc = unit.loops[rec.meta as usize].body_pc as usize;
-                } else {
-                    st.loop_stack.pop();
-                    if let Some(ops_before) = rec.par {
-                        if st.race.active {
-                            retire_race(st);
-                        }
-                        st.par_depth -= 1;
-                        st.par_events.push(ParLoopEvent {
-                            id: unit.loops[rec.meta as usize].id.clone(),
-                            ops: st.ops - ops_before,
-                            iters: rec.n,
-                        });
-                    }
-                    // pc already at exit_pc.
-                }
-            }
-            other => exec_value(st, unit, fb, other, max_ops)?,
-        }
-    }
-}
-
 /// The static shape of one chunked directive-loop execution.
 struct ChunkPlan<'a> {
     u: usize,
+    body: &'a TypedUnit,
     mi: u32,
     var: Reg,
     lo: i64,
@@ -1945,9 +1329,8 @@ struct ChunkPlan<'a> {
     /// Seeded register window and dims-arena lengths.
     nlocals: usize,
     dims: usize,
-    /// Entry of the loop body in the body (`typed` or stack) being run.
+    /// Entry of the loop body.
     body_pc: usize,
-    typed: bool,
 }
 
 /// Run iterations `start..start + len` as one chunk on `cs`, whose arena
@@ -1966,7 +1349,6 @@ fn run_chunk(
     cs.ops = 0;
     cs.call_depth = 0;
     cs.par_depth = 1;
-    cs.stack.clear();
     cs.loop_stack.clear();
     cs.line.clear();
     cs.line_items = 0;
@@ -1990,12 +1372,7 @@ fn run_chunk(
         } else {
             write_var(&mut cs.mem, plan.var, Scalar::I(i));
         }
-        let r = if plan.typed {
-            crate::treg::exec_typed(cx, cs, plan.u, 0, plan.body_pc, Some(plan.mi))
-        } else {
-            run_frame(cx, cs, plan.u, 0, plan.body_pc, Some(plan.mi))
-        };
-        match r {
+        match exec_typed(cx, cs, plan.u, plan.body, 0, plan.body_pc, Some(plan.mi)) {
             Ok(Flow::Normal) => {}
             Ok(Flow::Stop(m)) => {
                 out = Ok(Some(m));
@@ -2042,7 +1419,7 @@ fn run_chunk(
 pub(crate) fn exec_parallel(
     cx: Vx<'_>,
     st: &mut VmState,
-    u: usize,
+    (u, body): (usize, &TypedUnit),
     fb: usize,
     mi: u32,
     var: Reg,
@@ -2050,18 +1427,10 @@ pub(crate) fn exec_parallel(
     step: i64,
     n: u64,
     excluded: &[usize],
-    typed: bool,
 ) -> Result<Flow, VmErr> {
-    let unit = &cx.prog.units[u];
-    let meta = &unit.loops[mi as usize];
+    let meta = &body.loops[mi as usize];
     let dir = meta.dir.as_ref().expect("directive present");
-    let body_pc = if typed {
-        unit.typed.as_ref().map(|t| t.loops[mi as usize].body_pc)
-    } else {
-        Some(meta.body_pc)
-    }
-    .unwrap_or(0) as usize;
-    let nlocals = unit.plan.nlocals;
+    let nlocals = cx.prog.units[u].plan.nlocals;
 
     // Seed the chunk state: the enclosing frame's register window rebased
     // to 0, plus the whole dims arena so `dims_at` indices stay valid.
@@ -2089,6 +1458,7 @@ pub(crate) fn exec_parallel(
 
     let plan = ChunkPlan {
         u,
+        body,
         mi,
         var,
         lo,
@@ -2096,8 +1466,7 @@ pub(crate) fn exec_parallel(
         reductions: &dir.reductions,
         nlocals,
         dims: cs.regs.dims.len(),
-        body_pc,
-        typed,
+        body_pc: meta.body_pc as usize,
     };
     let chunks = cx.opts.threads.min(n as usize).max(1);
     let (base, extra) = (n as usize / chunks, n as usize % chunks);
@@ -2194,87 +1563,6 @@ mod tests {
     }
 
     #[test]
-    fn typed_body_budget_positions_match_the_unfused_stack_body() {
-        // The typed body folds Tick/TickP charges into control
-        // transfers (branch-carried costs, DoNext back-edge charges,
-        // J*IK literal folds). The stack body keeps explicit leading
-        // Ticks — the unfused reference stream. Both must charge at the
-        // same cumulative op indices: for EVERY budget the two bodies
-        // must exhaust together and report the identical position
-        // (`RtError::ops`), or both finish. This pins the fold's
-        // position-equivalence argument directly, engine-internally.
-        let p = parse(
-            "      PROGRAM P
-      COMMON /C/ A(8), S
-      DIMENSION W(8)
-      DO I = 1, 8
-        A(I) = I*0.5
-        W(I) = 0.0
-      ENDDO
-      K = 1
-      DO I = 1, 8
-        K = MOD(K*5 + I, 8) + 1
-        IF (K .GT. 3) THEN
-          W(K) = W(K) + A(I)
-        ELSE
-          W(K) = W(K) - 0.25
-        ENDIF
-      ENDDO
-      S = 0.0
-      DO I = 1, 8
-        DO J = 1, 3
-          S = S + W(I)*0.125 + J*0.0625
-        ENDDO
-      ENDDO
-      WRITE(6,*) S
-      END
-",
-        );
-        let typed = compile(&p);
-        let mut stack = compile(&p);
-        for u in &mut stack.units {
-            u.typed = None;
-        }
-        assert!(
-            typed.units.iter().any(|u| u.typed.is_some()),
-            "workload must take the typed body"
-        );
-        let total = run_compiled(&typed, &vm_opts(u64::MAX))
-            .expect("full run")
-            .total_ops;
-        assert_eq!(
-            total,
-            run_compiled(&stack, &vm_opts(u64::MAX))
-                .expect("full stack run")
-                .total_ops,
-            "bodies disagree on total ops"
-        );
-        let mut distinct = std::collections::BTreeSet::new();
-        for max_ops in 0..total {
-            let te = run_compiled(&typed, &vm_opts(max_ops))
-                .expect_err("typed body must exhaust under total");
-            let se = run_compiled(&stack, &vm_opts(max_ops))
-                .expect_err("stack body must exhaust under total");
-            assert_eq!(te.kind, crate::interp::RtErrorKind::Budget);
-            assert_eq!(se.kind, crate::interp::RtErrorKind::Budget);
-            assert_eq!(te.message, se.message, "messages diverged at {max_ops}");
-            assert_eq!(
-                te.ops, se.ops,
-                "budget positions diverged at max_ops={max_ops}"
-            );
-            let at = te.ops.expect("typed budget error carries a position");
-            assert!(at > max_ops, "charge at {at} did not exceed {max_ops}");
-            distinct.insert(at);
-        }
-        // The sweep must cross real fold boundaries, not one giant run.
-        assert!(
-            distinct.len() >= 12,
-            "only {} distinct charge points in 0..{total}",
-            distinct.len()
-        );
-    }
-
-    #[test]
     fn zero_and_negative_trip_counts() {
         assert_eq!(trip_count(1, 0, 1), 0);
         assert_eq!(trip_count(1, 1, 1), 1);
@@ -2303,12 +1591,11 @@ mod tests {
         );
         let c = compile(&p);
         let ticks: Vec<u64> = c.units[0]
+            .body
             .code
             .iter()
-            .filter_map(|i| match i {
-                Insn::Tick(n) => Some(*n),
-                _ => None,
-            })
+            .filter(|i| i.op == crate::treg::Op::Tick)
+            .map(|i| u64::from(i.imm))
             .collect();
         assert_eq!(ticks, vec![12]);
         // And the total still matches the tree-walker's per-node count.

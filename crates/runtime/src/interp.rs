@@ -157,6 +157,14 @@ pub struct VmCounters {
     /// and reduction identities). The elements the undo log restores are
     /// the only memory a chunk touches — no chunk copies the arena.
     pub chunk_undo_writes: u64,
+    /// Typed bodies lowered on demand for a frame whose bound storage
+    /// carries other type classes than the unit declares (Fortran type
+    /// punning): one per unit and class tuple, then cached.
+    pub typed_specializations: u64,
+    /// Runs routed to the tree-walker because the program overflows the
+    /// typed encoding (more than 255 arguments or subscripts, more than
+    /// `u16` locals or registers in a unit).
+    pub reference_runs: u64,
 }
 
 impl VmCounters {
@@ -178,6 +186,8 @@ impl VmCounters {
         }
         self.chunks_run += o.chunks_run;
         self.chunk_undo_writes += o.chunk_undo_writes;
+        self.typed_specializations += o.typed_specializations;
+        self.reference_runs += o.reference_runs;
     }
 }
 

@@ -8,15 +8,16 @@
 //!   iteration chunks run from the pre-loop memory on the calling thread,
 //!   per-chunk write logs merged in iteration order) and a runtime race
 //!   checker — the paper's "runtime testers" (§III-D).
-//! * [`bytecode`] — the default engine: each unit is lowered once into a
-//!   flat, slot-resolved instruction stream (compile-then-execute), with
-//!   an allocation-free epoch-vector race checker. Byte-identical
-//!   observable behaviour to [`interp`], which stays as the reference
-//!   engine behind [`interp::Engine`].
-//! * `treg` (internal) — the VM's typed three-address register bodies:
-//!   a second lowering per unit with monomorphic opcodes and superword
-//!   Load/Bin/Store fusion, guarded per frame against Fortran type
-//!   punning, falling back to the stack body when a guard fails.
+//! * [`bytecode`] — the default engine, a register VM: frame build,
+//!   calls, chunked directive loops and an allocation-free epoch-vector
+//!   race checker around one typed body per unit (compile-then-execute).
+//!   Byte-identical observable behaviour to [`interp`], which stays as the
+//!   reference engine behind [`interp::Engine`] and also runs the rare
+//!   program too large for the typed encoding.
+//! * `treg` (internal) — the typed three-address body: monomorphic
+//!   opcodes and superword Load/Bin/Store fusion. A frame whose formals
+//!   or COMMON members are bound to storage of another type class runs a
+//!   body lowered for those classes, on first use, then cached.
 //! * [`memory`] — flat column-major storage with COMMON sharing and
 //!   view-based aliasing.
 //! * [`cost`] — a deterministic machine model (profiles for the paper's two

@@ -338,6 +338,16 @@ impl Memory {
         idx
     }
 
+    /// Element type of an existing COMMON member, without creating it.
+    pub(crate) fn common_ty(&mut self, block: &str, name: &str) -> Option<Type> {
+        self.key_buf.clear();
+        self.key_buf.push_str(block);
+        self.key_buf.push('\u{1F}');
+        self.key_buf.push_str(name);
+        let idx = *self.commons.get(self.key_buf.as_str())?;
+        Some(self.slots[idx].ty)
+    }
+
     /// Stack mark for local reclamation.
     pub fn mark(&self) -> usize {
         self.slots.len()

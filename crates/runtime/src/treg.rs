@@ -1,26 +1,27 @@
-//! Typed three-address register engine — the VM's monomorphic fast path.
+//! Typed three-address register engine — the VM's one body per unit.
 //!
 //! MiniF77 types are fully static: every name resolves to INTEGER, REAL /
 //! DOUBLE PRECISION, or LOGICAL at declaration (or by the implicit rule),
-//! so the operand-stack body's per-instruction tag dispatch in `eval_bin`
-//! is pure overhead. This module lowers each unit a *second* time, into
-//! three-address code over a flat bank of untyped 64-bit value registers
-//! whose static interpretation (i64 bits, f64 bits, or 0/1 logical) the
-//! lowering tracks per operand. Monomorphic opcodes (`AddI`, `MulF`,
-//! `CmpLeI`, `LoadElemF`, …) read and write registers directly: no pushes,
-//! no pops, no `Scalar` tags at runtime. `eval_bin` stays untouched as the
-//! tree-walker's semantics reference — every conversion and arithmetic
-//! formula here replicates it bit for bit (see the per-opcode comments),
-//! and `tests/engine_differential.rs` holds both engines to it.
+//! so a per-instruction tag dispatch like `eval_bin`'s is pure overhead.
+//! This module lowers each unit into three-address code over a flat bank
+//! of untyped 64-bit value registers whose static interpretation (i64
+//! bits, f64 bits, or 0/1 logical) the lowering tracks per operand.
+//! Monomorphic opcodes (`AddI`, `MulF`, `CmpLeI`, `LoadElemF`, …) read and
+//! write registers directly: no pushes, no pops, no `Scalar` tags at
+//! runtime. `eval_bin` stays untouched as the tree-walker's semantics
+//! reference — every conversion and arithmetic formula here replicates it
+//! bit for bit (see the per-opcode comments), and
+//! `tests/engine_differential.rs` holds both engines to it.
 //!
-//! **Soundness under type punning.** Static types are a property of the
-//! *unit*, but Fortran lets a caller bind an INTEGER actual to a REAL
-//! formal, and COMMON blocks can be redeclared at other types. The typed
-//! body is therefore guarded: lowering records the declared type class of
-//! every formal and COMMON member, and [`crate::bytecode::typed_body`]
-//! compares them against the actual bound slots at frame entry. A
-//! mismatched frame falls back to the stack body — exact, just slower —
-//! so both bodies coexist per unit and the call stack can mix them.
+//! **Type punning.** Static types are a property of the *unit*, but
+//! Fortran lets a caller bind an INTEGER actual to a REAL formal, and
+//! COMMON blocks can be redeclared at other types. [`lower_typed`]
+//! therefore takes the type class of each such local as an input: the
+//! compile-time body assumes the declared classes, and
+//! [`crate::bytecode`]'s frame build lowers (once, then caches) a body for
+//! the classes a frame's storage is actually bound to whenever they differ
+//! — the same code the declared body would be for a unit declared that
+//! way. Frame-build extents lower here too, as snippets after the body.
 //!
 //! **Superword fusion.** On top of the typed ISA a peephole pass fuses the
 //! dominant inner-loop shapes — `Load`/`Load`/`Bin`, `Load`/`Bin`, and
@@ -38,30 +39,27 @@
 //! field.
 //!
 //! **Dispatch.** The interpreter loop dispatches through [`step`], one
-//! `match` over [`Op`]. With the `threaded-dispatch` cargo feature the
-//! loop instead indexes a function-pointer table with one specialized
-//! handler per opcode (each handler inlines `step` at a constant opcode,
-//! so the pair stays semantically one definition). See
-//! `docs/architecture.md` for the measured comparison.
+//! `match` over [`Op`]. A function-pointer handler table per opcode was
+//! measured against it and dropped; see `docs/architecture.md`.
 
 use crate::bytecode::{
-    activate_race, call_unit, exec_parallel, is_barrier, leading_cost, record, reg, retire_race,
-    run_frame, store_raw, trip_count, unwind_loops, write_var, write_var_journaled, Flow, LoopMeta,
-    LoopRec, Reg, SecDimPlan, UnitCode, UnitCompiler, VmErr, VmState, Vx, UNBOUND,
+    activate_race, call_unit, cost, exec_parallel, is_barrier, leading_cost, record, reg,
+    retire_race, store_raw, trip_count, unwind_loops, write_var, write_var_journaled, DirPlan,
+    Flow, LoopMeta, LoopRec, Reg, SecDimPlan, UnitCode, UnitCompiler, VmErr, VmState, Vx, UNBOUND,
 };
 use crate::interp::{ParLoopEvent, RtError};
 use crate::memory::{flat_view, view_len, Scalar};
 use fir::ast::{
     BinOp, Block, Expr, Intrinsic, ProcUnit, SecRange, Stmt, StmtKind, Type, UnOp, R64,
 };
-use fir::symbol::{Storage, SymbolTable};
+use fir::symbol::SymbolTable;
 
 // ---------------------------------------------------------------------------
 // Static types
 
 /// Runtime type class of a declared type: 0 = integer, 1 = real/double,
 /// 2 = logical. `Slot::get`/`Slot::set` treat REAL and DOUBLE PRECISION
-/// identically, so they share a class and the frame guard accepts either.
+/// identically, so they share a class and one body serves either.
 pub(crate) fn ty_class(t: Type) -> u8 {
     match t {
         Type::Integer => 0,
@@ -81,20 +79,20 @@ enum Ty {
     B,
 }
 
-fn class_ty(t: Type) -> Ty {
-    match t {
-        Type::Integer => Ty::I,
-        Type::Real | Type::Double => Ty::F,
-        Type::Logical => Ty::B,
+/// The lowering type of a [`ty_class`].
+fn class_ty(class: u8) -> Ty {
+    match class {
+        0 => Ty::I,
+        1 => Ty::F,
+        _ => Ty::B,
     }
 }
 
 // ---------------------------------------------------------------------------
 // Instruction set
 
-/// Declares [`Op`] and, under `threaded-dispatch`, a handler table whose
-/// entries are generated from the *same* variant list — discriminants and
-/// table indices cannot drift apart.
+/// Declares [`Op`] and its class table from one variant list, so
+/// discriminants and table indices cannot drift apart.
 macro_rules! ops {
     ($($name:ident),* $(,)?) => {
         /// Typed three-address opcodes. Operand conventions: `a`/`b` are
@@ -115,28 +113,6 @@ macro_rules! ops {
             $( t[Op::$name as usize] = Op::$name.class() as u8; )*
             t
         };
-
-        #[cfg(feature = "threaded-dispatch")]
-        mod handlers {
-            use super::*;
-            $(
-                #[allow(non_snake_case)]
-                pub(super) fn $name(
-                    t: &Tcx<'_>,
-                    st: &mut VmState,
-                    op: TOp,
-                ) -> Result<Ctl, VmErr> {
-                    // `step` is #[inline(always)] and `Op::$name` is a
-                    // constant here, so each handler compiles to just its
-                    // own arm of the shared semantics.
-                    step(Op::$name, t, st, op)
-                }
-            )*
-        }
-
-        #[cfg(feature = "threaded-dispatch")]
-        static HANDLERS: [for<'a, 'b> fn(&'b Tcx<'a>, &mut VmState, TOp) -> Result<Ctl, VmErr>;
-            [$(Op::$name),*].len()] = [$(handlers::$name),*];
     };
 }
 
@@ -350,7 +326,7 @@ pub(crate) enum FDest {
 }
 
 /// Plan of one superword instruction: up to two memory reads, one
-/// arithmetic op, one memory write — replacing two to four stack-era
+/// arithmetic op, one memory write — replacing two to four unfused
 /// instructions. Reads execute left to right, then the write: exactly the
 /// order the unfused sequence produced its `record` events in.
 #[derive(Debug, Clone, Copy)]
@@ -415,10 +391,9 @@ pub(crate) struct IFusedPlan {
     pub(crate) dst: IDest,
 }
 
-/// The typed body of one unit: a second, faster lowering sharing the
-/// stack body's frame layout (local indices come from the same
-/// [`UnitCompiler`] name map) and its loop index space (loop `k` here is
-/// loop `k` there — only the `*_pc` fields differ).
+/// The typed body of one unit for one assignment of type classes. Every
+/// body of a unit shares its frame layout (local indices come from the
+/// unit's [`UnitCompiler`] name map).
 #[derive(Debug, Clone)]
 pub(crate) struct TypedUnit {
     pub(crate) code: Vec<TOp>,
@@ -430,11 +405,11 @@ pub(crate) struct TypedUnit {
     pub(crate) consts_f: Vec<f64>,
     /// Overflow pool for `Tick` costs wider than `u32`.
     pub(crate) ticks: Vec<u64>,
-    /// `(local, ty_class)` for every formal and COMMON member: the frame
-    /// guard [`crate::bytecode::typed_body`] evaluates before entry.
-    pub(crate) guards: Vec<(u32, u8)>,
-    /// Value registers this body needs (the shared bank is sized to the
-    /// program-wide maximum).
+    /// Entry of each frame-build extent snippet: `Tick`, the extent's
+    /// code leaving its INTEGER value in register 0, `EndUnit`.
+    pub(crate) extents: Vec<u32>,
+    /// Value registers this body needs (the shared bank grows to the
+    /// widest body entered).
     pub(crate) nvregs: usize,
 }
 
@@ -449,14 +424,16 @@ enum Cand {
     Fus(usize),
 }
 
-/// Typed lowering pass over one unit. Shares the generic compiler's name
-/// map and string pool so local indices and error texts are identical
-/// across bodies. Sets `ok = false` to bail the whole unit (it then runs
-/// on the stack body alone): operand counts beyond the packed encoding,
-/// or register pressure beyond `u16`.
+/// Typed lowering pass over one unit. Interns locals and strings through
+/// the unit's [`UnitCompiler`], so every body of a unit agrees on both.
+/// Sets `ok = false` to bail the whole unit (the program then runs on the
+/// tree-walker): operand counts beyond the packed encoding, or register
+/// pressure beyond `u16`.
 struct TC<'a, 'p> {
     g: &'a mut UnitCompiler<'p>,
     table: &'a SymbolTable,
+    /// Bound type classes that replace the declared ones.
+    over: &'a [(&'a str, u8)],
     code: Vec<TOp>,
     loops: Vec<LoopMeta>,
     secs: Vec<Vec<SecDimPlan>>,
@@ -474,16 +451,21 @@ struct TC<'a, 'p> {
     ok: bool,
 }
 
-/// Lower the typed body of `u`. Returns `None` when the unit exceeds the
-/// packed encoding (it keeps only its stack body).
+/// Lower the typed body of `u`, followed by its frame-build `extents`,
+/// typing the locals named in `over` at the given classes instead of
+/// their declared ones. Returns `None` when the unit exceeds the packed
+/// encoding.
 pub(crate) fn lower_typed(
     u: &ProcUnit,
     table: &SymbolTable,
     g: &mut UnitCompiler<'_>,
+    extents: &[&Expr],
+    over: &[(&str, u8)],
 ) -> Option<TypedUnit> {
     let mut tc = TC {
         g,
         table,
+        over,
         code: Vec::new(),
         loops: Vec::new(),
         secs: Vec::new(),
@@ -499,17 +481,11 @@ pub(crate) fn lower_typed(
     };
     tc.block(&u.body);
     tc.emit(Op::EndUnit, 0, 0, 0, 0, 0);
+    let entries = extents.iter().map(|e| tc.extent(e)).collect();
     if !tc.ok || tc.code.len() > u32::MAX as usize {
         return None;
     }
     fold_branch_ticks(&mut tc.code);
-    let mut guards = Vec::new();
-    for sym in table.iter() {
-        if matches!(sym.storage, Storage::Formal(_) | Storage::Common(_)) {
-            let l = tc.g.local(&sym.name);
-            guards.push((l, ty_class(sym.ty)));
-        }
-    }
     Some(TypedUnit {
         code: tc.code,
         loops: tc.loops,
@@ -519,9 +495,8 @@ pub(crate) fn lower_typed(
         consts_i: tc.consts_i,
         consts_f: tc.consts_f,
         ticks: tc.ticks,
-        guards,
-        // At least one register so `max_vregs` is nonzero whenever any
-        // typed body exists (`DoNext`-only bodies use none).
+        extents: entries,
+        // At least one register: extent snippets return in register 0.
         nvregs: tc.max_depth.max(1),
     })
 }
@@ -621,9 +596,17 @@ impl TC<'_, '_> {
         l as u16
     }
 
-    /// Declared (or implicit) type class of `name` in this unit.
+    /// Type class of `name` in this body: its bound class when one is
+    /// given, else its declared (or implicit) one.
     fn class_of(&self, name: &str) -> Ty {
-        class_ty(self.table.get_or_implicit(name).ty)
+        if let Some(&(_, class)) = self.over.iter().find(|(n, _)| *n == name) {
+            return class_ty(class);
+        }
+        let ty = self
+            .table
+            .get(name)
+            .map_or_else(|| Type::implicit_for(name), |s| s.ty);
+        class_ty(ty_class(ty))
     }
 
     fn ci(&mut self, v: i64) -> u32 {
@@ -702,8 +685,22 @@ impl TC<'_, '_> {
 
     // -- statements --------------------------------------------------------
 
-    /// Lower a block with the same `Tick`-merging as the stack body (the
-    /// per-run sums must be identical or op totals diverge).
+    /// Lower one frame-build extent snippet; returns its entry. Charged
+    /// like the reference engine's per-extent `eval`.
+    fn extent(&mut self, e: &Expr) -> u32 {
+        let entry = self.here();
+        self.stmt_start = self.code.len();
+        self.tick(cost(e));
+        let t = self.expr(e);
+        self.cvt_i(0, t);
+        self.pop(1);
+        self.emit(Op::EndUnit, 0, 0, 0, 0, 0);
+        entry
+    }
+
+    /// Lower a block, merging the leading costs of each maximal
+    /// straight-line run of statements into a single `Tick` (the per-run
+    /// sums must equal the reference engine's per-node costs).
     fn block(&mut self, b: &Block) {
         let mut i = 0;
         while i < b.len() {
@@ -760,14 +757,28 @@ impl TC<'_, '_> {
                     let t = self.expr(e);
                     self.cvt_i(base + 2, t);
                 }
+                let dir = d.directive.as_ref().map(|dir| DirPlan {
+                    privates: dir
+                        .private
+                        .iter()
+                        .chain(dir.lastprivate.iter())
+                        .map(|n| self.g.local(n))
+                        .collect(),
+                    reductions: dir
+                        .reductions
+                        .iter()
+                        .map(|(op, n)| (*op, self.g.local(n)))
+                        .collect(),
+                });
                 let mi = self.loops.len();
-                if mi >= self.g.loops.len() {
-                    // Loop traversal diverged from the generic lowering —
-                    // cannot share the index space.
-                    self.ok = false;
-                    return;
-                }
-                self.loops.push(self.g.loops[mi].clone());
+                self.loops.push(LoopMeta {
+                    var: self.g.local(&d.var),
+                    body_pc: 0,
+                    exit_pc: 0,
+                    id: d.id.clone(),
+                    dir,
+                    body_cost: 0,
+                });
                 self.emit(
                     Op::DoInit,
                     base,
@@ -2002,7 +2013,7 @@ fn unbound_err(t: &Tcx<'_>, l: u16, what: &str) -> VmErr {
 }
 
 /// Outlined load-side subscript error (subscripts included, `Vec` debug
-/// format — identical to the stack body's `idx_scratch` rendering).
+/// format — the reference engine's rendering).
 #[cold]
 #[inline(never)]
 fn subscript_err(st: &VmState, t: &Tcx<'_>, l: u16) -> VmErr {
@@ -2014,7 +2025,7 @@ fn subscript_err(st: &VmState, t: &Tcx<'_>, l: u16) -> VmErr {
 }
 
 /// Outlined store-side subscript error (no subscripts in the message —
-/// the stack body's store path renders it the same way).
+/// the reference engine's store path renders it the same way).
 #[cold]
 #[inline(never)]
 fn store_subscript_err() -> VmErr {
@@ -2022,7 +2033,7 @@ fn store_subscript_err() -> VmErr {
 }
 
 /// Resolve local `l`'s register or fail with `{what} {name}` — the exact
-/// unbound-name errors the stack body raises.
+/// unbound-name errors the reference engine raises.
 #[inline]
 fn want_reg(st: &VmState, t: &Tcx<'_>, l: u16, what: &'static str) -> Result<Reg, VmErr> {
     match reg(st, t.fb, l as u32) {
@@ -2068,8 +2079,7 @@ fn want_scal(
 
 /// Gather `n` subscripts from consecutive registers and resolve the flat
 /// element offset, with the *load-side* out-of-range message (subscripts
-/// included, `Vec` debug format — identical to the stack body's
-/// `idx_scratch` rendering).
+/// included, `Vec` debug format — the reference engine's rendering).
 #[inline]
 fn elem_off(
     st: &mut VmState,
@@ -2220,11 +2230,8 @@ fn iop_read(st: &mut VmState, t: &Tcx<'_>, o: IOperand) -> Result<i64, VmErr> {
     }
 }
 
-/// Execute one typed instruction. The single semantics definition for
-/// both dispatch strategies: the `match` loop calls it with a runtime
-/// opcode, the threaded table's handlers each call it with a constant one
-/// (collapsing to that arm under inlining). Debug builds must NOT force
-/// the inline: unoptimized code gives every arm's locals a distinct stack
+/// Execute one typed instruction. Debug builds must NOT force the
+/// inline: unoptimized code gives every arm's locals a distinct stack
 /// slot, and inlining that hundred-arm frame into each recursion level of
 /// `exec_typed` → `call_unit` overflows the stack well before
 /// `MAX_CALL_DEPTH`.
@@ -2946,8 +2953,7 @@ fn step_cold(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr
             bounds.clear();
             bounds.resize(plan.len(), (0i64, 0i64));
             // Bound registers sit consecutively from `b` in source order
-            // (lo before hi per dim) — the same values the stack body
-            // pops in reverse.
+            // (lo before hi per dim).
             let mut cur = b as usize;
             for k in 0..plan.len() {
                 let extent = st.regs.dims_of(r).get(k).copied().unwrap_or(1).max(1) as i64;
@@ -3171,7 +3177,16 @@ fn step_cold(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr
 
             if t.cx.opts.threads > 1 && niter > 1 {
                 let flow = exec_parallel(
-                    t.cx, st, t.u, t.fb, mi, var, lo, step_v, niter, &excluded, true,
+                    t.cx,
+                    st,
+                    (t.u, t.tu),
+                    t.fb,
+                    mi,
+                    var,
+                    lo,
+                    step_v,
+                    niter,
+                    &excluded,
                 );
                 st.race.excluded = excluded;
                 let flow = flow?;
@@ -3222,26 +3237,10 @@ fn step_cold(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr
     }
 }
 
-/// Dispatch one instruction: a `match` over the opcode by default, one
-/// indirect call through the per-opcode handler table under the
-/// `threaded-dispatch` feature (both funnel into [`step`]).
-#[cfg(not(feature = "threaded-dispatch"))]
-#[inline(always)]
-fn dispatch(t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr> {
-    step(op.op, t, st, op)
-}
-
-#[cfg(feature = "threaded-dispatch")]
-#[inline(always)]
-fn dispatch(t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr> {
-    HANDLERS[op.op as usize](t, st, op)
-}
-
-/// Execute a unit's typed body from `entry` in the frame at register base
-/// `fb` — the typed counterpart of [`run_frame`], sharing its call/loop/
-/// race machinery so mixed stacks (typed caller, stack callee, and vice
-/// versa) compose. `chunk_of` marks chunk mode exactly as in the stack
-/// body.
+/// Execute body `tu` of unit `u` from `entry` in the frame at register
+/// base `fb`. `chunk_of` marks chunk mode: the body of directive loop `m`
+/// runs as one iteration, and reaching that loop's `DoNext` with no live
+/// loop record ends the iteration.
 // unused_assignments: `flush!`'s counter resets are dead at `return`
 // exits — which is exactly the point of sharing one flush macro.
 #[allow(unused_assignments)]
@@ -3249,28 +3248,24 @@ pub(crate) fn exec_typed(
     cx: Vx<'_>,
     st: &mut VmState,
     u: usize,
+    tu: &TypedUnit,
     fb: usize,
     entry: usize,
     chunk_of: Option<u32>,
 ) -> Result<Flow, VmErr> {
     let unit = &cx.prog.units[u];
-    let Some(tu) = unit.typed.as_ref() else {
-        // Callers gate on typed_body(); unreachable in practice.
-        return run_frame(cx, st, u, fb, entry, chunk_of);
-    };
-    // A chunk or test harness may hand over a fresh VmState whose vreg
-    // bank was never sized (e.g. a stack-body chunk calling into a typed
-    // callee): grow it once here, idempotent afterwards.
-    if st.vregs.len() < cx.prog.max_vregs {
-        st.vregs.resize(cx.prog.max_vregs, 0);
+    // The shared bank grows to the widest body entered; steady-state
+    // entries find it sized.
+    if st.vregs.len() < tu.nvregs {
+        st.vregs.resize(tu.nvregs, 0);
     }
     // Operand-stream pre-resolution: snapshot each frame register's
     // slot/offset into one packed word so scalar operand reads stop
     // re-basing through the 4-word `Reg` (see `want_scal`). Frame
     // windows are immutable during execution, so one snapshot per frame
     // entry is sound; the length guard makes chunk re-entry (same
-    // frame, many iterations) and mixed stack/typed call chains
-    // idempotent. `call_unit` truncates the cache with the frame.
+    // frame, many iterations) idempotent. `call_unit` truncates the
+    // cache with the frame, and frame build once the window is complete.
     if st.scal.len() < st.regs.regs.len() {
         let from = st.scal.len();
         for r in &st.regs.regs[from..] {
@@ -3309,7 +3304,7 @@ pub(crate) fn exec_typed(
         pc += 1;
         retired += 1;
         classes[usize::from(CLASS_LUT[op.op as usize] & 7)] += 1;
-        match dispatch(&t, st, op) {
+        match step(op.op, &t, st, op) {
             Ok(Ctl::Next) => {}
             Ok(Ctl::Goto(p)) => pc = p as usize,
             Ok(Ctl::Done(f)) => {

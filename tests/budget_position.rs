@@ -38,6 +38,9 @@
 use fir::ast::{OmpDirective, Program};
 use fruntime::{run, Engine, ExecOptions, RtErrorKind};
 
+#[path = "fixtures/punned.rs"]
+mod punned;
+
 /// Loop-heavy programs whose typed lowering exercises every fold site:
 /// plain DO back-edges, IF/ELSE branch folds, integer compare-and-branch
 /// literal folds, and nested DO odometers.
@@ -186,6 +189,23 @@ fn budget_positions_are_pinned_across_engines_in_chunked_loops() {
         let chunked = run(&p, &opts(Engine::Bytecode, u64::MAX, 4))
             .unwrap_or_else(|e| panic!("{label}: chunked run failed: {e}"));
         assert!(chunked.vm.chunks_run > 0, "{label}: no chunk ran");
+        pin_positions(label, &p, 4);
+    }
+}
+
+#[test]
+fn budget_positions_are_pinned_across_engines_in_punned_frames() {
+    // Frames bound to storage of another type class run specialized typed
+    // bodies; their charge points must pin like the declared bodies', both
+    // sequentially and with the punned calls inside chunked loops.
+    for (label, src) in punned::FIXTURES {
+        let mut p = fir::parse(src).expect(label);
+        pin_positions(label, &p, 1);
+        fir::visit::walk_loops_mut(&mut p.units[0].body, &mut |d| {
+            if d.var == "I" {
+                d.directive = Some(OmpDirective::default());
+            }
+        });
         pin_positions(label, &p, 4);
     }
 }

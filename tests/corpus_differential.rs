@@ -6,10 +6,15 @@
 //!
 //! `tests/engine_differential.rs` pins the engines together on the twelve
 //! PERFECT apps; this suite pins them on machine-generated programs whose
-//! shapes nobody hand-checked — reshaped COMMON type punning (the typed
-//! body's guard/fallback path), indirect subscripts, deep call chains,
-//! guarded calls. The seed is fixed so a divergence is a reproducible
-//! counterexample, never a flake.
+//! shapes nobody hand-checked — reshaped COMMON views, indirect
+//! subscripts, deep call chains, guarded calls. The seed is fixed so a
+//! divergence is a reproducible counterexample, never a flake.
+//!
+//! The corpus does not reach the VM's type-pun path: its reshaped-COMMON
+//! idiom views the block through differently named members (`RM`, `RV`),
+//! which get separate slots, so no frame is ever bound to storage of
+//! another type class. Hand-written punned fixtures
+//! (`tests/fixtures/punned.rs`) cover that path instead.
 //!
 //! The same campaign also runs at `threads: 4`, the verification gate's
 //! chunk count: the tree-walker isolates chunks by copying memory, the VM
@@ -22,6 +27,9 @@ use fir::ast::{OmpDirective, Program, RedOp};
 use fruntime::{run, Engine, ExecOptions, RunResult};
 use ipp_core::{baseline_run, compile, verify_with_baseline_using, InlineMode, PipelineOptions};
 use std::collections::BTreeSet;
+
+#[path = "fixtures/punned.rs"]
+mod punned;
 
 const SEED: u64 = 0x1CC7_2011;
 const PROGRAMS: u64 = 200;
@@ -170,7 +178,7 @@ fn with_directive(src: &str, dir: OmpDirective) -> Program {
 fn chunk_isolation_fixtures_agree_and_gate_illegal_loops() {
     // (label, program, gate 2 verdict): whether the chunked run matches
     // the sequential one, under either engine.
-    let fixtures: Vec<(&str, Program, bool)> = vec![
+    let mut fixtures: Vec<(&str, Program, bool)> = vec![
         (
             "cross-chunk flow dependence",
             with_directive(
@@ -358,6 +366,14 @@ fn chunk_isolation_fixtures_agree_and_gate_illegal_loops() {
             true,
         ),
     ];
+    // Punned callees inside the chunked loop: each chunk enters the
+    // specialized bodies.
+    fixtures.extend(
+        punned::FIXTURES
+            .iter()
+            .chain([&punned::EXTENT_FIXTURE])
+            .map(|(label, src)| (*label, with_directive(src, OmpDirective::default()), true)),
+    );
     for (label, p, legal) in &fixtures {
         let chunked = ExecOptions {
             threads: 4,
@@ -382,5 +398,18 @@ fn chunk_isolation_fixtures_agree_and_gate_illegal_loops() {
                 "{label} [{engine:?}]: gate 2 verdict"
             );
         }
+    }
+}
+
+#[test]
+fn punned_frames_run_specialized_typed_bodies() {
+    for (label, src) in punned::FIXTURES.iter().chain([&punned::EXTENT_FIXTURE]) {
+        let p = fir::parse(src).expect("fixture parses");
+        let v = differential(label, &p, &ExecOptions::default()).expect("fixture runs");
+        assert!(
+            v.vm.typed_specializations > 0,
+            "{label}: no frame ran a specialized body"
+        );
+        assert_eq!(v.vm.reference_runs, 0, "{label}: routed to the oracle");
     }
 }

@@ -128,7 +128,9 @@ fn engines_agree_on_runtime_errors() {
 ",
         ),
     ];
-    for (label, src) in cases {
+    let limits = encoding_limit_cases();
+    let limits = limits.iter().map(|(label, src)| (*label, src.as_str()));
+    for (label, src) in cases.into_iter().chain(limits) {
         let p = fir::parse(src).unwrap();
         differential(
             label,
@@ -139,4 +141,56 @@ fn engines_agree_on_runtime_errors() {
             },
         );
     }
+}
+
+/// Programs past the typed VM's packed operand encoding: one count does
+/// not fit its `u8` (arguments, subscripts) or `u16` (locals) field.
+fn encoding_limit_cases() -> Vec<(&'static str, String)> {
+    let list =
+        |n: usize, item: &dyn Fn(usize) -> String| (1..=n).map(item).collect::<Vec<_>>().join(", ");
+    let args = format!(
+        "      PROGRAM P
+      COMMON /R/ T
+      CALL S({}, 2.5)
+      WRITE(6,*) T
+      END
+      SUBROUTINE S({})
+      COMMON /R/ T
+      T = A1 + A256
+      END
+",
+        list(255, &|_| "1.0".into()),
+        list(256, &|k| format!("A{k}"))
+    );
+    let ones = list(256, &|_| "1".into());
+    let subs = format!(
+        "      PROGRAM P
+      DIMENSION B({ones})
+      B({ones}) = 2.5
+      X = B({ones})
+      WRITE(6,*) X
+      END
+"
+    );
+    let decls: String = (0..70)
+        .map(|line| {
+            format!(
+                "      REAL {}\n",
+                list(1000, &|k| format!("V{}", line * 1000 + k))
+            )
+        })
+        .collect();
+    let locals = format!(
+        "      PROGRAM P
+{decls}      V69999 = 1.5
+      V9999 = V69999 + 1.0
+      WRITE(6,*) V9999, V69999
+      END
+"
+    );
+    vec![
+        ("256-argument CALL", args),
+        ("256-subscript element store and load", subs),
+        ("70,000-local unit", locals),
+    ]
 }

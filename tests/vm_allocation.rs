@@ -239,7 +239,8 @@ fn straight_line_execution_allocates_nothing_per_iteration() {
 
     let opts = vm_opts();
     let run_counted = |iters: u64| -> u64 {
-        let compiled = compile(&program_with(iters));
+        let program = program_with(iters);
+        let compiled = compile(&program);
         // Warm the process (lazy runtime init, etc.) outside the count.
         run_compiled(&compiled, &opts).unwrap();
         let (res, allocs) = alloc_counter::count(|| run_compiled(&compiled, &opts).unwrap());
@@ -255,6 +256,63 @@ fn straight_line_execution_allocates_nothing_per_iteration() {
     assert_eq!(
         small, large,
         "VM execution allocates per iteration: {small} allocs at 2k iters vs {large} at 20k"
+    );
+}
+
+#[test]
+fn punned_calls_allocate_nothing_after_their_first_specialization() {
+    // BUMP's implicitly INTEGER formal M is bound to a REAL array, so every
+    // call runs a typed body specialized on that binding. The first call
+    // lowers it and caches it on the compiled program; counting a run of a
+    // fresh compilation at two iteration counts includes that one
+    // lowering, and equal counts prove every later call allocates nothing.
+    let program_with = |iters: u64| {
+        let src = format!(
+            "      PROGRAM MAIN
+      COMMON /OUT/ S
+      DIMENSION A(32)
+      DO J = 1, 32
+        A(J) = J*0.5
+      ENDDO
+      S = 0.0
+      DO I = 1, {iters}
+        K = MOD(I, 32) + 1
+        CALL BUMP(A, K)
+      ENDDO
+      WRITE(6,*) S
+      END
+      SUBROUTINE BUMP(M, K)
+      DIMENSION M(*)
+      COMMON /OUT/ S
+      M(K) = M(K)*1.0001 + 0.5
+      S = S + M(K)
+      END
+"
+        );
+        fir::parse(&src).unwrap()
+    };
+
+    let opts = vm_opts();
+    let run_counted = |iters: u64| -> u64 {
+        let program = program_with(iters);
+        // Warm the process (lazy runtime init, etc.) outside the count, on
+        // a compilation of its own.
+        run_compiled(&compile(&program), &opts).unwrap();
+        let compiled = compile(&program);
+        let (res, allocs) = alloc_counter::count(|| run_compiled(&compiled, &opts).unwrap());
+        assert_eq!(res.vm.calls, iters);
+        assert_eq!(
+            res.vm.typed_specializations, 1,
+            "the punned frame must be specialized once, in the counted run"
+        );
+        allocs
+    };
+
+    let small = run_counted(2_000);
+    let large = run_counted(20_000);
+    assert_eq!(
+        small, large,
+        "punned calls allocate per call: {small} allocs at 2k iters vs {large} at 20k"
     );
 }
 
@@ -328,7 +386,8 @@ fn chunked_directive_loops_allocate_nothing_per_execution() {
         p
     };
     let run_counted = |execs: u64, threads: usize| -> u64 {
-        let compiled = compile(&program_with(execs));
+        let program = program_with(execs);
+        let compiled = compile(&program);
         let opts = ExecOptions {
             threads,
             ..vm_opts()
