@@ -78,7 +78,7 @@ impl Affine {
     }
 
     /// A single index variable.
-    pub fn index(v: impl Into<String>) -> Affine {
+    pub fn index(v: impl Into<Ident>) -> Affine {
         let mut a = Affine::default();
         a.coeffs.insert(v.into(), 1);
         a
@@ -151,7 +151,7 @@ impl Affine {
     pub fn rename(&self, from: &str, to: &str) -> Affine {
         let mut out = self.clone();
         if let Some(c) = out.coeffs.remove(from) {
-            *out.coeffs.entry(to.to_string()).or_insert(0) += c;
+            *out.coeffs.entry(to.into()).or_insert(0) += c;
         }
         out.prune();
         out
@@ -267,8 +267,8 @@ mod tests {
 
     fn cls(index: &[&str], variant: &[&str]) -> SimpleClass {
         SimpleClass {
-            index_vars: index.iter().map(|s| s.to_string()).collect(),
-            variant: variant.iter().map(|s| s.to_string()).collect(),
+            index_vars: index.iter().map(|&s| s.into()).collect(),
+            variant: variant.iter().map(|&s| s.into()).collect(),
         }
     }
 

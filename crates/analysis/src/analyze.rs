@@ -60,8 +60,9 @@ pub struct LoopAnalysis {
     pub trip_count: Option<i64>,
     /// The loop with induction variables substituted (what must be emitted
     /// if a directive is attached — the raw loop still carries the scalar
-    /// recurrence).
-    pub transformed: DoLoop,
+    /// recurrence). `None` when the loop has no induction-variable
+    /// candidate: the analyzed loop itself is then what gets emitted.
+    pub transformed: Option<DoLoop>,
     /// `(name, increment)` of each substituted induction variable; the
     /// emitter appends `name = name + max(trip,0)*increment` after the loop
     /// so the post-loop value matches sequential semantics.
@@ -114,10 +115,15 @@ pub fn analyze_loop(d: &DoLoop, ctx: &UnitCtx<'_>) -> LoopAnalysis {
 
     // 1. Induction-variable substitution (needs raw increments). The
     //    ivsub-only clone is kept: it is what gets emitted if the loop is
-    //    parallelized.
+    //    parallelized. Without candidates the loop is left as it was and
+    //    needs no copy.
     let info0 = classify(&work.body, &work.var, &is_array);
+    let has_candidates = info0
+        .classes
+        .values()
+        .any(|c| matches!(c, ScalarClass::Induction { .. }));
     let iv_subs = substitute_inductions(&mut work, &info0);
-    let transformed = work.clone();
+    let transformed = has_candidates.then(|| work.clone());
 
     // 2. Forward substitution of scalar definitions into subscripts
     //    (analysis-only: value-preserving, never emitted).
@@ -313,7 +319,7 @@ mod tests {
 ",
         );
         assert!(a.parallelizable, "blockers: {:?}", a.blockers);
-        assert_eq!(a.reductions, vec![(RedOp::Add, "S".to_string())]);
+        assert_eq!(a.reductions, vec![(RedOp::Add, "S".into())]);
     }
 
     #[test]
@@ -403,7 +409,7 @@ mod tests {
 ",
         );
         assert!(a.parallelizable, "blockers: {:?}", a.blockers);
-        assert!(a.private.contains(&"S".to_string()));
+        assert!(a.private.contains(&"S".into()));
         assert!(a.private_arrays.iter().any(|pa| pa.name == "T"));
     }
 

@@ -144,7 +144,7 @@ impl CallGraph {
                         let mut comp = Vec::new();
                         while let Some(m) = st.stack.pop() {
                             st.on_stack.remove(m);
-                            comp.push(m.to_string());
+                            comp.push(Ident::from(m));
                             if m == n {
                                 break;
                             }
@@ -181,7 +181,7 @@ impl CallGraph {
                 visit(g, c, mark, order);
             }
             mark.insert(n, 2);
-            order.push(n.to_string());
+            order.push(n.into());
         }
         let names: Vec<&str> = self.edges.keys().map(|s| s.as_str()).collect();
         for n in names {
@@ -292,7 +292,7 @@ mod tests {
         all.sort();
         assert_eq!(all, vec!["A", "B", "C", "D", "MAIN"]);
         // The A↔B cycle is one component.
-        assert!(comps.contains(&vec!["A".to_string(), "B".to_string()]));
+        assert!(comps.contains(&vec!["A".into(), "B".into()]));
         let pos = |n: &str| comps.iter().position(|c| c.iter().any(|x| x == n)).unwrap();
         // Callee components come first.
         assert!(pos("C") < pos("A"));
@@ -313,7 +313,7 @@ mod tests {
 ",
         );
         let comps = g.sccs();
-        assert!(comps.contains(&vec!["R".to_string()]));
+        assert!(comps.contains(&vec!["R".into()]));
         // A self-loop is detected as recursion even in a singleton SCC.
         assert!(g.is_recursive("R"));
     }

@@ -17,7 +17,7 @@
 //!   argument pairs equal, so a `unique` subscript that varies with the
 //!   carried loop variable proves independence — paper §III-B5.
 
-use crate::affine::{extract, Affine, SimpleClass};
+use crate::affine::{extract, Affine, VarClass};
 use crate::refs::{ArrayAccess, Sub};
 use fir::ast::{Expr, Ident};
 
@@ -62,39 +62,18 @@ impl DepCtx {
     /// Suffix used to rename the second access's iteration instance.
     const PRIME: &'static str = "'";
 
-    fn class_for(&self, acc: &ArrayAccess, primed: bool) -> SimpleClass {
-        let mut idx = vec![self.carried.clone()];
-        for il in &acc.inners {
-            idx.push(il.var.clone());
-        }
-        if primed {
-            idx = idx
-                .into_iter()
-                .map(|v| format!("{v}{}", Self::PRIME))
-                .collect();
-        }
-        SimpleClass {
-            index_vars: idx,
-            variant: self.variant.clone(),
-        }
-    }
-
     /// Extract the affine form of the second instance: every index variable
     /// is primed so the two iteration instances are independent unknowns.
+    /// Only index variables become coefficients (symbolic terms never
+    /// contain one), so priming the extracted coefficients is the same as
+    /// extracting from a primed copy of the expression.
     fn extract_primed(&self, e: &Expr, acc: &ArrayAccess) -> Option<Affine> {
-        let mut renamed = e.clone();
-        let mut names = vec![self.carried.clone()];
-        for il in &acc.inners {
-            names.push(il.var.clone());
-        }
-        renamed.rewrite(&mut |node| {
-            if let Expr::Var(v) = node {
-                if names.contains(v) {
-                    *node = Expr::Var(format!("{v}{}", Self::PRIME));
-                }
-            }
-        });
-        extract(&renamed, &self.class_for(acc, true))
+        let mut f = extract(e, &AccessClass { ctx: self, acc })?;
+        f.coeffs = std::mem::take(&mut f.coeffs)
+            .into_iter()
+            .map(|(v, c)| (Ident::from(format!("{v}{}", Self::PRIME)), c))
+            .collect();
+        Some(f)
     }
 
     /// Constant range of an index variable occurring in the difference form:
@@ -113,6 +92,23 @@ impl DepCtx {
             }
         }
         None
+    }
+}
+
+/// Index/variant classification at one access, borrowed from the context:
+/// the carried variable and the access's inner-loop variables are index
+/// variables.
+struct AccessClass<'a> {
+    ctx: &'a DepCtx,
+    acc: &'a ArrayAccess,
+}
+
+impl VarClass for AccessClass<'_> {
+    fn is_index(&self, name: &str) -> bool {
+        self.ctx.carried == name || self.acc.inners.iter().any(|il| il.var == name)
+    }
+    fn is_variant(&self, name: &str) -> bool {
+        self.ctx.variant.iter().any(|v| v == name)
     }
 }
 
@@ -191,7 +187,7 @@ fn point_verdict(
         return DimVerdict::NoInfo;
     }
 
-    let fa = extract(ea, &ctx.class_for(a, false));
+    let fa = extract(ea, &AccessClass { ctx, acc: a });
     let fb = ctx.extract_primed(eb, b);
     let (fa, fb) = match (fa, fb) {
         (Some(x), Some(y)) => (x, y),
@@ -205,7 +201,7 @@ fn point_verdict(
         return DimVerdict::NoInfo;
     }
 
-    let vars: Vec<(&String, &i64)> = diff.coeffs.iter().collect();
+    let vars: Vec<(&Ident, &i64)> = diff.coeffs.iter().collect();
 
     // ZIV: both sides constant. Unequal constants prove independence;
     // equal constants mean the dimension *always* collides — that says

@@ -229,7 +229,7 @@ mod tests {
 ",
             &["X2", "FX"],
         );
-        assert_eq!(subbed, vec![("K".to_string(), 1)]);
+        assert_eq!(subbed, vec![("K".into(), 1)]);
         // After the (deleted) increment, uses see K + (J-1) + 1.
         assert!(out.contains("X2(K + (J - 1 + 1))"), "{out}");
         // The increment statement is gone.
@@ -269,7 +269,7 @@ mod tests {
 ",
             &["X2", "FX"],
         );
-        assert_eq!(subbed, vec![("K".to_string(), 1)]);
+        assert_eq!(subbed, vec![("K".into(), 1)]);
         assert!(out.contains("(N - 1)*8"), "{out}");
         assert!(out.contains("J - 1"), "{out}");
     }
@@ -304,7 +304,7 @@ mod tests {
 ",
             &["X2"],
         );
-        assert_eq!(subbed, vec![("K".to_string(), -2)]);
+        assert_eq!(subbed, vec![("K".into(), -2)]);
         assert!(out.contains("-2"), "{out}");
     }
 

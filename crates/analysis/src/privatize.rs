@@ -179,7 +179,7 @@ pub fn try_privatize(
     }
 
     Some(PrivArray {
-        name: array.to_string(),
+        name: array.into(),
         needs_copy_out: escapes,
     })
 }

@@ -106,6 +106,12 @@ impl BodyRefs {
     /// whether a bare `Var` or an `Index` base names an array (from the
     /// symbol table; unknown names default to scalar).
     pub fn collect(loop_: &DoLoop, is_array: &dyn Fn(&str) -> bool) -> BodyRefs {
+        BodyRefs::collect_block(&loop_.body, is_array)
+    }
+
+    /// [`BodyRefs::collect`] over a bare statement block, as if it were the
+    /// body of a loop.
+    pub fn collect_block(body: &Block, is_array: &dyn Fn(&str) -> bool) -> BodyRefs {
         let mut c = Collector {
             out: BodyRefs::default(),
             pos: 0,
@@ -113,7 +119,7 @@ impl BodyRefs {
             inners: Vec::new(),
             is_array,
         };
-        c.block(&loop_.body);
+        c.block(body);
         c.out
     }
 
@@ -298,9 +304,9 @@ impl<'a> Collector<'a> {
         }
     }
 
-    fn push_array(&mut self, name: &str, subs: Vec<Sub>, is_write: bool) {
+    fn push_array(&mut self, name: &Ident, subs: Vec<Sub>, is_write: bool) {
         self.out.arrays.push(ArrayAccess {
-            array: name.to_string(),
+            array: name.clone(),
             subs,
             is_write,
             pos: self.pos,
@@ -309,9 +315,9 @@ impl<'a> Collector<'a> {
         });
     }
 
-    fn push_scalar(&mut self, name: &str, is_write: bool) {
+    fn push_scalar(&mut self, name: &Ident, is_write: bool) {
         self.out.scalars.push(ScalarAccess {
-            name: name.to_string(),
+            name: name.clone(),
             is_write,
             pos: self.pos,
             guard_depth: self.guards,

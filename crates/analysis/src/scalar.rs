@@ -347,7 +347,7 @@ mod tests {
     use fir::ast::StmtKind;
     use fir::parser::parse;
 
-    fn body_of(src: &str) -> (Block, String) {
+    fn body_of(src: &str) -> (Block, Ident) {
         let p = parse(src).unwrap();
         for s in &p.units[0].body {
             if let StmtKind::Do(d) = &s.kind {
@@ -388,7 +388,7 @@ mod tests {
             &["A"],
         );
         assert_eq!(info.classes["S"], ScalarClass::Reduction(RedOp::Add));
-        assert_eq!(info.reductions(), vec![(RedOp::Add, "S".to_string())]);
+        assert_eq!(info.reductions(), vec![(RedOp::Add, "S".into())]);
     }
 
     #[test]

@@ -9,10 +9,19 @@
 //! next to the wall-clock. The host CPU count contextualizes the worker
 //! curve — on a single-CPU host the three points measure scheduling
 //! overhead, not fan-out.
+//!
+//! A counting global allocator is installed. One extra workers-1 stream
+//! after the timed points is metered: the artifact records its allocation
+//! events per cell (a deterministic count CI can gate, unlike the
+//! wall-clock) and its per-phase `PhaseTimings` split.
 
+use bench::harness::alloc_counter::{self, CountingAlloc};
 use bench::harness::median_of;
-use ipp_core::{run_stream, DriverOptions, StreamOutcome};
+use ipp_core::{run_stream, DriverOptions, StreamOutcome, StreamSummary};
 use std::time::Duration;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 const SEED: u64 = 0x1DE0_2011;
 const PROGRAMS: u64 = 1000;
@@ -48,13 +57,26 @@ fn main() {
     }
 
     // The stream summary is deterministic: every worker count must have
-    // aggregated the exact same corpus the same way.
+    // aggregated the exact same corpus the same way. Only the recorded
+    // window follows the worker count (auto window on a multi-CPU host).
     let base = points[0].1.summary.to_json();
+    let windowless = |out: &StreamOutcome| StreamSummary {
+        window: points[0].1.summary.window,
+        ..out.summary.clone()
+    };
     for (w, out, _) in &points {
-        assert_eq!(out.summary.to_json(), base, "summary diverged at w{w}");
+        assert_eq!(windowless(out).to_json(), base, "summary diverged at w{w}");
         assert!(out.summary.panic_free(), "panicked cells at w{w}");
     }
     let s = &points[0].1.summary;
+
+    let (metered, allocs) = alloc_counter::count_process(|| stream_at(1));
+    assert_eq!(metered.summary.to_json(), base, "metered stream diverged");
+    let allocs_per_cell = (allocs as f64 / s.cells as f64).round() as u64;
+    println!(
+        "allocations: {allocs} events over {} cells ({allocs_per_cell} per cell, workers 1)",
+        s.cells
+    );
     println!(
         "corpus: {} programs, {} cells, {} verified ok, {} failed ({} timed out), {}/{} loops parallel",
         s.programs,
@@ -81,12 +103,15 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\"bench\":\"corpus_throughput\",\"seed\":{},\"programs\":{},\"samples_per_point\":{},\"host_cpus\":{},\"runs\":[{}],\"summary\":{}}}\n",
+        "{{\"bench\":\"corpus_throughput\",\"seed\":{},\"programs\":{},\"samples_per_point\":{},\"host_cpus\":{},\"runs\":[{}],\"alloc_events\":{},\"alloc_events_per_cell\":{},\"phases\":{},\"summary\":{}}}\n",
         SEED,
         PROGRAMS,
         SAMPLES,
         host_cpus,
         runs.join(","),
+        allocs,
+        allocs_per_cell,
+        metered.phases.to_json(),
         s.to_json()
     );
 

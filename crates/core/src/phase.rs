@@ -109,7 +109,8 @@ impl PhaseTimings {
         Duration::from_nanos(self.nanos.iter().sum())
     }
 
-    fn to_json(&self) -> String {
+    /// `{"normalize":{"ns":..,"calls":..},..}` in pipeline order.
+    pub fn to_json(&self) -> String {
         let fields: Vec<String> = Phase::ALL
             .iter()
             .map(|p| {

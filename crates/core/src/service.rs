@@ -272,23 +272,23 @@ fn report_from(
     // original loop (annotation-body copies excluded), blockers deduped
     // into sorted stable keys — a deterministic, wire-friendly shape.
     let parallel_ids = result.parallel_loops();
-    let mut by_loop: BTreeMap<(String, u32), std::collections::BTreeSet<&'static str>> =
+    let mut by_loop: BTreeMap<&fir::ast::LoopId, std::collections::BTreeSet<&'static str>> =
         BTreeMap::new();
     for d in &result.par_report.decisions {
         if d.id.is_annotation() {
             continue;
         }
-        let entry = by_loop.entry((d.id.unit.clone(), d.id.idx)).or_default();
+        let entry = by_loop.entry(&d.id).or_default();
         for b in &d.blockers {
             entry.insert(blocker_key(b));
         }
     }
     let loops: Vec<LoopSummary> = by_loop
         .into_iter()
-        .map(|((unit, idx), blockers)| LoopSummary {
-            parallel: parallel_ids.contains(&fir::ast::LoopId::new(unit.clone(), idx)),
-            unit,
-            idx,
+        .map(|(id, blockers)| LoopSummary {
+            parallel: parallel_ids.contains(id),
+            unit: id.unit.to_string(),
+            idx: id.idx,
             blockers: blockers.into_iter().collect(),
         })
         .collect();

@@ -17,8 +17,7 @@
 use crate::loc::Span;
 use std::fmt;
 
-/// Upper-cased Fortran identifier.
-pub type Ident = String;
+pub use crate::ident::Ident;
 
 /// A real literal wrapper giving `f64` total equality/ordering/hashing by
 /// bit pattern, so expressions can be compared structurally and used as map
@@ -213,7 +212,7 @@ pub enum Expr {
 
 impl Expr {
     /// Shorthand for `Expr::Var`.
-    pub fn var(name: impl Into<String>) -> Expr {
+    pub fn var(name: impl Into<Ident>) -> Expr {
         Expr::Var(name.into())
     }
 
@@ -228,7 +227,7 @@ impl Expr {
     }
 
     /// Shorthand for an array element reference.
-    pub fn idx(name: impl Into<String>, subs: Vec<Expr>) -> Expr {
+    pub fn idx(name: impl Into<Ident>, subs: Vec<Expr>) -> Expr {
         Expr::Index(name.into(), subs)
     }
 
@@ -381,7 +380,7 @@ impl LoopId {
     pub const ANNOT_BASE: u32 = 100_000;
 
     /// Create a loop id.
-    pub fn new(unit: impl Into<String>, idx: u32) -> Self {
+    pub fn new(unit: impl Into<Ident>, idx: u32) -> Self {
         LoopId {
             unit: unit.into(),
             idx,
@@ -532,7 +531,7 @@ impl Stmt {
     }
 
     /// Shorthand for a synthetic call.
-    pub fn call(name: impl Into<String>, args: Vec<Expr>) -> Stmt {
+    pub fn call(name: impl Into<Ident>, args: Vec<Expr>) -> Stmt {
         Stmt::synth(StmtKind::Call {
             name: name.into(),
             args,

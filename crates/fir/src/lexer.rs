@@ -10,6 +10,7 @@
 //! * `DOUBLE PRECISION` is folded into a single token.
 
 use crate::diag::{Error, Result};
+use crate::ident::Interner;
 use crate::loc::Span;
 use crate::token::{Tok, Token};
 
@@ -29,6 +30,10 @@ struct Lexer<'a> {
     /// True until the first non-blank token of the current line is lexed.
     at_line_start: bool,
     tokens: Vec<Token>,
+    /// Upper-cased spelling of the word being lexed, reused across words.
+    word: String,
+    /// One shared [`Ident`] per distinct spelling in this source.
+    names: Interner,
 }
 
 impl<'a> Lexer<'a> {
@@ -39,6 +44,8 @@ impl<'a> Lexer<'a> {
             line: 1,
             at_line_start: true,
             tokens: Vec::new(),
+            word: String::new(),
+            names: Interner::default(),
         }
     }
 
@@ -141,17 +148,25 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// Upper-case `src[start..pos]` into the reused word buffer.
+    fn load_word(&mut self, start: usize) {
+        self.word.clear();
+        self.word.extend(
+            self.src[start..self.pos]
+                .iter()
+                .map(|b| b.to_ascii_uppercase() as char),
+        );
+    }
+
     fn word(&mut self) {
         let start = self.pos;
         while matches!(self.peek(), b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'_') {
             self.bump();
         }
-        let text: String = std::str::from_utf8(&self.src[start..self.pos])
-            .unwrap()
-            .to_ascii_uppercase();
+        self.load_word(start);
         self.at_line_start = false;
         // `DOUBLE PRECISION` is two words; peek ahead for `PRECISION`.
-        if text == "DOUBLE" {
+        if self.word == "DOUBLE" {
             let save = self.pos;
             while matches!(self.peek(), b' ' | b'\t') {
                 self.bump();
@@ -160,18 +175,18 @@ impl<'a> Lexer<'a> {
             while self.peek().is_ascii_alphabetic() {
                 self.bump();
             }
-            let next: String = std::str::from_utf8(&self.src[wstart..self.pos])
-                .unwrap()
-                .to_ascii_uppercase();
-            if next == "PRECISION" {
+            if self.src[wstart..self.pos].eq_ignore_ascii_case(b"PRECISION") {
                 self.push(Tok::DoublePrecision, start);
                 return;
             }
             self.pos = save;
         }
-        match Tok::keyword(&text) {
+        match Tok::keyword(&self.word) {
             Some(k) => self.push(k, start),
-            None => self.push(Tok::Ident(text), start),
+            None => {
+                let id = self.names.intern(&self.word);
+                self.push(Tok::Ident(id), start)
+            }
         }
     }
 
@@ -261,17 +276,15 @@ impl<'a> Lexer<'a> {
         while self.peek().is_ascii_alphabetic() {
             self.bump();
         }
-        let word: String = std::str::from_utf8(&self.src[wstart..self.pos])
-            .unwrap()
-            .to_ascii_uppercase();
+        self.load_word(wstart);
         if self.peek() != b'.' {
             return Err(Error::lex(
-                format!("unterminated dotted operator '.{word}'"),
+                format!("unterminated dotted operator '.{}'", self.word),
                 self.span_from(start),
             ));
         }
         self.bump(); // trailing '.'
-        let tok = match word.as_str() {
+        let tok = match self.word.as_str() {
             "EQ" => Tok::Eq,
             "NE" => Tok::Ne,
             "LT" => Tok::Lt,
@@ -285,7 +298,7 @@ impl<'a> Lexer<'a> {
             "FALSE" => Tok::False,
             _ => {
                 return Err(Error::lex(
-                    format!("unknown dotted operator '.{word}.'"),
+                    format!("unknown dotted operator '.{}.'", self.word),
                     self.span_from(start),
                 ))
             }

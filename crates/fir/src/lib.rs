@@ -30,6 +30,7 @@
 pub mod ast;
 pub mod diag;
 pub mod fold;
+pub mod ident;
 pub mod lexer;
 pub mod loc;
 pub mod parser;

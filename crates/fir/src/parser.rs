@@ -35,7 +35,7 @@ pub fn parse(src: &str) -> Result<Program> {
 pub fn parse_body(unit: &str, src: &str) -> Result<Block> {
     let tokens = lex(src)?;
     let mut p = Parser::new(tokens);
-    p.unit_name = unit.to_string();
+    p.unit_name = unit.into();
     let body = p.block(&[Tok::Eof])?;
     Ok(body)
 }
@@ -43,7 +43,7 @@ pub fn parse_body(unit: &str, src: &str) -> Result<Block> {
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
-    unit_name: String,
+    unit_name: Ident,
     loop_counter: u32,
     /// Target labels of enclosing labeled DO loops (innermost last).
     do_stack: Vec<u32>,
@@ -59,7 +59,7 @@ impl Parser {
         Parser {
             toks,
             pos: 0,
-            unit_name: String::new(),
+            unit_name: Ident::default(),
             loop_counter: 0,
             do_stack: Vec::new(),
             pending_close: None,
@@ -108,7 +108,7 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String> {
+    fn expect_ident(&mut self) -> Result<Ident> {
         match self.bump() {
             Tok::Ident(s) => Ok(s),
             other => Err(Error::parse(
@@ -260,7 +260,7 @@ impl Parser {
             // one Decl; store extras inside a Common with empty block name is
             // ugly, so instead we return a Var and stash the rest.
             Ok(Decl::Common {
-                block: String::new(),
+                block: Ident::default(),
                 vars,
             })
         }
@@ -299,7 +299,7 @@ impl Parser {
             Ok(Decl::Var(vars.pop().unwrap()))
         } else {
             Ok(Decl::Common {
-                block: String::new(),
+                block: Ident::default(),
                 vars,
             })
         }

@@ -27,25 +27,38 @@ pub fn print_unit(u: &ProcUnit, out: &mut String) {
             let _ = writeln!(out, "      PROGRAM {}", u.name);
         }
         UnitKind::Subroutine => {
-            if u.params.is_empty() {
-                let _ = writeln!(out, "      SUBROUTINE {}", u.name);
-            } else {
-                let _ = writeln!(out, "      SUBROUTINE {}({})", u.name, u.params.join(", "));
+            let _ = write!(out, "      SUBROUTINE {}", u.name);
+            if !u.params.is_empty() {
+                out.push('(');
+                write_list(out, &u.params, |p, out| out.push_str(p));
+                out.push(')');
             }
+            out.push('\n');
         }
     }
     for d in &u.decls {
         print_decl(d, out);
     }
     print_block(&u.body, 1, out);
-    let _ = writeln!(out, "      END");
+    out.push_str("      END\n");
+}
+
+/// Write `items` separated by `", "`.
+fn write_list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&T, &mut String)) {
+    for (k, x) in items.iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        item(x, out);
+    }
 }
 
 fn print_decl(d: &Decl, out: &mut String) {
     match d {
         Decl::Var(v) => {
             let ty = v.ty.map(|t| t.keyword()).unwrap_or("DIMENSION");
-            let _ = writeln!(out, "      {} {}", ty, var_decl_str(v));
+            let _ = write!(out, "      {ty} ");
+            write_var_decl(v, out);
         }
         Decl::Common { block, vars } if block.is_empty() => {
             // Anonymous group: a multi-entry type/DIMENSION declaration.
@@ -54,38 +67,40 @@ fn print_decl(d: &Decl, out: &mut String) {
                 .find_map(|v| v.ty)
                 .map(|t| t.keyword())
                 .unwrap_or("DIMENSION");
-            let list: Vec<String> = vars.iter().map(var_decl_str).collect();
-            let _ = writeln!(out, "      {} {}", ty, list.join(", "));
+            let _ = write!(out, "      {ty} ");
+            write_list(out, vars, write_var_decl);
         }
         Decl::Common { block, vars } => {
-            let list: Vec<String> = vars.iter().map(var_decl_str).collect();
-            let _ = writeln!(out, "      COMMON /{}/ {}", block, list.join(", "));
+            let _ = write!(out, "      COMMON /{block}/ ");
+            write_list(out, vars, write_var_decl);
         }
         Decl::Param { name, value } => {
-            let _ = writeln!(out, "      PARAMETER ({} = {})", name, expr_str(value));
+            let _ = write!(out, "      PARAMETER ({name} = ");
+            write_expr(value, 0, out);
+            out.push(')');
         }
     }
+    out.push('\n');
 }
 
-fn var_decl_str(v: &VarDecl) -> String {
-    if v.dims.is_empty() {
-        v.name.clone()
-    } else {
-        let dims: Vec<String> = v
-            .dims
-            .iter()
-            .map(|d| match d {
-                Dim::Extent(e) => expr_str(e),
-                Dim::Assumed => "*".to_string(),
-            })
-            .collect();
-        format!("{}({})", v.name, dims.join(", "))
+fn write_var_decl(v: &VarDecl, out: &mut String) {
+    out.push_str(&v.name);
+    if !v.dims.is_empty() {
+        out.push('(');
+        write_list(out, &v.dims, |d, out| match d {
+            Dim::Extent(e) => write_expr(e, 0, out),
+            Dim::Assumed => out.push('*'),
+        });
+        out.push(')');
     }
 }
 
-fn indent(depth: usize) -> String {
-    // Column 7 base plus two spaces per nesting level.
-    format!("      {}", "  ".repeat(depth.saturating_sub(1)))
+/// Column 7 base plus two spaces per nesting level.
+fn write_indent(depth: usize, out: &mut String) {
+    out.push_str("      ");
+    for _ in 1..depth {
+        out.push_str("  ");
+    }
 }
 
 /// Print a statement block at the given nesting depth.
@@ -95,103 +110,115 @@ pub fn print_block(b: &Block, depth: usize, out: &mut String) {
     }
 }
 
-fn label_prefix(label: Option<u32>) -> Option<String> {
-    label.map(|l| format!("{l:<5} "))
-}
-
 fn print_stmt(s: &Stmt, depth: usize, out: &mut String) {
-    let ind = match label_prefix(s.label) {
-        Some(mut p) => {
-            p.push_str(&"  ".repeat(depth.saturating_sub(1)));
-            p
+    // A label takes the first columns; the nesting indent follows it.
+    let ind = |out: &mut String| match s.label {
+        Some(l) => {
+            let _ = write!(out, "{l:<5} ");
+            for _ in 1..depth {
+                out.push_str("  ");
+            }
         }
-        None => indent(depth),
+        None => write_indent(depth, out),
     };
     match &s.kind {
         StmtKind::Assign { lhs, rhs } => {
-            let _ = writeln!(out, "{}{} = {}", ind, expr_str(lhs), expr_str(rhs));
+            ind(out);
+            write_expr(lhs, 0, out);
+            out.push_str(" = ");
+            write_expr(rhs, 0, out);
+            out.push('\n');
         }
         StmtKind::If {
             cond,
             then_blk,
             else_blk,
         } => {
+            ind(out);
+            out.push_str("IF (");
+            write_expr(cond, 0, out);
             if else_blk.is_empty() && then_blk.len() == 1 && is_simple(&then_blk[0]) {
-                let mut inner = String::new();
-                print_stmt(&then_blk[0], 1, &mut inner);
-                let _ = writeln!(
-                    out,
-                    "{}IF ({}) {}",
-                    ind,
-                    expr_str(cond),
-                    inner[6..].trim_end()
-                );
+                // Logical IF: the statement on the same line, without its
+                // own indent or trailing blanks.
+                out.push_str(") ");
+                let at = out.len();
+                print_stmt(&then_blk[0], 1, out);
+                out.replace_range(at..at + 6, "");
+                let end = out.trim_end().len();
+                out.truncate(end);
+                out.push('\n');
                 return;
             }
-            let _ = writeln!(out, "{}IF ({}) THEN", ind, expr_str(cond));
+            out.push_str(") THEN\n");
             print_block(then_blk, depth + 1, out);
             if !else_blk.is_empty() {
-                let _ = writeln!(out, "{}ELSE", indent(depth));
+                write_indent(depth, out);
+                out.push_str("ELSE\n");
                 print_block(else_blk, depth + 1, out);
             }
-            let _ = writeln!(out, "{}ENDIF", indent(depth));
+            write_indent(depth, out);
+            out.push_str("ENDIF\n");
         }
         StmtKind::Do(d) => {
             if let Some(dir) = &d.directive {
-                print_directive(dir, depth, out);
+                print_directive(dir, out);
             }
-            let step = match &d.step {
-                Some(st) => format!(", {}", expr_str(st)),
-                None => String::new(),
-            };
-            let _ = writeln!(
-                out,
-                "{}DO {} = {}, {}{}",
-                ind,
-                d.var,
-                expr_str(&d.lo),
-                expr_str(&d.hi),
-                step
-            );
+            ind(out);
+            let _ = write!(out, "DO {} = ", d.var);
+            write_expr(&d.lo, 0, out);
+            out.push_str(", ");
+            write_expr(&d.hi, 0, out);
+            if let Some(st) = &d.step {
+                out.push_str(", ");
+                write_expr(st, 0, out);
+            }
+            out.push('\n');
             print_block(&d.body, depth + 1, out);
-            let _ = writeln!(out, "{}ENDDO", indent(depth));
+            write_indent(depth, out);
+            out.push_str("ENDDO\n");
             if let Some(dir) = &d.directive {
                 if dir.nowait {
-                    let _ = writeln!(out, "!$OMP END PARALLEL DO NOWAIT");
+                    out.push_str("!$OMP END PARALLEL DO NOWAIT\n");
                 } else {
-                    let _ = writeln!(out, "!$OMP END PARALLEL DO");
+                    out.push_str("!$OMP END PARALLEL DO\n");
                 }
             }
         }
         StmtKind::Call { name, args } => {
-            if args.is_empty() {
-                let _ = writeln!(out, "{}CALL {}", ind, name);
-            } else {
-                let a: Vec<String> = args.iter().map(expr_str).collect();
-                let _ = writeln!(out, "{}CALL {}({})", ind, name, a.join(", "));
+            ind(out);
+            let _ = write!(out, "CALL {name}");
+            if !args.is_empty() {
+                out.push('(');
+                write_list(out, args, |a, out| write_expr(a, 0, out));
+                out.push(')');
             }
+            out.push('\n');
         }
         StmtKind::Write { unit, items } => {
-            let a: Vec<String> = items.iter().map(expr_str).collect();
-            if a.is_empty() {
-                let _ = writeln!(out, "{}WRITE({},*)", ind, unit);
-            } else {
-                let _ = writeln!(out, "{}WRITE({},*) {}", ind, unit, a.join(", "));
+            ind(out);
+            let _ = write!(out, "WRITE({unit},*)");
+            if !items.is_empty() {
+                out.push(' ');
+                write_list(out, items, |a, out| write_expr(a, 0, out));
             }
+            out.push('\n');
         }
-        StmtKind::Stop { message } => match message {
-            Some(m) => {
-                let _ = writeln!(out, "{}STOP '{}'", ind, m.replace('\'', "''"));
+        StmtKind::Stop { message } => {
+            ind(out);
+            out.push_str("STOP");
+            if let Some(m) = message {
+                out.push(' ');
+                write_quoted(m, out);
             }
-            None => {
-                let _ = writeln!(out, "{}STOP", ind);
-            }
-        },
+            out.push('\n');
+        }
         StmtKind::Return => {
-            let _ = writeln!(out, "{}RETURN", ind);
+            ind(out);
+            out.push_str("RETURN\n");
         }
         StmtKind::Continue => {
-            let _ = writeln!(out, "{}CONTINUE", ind);
+            ind(out);
+            out.push_str("CONTINUE\n");
         }
         StmtKind::Tagged { tag, body } => {
             let _ = writeln!(
@@ -204,6 +231,18 @@ fn print_stmt(s: &Stmt, depth: usize, out: &mut String) {
             let _ = writeln!(out, "*//@; END(tag={})", tag.tag_id);
         }
     }
+}
+
+/// A character literal: single quotes, embedded quotes doubled.
+fn write_quoted(s: &str, out: &mut String) {
+    out.push('\'');
+    for c in s.chars() {
+        if c == '\'' {
+            out.push('\'');
+        }
+        out.push(c);
+    }
+    out.push('\'');
 }
 
 fn is_simple(s: &Stmt) -> bool {
@@ -219,17 +258,18 @@ fn is_simple(s: &Stmt) -> bool {
         )
 }
 
-fn print_directive(d: &OmpDirective, _depth: usize, out: &mut String) {
-    let _ = writeln!(out, "!$OMP PARALLEL DO");
-    let _ = writeln!(out, "!$OMP+DEFAULT(SHARED)");
-    if !d.private.is_empty() {
-        let _ = writeln!(out, "!$OMP+PRIVATE({})", d.private.join(", "));
-    }
-    if !d.firstprivate.is_empty() {
-        let _ = writeln!(out, "!$OMP+FIRSTPRIVATE({})", d.firstprivate.join(", "));
-    }
-    if !d.lastprivate.is_empty() {
-        let _ = writeln!(out, "!$OMP+LASTPRIVATE({})", d.lastprivate.join(", "));
+fn print_directive(d: &OmpDirective, out: &mut String) {
+    out.push_str("!$OMP PARALLEL DO\n!$OMP+DEFAULT(SHARED)\n");
+    for (clause, names) in [
+        ("PRIVATE", &d.private),
+        ("FIRSTPRIVATE", &d.firstprivate),
+        ("LASTPRIVATE", &d.lastprivate),
+    ] {
+        if !names.is_empty() {
+            let _ = write!(out, "!$OMP+{clause}(");
+            write_list(out, names, |n, out| out.push_str(n));
+            out.push_str(")\n");
+        }
     }
     for (op, var) in &d.reductions {
         let _ = writeln!(out, "!$OMP+REDUCTION({}:{})", op.omp_name(), var);
@@ -268,55 +308,62 @@ fn op_str(op: BinOp) -> &'static str {
 
 /// Render an expression to Fortran text.
 pub fn expr_str(e: &Expr) -> String {
-    expr_prec(e, 0)
+    let mut out = String::new();
+    write_expr(e, 0, &mut out);
+    out
 }
 
-fn expr_prec(e: &Expr, outer: u8) -> String {
+/// Append `e` to `out`, parenthesized when its precedence is below `outer`.
+fn write_expr(e: &Expr, outer: u8, out: &mut String) {
+    let args = |out: &mut String, args: &[Expr]| {
+        out.push('(');
+        write_list(out, args, |a, out| write_expr(a, 0, out));
+        out.push(')');
+    };
     match e {
-        Expr::Int(v) => v.to_string(),
+        Expr::Int(v) => {
+            let _ = write!(out, "{v}");
+        }
         Expr::Real(R64(x)) => {
             if x.fract() == 0.0 && x.abs() < 1e15 {
-                format!("{:.1}", x)
+                let _ = write!(out, "{x:.1}");
             } else {
-                format!("{}", x)
+                let _ = write!(out, "{x}");
             }
         }
-        Expr::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        Expr::Logical(true) => ".TRUE.".to_string(),
-        Expr::Logical(false) => ".FALSE.".to_string(),
-        Expr::Var(n) => n.clone(),
+        Expr::Str(s) => write_quoted(s, out),
+        Expr::Logical(true) => out.push_str(".TRUE."),
+        Expr::Logical(false) => out.push_str(".FALSE."),
+        Expr::Var(n) => out.push_str(n),
         Expr::Index(n, subs) => {
-            let a: Vec<String> = subs.iter().map(|s| expr_prec(s, 0)).collect();
-            format!("{}({})", n, a.join(", "))
+            out.push_str(n);
+            args(out, subs);
         }
         Expr::Section(n, ranges) => {
-            let a: Vec<String> = ranges
-                .iter()
-                .map(|r| match r {
-                    SecRange::Full => "*".to_string(),
-                    SecRange::At(e) => expr_prec(e, 0),
-                    SecRange::Range { lo, hi, step } => {
-                        let mut s = String::new();
-                        if let Some(l) = lo {
-                            s.push_str(&expr_prec(l, 0));
-                        }
-                        s.push(':');
-                        if let Some(h) = hi {
-                            s.push_str(&expr_prec(h, 0));
-                        }
-                        if let Some(st) = step {
-                            s.push(':');
-                            s.push_str(&expr_prec(st, 0));
-                        }
-                        s
+            out.push_str(n);
+            out.push('(');
+            write_list(out, ranges, |r, out| match r {
+                SecRange::Full => out.push('*'),
+                SecRange::At(e) => write_expr(e, 0, out),
+                SecRange::Range { lo, hi, step } => {
+                    if let Some(l) = lo {
+                        write_expr(l, 0, out);
                     }
-                })
-                .collect();
-            format!("{}({})", n, a.join(", "))
+                    out.push(':');
+                    if let Some(h) = hi {
+                        write_expr(h, 0, out);
+                    }
+                    if let Some(st) = step {
+                        out.push(':');
+                        write_expr(st, 0, out);
+                    }
+                }
+            });
+            out.push(')');
         }
-        Expr::Intrinsic(i, args) => {
-            let a: Vec<String> = args.iter().map(|s| expr_prec(s, 0)).collect();
-            format!("{}({})", i.name(), a.join(", "))
+        Expr::Intrinsic(i, a) => {
+            out.push_str(i.name());
+            args(out, a);
         }
         Expr::Bin(op, l, r) => {
             let p = prec(*op);
@@ -327,29 +374,39 @@ fn expr_prec(e: &Expr, outer: u8) -> String {
             } else {
                 (p, p + 1)
             };
-            let s = format!("{}{}{}", expr_prec(l, lp), op_str(*op), expr_prec(r, rp));
-            if p < outer {
-                format!("({s})")
-            } else {
-                s
+            let paren = p < outer;
+            if paren {
+                out.push('(');
+            }
+            write_expr(l, lp, out);
+            out.push_str(op_str(*op));
+            write_expr(r, rp, out);
+            if paren {
+                out.push(')');
             }
         }
         Expr::Un(UnOp::Neg, inner) => {
-            let s = format!("-{}", expr_prec(inner, 6));
-            if outer > 4 {
-                format!("({s})")
-            } else {
-                s
+            let paren = outer > 4;
+            if paren {
+                out.push('(');
+            }
+            out.push('-');
+            write_expr(inner, 6, out);
+            if paren {
+                out.push(')');
             }
         }
-        Expr::Un(UnOp::Not, inner) => format!(".NOT. {}", expr_prec(inner, 3)),
-        Expr::Unique(id, args) => {
-            let a: Vec<String> = args.iter().map(|s| expr_prec(s, 0)).collect();
-            format!("UNIQ{}({})", id, a.join(", "))
+        Expr::Un(UnOp::Not, inner) => {
+            out.push_str(".NOT. ");
+            write_expr(inner, 3, out);
         }
-        Expr::Unknown(id, args) => {
-            let a: Vec<String> = args.iter().map(|s| expr_prec(s, 0)).collect();
-            format!("UNKN{}({})", id, a.join(", "))
+        Expr::Unique(id, a) => {
+            let _ = write!(out, "UNIQ{id}");
+            args(out, a);
+        }
+        Expr::Unknown(id, a) => {
+            let _ = write!(out, "UNKN{id}");
+            args(out, a);
         }
     }
 }

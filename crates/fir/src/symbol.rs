@@ -149,19 +149,16 @@ impl SymbolTable {
         }
 
         // Pass 5: implicit declarations for anything referenced in the body.
-        let mut names = Vec::new();
-        collect_names(&unit.body, &mut names);
-        for n in names {
-            if !t.syms.contains_key(&n) {
-                let ty = Type::implicit_for(&n);
+        for_each_name(&unit.body, &mut |n| {
+            if !t.syms.contains_key(n) {
                 t.define(Symbol {
-                    name: n,
-                    ty,
+                    name: n.clone(),
+                    ty: Type::implicit_for(n),
                     dims: vec![],
                     storage: Storage::Local,
                 });
             }
-        }
+        });
 
         // Fold PARAMETER references inside every dimension extent so that
         // `extent_const` works on e.g. `DIMENSION A(N)` with `PARAMETER (N=100)`.
@@ -217,7 +214,7 @@ impl SymbolTable {
     /// names introduced by transformations).
     pub fn get_or_implicit(&self, name: &str) -> Symbol {
         self.get(name).cloned().unwrap_or_else(|| Symbol {
-            name: name.to_string(),
+            name: name.into(),
             ty: Type::implicit_for(name),
             dims: vec![],
             storage: Storage::Local,
@@ -244,7 +241,7 @@ impl SymbolTable {
         let mut v: Vec<&Symbol> = self
             .syms
             .values()
-            .filter(|s| s.storage == Storage::Common(block.to_string()))
+            .filter(|s| matches!(&s.storage, Storage::Common(b) if b == block))
             .collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));
         v
@@ -266,11 +263,12 @@ fn fold_with(e: &mut Expr, params: &HashMap<Ident, Expr>) {
     });
 }
 
-/// Collect every identifier used as a variable or array base in a block.
-fn collect_names(block: &crate::ast::Block, out: &mut Vec<Ident>) {
-    fn expr_names(e: &Expr, out: &mut Vec<Ident>) {
+/// Visit every identifier used as a variable or array base in a block, in
+/// source order (repeats included).
+fn for_each_name(block: &crate::ast::Block, out: &mut impl FnMut(&Ident)) {
+    fn expr_names(e: &Expr, out: &mut impl FnMut(&Ident)) {
         e.walk(&mut |n| match n {
-            Expr::Var(v) | Expr::Index(v, _) | Expr::Section(v, _) => out.push(v.clone()),
+            Expr::Var(v) | Expr::Index(v, _) | Expr::Section(v, _) => out(v),
             _ => {}
         });
     }
@@ -286,17 +284,17 @@ fn collect_names(block: &crate::ast::Block, out: &mut Vec<Ident>) {
                 else_blk,
             } => {
                 expr_names(cond, out);
-                collect_names(then_blk, out);
-                collect_names(else_blk, out);
+                for_each_name(then_blk, out);
+                for_each_name(else_blk, out);
             }
             StmtKind::Do(d) => {
-                out.push(d.var.clone());
+                out(&d.var);
                 expr_names(&d.lo, out);
                 expr_names(&d.hi, out);
                 if let Some(st) = &d.step {
                     expr_names(st, out);
                 }
-                collect_names(&d.body, out);
+                for_each_name(&d.body, out);
             }
             StmtKind::Call { args, .. } => {
                 for a in args {
@@ -308,7 +306,7 @@ fn collect_names(block: &crate::ast::Block, out: &mut Vec<Ident>) {
                     expr_names(i, out);
                 }
             }
-            StmtKind::Tagged { body, .. } => collect_names(body, out),
+            StmtKind::Tagged { body, .. } => for_each_name(body, out),
             StmtKind::Stop { .. } | StmtKind::Return | StmtKind::Continue => {}
         }
     }
@@ -323,7 +321,7 @@ mod tests {
         ProcUnit {
             kind: UnitKind::Subroutine,
             name: "S".into(),
-            params: params.into_iter().map(String::from).collect(),
+            params: params.into_iter().map(Ident::from).collect(),
             decls,
             body,
             span: crate::loc::Span::SYNTH,

@@ -1,5 +1,6 @@
 //! Token definitions for the MiniF77 lexer.
 
+use crate::ast::Ident;
 use crate::loc::Span;
 use std::fmt;
 
@@ -21,7 +22,7 @@ pub enum Tok {
     /// A numeric statement label at the start of a line, e.g. `200 CONTINUE`.
     Label(u32),
     /// Upper-cased identifier.
-    Ident(String),
+    Ident(Ident),
     /// Integer literal.
     Int(i64),
     /// Real literal (covers `1.5`, `2.D0`, `1E-3`).

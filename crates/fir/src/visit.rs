@@ -257,6 +257,6 @@ mod tests {
                 })
             });
         });
-        assert!(names.contains(&"N".to_string()));
+        assert!(names.contains(&"N".into()));
     }
 }

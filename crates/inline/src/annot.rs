@@ -34,6 +34,7 @@
 
 use fir::ast::*;
 use fir::diag::{Error, Result};
+use fir::ident::Interner;
 use fir::loc::Span;
 use std::collections::BTreeMap;
 
@@ -76,7 +77,7 @@ impl AnnotRegistry {
             last_span: Span::SYNTH,
             op_counter: 0,
             loop_counter: 0,
-            sub: String::new(),
+            sub: Ident::default(),
         };
         let mut reg = AnnotRegistry::default();
         while !p.at(&T::Eof) {
@@ -103,7 +104,7 @@ impl AnnotRegistry {
 
 #[derive(Debug, Clone, PartialEq)]
 enum T {
-    Id(String),
+    Id(Ident),
     Int(i64),
     Real(f64),
     LBrace,
@@ -140,6 +141,10 @@ fn lex(src: &str) -> Result<Vec<(T, Span)>> {
     let mut i = 0;
     let mut out: Vec<(T, Span)> = Vec::new();
     let mut line = 1u32;
+    // Upper-cased word buffer and one shared `Ident` per distinct spelling,
+    // so a name allocates once per annotation source.
+    let mut word = String::new();
+    let mut names = Interner::default();
     while i < b.len() {
         let c = b[i];
         match c {
@@ -163,14 +168,10 @@ fn lex(src: &str) -> Result<Vec<(T, Span)>> {
                 while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
                     i += 1;
                 }
-                out.push((
-                    T::Id(
-                        std::str::from_utf8(&b[start..i])
-                            .unwrap()
-                            .to_ascii_uppercase(),
-                    ),
-                    Span::new(start as u32, i as u32, line),
-                ));
+                word.clear();
+                word.extend(b[start..i].iter().map(|c| c.to_ascii_uppercase() as char));
+                let id = names.intern(&word);
+                out.push((T::Id(id), Span::new(start as u32, i as u32, line)));
             }
             b'0'..=b'9' => {
                 let start = i;
@@ -304,7 +305,7 @@ struct P {
     op_counter: u32,
     /// Allocator for annotation loop ids, per subroutine.
     loop_counter: u32,
-    sub: String,
+    sub: Ident,
 }
 
 impl P {
@@ -350,7 +351,7 @@ impl P {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    fn ident(&mut self) -> Result<Ident> {
         match self.bump() {
             T::Id(s) => Ok(s),
             other => Err(Error::parse(
@@ -757,7 +758,7 @@ impl P {
 
 /// An all-point bracket reference is an `Index`; anything with a section
 /// becomes a `Section`.
-fn make_ref(name: String, secs: Vec<SecRange>) -> Expr {
+fn make_ref(name: Ident, secs: Vec<SecRange>) -> Expr {
     if secs.iter().all(|s| matches!(s, SecRange::At(_))) {
         let subs = secs
             .into_iter()

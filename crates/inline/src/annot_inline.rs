@@ -69,7 +69,7 @@ fn decl_names(decls: &[Decl]) -> Vec<Ident> {
 fn walk(
     block: Block,
     reg: &AnnotRegistry,
-    caller: &str,
+    caller: &Ident,
     next_tag: &mut u32,
     report: &mut AnnotInlineReport,
     new_decls: &mut Vec<Decl>,
@@ -81,9 +81,7 @@ fn walk(
                 Some(sub) => {
                     let body = instantiate(sub, args);
                     *next_tag += 1;
-                    report
-                        .tags
-                        .push((*next_tag, caller.to_string(), name.clone()));
+                    report.tags.push((*next_tag, caller.clone(), name.clone()));
                     // Globals declared in the annotation (shapes for arrays
                     // the caller may not know about).
                     for (gname, gdims) in &sub.dims {

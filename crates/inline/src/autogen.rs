@@ -178,9 +178,9 @@ pub fn generate(unit: &ProcUnit, opts: &AutoGenOptions) -> Result<AnnotSub, Auto
     if !calls.is_empty() {
         return Err(AutoGenRefusal::MakesCalls(calls));
     }
-    check_io_and_return(unit, &body)?;
+    check_io_and_return(&body)?;
 
-    let refs = collect_body_refs(&unit.name, &body, &table);
+    let refs = collect_body_refs(&body, &table);
     let visible = visible_in(&table);
     let pool = operand_pool(&refs, &visible, opts)?;
 
@@ -227,7 +227,7 @@ pub(crate) fn called_sites(body: &Block) -> Vec<(Ident, Span)> {
 }
 
 /// Refuse on non-error I/O or an early RETURN (shared structural checks).
-pub(crate) fn check_io_and_return(unit: &ProcUnit, body: &Block) -> Result<(), AutoGenRefusal> {
+pub(crate) fn check_io_and_return(body: &Block) -> Result<(), AutoGenRefusal> {
     let mut has_io = false;
     walk_stmts(body, &mut |s| {
         if matches!(&s.kind, StmtKind::Write { .. } | StmtKind::Stop { .. }) {
@@ -237,31 +237,16 @@ pub(crate) fn check_io_and_return(unit: &ProcUnit, body: &Block) -> Result<(), A
     if has_io {
         return Err(AutoGenRefusal::HasIo);
     }
-    let probe = ProcUnit {
-        body: body.clone(),
-        ..unit.clone()
-    };
-    if crate::heuristics::has_early_return(&probe) {
+    if crate::heuristics::body_has_early_return(body) {
         return Err(AutoGenRefusal::EarlyReturn);
     }
     Ok(())
 }
 
-/// Collect accesses by wrapping `body` in a synthetic one-trip loop (the
-/// collector works per-loop; the wrapper contributes no index var that any
-/// subscript could mention).
-pub(crate) fn collect_body_refs(unit_name: &str, body: &Block, table: &SymbolTable) -> BodyRefs {
-    let wrapper = DoLoop {
-        id: LoopId::new(unit_name, LoopId::ANNOT_BASE),
-        var: "__AG".into(),
-        lo: Expr::int(1),
-        hi: Expr::int(1),
-        step: None,
-        body: body.clone(),
-        directive: None,
-    };
+/// Collect the accesses of `body`, as if it were a loop body.
+pub(crate) fn collect_body_refs(body: &Block, table: &SymbolTable) -> BodyRefs {
     let is_array = |n: &str| table.get(n).map(|s| s.is_array()).unwrap_or(false);
-    BodyRefs::collect(&wrapper, &is_array)
+    BodyRefs::collect_block(body, &is_array)
 }
 
 /// Caller-visibility predicate: COMMON members and formal parameters.

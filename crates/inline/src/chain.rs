@@ -277,7 +277,7 @@ fn derive_unit(
     if autogen::called_sites(&body).is_empty() {
         return autogen::generate(unit, opts).map(|s| (s, false, BTreeMap::new()));
     }
-    autogen::check_io_and_return(unit, &body)?;
+    autogen::check_io_and_return(&body)?;
 
     let table = SymbolTable::build(unit);
     // Shared own-item operand pool: every visible read of the whole
@@ -286,12 +286,11 @@ fn derive_unit(
     // temporaries.
     let pool = {
         let visible = autogen::visible_in(&table);
-        let whole = autogen::collect_body_refs(&unit.name, &body, &table);
+        let whole = autogen::collect_body_refs(&body, &table);
         autogen::operand_pool(&whole, &visible, opts)?
     };
 
     let mut cx = Composer {
-        unit,
         table: &table,
         defined,
         derived,
@@ -340,7 +339,6 @@ fn derive_unit(
 
 /// State threaded through one unit's chain composition.
 struct Composer<'a> {
-    unit: &'a ProcUnit,
     table: &'a SymbolTable,
     defined: &'a BTreeSet<&'a str>,
     derived: &'a AnnotRegistry,
@@ -409,12 +407,12 @@ impl Composer<'_> {
         }
         if self.defined.contains(name) {
             Err(AutoGenRefusal::CalleeUnsummarized {
-                callee: name.to_string(),
+                callee: name.into(),
                 span,
             })
         } else {
             Err(AutoGenRefusal::UnresolvedExternal {
-                callee: name.to_string(),
+                callee: name.into(),
                 span,
             })
         }
@@ -453,7 +451,7 @@ impl Composer<'_> {
                     self.renumber_ops_in(&mut lhs, callee);
                     self.check_region_bounds(&lhs)?;
                     if let Some(b) = base_name(&lhs) {
-                        self.allowed.insert(b.to_string());
+                        self.allowed.insert(b.into());
                     }
                     out.push(Stmt {
                         kind: StmtKind::Assign { lhs, rhs },
@@ -510,7 +508,7 @@ impl Composer<'_> {
     /// Renumber a callee operator id into the caller's id space, keyed by
     /// the operator's *root* origin so identity survives diamonds.
     fn renumber(&mut self, callee: &str, id: u32) -> u32 {
-        let key = (callee.to_string(), id);
+        let key = (Ident::from(callee), id);
         let root = self.origins.get(&key).cloned().unwrap_or(key);
         if let Some(v) = self.op_map.get(&root) {
             *v
@@ -581,7 +579,7 @@ impl Composer<'_> {
             Expr::Int(_) | Expr::Real(_) | Expr::Logical(_) => rhs,
             other => {
                 if let Some(b) = lhs_base {
-                    self.widened.push(b.to_string());
+                    self.widened.push(b.into());
                 }
                 let reads = reads_of(&other);
                 self.next_op += 1;
@@ -632,7 +630,7 @@ impl Composer<'_> {
         }
         if bad {
             Err(AutoGenRefusal::UnrepresentableRegion(
-                base_name(lhs).unwrap_or("<section>").to_string(),
+                base_name(lhs).unwrap_or("<section>").into(),
             ))
         } else {
             Ok(())
@@ -691,7 +689,7 @@ impl Composer<'_> {
     /// Flat-summarize one own statement (leaf semantics, shared pool).
     fn flat_item(&mut self, s: &Stmt, out: &mut Block) -> Result<(), AutoGenRefusal> {
         let body: Block = vec![s.clone()];
-        let refs = autogen::collect_body_refs(&self.unit.name, &body, self.table);
+        let refs = autogen::collect_body_refs(&body, self.table);
         let visible = autogen::visible_in(self.table);
         // The shared pool plus anything only this item reads (substituted
         // callee content can read names the original body did not).
@@ -719,7 +717,7 @@ impl Composer<'_> {
         for st in &out[before..] {
             if let StmtKind::Assign { lhs, .. } = &st.kind {
                 if let Some(b) = base_name(lhs) {
-                    self.allowed.insert(b.to_string());
+                    self.allowed.insert(b.into());
                 }
             }
         }
@@ -764,7 +762,7 @@ fn first_call(s: &Stmt) -> (Ident, Span) {
     autogen::called_sites(&b)
         .into_iter()
         .next()
-        .unwrap_or_else(|| ("<none>".to_string(), s.span))
+        .unwrap_or_else(|| ("<none>".into(), s.span))
 }
 
 #[cfg(test)]

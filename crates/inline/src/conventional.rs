@@ -20,7 +20,7 @@ use fdep::callgraph::CallGraph;
 use fir::ast::*;
 use fir::fold::{fold_expr, normalize_unit};
 use fir::symbol::{Storage, SymbolTable};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// Outcome of conventionally inlining a whole program.
 #[derive(Debug, Clone, Default)]
@@ -55,12 +55,22 @@ pub fn inline_program(p: &mut Program, h: &Heuristics) -> ConvReport {
     // Process callees bottom-up first so that (under aggressive policies)
     // inlining chains expand transitively.
     let order = graph.bottom_up();
-    let mut fresh = FreshNames::default();
+    let mut fresh = FreshNames::new(p);
     for unit_name in order {
         let Some(idx) = p.units.iter().position(|u| u.name == unit_name) else {
             continue;
         };
-        let mut unit = p.units[idx].clone();
+        // Work on the unit itself; its slot keeps only the name until the
+        // rewritten unit goes back.
+        let placeholder = ProcUnit {
+            kind: p.units[idx].kind,
+            name: unit_name.clone(),
+            params: Vec::new(),
+            decls: Vec::new(),
+            body: Vec::new(),
+            span: p.units[idx].span,
+        };
+        let mut unit = std::mem::replace(&mut p.units[idx], placeholder);
         let caller_table = SymbolTable::build(&unit);
         let mut ctx = InlineCtx {
             caller: unit_name.clone(),
@@ -107,15 +117,54 @@ pub fn inline_program(p: &mut Program, h: &Heuristics) -> ConvReport {
     report
 }
 
-#[derive(Default)]
+/// Fresh caller names for renamed callee locals, `{base}_I{n}`. A
+/// candidate the program already spells is skipped, so a renamed local can
+/// never capture a caller variable.
 struct FreshNames {
     counter: u32,
+    taken: HashSet<Ident>,
 }
 
 impl FreshNames {
-    fn next(&mut self, base: &str) -> String {
-        self.counter += 1;
-        format!("{base}_I{}", self.counter)
+    fn new(p: &Program) -> Self {
+        let mut taken: HashSet<Ident> = HashSet::new();
+        for u in &p.units {
+            taken.extend(u.params.iter().cloned());
+            for d in &u.decls {
+                match d {
+                    Decl::Var(v) => {
+                        taken.insert(v.name.clone());
+                    }
+                    Decl::Common { vars, .. } => taken.extend(vars.iter().map(|v| v.name.clone())),
+                    Decl::Param { name, .. } => {
+                        taken.insert(name.clone());
+                    }
+                }
+            }
+            fir::visit::walk_stmts(&u.body, &mut |s| {
+                if let StmtKind::Do(d) = &s.kind {
+                    taken.insert(d.var.clone());
+                }
+                fir::visit::stmt_exprs(s, &mut |e| {
+                    e.walk(&mut |n| {
+                        if let Expr::Var(v) | Expr::Index(v, _) | Expr::Section(v, _) = n {
+                            taken.insert(v.clone());
+                        }
+                    })
+                });
+            });
+        }
+        FreshNames { counter: 0, taken }
+    }
+
+    fn next(&mut self, base: &str) -> Ident {
+        loop {
+            self.counter += 1;
+            let name = Ident::from(format!("{base}_I{}", self.counter));
+            if self.taken.insert(name.clone()) {
+                return name;
+            }
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! externals whose source is unavailable (§I).
 
 use fdep::callgraph::CallGraph;
-use fir::ast::{ProcUnit, StmtKind};
+use fir::ast::{Block, ProcUnit, StmtKind};
 use fir::visit::{contains_io, walk_stmts};
 
 /// Tunable inlining policy (paper defaults in [`Heuristics::polaris`]).
@@ -115,8 +115,13 @@ pub fn check(
 /// True when a RETURN occurs anywhere except as the last top-level
 /// statement (a nested RETURN always counts as early).
 pub fn has_early_return(unit: &ProcUnit) -> bool {
+    body_has_early_return(&unit.body)
+}
+
+/// [`has_early_return`] for a bare subroutine body.
+pub fn body_has_early_return(body: &Block) -> bool {
     let mut total = 0usize;
-    walk_stmts(&unit.body, &mut |s| {
+    walk_stmts(body, &mut |s| {
         if matches!(s.kind, StmtKind::Return) {
             total += 1;
         }
@@ -126,7 +131,7 @@ pub fn has_early_return(unit: &ProcUnit) -> bool {
     }
     // The only benign shape: exactly one RETURN, and it is the final
     // top-level statement.
-    total > 1 || !matches!(unit.body.last().map(|s| &s.kind), Some(StmtKind::Return))
+    total > 1 || !matches!(body.last().map(|s| &s.kind), Some(StmtKind::Return))
 }
 
 #[cfg(test)]

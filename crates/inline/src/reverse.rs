@@ -457,7 +457,7 @@ impl<'a> Matcher<'a> {
             Some(_) => false,
             None => {
                 self.bind.insert(
-                    f.to_string(),
+                    f.into(),
                     Bound::Array {
                         base,
                         offsets,
@@ -488,7 +488,7 @@ impl<'a> Matcher<'a> {
                 }
             }
         }
-        if self.bind_array(f, base.to_string(), offsets, extra) {
+        if self.bind_array(f, base.into(), offsets, extra) {
             true
         } else {
             self.bind = snapshot;
@@ -547,7 +547,7 @@ impl<'a> Matcher<'a> {
                 }
             }
         }
-        if self.bind_array(f, base.to_string(), offsets, extra) {
+        if self.bind_array(f, base.into(), offsets, extra) {
             true
         } else {
             self.bind = snapshot;

@@ -92,7 +92,7 @@ fn modref_rec(
     }
     // Recursion: return an empty summary for the back edge (fixpoint
     // iteration is overkill at name granularity for these codes).
-    if !in_progress.insert(unit_name.to_string()) {
+    if !in_progress.insert(unit_name.into()) {
         return ModRef::default();
     }
     let Some(unit) = p.unit(unit_name) else {
@@ -197,7 +197,7 @@ fn modref_rec(
     }
 
     in_progress.remove(unit_name);
-    memo.insert(unit_name.to_string(), mr.clone());
+    memo.insert(unit_name.into(), mr.clone());
     mr
 }
 

@@ -120,7 +120,7 @@ pub fn parallelize(p: &mut Program, opts: &ParOptions) -> ParReport {
 fn plan_block(
     block: Block,
     table: &SymbolTable,
-    unit_name: &str,
+    unit_name: &Ident,
     opts: &ParOptions,
     inside_parallel: bool,
     report: &mut ParReport,
@@ -130,7 +130,7 @@ fn plan_block(
         match s.kind {
             StmtKind::Do(mut d) => {
                 let ctx = UnitCtx::new(table);
-                let analysis = analyze_loop(&d, &ctx);
+                let mut analysis = analyze_loop(&d, &ctx);
                 let verdict = opts.profit.judge(&analysis);
                 let legal = analysis.parallelizable
                     && (opts.enable_peel
@@ -141,7 +141,7 @@ fn plan_block(
 
                 report.decisions.push(LoopDecision {
                     id: d.id.clone(),
-                    in_unit: unit_name.to_string(),
+                    in_unit: unit_name.clone(),
                     legal,
                     profitable,
                     emitted: emit,
@@ -152,7 +152,32 @@ fn plan_block(
                     // Emit the *transformed* loop (induction variables
                     // substituted) — the raw body still carries the scalar
                     // recurrence and would be wrong to run in parallel.
-                    let mut em = analysis.transformed.clone();
+                    let mut em = analysis.transformed.take().unwrap_or(d);
+                    // Post-loop compensation: each substituted induction
+                    // variable gets its sequential final value,
+                    // `iv = iv + max(trip, 0) * incr`.
+                    let compensation: Vec<Stmt> = analysis
+                        .iv_subs
+                        .iter()
+                        .map(|(name, incr)| {
+                            let trip = Expr::Intrinsic(
+                                fir::ast::Intrinsic::Max,
+                                vec![
+                                    Expr::add(
+                                        Expr::sub(em.hi.clone(), em.lo.clone()),
+                                        Expr::int(1),
+                                    ),
+                                    Expr::int(0),
+                                ],
+                            );
+                            let mut rhs = Expr::add(
+                                Expr::var(name.clone()),
+                                Expr::mul(trip, Expr::int(*incr)),
+                            );
+                            fir::fold::fold_expr(&mut rhs);
+                            Stmt::assign(Expr::var(name.clone()), rhs)
+                        })
+                        .collect();
                     em.body = plan_block(
                         std::mem::take(&mut em.body),
                         table,
@@ -178,28 +203,7 @@ fn plan_block(
                             label: s.label,
                         });
                     }
-                    // Post-loop compensation: each substituted induction
-                    // variable gets its sequential final value,
-                    // `iv = iv + max(trip, 0) * incr`.
-                    for (name, incr) in &analysis.iv_subs {
-                        let trip = Expr::Intrinsic(
-                            fir::ast::Intrinsic::Max,
-                            vec![
-                                Expr::add(
-                                    Expr::sub(
-                                        analysis.transformed.hi.clone(),
-                                        analysis.transformed.lo.clone(),
-                                    ),
-                                    Expr::int(1),
-                                ),
-                                Expr::int(0),
-                            ],
-                        );
-                        let mut rhs =
-                            Expr::add(Expr::var(name.clone()), Expr::mul(trip, Expr::int(*incr)));
-                        fir::fold::fold_expr(&mut rhs);
-                        out.push(Stmt::assign(Expr::var(name.clone()), rhs));
-                    }
+                    out.extend(compensation);
                     continue;
                 }
                 // Not emitted: keep the original body, still analyzing

@@ -9,10 +9,10 @@
 //! count, same `ParLoopEvent`s, same races, same final memory:
 //!
 //! * each [`ProcUnit`] is lowered once into one typed three-address body
-//!   ([`crate::treg`]) whose operands are frame-local indices resolved at
-//!   compile time; a frame is a window of bare `(slot, offset)` registers
-//!   on one flat register stack (shapes live in a side arena), released by
-//!   truncation so steady-state calls allocate nothing;
+//!   (the private `treg` module) whose operands are frame-local indices
+//!   resolved at compile time; a frame is a window of bare `(slot, offset)`
+//!   registers on one flat register stack (shapes live in a side arena),
+//!   released by truncation so steady-state calls allocate nothing;
 //! * DO loops execute as jump-back instructions with an arithmetic trip
 //!   count — no iteration vector is ever materialized;
 //! * op accounting is amortized to straight-line runs: one `Tick` carries
@@ -125,7 +125,7 @@ struct LocalPlan {
     local: u32,
     ty: Type,
     /// COMMON block name, or `None` for a plain local.
-    block: Option<String>,
+    block: Option<Ident>,
     dims: Vec<DimPlan>,
 }
 
@@ -139,7 +139,7 @@ struct Guard {
     class: u8,
     /// The member's COMMON block (its class is read from the directory
     /// before phase 3 binds it); `None` for a formal.
-    block: Option<String>,
+    block: Option<Ident>,
 }
 
 /// Everything needed to build a call frame, phase for phase in the
@@ -169,9 +169,9 @@ struct Spec {
 /// One lowered procedure unit.
 #[derive(Debug, Clone)]
 pub(crate) struct UnitCode {
-    pub(crate) name: String,
+    pub(crate) name: Ident,
     /// Local index → variable name (error messages only).
-    pub(crate) names: Vec<String>,
+    pub(crate) names: Vec<Ident>,
     plan: FramePlan,
     /// The body for the declared type classes, lowered at compile time.
     body: TypedUnit,
@@ -190,7 +190,7 @@ pub struct CompiledProgram<'p> {
     main: Option<usize>,
     /// Pre-resolved COMMON allocations `(block, member, ty, len)` in the
     /// reference engine's preallocation order.
-    commons: Vec<(String, String, Type, usize)>,
+    commons: Vec<(Ident, Ident, Type, usize)>,
     /// Program-wide literal pool: WRITE strings, STOP messages, lowered
     /// error texts. Instructions and [`Flow::Stop`] carry `u32` indices
     /// into this pool, so stop/error propagation across unit boundaries
@@ -358,20 +358,20 @@ fn frame_extents<'t>(unit: &ProcUnit, table: &'t SymbolTable) -> Vec<&'t Expr> {
 /// Per-unit lowering state: the local-name map and the program-wide
 /// string pool the typed lowering ([`crate::treg`]) interns into.
 pub(crate) struct UnitCompiler<'p> {
-    pub(crate) names: Vec<String>,
-    name_idx: HashMap<String, u32>,
+    pub(crate) names: Vec<Ident>,
+    name_idx: HashMap<Ident, u32>,
     strs: &'p mut StrPool,
     pub(crate) unit_by_name: &'p HashMap<&'p str, usize>,
 }
 
 impl<'p> UnitCompiler<'p> {
-    pub(crate) fn local(&mut self, name: &str) -> u32 {
+    pub(crate) fn local(&mut self, name: &Ident) -> u32 {
         if let Some(&i) = self.name_idx.get(name) {
             return i;
         }
         let i = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.name_idx.insert(name.to_string(), i);
+        self.names.push(name.clone());
+        self.name_idx.insert(name.clone(), i);
         i
     }
 

@@ -50,7 +50,7 @@ use crate::bytecode::{
 use crate::interp::{ParLoopEvent, RtError};
 use crate::memory::{flat_view, view_len, Scalar};
 use fir::ast::{
-    BinOp, Block, Expr, Intrinsic, ProcUnit, SecRange, Stmt, StmtKind, Type, UnOp, R64,
+    BinOp, Block, Expr, Ident, Intrinsic, ProcUnit, SecRange, Stmt, StmtKind, Type, UnOp, R64,
 };
 use fir::symbol::SymbolTable;
 
@@ -587,7 +587,7 @@ impl TC<'_, '_> {
         self.depth -= n;
     }
 
-    fn local16(&mut self, name: &str) -> u16 {
+    fn local16(&mut self, name: &Ident) -> u16 {
         let l = self.g.local(name);
         if l > u16::MAX as u32 {
             self.ok = false;

@@ -122,3 +122,36 @@ fn annotation_speedup_not_worse_than_no_inline() {
         );
     }
 }
+
+/// Conventional inlining renames callee locals to `{name}_I{n}`; a caller
+/// variable already spelled that way must not be captured. Here `S`'s
+/// local `T` would become `T_I1`, overwriting the caller's `T_I1 = 5.0`.
+#[test]
+fn conventional_fresh_names_never_capture_caller_variables() {
+    let src = "      PROGRAM MAIN
+      DIMENSION X(10)
+      T_I1 = 5.0
+      DO I = 1, 10
+        CALL S(X(I))
+      ENDDO
+      WRITE(6,*) T_I1
+      END
+      SUBROUTINE S(Y)
+      T = 1.0
+      Y = T
+      END
+";
+    let p = fir::parse(src).unwrap();
+    let r = compile(
+        &p,
+        &Default::default(),
+        &PipelineOptions::for_mode(InlineMode::Conventional),
+    );
+    let inlined = r.conv_report.as_ref().map_or(0, |c| c.inlined.len());
+    assert_eq!(inlined, 1, "the call site must be inlined");
+    let v = verify(&p, &r.program, 4).unwrap();
+    assert!(v.matches_original, "gate 1 rejected the inlined program");
+    // 5.0 in the runtime's list-directed format.
+    let out = fruntime::run(&r.program, &Default::default()).unwrap();
+    assert_eq!(out.io, vec!["5.000000000E0".to_string()]);
+}
