@@ -1,17 +1,15 @@
-//! Suite-evaluation scaling: the legacy serial path (three-run `verify`
-//! plus a separate cost-model run per configuration — 12 interpreter runs
-//! per application) versus the concurrent cached driver (baseline memo +
-//! verify dedup — at most 7 runs per application) at several worker
-//! counts. Run with `cargo bench --bench driver_scaling`.
+//! Suite-evaluation scaling: the concurrent cached driver (baseline memo +
+//! verify dedup — 90 interpreter runs for the suite's 48 cells) over the
+//! PERFECT suite at several worker counts. Run with
+//! `cargo bench -p bench --bench driver_scaling`.
 //!
 //! Emits `crates/bench/artifacts/driver_scaling.json` with the measured
-//! wall-clocks, the driver's interpreter-run accounting, and the headline
-//! speedup of the 4-worker driver over the legacy path.
+//! wall-clocks and the driver's interpreter-run accounting.
 
 use bench::harness::{fmt_dur, median_of};
 use bench::machines;
 use ipp_core::driver::DriverOptions;
-use perfect::{driver_options, evaluate_suite_serial, evaluate_suite_with_metrics};
+use perfect::{driver_options, evaluate_suite_with_metrics};
 use std::time::Duration;
 
 const SAMPLES: usize = 3;
@@ -30,12 +28,6 @@ fn main() {
     let ms = machines();
 
     println!("group: driver_scaling");
-    let legacy = median_of(SAMPLES, || evaluate_suite_serial(&ms));
-    println!(
-        "bench: {:<44} median {:>12}",
-        "driver_scaling/legacy-serial",
-        fmt_dur(legacy)
-    );
 
     let mut samples = Vec::new();
     for workers in WORKER_COUNTS {
@@ -69,13 +61,6 @@ fn main() {
         });
     }
 
-    let at4 = samples
-        .iter()
-        .find(|s| s.workers == 4)
-        .expect("4-worker sample present");
-    let speedup = legacy.as_secs_f64() / at4.median.as_secs_f64();
-    println!("\ndriver_scaling: 4-worker driver vs legacy serial = {speedup:.2}x");
-
     let driver_json: Vec<String> = samples
         .iter()
         .map(|s| {
@@ -90,17 +75,14 @@ fn main() {
             )
         })
         .collect();
-    // 12 apps x (3-run verify x 3 modes + 3 cost-model runs) on the
-    // legacy path; the host CPU count contextualizes the worker curve
-    // (on a single-CPU host the gain is all caching, not fan-out).
+    // The host CPU count contextualizes the worker curve (on a
+    // single-CPU host it is flat).
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\"bench\":\"driver_scaling\",\"samples_per_point\":{},\"host_cpus\":{},\"legacy_interp_runs\":144,\"legacy_serial_median_ns\":{},\"driver\":[{}],\"speedup_w4_vs_legacy\":{:.4}}}\n",
+        "{{\"bench\":\"driver_scaling\",\"samples_per_point\":{},\"host_cpus\":{},\"driver\":[{}]}}\n",
         SAMPLES,
         host_cpus,
-        legacy.as_nanos(),
-        driver_json.join(","),
-        speedup
+        driver_json.join(",")
     );
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts");

@@ -20,8 +20,8 @@
 //! API-compatible wall-clock harness):
 //! * `table2` / `fig20` — wall-clock of the pipeline per configuration and
 //!   of the measurement harness.
-//! * `driver_scaling` — legacy serial evaluation vs the concurrent cached
-//!   driver at several worker counts; emits a JSON artifact.
+//! * `driver_scaling` — the concurrent cached driver over the suite at
+//!   several worker counts; emits a JSON artifact.
 //! * `ablation_threshold` — the ≤150-statement inlining budget swept.
 //! * `ablation_peel` — last-iteration peeling on/off (legality accounting).
 //! * `ablation_reverse` — reverse-inlining pattern matcher tolerance cost.

@@ -33,10 +33,11 @@ use crate::error::{panic_message, FailCause, FailStage, PipelineError};
 use crate::phase::{blocker_counts, CellMetrics, FailureRecord, Phase, PhaseTimings, SuiteMetrics};
 use crate::pipeline::{compile_timed, InlineMode, PipelineOptions, PipelineResult};
 use crate::report::{table2_rows, Fig20Point, Table2Row};
-use crate::verify::{baseline_run_with, verify_with_baseline_using, VerifyResult};
+use crate::tournament::{default_machines, portfolio, tuned_speedup};
+use crate::verify::{baseline_run_with, guarded, verify_with_baseline_using, VerifyResult};
 use finline::annot::AnnotRegistry;
 use fir::ast::Program;
-use fruntime::{simulate, tune, ExecOptions, Machine, RunResult};
+use fruntime::{ExecOptions, Machine, RunResult};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -213,6 +214,48 @@ impl DriverOptions {
             self.effective_workers() * 4
         }
     }
+
+    /// Resolved tournament portfolio: [`DriverOptions::arms`], or the
+    /// default [`portfolio`] when that is empty.
+    pub(crate) fn effective_arms(&self) -> Vec<CellConfig> {
+        if self.arms.is_empty() {
+            portfolio()
+        } else {
+            self.arms.clone()
+        }
+    }
+
+    /// Resolved tournament and daemon machines: [`DriverOptions::machines`], or the
+    /// paper's two hosts ([`default_machines`]) when that is empty. The
+    /// classic matrix reads the field itself: no machines, no Figure 20.
+    pub(crate) fn effective_machines(&self) -> Vec<Machine> {
+        if self.machines.is_empty() {
+            default_machines()
+        } else {
+            self.machines.clone()
+        }
+    }
+
+    /// Executor options for one of a cell's interpreter runs: the op
+    /// budget as deadline, the engine, and `threads` chunks per directive
+    /// loop (1 for the baseline, [`DriverOptions::effective_verify_threads`]
+    /// for verification).
+    pub(crate) fn exec(&self, threads: usize) -> ExecOptions {
+        ExecOptions {
+            threads,
+            max_ops: self.verify_max_ops,
+            engine: self.engine,
+            ..Default::default()
+        }
+    }
+
+    /// The chaos seam: panic deliberately when `name` is listed in
+    /// [`DriverOptions::inject_panic`].
+    pub(crate) fn inject_fault(&self, name: &str) {
+        if self.inject_panic.iter().any(|n| n == name) {
+            panic!("injected fault for {name}");
+        }
+    }
 }
 
 /// Everything the driver produced for one application.
@@ -282,16 +325,28 @@ pub(crate) struct CellDone {
 type VerifySlot = OnceLock<Result<Arc<VerifyResult>, FailCause>>;
 type VerifyCache = HashMap<(usize, u128), Arc<VerifySlot>>;
 
+/// 128-bit FNV-1a, the one content hash under [`source_key`] and
+/// [`crate::service::arm_key`].
+pub(crate) struct Fnv128(pub(crate) u128);
+
+impl Fnv128 {
+    pub(crate) fn new() -> Fnv128 {
+        Fnv128(0x6C62272E07BB014262B821756295C58D)
+    }
+
+    pub(crate) fn eat(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= *b as u128;
+            self.0 = self.0.wrapping_mul(0x0000000001000000000000000000013B);
+        }
+    }
+}
+
 /// 128-bit FNV-1a over the emitted source, the verify-dedup cache key.
 pub fn source_key(source: &str) -> u128 {
-    const OFFSET: u128 = 0x6C62272E07BB014262B821756295C58D;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-    let mut h = OFFSET;
-    for b in source.as_bytes() {
-        h ^= *b as u128;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    let mut h = Fnv128::new();
+    h.eat(source.as_bytes());
+    h.0
 }
 
 /// Wall-clock deadline for one cell or one service request, layered on
@@ -320,12 +375,24 @@ impl WallDeadline {
         self.budget_ms > 0 && self.started.elapsed().as_millis() as u64 >= self.budget_ms
     }
 
-    /// The timeout cause reported when this deadline expires.
-    pub fn cause(&self, max_ops: u64) -> FailCause {
-        FailCause::Timeout {
+    /// The stage-boundary check: once the budget has elapsed, the
+    /// `stage` of `app`'s `mode` cell fails with [`FailCause::Timeout`]
+    /// carrying the op budget and the wall budget that ran out.
+    pub fn check(
+        &self,
+        app: &str,
+        mode: InlineMode,
+        stage: FailStage,
+        max_ops: u64,
+    ) -> Result<(), PipelineError> {
+        if !self.expired() {
+            return Ok(());
+        }
+        let cause = FailCause::Timeout {
             max_ops,
             wall_ms: self.budget_ms,
-        }
+        };
+        Err(PipelineError::in_cell(app, mode, stage, cause))
     }
 }
 
@@ -494,43 +561,16 @@ fn evaluate_cell_inner(
     let cfg = &shared.configs[cfg_idx];
     let mode = cfg.mode();
     let opts = shared.opts;
+    let max_ops = opts.verify_max_ops;
     let mut timings = PhaseTimings::default();
     let deadline = WallDeadline::start(opts.wall_budget_ms);
-    let check_deadline = |stage: FailStage| -> Result<(), PipelineError> {
-        if deadline.expired() {
-            Err(PipelineError::in_cell(
-                &job.name,
-                mode,
-                stage,
-                deadline.cause(opts.verify_max_ops),
-            ))
-        } else {
-            Ok(())
-        }
-    };
-
-    if opts.inject_panic.iter().any(|n| n == &job.name) {
-        panic!("injected fault for {}", job.name);
-    }
+    opts.inject_fault(&job.name);
 
     let result =
         compile_timed(&job.program, &job.registry, &cfg.opts, &mut timings).map_err(|d| {
             PipelineError::in_cell(&job.name, mode, FailStage::Compile, FailCause::Diag(d))
         })?;
-    check_deadline(FailStage::Compile)?;
-
-    let max_ops = opts.verify_max_ops;
-    let base_opts = ExecOptions {
-        max_ops,
-        engine: opts.engine,
-        ..Default::default()
-    };
-    let par_opts = ExecOptions {
-        threads: opts.effective_verify_threads(),
-        max_ops,
-        engine: opts.engine,
-        ..Default::default()
-    };
+    deadline.check(&job.name, mode, FailStage::Compile, max_ops)?;
 
     let mut cell_runs = 0u64;
     let mut verify_cached = false;
@@ -541,18 +581,9 @@ fn evaluate_cell_inner(
         let run_baseline = |runs: &mut u64| -> Arc<Result<RunResult, FailCause>> {
             shared.interp_runs.fetch_add(1, Ordering::Relaxed);
             *runs += 1;
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                baseline_run_with(&job.program, &base_opts)
-            }));
-            Arc::new(match out {
-                Ok(Ok(r)) => Ok(r),
-                Ok(Err(e)) if e.is_budget() => Err(FailCause::Timeout {
-                    max_ops,
-                    wall_ms: 0,
-                }),
-                Ok(Err(e)) => Err(FailCause::Runtime(e)),
-                Err(payload) => Err(FailCause::Panic(panic_message(&*payload))),
-            })
+            Arc::new(guarded(max_ops, || {
+                baseline_run_with(&job.program, &opts.exec(1))
+            }))
         };
         let base: Arc<Result<RunResult, FailCause>> = if opts.baseline_memo {
             if shared.baselines[app_idx].get().is_some() {
@@ -575,23 +606,16 @@ fn evaluate_cell_inner(
                 ))
             }
         };
-        check_deadline(FailStage::Baseline)?;
+        deadline.check(&job.name, mode, FailStage::Baseline, max_ops)?;
 
         let run_verify = |runs: &mut u64| -> Result<Arc<VerifyResult>, FailCause> {
             shared.interp_runs.fetch_add(2, Ordering::Relaxed);
             *runs += 2;
-            let out = catch_unwind(AssertUnwindSafe(|| {
+            let par_opts = opts.exec(opts.effective_verify_threads());
+            guarded(max_ops, || {
                 verify_with_baseline_using(base, &result.program, &par_opts)
-            }));
-            match out {
-                Ok(Ok(v)) => Ok(Arc::new(v)),
-                Ok(Err(e)) if e.is_budget() => Err(FailCause::Timeout {
-                    max_ops,
-                    wall_ms: 0,
-                }),
-                Ok(Err(e)) => Err(FailCause::Runtime(e)),
-                Err(payload) => Err(FailCause::Panic(panic_message(&*payload))),
-            }
+            })
+            .map(Arc::new)
         };
 
         let verified = if opts.verify_cache {
@@ -626,22 +650,24 @@ fn evaluate_cell_inner(
     // still reported as a timeout — that is what a deadline means to a
     // caller holding a per-request budget (the computed result is
     // discarded with the error).
-    check_deadline(FailStage::Verify)?;
+    deadline.check(&job.name, mode, FailStage::Verify, max_ops)?;
 
     // Figure 20: simulate each machine with empirical tuning, from the
     // verification's sequential run (no extra interpreter run).
-    let mut fig20 = Vec::with_capacity(opts.machines.len());
-    for m in &opts.machines {
-        let disabled = tune(&verify.par_events, m);
-        let sim = simulate(verify.total_ops, &verify.par_events, m, &disabled);
-        fig20.push(Fig20Point {
-            app: job.name.clone(),
-            config: cfg.label.clone(),
-            machine: m.name.to_string(),
-            speedup: sim.speedup(),
-            tuned_off: disabled.len(),
-        });
-    }
+    let fig20 = opts
+        .machines
+        .iter()
+        .map(|m| {
+            let (speedup, tuned_off) = tuned_speedup(&verify, m);
+            Fig20Point {
+                app: job.name.clone(),
+                config: cfg.label.clone(),
+                machine: m.name.to_string(),
+                speedup,
+                tuned_off,
+            }
+        })
+        .collect();
 
     let metrics = CellMetrics {
         app: job.name.clone(),
@@ -1079,8 +1105,15 @@ mod tests {
         let d = WallDeadline::start(1);
         std::thread::sleep(std::time::Duration::from_millis(3));
         assert!(d.expired());
+        assert!(WallDeadline::start(0)
+            .check("A", InlineMode::None, FailStage::Compile, 7)
+            .is_ok());
+        let e = d
+            .check("A", InlineMode::None, FailStage::Compile, 7)
+            .unwrap_err();
+        assert_eq!(e.stage, FailStage::Compile);
         assert!(matches!(
-            d.cause(7),
+            e.cause,
             FailCause::Timeout {
                 max_ops: 7,
                 wall_ms: 1

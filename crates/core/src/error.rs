@@ -130,26 +130,6 @@ impl PipelineError {
         }
     }
 
-    /// Map a runtime-tester error, classifying budget exhaustion as a
-    /// timeout against the given op budget.
-    pub fn from_rt(
-        app: impl Into<String>,
-        mode: InlineMode,
-        stage: FailStage,
-        e: RtError,
-        max_ops: u64,
-    ) -> Self {
-        let cause = if e.is_budget() {
-            FailCause::Timeout {
-                max_ops,
-                wall_ms: 0,
-            }
-        } else {
-            FailCause::Runtime(e)
-        };
-        PipelineError::in_cell(app, mode, stage, cause)
-    }
-
     /// True when the failure is a deadline, not a hard error.
     pub fn is_timeout(&self) -> bool {
         matches!(self.cause, FailCause::Timeout { .. })
@@ -228,18 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_errors_become_timeouts() {
-        let rt = RtError {
-            message: "op budget exhausted (possible runaway loop)".into(),
-            kind: fruntime::RtErrorKind::Budget,
-            ops: None,
-        };
-        let e = PipelineError::from_rt("X", InlineMode::None, FailStage::Verify, rt, 500);
-        assert!(e.is_timeout());
-        assert!(e.cause_message().contains("500"));
-    }
-
-    #[test]
     fn cause_codes_are_pinned() {
         // The wire protocol dispatches on these strings; changing one is
         // a protocol break. This test pins the full set.
@@ -269,6 +237,9 @@ mod tests {
         let wall = PipelineError::in_cell("A", InlineMode::None, FailStage::Verify, wall_timeout);
         assert!(wall.is_timeout());
         assert!(wall.cause_message().contains("250 ms"), "{wall}");
+        let ops = PipelineError::in_cell("A", InlineMode::None, FailStage::Verify, op_timeout);
+        assert!(ops.is_timeout());
+        assert!(ops.cause_message().contains("100 ops"), "{ops}");
     }
 
     #[test]

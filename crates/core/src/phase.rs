@@ -232,21 +232,16 @@ pub(crate) fn vm_to_json(c: &fruntime::VmCounters) -> String {
 
 impl CellMetrics {
     fn to_json(&self) -> String {
-        let blockers: Vec<String> = self
-            .blockers
-            .iter()
-            .map(|(k, v)| format!("{}:{}", quote(k), v))
-            .collect();
         let autogen = match &self.autogen {
             Some(a) => format!(",\"autogen\":{}", a.to_json()),
             None => String::new(),
         };
         format!(
-            "{{\"app\":{},\"config\":{},\"phases\":{},\"blockers\":{{{}}},\"loops_total\":{},\"loops_parallel\":{},\"interp_runs\":{},\"verify_cached\":{},\"vm\":{}{}}}",
+            "{{\"app\":{},\"config\":{},\"phases\":{},\"blockers\":{},\"loops_total\":{},\"loops_parallel\":{},\"interp_runs\":{},\"verify_cached\":{},\"vm\":{}{}}}",
             quote(&self.app),
             quote(&self.config),
             self.phases.to_json(),
-            blockers.join(","),
+            json_count_map(&self.blockers),
             self.loops_total,
             self.loops_parallel,
             self.interp_runs,
@@ -439,6 +434,26 @@ pub fn quote(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// A count map as a JSON object, keys quoted, in map order.
+pub fn json_count_map<K: AsRef<str>, V: std::fmt::Display>(map: &BTreeMap<K, V>) -> String {
+    let fields: Vec<String> = map
+        .iter()
+        .map(|(k, v)| format!("{}:{}", quote(k.as_ref()), v))
+        .collect();
+    format!("{{{}}}", fields.join(","))
+}
+
+/// A nullable JSON value: the rendered value, or `null`.
+pub fn json_or_null(value: Option<String>) -> String {
+    value.unwrap_or_else(|| "null".to_string())
+}
+
+/// A JSON array of quoted strings.
+pub fn json_str_array<S: AsRef<str>>(items: &[S]) -> String {
+    let quoted: Vec<String> = items.iter().map(|s| quote(s.as_ref())).collect();
+    format!("[{}]", quoted.join(","))
 }
 
 #[cfg(test)]

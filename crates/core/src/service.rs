@@ -3,40 +3,46 @@
 //! [`crate::driver::run_suite`] is a batch API: one call owns the worker
 //! pool, the caches, and the whole matrix. A long-lived daemon
 //! (`crates/server`) has the opposite shape — many independent requests
-//! arriving over time, each asking for **one** (program × mode) cell,
-//! sharing caches *across* requests instead of within one run. This
-//! module is that per-request surface:
+//! arriving over time, each asking for one (program × mode) cell or one
+//! portfolio tournament, sharing caches *across* requests instead of
+//! within one run. This module is that per-request surface:
 //!
 //! * [`evaluate_request`] — parse → compile → verify for a single
-//!   (source, annotations, mode) triple, reusing the driver's budget
-//!   machinery ([`DriverOptions::verify_max_ops`],
-//!   [`DriverOptions::wall_budget_ms`], [`WallDeadline`]) and its fault
-//!   classification ([`PipelineError`]); every failure mode, panics
-//!   included, comes back as a structured error;
+//!   (source, annotations, mode) triple;
+//! * [`evaluate_tournament`] — every portfolio arm for one request, with
+//!   one shared parse and baseline run and one wall-clock deadline;
 //! * [`RequestCache`] — a bounded, content-addressed compile/verify
-//!   cache shared across requests. Keys extend the driver's 128-bit
-//!   FNV-1a source keying over (mode, source, annotations, op budget);
-//!   values are the deterministic [`RequestReport`]s, so a cache hit is
-//!   byte-identical to recomputation. Capacity-bounded with FIFO
-//!   eviction and full accounting — a hostile client cannot grow it
-//!   without bound;
+//!   cache shared across requests, keyed by [`arm_key`] over (arm label,
+//!   source, annotations, op budget); values are the deterministic
+//!   [`RequestReport`]s, so a cache hit is byte-identical to
+//!   recomputation. Capacity-bounded with FIFO eviction and full
+//!   accounting — a hostile client cannot grow it without bound;
 //! * [`ServerMetrics`] — the daemon-wide observability report, the
 //!   service counterpart of [`crate::phase::SuiteMetrics`].
 //!
+//! The verdict itself is the batch driver's, from the same helpers: the
+//! guarded interpreter run (`verify::guarded`), the budgets and
+//! chaos seam of [`DriverOptions`] with the stage checks of
+//! [`WallDeadline`], the per-machine score (`MachineScore::all`), the
+//! tournament winner rule and the FNV-1a content hash of
+//! [`crate::driver::source_key`]. Every failure mode, panics included,
+//! comes back as a structured [`PipelineError`].
+//!
 //! Determinism contract: a [`RequestReport`] is a pure function of
-//! (source, annotations, mode, op budget, engine). Schedule-dependent
-//! measurements (timings, cache luck) are deliberately excluded — the
-//! hostile-load soak asserts byte-identical responses for identical
-//! requests across runs and worker counts, and this is the struct those
-//! responses are rendered from.
+//! (source, annotations, mode, op budget, engine, machines).
+//! Schedule-dependent measurements (timings, cache luck) are
+//! deliberately excluded — the hostile-load soak asserts byte-identical
+//! responses for identical requests across runs and worker counts, and
+//! this is the struct those responses are rendered from.
 
-use crate::driver::{CellConfig, DriverOptions, WallDeadline};
+use crate::driver::{source_key, DriverOptions, Fnv128, WallDeadline};
 use crate::error::{panic_message, FailCause, FailStage, PipelineError};
-use crate::phase::{blocker_key, quote, PhaseTimings};
-use crate::pipeline::{compile_timed, InlineMode, PipelineOptions};
-use crate::tournament::{default_machines, geomean_micros, portfolio, MachineScore};
-use crate::verify::{baseline_run_with, verify_with_baseline_using, VerifyResult};
-use fruntime::{simulate, tune, ExecOptions};
+use crate::phase::{blocker_key, json_count_map, PhaseTimings};
+use crate::pipeline::{compile_timed, InlineMode, PipelineOptions, PipelineResult};
+use crate::tournament::{winner_index, MachineScore};
+use crate::verify::{baseline_run_with, guarded, verify_with_baseline_using, VerifyResult};
+use fir::ast::Program;
+use fruntime::Machine;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -57,8 +63,9 @@ pub struct LoopSummary {
 }
 
 /// Everything a completed service request reports. Pure function of the
-/// request content (plus the daemon's fixed op budget and engine): no
-/// wall-clock, no cache statistics, no schedule-dependent counters.
+/// request content (plus the daemon's fixed op budget, engine and
+/// machines): no wall-clock, no cache statistics, no schedule-dependent
+/// counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestReport {
     /// Inlining configuration the request asked for.
@@ -79,8 +86,9 @@ pub struct RequestReport {
     pub loops: Vec<LoopSummary>,
     /// Loops judged parallel (count of `loops` with `parallel`).
     pub loops_parallel: usize,
-    /// Cost-model scores on the paper's evaluation machines
-    /// ([`default_machines`]): tuned speedup per machine in micro-units.
+    /// Cost-model scores on [`DriverOptions::machines`] (the paper's
+    /// two hosts, [`crate::tournament::default_machines`], when empty): tuned speedup per machine in
+    /// micro-units.
     /// Derived from the verification run's event trace — deterministic,
     /// so cache-safe and comparison-safe like every other field.
     pub speedups: Vec<MachineScore>,
@@ -96,15 +104,9 @@ impl RequestReport {
     }
 
     /// Tournament score: geometric mean of the per-machine speedups,
-    /// micro-units ([`geomean_micros`]).
+    /// micro-units.
     pub fn score_micros(&self) -> u64 {
-        geomean_micros(
-            &self
-                .speedups
-                .iter()
-                .map(|s| s.speedup_micros as f64 / 1e6)
-                .collect::<Vec<f64>>(),
-        )
+        MachineScore::geomean(&self.speedups)
     }
 }
 
@@ -114,14 +116,16 @@ impl RequestReport {
 /// Reuses from [`DriverOptions`]: `verify_max_ops` (per-run op budget,
 /// expiry → [`FailCause::Timeout`]), `wall_budget_ms` (per-request
 /// wall-clock deadline via [`WallDeadline`], checked at every stage
-/// boundary), `engine`, `effective_verify_threads`, and the
+/// boundary), `engine`, `effective_verify_threads`, `machines` (the
+/// paper's two hosts when empty), and the
 /// `inject_panic` chaos seam (a request whose `name` is listed panics
 /// deliberately, exercising the isolation boundary under live traffic).
 ///
-/// Never panics: every stage runs behind `catch_unwind` (directly here
-/// for the interpreter runs, via the pipeline's per-stage wrappers for
-/// compilation), so a hostile request degrades to an `Err` and the
-/// calling worker lives on.
+/// Never panics: the interpreter runs go through
+/// `verify::guarded` (a panic there is [`FailCause::Panic`], as
+/// in the batch driver), compilation through the pipeline's per-stage
+/// wrappers, and the whole request through one more `catch_unwind`, so a
+/// hostile request degrades to an `Err` and the calling worker lives on.
 pub fn evaluate_request(
     name: &str,
     source: &str,
@@ -180,93 +184,41 @@ fn parse_request(
     Ok((program, registry))
 }
 
-/// Run the original program behind the isolation boundary. The baseline
-/// is configuration-independent; a tournament runs it once per request.
-fn baseline_guarded(
+/// The original program's guarded run. The baseline is
+/// configuration-independent; a tournament runs it once per request.
+fn run_baseline(
     name: &str,
     mode: InlineMode,
-    program: &fir::ast::Program,
+    program: &Program,
     opts: &DriverOptions,
 ) -> Result<fruntime::RunResult, PipelineError> {
-    let max_ops = opts.verify_max_ops;
-    let base_opts = ExecOptions {
-        max_ops,
-        engine: opts.engine,
-        ..Default::default()
-    };
-    catch_unwind(AssertUnwindSafe(|| baseline_run_with(program, &base_opts)))
-        .unwrap_or_else(|p| {
-            Err(fruntime::RtError {
-                message: panic_message(&*p),
-                kind: fruntime::RtErrorKind::General,
-                ops: None,
-            })
-        })
-        .map_err(|e| {
-            if e.is_budget() {
-                PipelineError::in_cell(
-                    name,
-                    mode,
-                    FailStage::Baseline,
-                    FailCause::Timeout {
-                        max_ops,
-                        wall_ms: 0,
-                    },
-                )
-            } else {
-                PipelineError::in_cell(name, mode, FailStage::Baseline, FailCause::Runtime(e))
-            }
-        })
+    guarded(opts.verify_max_ops, || {
+        baseline_run_with(program, &opts.exec(1))
+    })
+    .map_err(|cause| PipelineError::in_cell(name, mode, FailStage::Baseline, cause))
 }
 
-/// Verify an optimized program against the shared baseline behind the
-/// isolation boundary.
-fn verify_guarded(
+/// The optimized program's guarded verification against the baseline.
+fn run_verify(
     name: &str,
     mode: InlineMode,
     base: &fruntime::RunResult,
-    optimized: &fir::ast::Program,
+    optimized: &Program,
     opts: &DriverOptions,
 ) -> Result<VerifyResult, PipelineError> {
-    let max_ops = opts.verify_max_ops;
-    let par_opts = ExecOptions {
-        threads: opts.effective_verify_threads(),
-        max_ops,
-        engine: opts.engine,
-        ..Default::default()
-    };
-    catch_unwind(AssertUnwindSafe(|| {
+    let par_opts = opts.exec(opts.effective_verify_threads());
+    guarded(opts.verify_max_ops, || {
         verify_with_baseline_using(base, optimized, &par_opts)
-    }))
-    .unwrap_or_else(|p| {
-        Err(fruntime::RtError {
-            message: panic_message(&*p),
-            kind: fruntime::RtErrorKind::General,
-            ops: None,
-        })
     })
-    .map_err(|e| {
-        if e.is_budget() {
-            PipelineError::in_cell(
-                name,
-                mode,
-                FailStage::Verify,
-                FailCause::Timeout {
-                    max_ops,
-                    wall_ms: 0,
-                },
-            )
-        } else {
-            PipelineError::in_cell(name, mode, FailStage::Verify, FailCause::Runtime(e))
-        }
-    })
+    .map_err(|cause| PipelineError::in_cell(name, mode, FailStage::Verify, cause))
 }
 
 /// Build the deterministic report from a compiled + verified arm.
 fn report_from(
     mode: InlineMode,
-    result: &crate::pipeline::PipelineResult,
+    result: &PipelineResult,
     verify: &VerifyResult,
+    machines: &[Machine],
 ) -> RequestReport {
     // Per-loop verdicts: aggregate the planner's decisions per distinct
     // original loop (annotation-body copies excluded), blockers deduped
@@ -293,18 +245,7 @@ fn report_from(
         })
         .collect();
     let loops_parallel = loops.iter().filter(|l| l.parallel).count();
-    let speedups: Vec<MachineScore> = default_machines()
-        .iter()
-        .map(|m| {
-            let disabled = tune(&verify.par_events, m);
-            let sim = simulate(verify.total_ops, &verify.par_events, m, &disabled);
-            MachineScore {
-                machine: m.name.to_string(),
-                speedup_micros: (sim.speedup() * 1e6).round() as u64,
-                tuned_off: disabled.len(),
-            }
-        })
-        .collect();
+    let speedups = MachineScore::all(verify, machines);
 
     RequestReport {
         mode,
@@ -316,7 +257,7 @@ fn report_from(
         loops,
         loops_parallel,
         speedups,
-        source_key: crate::driver::source_key(&result.source),
+        source_key: source_key(&result.source),
     }
 }
 
@@ -330,25 +271,10 @@ fn evaluate_request_inner(
 ) -> Result<RequestReport, PipelineError> {
     let deadline = WallDeadline::start(opts.wall_budget_ms);
     let max_ops = opts.verify_max_ops;
-    let check = |stage: FailStage| -> Result<(), PipelineError> {
-        if deadline.expired() {
-            Err(PipelineError::in_cell(
-                name,
-                mode,
-                stage,
-                deadline.cause(max_ops),
-            ))
-        } else {
-            Ok(())
-        }
-    };
-
-    if opts.inject_panic.iter().any(|n| n == name) {
-        panic!("injected fault for {name}");
-    }
+    opts.inject_fault(name);
 
     let (program, registry) = parse_request(name, source, annotations)?;
-    check(FailStage::Parse)?;
+    deadline.check(name, mode, FailStage::Parse, max_ops)?;
 
     let mut timings = PhaseTimings::default();
     let result = compile_timed(
@@ -358,16 +284,21 @@ fn evaluate_request_inner(
         &mut timings,
     )
     .map_err(|d| PipelineError::in_cell(name, mode, FailStage::Compile, FailCause::Diag(d)))?;
-    check(FailStage::Compile)?;
+    deadline.check(name, mode, FailStage::Compile, max_ops)?;
 
-    let base = baseline_guarded(name, mode, &program, opts)?;
-    check(FailStage::Baseline)?;
+    let base = run_baseline(name, mode, &program, opts)?;
+    deadline.check(name, mode, FailStage::Baseline, max_ops)?;
 
-    let verify = verify_guarded(name, mode, &base, &result.program, opts)?;
-    check(FailStage::Verify)?;
+    let verify = run_verify(name, mode, &base, &result.program, opts)?;
+    deadline.check(name, mode, FailStage::Verify, max_ops)?;
     vm.absorb(&verify.vm);
 
-    Ok(report_from(mode, &result, &verify))
+    Ok(report_from(
+        mode,
+        &result,
+        &verify,
+        &opts.effective_machines(),
+    ))
 }
 
 /// Content address for a request: 128-bit FNV-1a over the mode label,
@@ -386,28 +317,23 @@ pub fn request_key(mode: InlineMode, source: &str, annotations: &str, max_ops: u
 /// arms (`conventional-tight`, ...) have their own labels and therefore
 /// their own entries.
 pub fn arm_key(label: &str, source: &str, annotations: &str, max_ops: u64) -> u128 {
-    const OFFSET: u128 = 0x6C62272E07BB014262B821756295C58D;
-    const PRIME: u128 = 0x0000000001000000000000000000013B;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= *b as u128;
-            h = h.wrapping_mul(PRIME);
-        }
-        h ^= 0xFF;
-        h = h.wrapping_mul(PRIME);
-    };
-    eat(label.as_bytes());
-    eat(source.as_bytes());
-    eat(annotations.as_bytes());
-    eat(&max_ops.to_le_bytes());
-    h
+    let mut h = Fnv128::new();
+    for part in [
+        label.as_bytes(),
+        source.as_bytes(),
+        annotations.as_bytes(),
+        &max_ops.to_le_bytes(),
+    ] {
+        h.eat(part);
+        h.eat(&[0xFF]);
+    }
+    h.0
 }
 
 /// One arm's row in a service tournament response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArmSummary {
-    /// Arm label ([`CellConfig::label`]).
+    /// Arm label ([`crate::driver::CellConfig::label`]).
     pub arm: String,
     /// Inlining mode underlying the arm.
     pub mode: InlineMode,
@@ -446,12 +372,12 @@ pub struct TournamentReport {
 }
 
 /// Evaluate a portfolio tournament for one request: every arm of
-/// [`DriverOptions::arms`] (or the default [`portfolio`]) compiled and
-/// verified against a *shared* parse and baseline run, with intra-request
-/// verify dedup (arms emitting byte-identical source share one
-/// verification) and per-arm [`RequestCache`] sharing via [`arm_key`] —
-/// the service counterpart of [`crate::tournament::run_tournament`]'s
-/// cache discipline.
+/// [`DriverOptions::arms`] (the default portfolio when empty) compiled
+/// and verified against a *shared* parse and baseline run, with
+/// intra-request verify dedup (arms emitting byte-identical source share
+/// one verification) and per-arm [`RequestCache`] sharing via
+/// [`arm_key`] — the service counterpart of
+/// [`crate::tournament::run_tournament`]'s cache discipline.
 ///
 /// Budgets: one [`WallDeadline`] spans the whole tournament; each
 /// interpreter run keeps the usual per-run op budget. Returns `Err` only
@@ -504,17 +430,11 @@ fn evaluate_tournament_inner(
     cache: Option<&RequestCache>,
     vm: &mut fruntime::VmCounters,
 ) -> Result<TournamentReport, PipelineError> {
-    let arms: Vec<CellConfig> = if opts.arms.is_empty() {
-        portfolio()
-    } else {
-        opts.arms.clone()
-    };
+    let arms = opts.effective_arms();
+    let machines = opts.effective_machines();
     let deadline = WallDeadline::start(opts.wall_budget_ms);
     let max_ops = opts.verify_max_ops;
-
-    if opts.inject_panic.iter().any(|n| n == name) {
-        panic!("injected fault for {name}");
-    }
+    opts.inject_fault(name);
 
     let (program, registry) = parse_request(name, source, annotations)?;
 
@@ -527,13 +447,8 @@ fn evaluate_tournament_inner(
     let mut outcomes: Vec<CachedOutcome> = Vec::with_capacity(arms.len());
     for cfg in &arms {
         let mode = cfg.mode();
-        if deadline.expired() {
-            outcomes.push(Err(PipelineError::in_cell(
-                name,
-                mode,
-                FailStage::Driver,
-                deadline.cause(max_ops),
-            )));
+        if let Err(e) = deadline.check(name, mode, FailStage::Driver, max_ops) {
+            outcomes.push(Err(e));
             continue;
         }
         let key = arm_key(&cfg.label, source, annotations, max_ops);
@@ -548,20 +463,20 @@ fn evaluate_tournament_inner(
                     PipelineError::in_cell(name, mode, FailStage::Compile, FailCause::Diag(d))
                 })?;
             if baseline.is_none() {
-                baseline = Some(baseline_guarded(name, mode, &program, opts)?);
+                baseline = Some(run_baseline(name, mode, &program, opts)?);
             }
             let base = baseline.as_ref().expect("baseline just initialized");
-            let skey = crate::driver::source_key(&result.source);
+            let skey = source_key(&result.source);
             let verify = match verify_memo.get(&skey) {
                 Some(v) => v.clone(),
                 None => {
-                    let v = verify_guarded(name, mode, base, &result.program, opts)?;
+                    let v = run_verify(name, mode, base, &result.program, opts)?;
                     vm.absorb(&v.vm);
                     verify_memo.insert(skey, v.clone());
                     v
                 }
             };
-            Ok(Arc::new(report_from(mode, &result, &verify)))
+            Ok(Arc::new(report_from(mode, &result, &verify, &machines)))
         })();
         if let Some(c) = cache {
             c.insert(key, computed.clone());
@@ -620,14 +535,6 @@ fn evaluate_tournament_inner(
         return Err(first_err.expect("all-failed tournament has an error"));
     }
 
-    // Winner: highest score, ties to the earliest arm in portfolio order.
-    let winner_idx: Option<usize> = summaries
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| s.score_micros.map(|sc| (i, sc)))
-        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-        .map(|(i, _)| i);
-
     let parallel_set = |r: &RequestReport| -> std::collections::BTreeSet<String> {
         r.loops
             .iter()
@@ -635,7 +542,8 @@ fn evaluate_tournament_inner(
             .map(|l| format!("{}#{}", l.unit, l.idx))
             .collect()
     };
-    let (winner, winner_mode, winner_score, gained, lost) = match winner_idx {
+    let winner = winner_index(summaries.iter().map(|s| s.score_micros));
+    let (winner, winner_mode, winner_score, gained, lost) = match winner {
         Some(w) => {
             let win = reports[w].as_deref().expect("scored arm has a report");
             let none_rep: Option<&RequestReport> = arms
@@ -869,13 +777,8 @@ impl ServerMetrics {
     /// Serialize as a JSON object (hand-rolled, like every other report
     /// in the workspace).
     pub fn to_json(&self) -> String {
-        let codes: Vec<String> = self
-            .failure_codes
-            .iter()
-            .map(|(k, v)| format!("{}:{}", quote(k), v))
-            .collect();
         format!(
-            "{{\"wall_ns\":{},\"connections\":{},\"connections_rejected\":{},\"protocol_errors\":{},\"requests\":{},\"tournament_requests\":{},\"shed\":{},\"throttled\":{},\"rejected_draining\":{},\"completed_ok\":{},\"failed\":{},\"timed_out\":{},\"panicked\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\"cache_entries\":{},\"queue_peak\":{},\"in_flight_at_drain\":{},\"failure_codes\":{{{}}},\"vm\":{}}}",
+            "{{\"wall_ns\":{},\"connections\":{},\"connections_rejected\":{},\"protocol_errors\":{},\"requests\":{},\"tournament_requests\":{},\"shed\":{},\"throttled\":{},\"rejected_draining\":{},\"completed_ok\":{},\"failed\":{},\"timed_out\":{},\"panicked\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\"cache_entries\":{},\"queue_peak\":{},\"in_flight_at_drain\":{},\"failure_codes\":{},\"vm\":{}}}",
             self.wall_nanos,
             self.connections,
             self.connections_rejected,
@@ -895,7 +798,7 @@ impl ServerMetrics {
             self.cache_entries,
             self.queue_peak,
             self.in_flight_at_drain,
-            codes.join(","),
+            json_count_map(&self.failure_codes),
             crate::phase::vm_to_json(&self.vm)
         )
     }
@@ -1107,7 +1010,7 @@ mod tests {
         let opts = DriverOptions::default();
         let cache = RequestCache::new(64);
         let t = evaluate_tournament("T", SRC, "", &opts, Some(&cache)).unwrap();
-        assert_eq!(t.arms.len(), portfolio().len());
+        assert_eq!(t.arms.len(), crate::tournament::portfolio().len());
         assert!(t.winner.is_some(), "{t:?}");
         for arm in &t.arms {
             if let Some(s) = arm.score_micros {

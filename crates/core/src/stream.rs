@@ -25,7 +25,7 @@
 //! Wall-clock and VM counters live on the [`StreamOutcome`] next to it.
 
 use crate::driver::{run_suite, AppReport, DriverOptions, SuiteJob, SuiteOutcome};
-use crate::phase::{quote, AutogenCoverage, PhaseTimings};
+use crate::phase::{json_count_map, AutogenCoverage, PhaseTimings};
 use std::collections::BTreeMap;
 
 /// Deterministic aggregate over every cell of a streamed corpus.
@@ -106,18 +106,8 @@ impl StreamSummary {
 
     /// Serialize the deterministic aggregate as a JSON object.
     pub fn to_json(&self) -> String {
-        let blockers: Vec<String> = self
-            .blockers
-            .iter()
-            .map(|(k, v)| format!("{}:{}", quote(k), v))
-            .collect();
-        let stages: Vec<String> = self
-            .failure_stages
-            .iter()
-            .map(|(k, v)| format!("{}:{}", quote(k), v))
-            .collect();
         format!(
-            "{{\"window\":{},\"programs\":{},\"cells\":{},\"failed_cells\":{},\"timed_out_cells\":{},\"panicked_cells\":{},\"verified_ok\":{},\"interp_runs\":{},\"verify_cache_hits\":{},\"loops_total\":{},\"loops_parallel\":{},\"blockers\":{{{}}},\"autogen\":{},\"failure_stages\":{{{}}}}}",
+            "{{\"window\":{},\"programs\":{},\"cells\":{},\"failed_cells\":{},\"timed_out_cells\":{},\"panicked_cells\":{},\"verified_ok\":{},\"interp_runs\":{},\"verify_cache_hits\":{},\"loops_total\":{},\"loops_parallel\":{},\"blockers\":{},\"autogen\":{},\"failure_stages\":{}}}",
             self.window,
             self.programs,
             self.cells,
@@ -129,9 +119,9 @@ impl StreamSummary {
             self.verify_cache_hits,
             self.loops_total,
             self.loops_parallel,
-            blockers.join(","),
+            json_count_map(&self.blockers),
             self.autogen.to_json(),
-            stages.join(",")
+            json_count_map(&self.failure_stages)
         )
     }
 }

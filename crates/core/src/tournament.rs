@@ -29,9 +29,10 @@
 //! byte-identical reports across worker counts.
 
 use crate::driver::{run_matrix, CellConfig, DriverOptions, SuiteJob};
-use crate::phase::{quote, SuiteMetrics};
+use crate::phase::{json_count_map, json_or_null, json_str_array, quote, SuiteMetrics};
 use crate::pipeline::{InlineMode, PipelineOptions, PipelineResult};
 use crate::report::{extra_loops, lost_loops};
+use crate::verify::VerifyResult;
 use finline::Heuristics;
 use fruntime::{simulate, tune, Machine};
 use std::collections::BTreeMap;
@@ -95,6 +96,57 @@ pub struct MachineScore {
     pub speedup_micros: u64,
     /// Loops the empirical tuner disabled on this machine.
     pub tuned_off: usize,
+}
+
+/// The §IV-B cost model on one machine: empirical tuning (loops that run
+/// slower in parallel are disabled) and then the simulation, from a
+/// verification's sequential-run trace. Returns the tuned speedup, exact
+/// as Figure 20 reports it, and the number of loops tuned off.
+pub(crate) fn tuned_speedup(verify: &VerifyResult, m: &Machine) -> (f64, usize) {
+    let disabled = tune(&verify.par_events, m);
+    let sim = simulate(verify.total_ops, &verify.par_events, m, &disabled);
+    (sim.speedup(), disabled.len())
+}
+
+impl MachineScore {
+    /// Score `verify` on every machine, in order ([`tuned_speedup`]
+    /// rounded to micro-units).
+    pub(crate) fn all(verify: &VerifyResult, machines: &[Machine]) -> Vec<MachineScore> {
+        machines
+            .iter()
+            .map(|m| {
+                let (speedup, tuned_off) = tuned_speedup(verify, m);
+                MachineScore {
+                    machine: m.name.to_string(),
+                    speedup_micros: (speedup * 1e6).round() as u64,
+                    tuned_off,
+                }
+            })
+            .collect()
+    }
+
+    /// An arm's tournament score: the geometric mean of its per-machine
+    /// speedups ([`geomean_micros`]).
+    pub(crate) fn geomean(scores: &[MachineScore]) -> u64 {
+        let speedups: Vec<f64> = scores
+            .iter()
+            .map(|s| s.speedup_micros as f64 / 1e6)
+            .collect();
+        geomean_micros(&speedups)
+    }
+}
+
+/// The winner rule of every tournament: the highest score wins, ties go
+/// to the earliest arm in portfolio order (so widening the portfolio never
+/// flips a tie away from the classic configuration that held it). `None`
+/// when no arm scored.
+pub(crate) fn winner_index(scores: impl IntoIterator<Item = Option<u64>>) -> Option<usize> {
+    scores
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, s)| s.map(|sc| (i, sc)))
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+        .map(|(i, _)| i)
 }
 
 /// One arm's row in a per-app tournament: score, shape, and failure
@@ -198,16 +250,8 @@ pub fn geomean_micros(speedups: &[f64]) -> u64 {
 /// paper's two hosts when empty). Arms come from [`DriverOptions::arms`],
 /// or [`portfolio`] when that is empty.
 pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutcome {
-    let arms: Vec<CellConfig> = if opts.arms.is_empty() {
-        portfolio()
-    } else {
-        opts.arms.clone()
-    };
-    let machines: Vec<Machine> = if opts.machines.is_empty() {
-        default_machines()
-    } else {
-        opts.machines.clone()
-    };
+    let arms = opts.effective_arms();
+    let machines = opts.effective_machines();
 
     let mx = run_matrix(jobs, &arms, opts);
     let mut apps = Vec::with_capacity(jobs.len());
@@ -224,37 +268,12 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
                         arms_cached += 1;
                     }
                     let ok = done.verify.ok();
-                    let machine_scores: Vec<MachineScore> = if ok {
-                        machines
-                            .iter()
-                            .map(|m| {
-                                let disabled = tune(&done.verify.par_events, m);
-                                let sim = simulate(
-                                    done.verify.total_ops,
-                                    &done.verify.par_events,
-                                    m,
-                                    &disabled,
-                                );
-                                MachineScore {
-                                    machine: m.name.to_string(),
-                                    speedup_micros: (sim.speedup() * 1e6).round() as u64,
-                                    tuned_off: disabled.len(),
-                                }
-                            })
-                            .collect()
+                    let machine_scores = if ok {
+                        MachineScore::all(&done.verify, &machines)
                     } else {
                         Vec::new()
                     };
-                    let score = if ok {
-                        Some(geomean_micros(
-                            &machine_scores
-                                .iter()
-                                .map(|s| s.speedup_micros as f64 / 1e6)
-                                .collect::<Vec<f64>>(),
-                        ))
-                    } else {
-                        None
-                    };
+                    let score = ok.then(|| MachineScore::geomean(&machine_scores));
                     scores.push(ArmScore {
                         arm: cfg.label.clone(),
                         mode: cfg.mode().label(),
@@ -287,17 +306,8 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
             }
         }
 
-        // Winner: highest score, ties to the earliest arm in portfolio
-        // order (so widening the portfolio never flips a tie away from
-        // the classic configuration that held it).
-        let winner_idx: Option<usize> = scores
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.score_micros.map(|sc| (i, sc)))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i);
-
-        let (winner, winner_score, gained, lost, directives) = match winner_idx {
+        let winner = winner_index(scores.iter().map(|s| s.score_micros));
+        let (winner, winner_score, gained, lost, directives) = match winner {
             Some(w) => {
                 let win_res = payloads[w].as_deref().expect("scored arm retains payload");
                 // Diff against the first completed no-inline arm, when
@@ -359,11 +369,6 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
     }
 }
 
-fn json_str_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| quote(s)).collect();
-    format!("[{}]", quoted.join(","))
-}
-
 impl ArmScore {
     fn to_json(&self) -> String {
         let machines: Vec<String> = self
@@ -378,28 +383,18 @@ impl ArmScore {
                 )
             })
             .collect();
-        let blockers: Vec<String> = self
-            .blockers
-            .iter()
-            .map(|(k, v)| format!("{}:{}", quote(k), v))
-            .collect();
         format!(
-            "{{\"arm\":{},\"mode\":{},\"ok\":{},\"score_micros\":{},\"machines\":[{}],\"loops_total\":{},\"loops_parallel\":{},\"loc\":{},\"blockers\":{{{}}},\"error\":{}}}",
+            "{{\"arm\":{},\"mode\":{},\"ok\":{},\"score_micros\":{},\"machines\":[{}],\"loops_total\":{},\"loops_parallel\":{},\"loc\":{},\"blockers\":{},\"error\":{}}}",
             quote(&self.arm),
             quote(self.mode),
             self.ok,
-            self.score_micros
-                .map(|s| s.to_string())
-                .unwrap_or_else(|| "null".to_string()),
+            json_or_null(self.score_micros.map(|s| s.to_string())),
             machines.join(","),
             self.loops_total,
             self.loops_parallel,
             self.loc,
-            blockers.join(","),
-            self.error
-                .as_deref()
-                .map(quote)
-                .unwrap_or_else(|| "null".to_string()),
+            json_count_map(&self.blockers),
+            json_or_null(self.error.as_deref().map(quote)),
         )
     }
 }
@@ -410,10 +405,7 @@ impl AppTournament {
         format!(
             "{{\"app\":{},\"winner\":{},\"winner_score_micros\":{},\"gained\":{},\"lost\":{},\"directives\":{},\"interp_runs\":{},\"arms_cached\":{},\"arms\":[{}]}}",
             quote(&self.app),
-            self.winner
-                .as_deref()
-                .map(quote)
-                .unwrap_or_else(|| "null".to_string()),
+            json_or_null(self.winner.as_deref().map(quote)),
             self.winner_score_micros,
             json_str_array(&self.gained),
             json_str_array(&self.lost),

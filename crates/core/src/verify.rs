@@ -12,9 +12,14 @@
 //!    reductions compared with a tolerance);
 //! 3. the runtime race checker must find no cross-iteration conflicts in
 //!    any parallelized loop.
+//!
+//! `guarded` is the isolation boundary every evaluator (the batch
+//! driver, the daemon) runs these interpreter calls behind.
 
+use crate::error::{panic_message, FailCause};
 use fir::ast::Program;
 use fruntime::{run, run_compiled, Engine, ExecOptions, RtError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Result of verifying one optimized program against its original.
 #[derive(Debug, Clone)]
@@ -134,6 +139,25 @@ pub fn verify(
     verify_with_baseline(&base, optimized, threads)
 }
 
+/// Run one interpreter call behind the isolation boundary and classify
+/// its failure: op-budget exhaustion becomes [`FailCause::Timeout`] with
+/// `wall_ms: 0` (against `max_ops`), a caught panic [`FailCause::Panic`],
+/// any other runtime error [`FailCause::Runtime`].
+pub(crate) fn guarded<T>(
+    max_ops: u64,
+    run: impl FnOnce() -> Result<T, RtError>,
+) -> Result<T, FailCause> {
+    match catch_unwind(AssertUnwindSafe(run)) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(e)) if e.is_budget() => Err(FailCause::Timeout {
+            max_ops,
+            wall_ms: 0,
+        }),
+        Ok(Err(e)) => Err(FailCause::Runtime(e)),
+        Err(payload) => Err(FailCause::Panic(panic_message(&*payload))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,5 +226,30 @@ mod tests {
         });
         let v = verify(&p, &bad, 4).unwrap();
         assert!(!v.parallel_consistent || v.races > 0, "{v:?}");
+    }
+
+    #[test]
+    fn guard_classifies_budget_panic_and_runtime_errors() {
+        let rt = |kind| RtError {
+            message: "boom".into(),
+            kind,
+            ops: None,
+        };
+        assert_eq!(guarded(7, || Ok::<_, RtError>(3)), Ok(3));
+        assert_eq!(
+            guarded(500, || Err::<(), _>(rt(fruntime::RtErrorKind::Budget))),
+            Err(FailCause::Timeout {
+                max_ops: 500,
+                wall_ms: 0
+            })
+        );
+        assert_eq!(
+            guarded(500, || Err::<(), _>(rt(fruntime::RtErrorKind::General))),
+            Err(FailCause::Runtime(rt(fruntime::RtErrorKind::General)))
+        );
+        let caught = guarded(500, || -> Result<(), RtError> { panic!("interpreter bug") });
+        assert_eq!(caught, Err(FailCause::Panic("interpreter bug".into())));
+        // Panics and wall-clock expiries stay out of the daemon's cache.
+        assert_eq!(caught.unwrap_err().code(), "panic");
     }
 }

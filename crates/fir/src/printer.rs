@@ -327,8 +327,19 @@ fn write_expr(e: &Expr, outer: u8, out: &mut String) {
         Expr::Real(R64(x)) => {
             if x.fract() == 0.0 && x.abs() < 1e15 {
                 let _ = write!(out, "{x:.1}");
-            } else {
+            } else if x.abs() < 1e15 {
+                // Non-integral: `Display` has a decimal point.
                 let _ = write!(out, "{x}");
+            } else {
+                // `Display` would spell 1e30 as 31 digits, an INTEGER
+                // literal to the lexer: use an exponent with a decimal point.
+                let exp = format!("{x:E}");
+                match exp.split_once('E') {
+                    Some((m, e)) if !m.contains('.') => {
+                        let _ = write!(out, "{m}.0E{e}");
+                    }
+                    _ => out.push_str(&exp),
+                }
             }
         }
         Expr::Str(s) => write_quoted(s, out),
@@ -619,5 +630,15 @@ C comment line
             vec![SecRange::Full, SecRange::At(Expr::var("IDE"))],
         );
         assert_eq!(expr_str(&e), "FE(*, IDE)");
+    }
+
+    #[test]
+    fn large_reals_print_in_exponent_form() {
+        assert_eq!(expr_str(&Expr::real(1e30)), "1.0E30");
+        assert_eq!(expr_str(&Expr::real(-1.5e20)), "-1.5E20");
+        assert_eq!(expr_str(&Expr::real(1e15)), "1.0E15");
+        assert_eq!(expr_str(&Expr::real(123.0)), "123.0");
+        assert_eq!(expr_str(&Expr::real(0.25)), "0.25");
+        roundtrip("      PROGRAM P\n      IF (X .GT. 1.0E30) X = 2.5D20\n      END\n");
     }
 }

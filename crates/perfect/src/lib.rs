@@ -20,7 +20,7 @@ pub mod track;
 pub mod trfd;
 
 pub use metrics::{
-    driver_options, evaluate_app, evaluate_app_serial, evaluate_suite, evaluate_suite_serial,
-    evaluate_suite_with_metrics, suite_job, suite_jobs, AppEvaluation, VERIFY_THREADS,
+    driver_options, evaluate_app, evaluate_suite, evaluate_suite_with_metrics, suite_job,
+    suite_jobs, AppEvaluation, VERIFY_THREADS,
 };
 pub use suite::{all, by_name, App};

@@ -8,19 +8,11 @@
 //! with the runtime testers (original ≡ optimized, sequential ≡ threaded),
 //! measures the op counts, applies the §IV-B empirical-tuning step per
 //! machine, and emits the table rows / figure points.
-//!
-//! [`evaluate_app_serial`] preserves the pre-driver serial path — one
-//! full three-run `verify` plus a separate cost-model run per
-//! configuration — as the baseline the `driver_scaling` benchmark
-//! measures the driver against.
 
 use crate::suite::App;
-use fruntime::{run, simulate, tune, ExecOptions, Machine};
+use fruntime::Machine;
 use ipp_core::driver::{run_suite, AppReport, DriverOptions, SuiteJob, SuiteOutcome};
-use ipp_core::{
-    compile, table2_rows, verify_with_baseline_using, Fig20Point, InlineMode, PipelineOptions,
-    PipelineResult, SuiteMetrics, Table2Row, VerifyResult,
-};
+use ipp_core::{Fig20Point, InlineMode, PipelineResult, SuiteMetrics, Table2Row, VerifyResult};
 
 /// Everything measured for one application.
 #[derive(Debug, Clone)]
@@ -118,80 +110,6 @@ pub fn evaluate_suite_with_metrics(
     (evals, metrics)
 }
 
-/// The pre-driver serial path: per configuration, one three-run `verify`
-/// against the original plus a separate sequential run for the cost model
-/// — 16 interpreter runs per application (4 configurations), no
-/// memoization. Kept as the
-/// measured baseline for the `driver_scaling` benchmark and the
-/// driver-equivalence tests.
-pub fn evaluate_app_serial(app: &App, machines: &[Machine]) -> AppEvaluation {
-    let program = app.program();
-    let registry = app.registry();
-
-    let mut results = Vec::new();
-    let mut verifies = Vec::new();
-    let mut fig20 = Vec::new();
-
-    let par_opts = ExecOptions {
-        threads: VERIFY_THREADS,
-        ..Default::default()
-    };
-
-    for mode in InlineMode::all() {
-        let r = compile(&program, &registry, &PipelineOptions::for_mode(mode));
-        let base = ipp_core::baseline_run(&program).unwrap_or_else(|e| {
-            panic!(
-                "{} [{}]: runtime tester failed: {e}",
-                app.name,
-                mode.label()
-            )
-        });
-        let v = verify_with_baseline_using(&base, &r.program, &par_opts).unwrap_or_else(|e| {
-            panic!(
-                "{} [{}]: runtime tester failed: {e}",
-                app.name,
-                mode.label()
-            )
-        });
-
-        // Figure 20: simulate each machine with empirical tuning.
-        let seq = run(&r.program, &ExecOptions::default())
-            .unwrap_or_else(|e| panic!("{} [{}]: {e}", app.name, mode.label()));
-        for m in machines {
-            let disabled = tune(&seq.par_events, m);
-            let sim = simulate(seq.total_ops, &seq.par_events, m, &disabled);
-            fig20.push(Fig20Point {
-                app: app.name.to_string(),
-                config: mode.label().to_string(),
-                machine: m.name.to_string(),
-                speedup: sim.speedup(),
-                tuned_off: disabled.len(),
-            });
-        }
-
-        verifies.push((mode, v));
-        results.push((mode, r));
-    }
-
-    let rows = table2_rows(app.name, &results[0].1, &results[1].1, &results[2].1);
-    AppEvaluation {
-        name: app.name,
-        rows,
-        fig20,
-        verify: verifies,
-        results,
-        failures: Vec::new(),
-    }
-}
-
-/// Evaluate the whole suite on the legacy serial path (bench baseline).
-pub fn evaluate_suite_serial(machines: &[Machine]) -> Vec<AppEvaluation> {
-    crate::suite::all()
-        .iter()
-        .map(|a| evaluate_app_serial(a, machines))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,15 +151,42 @@ mod tests {
     }
 
     #[test]
-    fn driver_matches_serial_path_on_one_app() {
+    fn driver_matches_uncached_driver_and_plain_runs_on_one_app() {
         let app = by_name("TRFD").unwrap();
         let machines = [Machine::intel8(), Machine::amd4()];
         let fast = evaluate_app(&app, &machines);
-        let slow = evaluate_app_serial(&app, &machines);
+        let (slow, _) = ipp_core::driver::run_app(
+            &suite_job(&app),
+            &DriverOptions {
+                workers: 1,
+                baseline_memo: false,
+                verify_cache: false,
+                ..driver_options(&machines)
+            },
+        );
         assert_eq!(fast.rows, slow.rows);
         assert_eq!(fast.fig20, slow.fig20);
+        assert_eq!(fast.results.len(), slow.results.len());
         for ((_, a), (_, b)) in fast.results.iter().zip(&slow.results) {
             assert_eq!(a.source, b.source);
         }
+        // Figure 20 comes from the race-checked verification run; a plain
+        // run of each emitted program must yield the same points.
+        let mut plain = Vec::new();
+        for (mode, r) in &fast.results {
+            let seq = fruntime::run(&r.program, &fruntime::ExecOptions::default()).unwrap();
+            for m in &machines {
+                let disabled = fruntime::tune(&seq.par_events, m);
+                let sim = fruntime::simulate(seq.total_ops, &seq.par_events, m, &disabled);
+                plain.push(Fig20Point {
+                    app: app.name.to_string(),
+                    config: mode.label().to_string(),
+                    machine: m.name.to_string(),
+                    speedup: sim.speedup(),
+                    tuned_off: disabled.len(),
+                });
+            }
+        }
+        assert_eq!(fast.fig20, plain);
     }
 }

@@ -35,7 +35,7 @@
 //! runs, worker counts, and daemon instances.
 
 use ipp_core::error::PipelineError;
-use ipp_core::phase::quote;
+use ipp_core::phase::{json_or_null, json_str_array, quote};
 use ipp_core::pipeline::InlineMode;
 use ipp_core::service::{RequestReport, ServerMetrics, TournamentReport};
 use std::fmt;
@@ -318,13 +318,12 @@ fn report_json(r: &RequestReport) -> String {
         .loops
         .iter()
         .map(|l| {
-            let blockers: Vec<String> = l.blockers.iter().map(|b| quote(b)).collect();
             format!(
-                "{{\"unit\":{},\"idx\":{},\"parallel\":{},\"blockers\":[{}]}}",
+                "{{\"unit\":{},\"idx\":{},\"parallel\":{},\"blockers\":{}}}",
                 quote(&l.unit),
                 l.idx,
                 l.parallel,
-                blockers.join(",")
+                json_str_array(&l.blockers)
             )
         })
         .collect();
@@ -367,34 +366,20 @@ fn tournament_json(t: &TournamentReport) -> String {
                 quote(&a.arm),
                 quote(a.mode.label()),
                 a.verified,
-                a.score_micros
-                    .map(|s| s.to_string())
-                    .unwrap_or_else(|| "null".to_string()),
+                json_or_null(a.score_micros.map(|s| s.to_string())),
                 a.loops_parallel,
                 a.loc,
-                a.error
-                    .as_deref()
-                    .map(quote)
-                    .unwrap_or_else(|| "null".to_string()),
+                json_or_null(a.error.as_deref().map(quote)),
             )
         })
         .collect();
-    let strs = |v: &[String]| -> String {
-        let q: Vec<String> = v.iter().map(|s| quote(s)).collect();
-        format!("[{}]", q.join(","))
-    };
     format!(
         "{{\"winner\":{},\"winner_mode\":{},\"winner_score_micros\":{},\"gained\":{},\"lost\":{},\"arms\":[{}]}}",
-        t.winner
-            .as_deref()
-            .map(quote)
-            .unwrap_or_else(|| "null".to_string()),
-        t.winner_mode
-            .map(|m| quote(m.label()))
-            .unwrap_or_else(|| "null".to_string()),
+        json_or_null(t.winner.as_deref().map(quote)),
+        json_or_null(t.winner_mode.map(|m| quote(m.label()))),
         t.winner_score_micros,
-        strs(&t.gained),
-        strs(&t.lost),
+        json_str_array(&t.gained),
+        json_str_array(&t.lost),
         arms.join(",")
     )
 }

@@ -255,11 +255,19 @@ fn bytecode_engine_matches_tree_walker_on_generated_programs() {
 // Printer/parser round trip for generated bodies
 // ---------------------------------------------------------------------------
 
+/// An operand for the printer round trip: small literals and variables,
+/// plus REALs at the extremes (beyond `Display`'s digit form, subnormal,
+/// negative zero).
 fn small_value(rng: &mut Rng) -> String {
-    match rng.range(0, 3) {
+    match rng.range(0, 8) {
         0 => rng.range(1, 99).to_string(),
         1 => format!("{}.5", rng.range(1, 99)),
         2 => "X".to_string(),
+        3 => "1.0E30".to_string(),
+        4 => "-1.5E20".to_string(),
+        5 => "1.0E-300".to_string(),
+        6 => "5.0E-324".to_string(),
+        7 => "-0.0".to_string(),
         _ => "Y".to_string(),
     }
 }
