@@ -69,14 +69,6 @@ pub struct LoopAnalysis {
     pub iv_subs: Vec<(Ident, i64)>,
 }
 
-impl LoopAnalysis {
-    /// Convenience: true when the only obstacle is profitability, never
-    /// legality.
-    pub fn is_legal(&self) -> bool {
-        self.parallelizable
-    }
-}
-
 /// Unit-level context: the symbol table answers "is this an array?" and
 /// "does this variable escape the loop?".
 pub struct UnitCtx<'a> {

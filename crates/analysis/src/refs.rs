@@ -134,17 +134,6 @@ impl BodyRefs {
         v
     }
 
-    /// Distinct scalar names written.
-    pub fn written_scalars(&self) -> Vec<Ident> {
-        let mut v: Vec<Ident> = Vec::new();
-        for s in &self.scalars {
-            if s.is_write && !v.contains(&s.name) {
-                v.push(s.name.clone());
-            }
-        }
-        v
-    }
-
     /// Accesses to one array.
     pub fn accesses_of(&self, array: &str) -> Vec<&ArrayAccess> {
         self.arrays.iter().filter(|a| a.array == array).collect()

@@ -71,15 +71,6 @@ impl ScalarInfo {
             .map(|(n, _c)| n.clone())
             .collect()
     }
-
-    /// Induction candidates.
-    pub fn inductions(&self) -> Vec<Ident> {
-        self.classes
-            .iter()
-            .filter(|&(_n, c)| matches!(c, ScalarClass::Induction { .. }))
-            .map(|(n, _c)| n.clone())
-            .collect()
-    }
 }
 
 /// A self-update statement `X = X op e` found in the body.

@@ -17,6 +17,7 @@
 
 use bench::harness::alloc_counter::{self, CountingAlloc};
 use bench::harness::median_of;
+use ipp_core::{json, json_object};
 use ipp_core::{run_stream, DriverOptions, StreamOutcome, StreamSummary};
 use std::time::Duration;
 
@@ -89,35 +90,29 @@ fn main() {
     );
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let runs: Vec<String> = points
+    let runs: Vec<_> = points
         .iter()
         .map(|(w, out, median)| {
-            format!(
-                "{{\"workers\":{},\"effective_workers\":{},\"window\":{},\"median_ns\":{},\"programs_per_sec\":{:.3}}}",
-                w,
-                out.workers,
-                out.window,
-                median.as_nanos(),
-                PROGRAMS as f64 / median.as_secs_f64()
-            )
+            json::from_fn(move |o| {
+                let per_sec = format!("{:.3}", PROGRAMS as f64 / median.as_secs_f64());
+                json_object!(o, {
+                    "workers": w, "effective_workers": out.workers, "window": out.window,
+                    "median_ns": median.as_nanos(), "programs_per_sec": json::Raw(&per_sec),
+                });
+            })
         })
         .collect();
-    let json = format!(
-        "{{\"bench\":\"corpus_throughput\",\"seed\":{},\"programs\":{},\"samples_per_point\":{},\"host_cpus\":{},\"runs\":[{}],\"alloc_events\":{},\"alloc_events_per_cell\":{},\"phases\":{},\"summary\":{}}}\n",
-        SEED,
-        PROGRAMS,
-        SAMPLES,
-        host_cpus,
-        runs.join(","),
-        allocs,
-        allocs_per_cell,
-        metered.phases.to_json(),
-        s.to_json()
-    );
+    let mut artifact = json_object!({
+        "bench": "corpus_throughput", "seed": SEED, "programs": PROGRAMS,
+        "samples_per_point": SAMPLES, "host_cpus": host_cpus, "runs": runs,
+        "alloc_events": allocs, "alloc_events_per_cell": allocs_per_cell,
+        "phases": metered.phases, "summary": s,
+    });
+    artifact.push('\n');
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts");
     std::fs::create_dir_all(&dir).expect("create artifacts dir");
     let path = dir.join("corpus_throughput.json");
-    std::fs::write(&path, &json).expect("write corpus_throughput.json");
+    std::fs::write(&path, &artifact).expect("write corpus_throughput.json");
     println!("artifact: {}", path.display());
 }

@@ -9,6 +9,8 @@
 use bench::harness::{fmt_dur, median_of};
 use bench::machines;
 use ipp_core::driver::DriverOptions;
+use ipp_core::json::ToJson;
+use ipp_core::json_object;
 use perfect::{driver_options, evaluate_suite_with_metrics};
 use std::time::Duration;
 
@@ -22,6 +24,16 @@ struct DriverSample {
     interp_runs: u64,
     memo_hits: u64,
     cache_hits: u64,
+}
+
+impl ToJson for DriverSample {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "workers": self.workers, "effective_workers": self.effective_workers,
+            "median_ns": self.median.as_nanos(), "interp_runs": self.interp_runs,
+            "baseline_memo_hits": self.memo_hits, "verify_cache_hits": self.cache_hits,
+        });
+    }
 }
 
 fn main() {
@@ -61,33 +73,18 @@ fn main() {
         });
     }
 
-    let driver_json: Vec<String> = samples
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"workers\":{},\"effective_workers\":{},\"median_ns\":{},\"interp_runs\":{},\"baseline_memo_hits\":{},\"verify_cache_hits\":{}}}",
-                s.workers,
-                s.effective_workers,
-                s.median.as_nanos(),
-                s.interp_runs,
-                s.memo_hits,
-                s.cache_hits
-            )
-        })
-        .collect();
     // The host CPU count contextualizes the worker curve (on a
     // single-CPU host it is flat).
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let json = format!(
-        "{{\"bench\":\"driver_scaling\",\"samples_per_point\":{},\"host_cpus\":{},\"driver\":[{}]}}\n",
-        SAMPLES,
-        host_cpus,
-        driver_json.join(",")
-    );
+    let mut artifact = json_object!({
+        "bench": "driver_scaling", "samples_per_point": SAMPLES, "host_cpus": host_cpus,
+        "driver": samples,
+    });
+    artifact.push('\n');
 
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts");
     std::fs::create_dir_all(&dir).expect("create artifacts dir");
     let path = dir.join("driver_scaling.json");
-    std::fs::write(&path, &json).expect("write driver_scaling.json");
+    std::fs::write(&path, &artifact).expect("write driver_scaling.json");
     println!("artifact: {}", path.display());
 }

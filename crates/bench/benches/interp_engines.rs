@@ -19,6 +19,7 @@ use bench::harness::{fmt_dur, median_of};
 use fruntime::interp::OP_CLASS_NAMES;
 use fruntime::{run, Engine, ExecOptions, VmCounters};
 use ipp_core::{compile, InlineMode, PipelineOptions};
+use ipp_core::{json, json_object};
 use std::time::Duration;
 
 #[global_allocator]
@@ -99,59 +100,39 @@ fn main() {
         (ctr, checksum)
     });
     println!(
-        "vm counters: insns={} fused={} fused_ticks={} fused_int={} scal_prebound={} calls={} pool_hits={} pool_misses={} peak_depth={} warm_allocs={} typed_specializations={} reference_runs={} (pass allocs={allocs})",
-        ctr.insns_retired,
-        ctr.fused_insns,
-        ctr.fused_ticks,
-        ctr.fused_int,
-        ctr.scal_prebound,
-        ctr.calls,
-        ctr.pool_hits,
-        ctr.pool_misses,
-        ctr.peak_call_depth,
-        ctr.warm_allocs,
-        ctr.typed_specializations,
-        ctr.reference_runs
+        "vm counters: {} (pass allocs={allocs})",
+        json::to_string(&ctr)
     );
-    let class_json: Vec<String> = OP_CLASS_NAMES
-        .iter()
-        .zip(ctr.class_retired)
-        .map(|(name, count)| format!("\"{name}\":{count}"))
-        .collect();
-    let class_json = class_json.join(",");
-    println!("vm retire histogram: {class_json}");
+    let class_retired = json::from_fn(|out| {
+        let mut obj = json::object(out);
+        for (name, count) in OP_CLASS_NAMES.iter().zip(ctr.class_retired) {
+            obj.field(name, &count);
+        }
+        obj.end();
+    });
+    println!("vm retire histogram: {}", json::to_string(&class_retired));
 
     if quick {
         println!("quick mode: skipping artifact write");
         return;
     }
 
-    let json = format!(
-        "{{\"bench\":\"interp_engines\",\"samples_per_point\":{},\"workload\":\"race-checked sequential verification run, {} programs ({} apps x 3 inline modes); tick-folded control ops charge merged budget runs\",\"tree_walker_median_ns\":{},\"bytecode_vm_median_ns\":{},\"speedup_vm_vs_tree\":{:.4},\"vm_counters\":{{\"insns_retired\":{},\"fused_insns\":{},\"fused_ticks\":{},\"fused_int\":{},\"scal_prebound\":{},\"calls\":{},\"pool_hits\":{},\"pool_misses\":{},\"peak_call_depth\":{},\"warm_allocs\":{},\"typed_specializations\":{},\"reference_runs\":{}}},\"vm_class_retired\":{{{}}},\"vm_pass_alloc_events\":{}}}\n",
-        samples,
+    let workload = format!(
+        "race-checked sequential verification run, {} programs ({} apps x 3 inline modes); tick-folded control ops charge merged budget runs",
         programs.len(),
-        apps.len(),
-        tree.as_nanos(),
-        vm.as_nanos(),
-        speedup,
-        ctr.insns_retired,
-        ctr.fused_insns,
-        ctr.fused_ticks,
-        ctr.fused_int,
-        ctr.scal_prebound,
-        ctr.calls,
-        ctr.pool_hits,
-        ctr.pool_misses,
-        ctr.peak_call_depth,
-        ctr.warm_allocs,
-        ctr.typed_specializations,
-        ctr.reference_runs,
-        class_json,
-        allocs
+        apps.len()
     );
+    let speedup = format!("{speedup:.4}");
+    let mut artifact = json_object!({
+        "bench": "interp_engines", "samples_per_point": samples, "workload": workload,
+        "tree_walker_median_ns": tree.as_nanos(), "bytecode_vm_median_ns": vm.as_nanos(),
+        "speedup_vm_vs_tree": json::Raw(&speedup), "vm_counters": ctr,
+        "vm_class_retired": class_retired, "vm_pass_alloc_events": allocs,
+    });
+    artifact.push('\n');
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts");
     std::fs::create_dir_all(&dir).expect("create artifacts dir");
     let path = dir.join("interp_engines.json");
-    std::fs::write(&path, &json).expect("write interp_engines.json");
+    std::fs::write(&path, &artifact).expect("write interp_engines.json");
     println!("artifact: {}", path.display());
 }

@@ -244,13 +244,6 @@ pub mod alloc_counter {
     }
 }
 
-/// Time a whole closure once (for suite-level scaling benches).
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t = Instant::now();
-    let out = f();
-    (out, t.elapsed())
-}
-
 /// Run `f` `n` times, returning the median wall-clock duration.
 pub fn median_of<T>(n: usize, mut f: impl FnMut() -> T) -> Duration {
     let mut times: Vec<Duration> = (0..n.max(1))

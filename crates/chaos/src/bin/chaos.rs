@@ -54,24 +54,14 @@ fn main() {
     let wall = t0.elapsed();
 
     if json {
-        let per: Vec<String> = stats
-            .per_mutation
-            .iter()
-            .map(|(k, v)| format!("{}:{v}", ipp_core::phase::quote(k)))
-            .collect();
-        println!(
-            "{{\"seed\":{},\"mutants\":{},\"accepted_clean\":{},\"accepted_degraded\":{},\"rejected\":{},\"timeouts\":{},\"panics\":{},\"unlocated\":{},\"wall_ms\":{},\"per_mutation\":{{{}}}}}",
-            opts.seed,
-            stats.mutants,
-            stats.accepted_clean,
-            stats.accepted_degraded,
-            stats.rejected,
-            stats.timeouts,
-            stats.panics.len(),
-            stats.unlocated.len(),
-            wall.as_millis(),
-            per.join(",")
-        );
+        let line = ipp_core::json_object!({
+            "seed": opts.seed, "mutants": stats.mutants, "accepted_clean": stats.accepted_clean,
+            "accepted_degraded": stats.accepted_degraded, "rejected": stats.rejected,
+            "timeouts": stats.timeouts, "panics": stats.panics.len(),
+            "unlocated": stats.unlocated.len(), "wall_ms": wall.as_millis(),
+            "per_mutation": stats.per_mutation,
+        });
+        println!("{line}");
     } else {
         print!("{}", stats.render());
         println!("seed {}  wall {:.1}s", opts.seed, wall.as_secs_f64());

@@ -25,7 +25,8 @@
 //! connections, resets, and timeouts are counted, not thrown.
 
 use corpus::{mixed_requests, RequestSpec, Rng};
-use server::json::{self, Json};
+use ipp_core::json::{self, Json};
+use ipp_core::json_object;
 use server::proto::{
     encode_evaluate, encode_tournament, read_frame, write_frame, EvaluateRequest, TournamentRequest,
 };
@@ -123,23 +124,15 @@ impl LoadStats {
 
     /// JSON rendering for harness gating.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"sent\":{},\"well_formed\":{},\"tournaments\":{},\"hostile\":{},\"ok\":{},\"structured_errors\":{},\"protocol_errors\":{},\"rejected\":{},\"transport_failures\":{},\"malformed_responses\":{},\"mismatches\":{},\"canary_failures\":{},\"canaries\":{},\"clean\":{}}}",
-            self.sent,
-            self.well_formed,
-            self.tournaments,
-            self.hostile,
-            self.ok,
-            self.structured_errors,
-            self.protocol_errors,
-            self.rejected,
-            self.transport_failures,
-            self.malformed_responses,
-            self.mismatches,
-            self.canary_failures,
-            self.canaries,
-            self.clean()
-        )
+        json_object!({
+            "sent": self.sent, "well_formed": self.well_formed, "tournaments": self.tournaments,
+            "hostile": self.hostile, "ok": self.ok, "structured_errors": self.structured_errors,
+            "protocol_errors": self.protocol_errors, "rejected": self.rejected,
+            "transport_failures": self.transport_failures,
+            "malformed_responses": self.malformed_responses, "mismatches": self.mismatches,
+            "canary_failures": self.canary_failures, "canaries": self.canaries,
+            "clean": self.clean(),
+        })
     }
 }
 
@@ -184,11 +177,6 @@ fn exchange(addr: &str, payload: &str, timeout: Duration) -> std::io::Result<Str
 /// Ask a live daemon to begin graceful drain.
 pub fn send_shutdown(addr: &str, timeout: Duration) -> std::io::Result<String> {
     exchange(addr, "{\"op\":\"shutdown\"}", timeout)
-}
-
-/// Fetch a metrics snapshot from a live daemon.
-pub fn fetch_metrics(addr: &str, timeout: Duration) -> std::io::Result<String> {
-    exchange(addr, "{\"op\":\"metrics\"}", timeout)
 }
 
 /// The protocol-mutation catalog. Order is part of the campaign's
@@ -261,9 +249,15 @@ fn hostile_slot(
             "type-confusion" => {
                 let mut s = connect(addr, timeout)?;
                 let doc = match rng.below(3) {
-                    0 => "{\"op\":\"evaluate\",\"id\":42,\"name\":true,\"mode\":[],\"source\":null}".to_string(),
+                    0 => {
+                        "{\"op\":\"evaluate\",\"id\":42,\"name\":true,\"mode\":[],\"source\":null}"
+                            .to_string()
+                    }
                     1 => "[\"evaluate\"]".to_string(),
-                    _ => format!("{{\"op\":\"evaluate\",\"id\":\"x\",\"name\":\"A\",\"mode\":\"warp\",\"source\":{}}}", ipp_core::phase::quote(&spec.source)),
+                    _ => ipp_core::json_object!({
+                        "op": "evaluate", "id": "x", "name": "A", "mode": "warp",
+                        "source": spec.source,
+                    }),
                 };
                 write_frame(&mut s, &doc)?;
                 Ok(Some(read_frame(&mut s, usize::MAX).map_err(to_io)?))

@@ -31,7 +31,10 @@
 //! * [`service`] — the per-request surface for the daemon front-end
 //!   (`crates/server`): [`service::evaluate_request`], the bounded
 //!   cross-request [`service::RequestCache`], and the daemon-wide
-//!   [`service::ServerMetrics`] report.
+//!   [`service::ServerMetrics`] report;
+//! * [`json`] — the one JSON layer: the streaming writer every report,
+//!   artifact and wire message goes through, and the hardened decoder
+//!   that reads them back.
 //!
 //! ## Quick example
 //!
@@ -58,6 +61,7 @@
 
 pub mod driver;
 pub mod error;
+pub mod json;
 pub mod phase;
 pub mod pipeline;
 pub mod report;

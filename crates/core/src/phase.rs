@@ -3,9 +3,10 @@
 //! Every pipeline stage ([`Phase`]) is timed per (application ×
 //! configuration) cell; the driver aggregates cell timings, per-loop
 //! blocker counts, and cache statistics into a [`SuiteMetrics`] report
-//! that serializes to JSON (hand-rolled — the build container has no
-//! crates.io access, so serde is not available).
+//! that serializes to JSON through [`crate::json`].
 
+use crate::json::{self, ToJson};
+use crate::json_object;
 use crate::pipeline::PipelineResult;
 use fdep::analyze::Blocker;
 use std::collections::BTreeMap;
@@ -108,21 +109,20 @@ impl PhaseTimings {
     pub fn total(&self) -> Duration {
         Duration::from_nanos(self.nanos.iter().sum())
     }
+}
 
-    /// `{"normalize":{"ns":..,"calls":..},..}` in pipeline order.
-    pub fn to_json(&self) -> String {
-        let fields: Vec<String> = Phase::ALL
-            .iter()
-            .map(|p| {
-                format!(
-                    "{}:{{\"ns\":{},\"calls\":{}}}",
-                    quote(p.label()),
-                    self.nanos_of(*p),
-                    self.count_of(*p)
-                )
-            })
-            .collect();
-        format!("{{{}}}", fields.join(","))
+/// `{"normalize":{"ns":..,"calls":..},..}` in pipeline order.
+impl ToJson for PhaseTimings {
+    fn write_json(&self, out: &mut String) {
+        let mut obj = json::object(out);
+        for p in Phase::ALL {
+            let (ns, calls) = (self.nanos_of(p), self.count_of(p));
+            obj.field(
+                p.label(),
+                &json::from_fn(|out| json_object!(out, { "ns": ns, "calls": calls })),
+            );
+        }
+        obj.end();
     }
 }
 
@@ -180,17 +180,15 @@ impl AutogenCoverage {
         self.chain_derived_subs += other.chain_derived_subs;
         self.refused_subs += other.refused_subs;
     }
+}
 
-    pub(crate) fn to_json(self) -> String {
-        format!(
-            "{{\"auto_sites\":{},\"manual_sites\":{},\"refused_sites\":{},\"derived_subs\":{},\"chain_derived_subs\":{},\"refused_subs\":{}}}",
-            self.auto_sites,
-            self.manual_sites,
-            self.refused_sites,
-            self.derived_subs,
-            self.chain_derived_subs,
-            self.refused_subs
-        )
+impl ToJson for AutogenCoverage {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "auto_sites": self.auto_sites, "manual_sites": self.manual_sites,
+            "refused_sites": self.refused_sites, "derived_subs": self.derived_subs,
+            "chain_derived_subs": self.chain_derived_subs, "refused_subs": self.refused_subs,
+        });
     }
 }
 
@@ -222,33 +220,42 @@ pub struct CellMetrics {
     pub vm: fruntime::VmCounters,
 }
 
-/// Serialize a [`fruntime::VmCounters`] block.
-pub(crate) fn vm_to_json(c: &fruntime::VmCounters) -> String {
-    format!(
-        "{{\"insns_retired\":{},\"fused_insns\":{},\"fused_ticks\":{},\"fused_int\":{},\"scal_prebound\":{},\"calls\":{},\"pool_hits\":{},\"pool_misses\":{},\"peak_call_depth\":{},\"warm_allocs\":{},\"chunks_run\":{},\"chunk_undo_writes\":{},\"typed_specializations\":{},\"reference_runs\":{}}}",
-        c.insns_retired, c.fused_insns, c.fused_ticks, c.fused_int, c.scal_prebound, c.calls, c.pool_hits, c.pool_misses, c.peak_call_depth, c.warm_allocs, c.chunks_run, c.chunk_undo_writes, c.typed_specializations, c.reference_runs
-    )
+/// The one serialization of the VM's execution counters (every report
+/// and artifact that carries a `vm` block writes it here). The
+/// per-class retire histogram is left to the engine bench, which names
+/// the classes.
+impl ToJson for fruntime::VmCounters {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "insns_retired": self.insns_retired, "fused_insns": self.fused_insns,
+            "fused_ticks": self.fused_ticks, "fused_int": self.fused_int,
+            "scal_prebound": self.scal_prebound, "calls": self.calls,
+            "pool_hits": self.pool_hits, "pool_misses": self.pool_misses,
+            "peak_call_depth": self.peak_call_depth, "warm_allocs": self.warm_allocs,
+            "chunks_run": self.chunks_run, "chunk_undo_writes": self.chunk_undo_writes,
+            "typed_specializations": self.typed_specializations,
+            "reference_runs": self.reference_runs,
+        });
+    }
 }
 
-impl CellMetrics {
-    fn to_json(&self) -> String {
-        let autogen = match &self.autogen {
-            Some(a) => format!(",\"autogen\":{}", a.to_json()),
-            None => String::new(),
-        };
-        format!(
-            "{{\"app\":{},\"config\":{},\"phases\":{},\"blockers\":{},\"loops_total\":{},\"loops_parallel\":{},\"interp_runs\":{},\"verify_cached\":{},\"vm\":{}{}}}",
-            quote(&self.app),
-            quote(&self.config),
-            self.phases.to_json(),
-            json_count_map(&self.blockers),
-            self.loops_total,
-            self.loops_parallel,
-            self.interp_runs,
-            self.verify_cached,
-            vm_to_json(&self.vm),
-            autogen
-        )
+/// The `autogen` block appears only on cells that carry coverage.
+impl ToJson for CellMetrics {
+    fn write_json(&self, out: &mut String) {
+        let mut obj = json::object(out);
+        obj.field("app", &self.app)
+            .field("config", &self.config)
+            .field("phases", &self.phases)
+            .field("blockers", &self.blockers)
+            .field("loops_total", &self.loops_total)
+            .field("loops_parallel", &self.loops_parallel)
+            .field("interp_runs", &self.interp_runs)
+            .field("verify_cached", &self.verify_cached)
+            .field("vm", &self.vm);
+        if let Some(a) = &self.autogen {
+            obj.field("autogen", a);
+        }
+        obj.end();
     }
 }
 
@@ -285,17 +292,14 @@ impl FailureRecord {
             message: e.cause_message(),
         }
     }
+}
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"app\":{},\"config\":{},\"stage\":{},\"code\":{},\"timeout\":{},\"message\":{}}}",
-            quote(&self.app),
-            quote(&self.config),
-            quote(&self.stage),
-            quote(self.code),
-            self.timeout,
-            quote(&self.message)
-        )
+impl ToJson for FailureRecord {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "app": self.app, "config": self.config, "stage": self.stage, "code": self.code,
+            "timeout": self.timeout, "message": self.message,
+        });
     }
 }
 
@@ -337,25 +341,14 @@ pub struct SuiteMetrics {
 impl SuiteMetrics {
     /// Serialize the full report as a JSON object.
     pub fn to_json(&self) -> String {
-        let cells: Vec<String> = self.cells.iter().map(|c| c.to_json()).collect();
-        let failures: Vec<String> = self.failures.iter().map(|f| f.to_json()).collect();
-        format!(
-            "{{\"workers\":{},\"configs\":{},\"wall_ns\":{},\"interp_runs\":{},\"baseline_memo_hits\":{},\"verify_cache_hits\":{},\"failed_cells\":{},\"timed_out_cells\":{},\"panicked_cells\":{},\"verified_ok\":{},\"phases\":{},\"vm\":{},\"cells\":[{}],\"failures\":[{}]}}",
-            self.workers,
-            self.configs,
-            self.wall_nanos,
-            self.interp_runs,
-            self.baseline_memo_hits,
-            self.verify_cache_hits,
-            self.failed_cells,
-            self.timed_out_cells,
-            self.panicked_cells,
-            self.verified_ok,
-            self.phases.to_json(),
-            vm_to_json(&self.vm),
-            cells.join(","),
-            failures.join(",")
-        )
+        json_object!({
+            "workers": self.workers, "configs": self.configs, "wall_ns": self.wall_nanos,
+            "interp_runs": self.interp_runs, "baseline_memo_hits": self.baseline_memo_hits,
+            "verify_cache_hits": self.verify_cache_hits, "failed_cells": self.failed_cells,
+            "timed_out_cells": self.timed_out_cells, "panicked_cells": self.panicked_cells,
+            "verified_ok": self.verified_ok, "phases": self.phases, "vm": self.vm,
+            "cells": self.cells, "failures": self.failures,
+        })
     }
 
     /// GitHub-flavored markdown table of the per-app autogen coverage
@@ -417,45 +410,6 @@ impl SuiteMetrics {
     }
 }
 
-/// Minimal JSON string quoting (control chars, quotes, backslashes).
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A count map as a JSON object, keys quoted, in map order.
-pub fn json_count_map<K: AsRef<str>, V: std::fmt::Display>(map: &BTreeMap<K, V>) -> String {
-    let fields: Vec<String> = map
-        .iter()
-        .map(|(k, v)| format!("{}:{}", quote(k.as_ref()), v))
-        .collect();
-    format!("{{{}}}", fields.join(","))
-}
-
-/// A nullable JSON value: the rendered value, or `null`.
-pub fn json_or_null(value: Option<String>) -> String {
-    value.unwrap_or_else(|| "null".to_string())
-}
-
-/// A JSON array of quoted strings.
-pub fn json_str_array<S: AsRef<str>>(items: &[S]) -> String {
-    let quoted: Vec<String> = items.iter().map(|s| quote(s.as_ref())).collect();
-    format!("[{}]", quoted.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,6 +456,22 @@ mod tests {
             }),
             vm: Default::default(),
         });
+        m.cells.push(CellMetrics {
+            app: "ADM".into(),
+            config: "annotation".into(),
+            phases: PhaseTimings::default(),
+            blockers: BTreeMap::new(),
+            loops_total: 10,
+            loops_parallel: 6,
+            interp_runs: 0,
+            verify_cached: true,
+            autogen: None,
+            vm: fruntime::VmCounters {
+                insns_retired: 9,
+                chunks_run: 2,
+                ..Default::default()
+            },
+        });
         m.failed_cells = 1;
         m.failures.push(FailureRecord {
             app: "QCD".into(),
@@ -512,6 +482,11 @@ mod tests {
             message: "verification exceeded the op-budget deadline".into(),
         });
         let j = m.to_json();
+        // The exact bytes of the report format.
+        assert_eq!(
+            j,
+            r#"{"workers":4,"configs":0,"wall_ns":123,"interp_runs":0,"baseline_memo_hits":0,"verify_cache_hits":0,"failed_cells":1,"timed_out_cells":0,"panicked_cells":0,"verified_ok":0,"phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":7,"calls":1},"verify":{"ns":0,"calls":0}},"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"cells":[{"app":"ADM","config":"no-inline","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{"call":3},"loops_total":10,"loops_parallel":4,"interp_runs":3,"verify_cached":false,"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"autogen":{"auto_sites":5,"manual_sites":1,"refused_sites":2,"derived_subs":4,"chain_derived_subs":1,"refused_subs":2}},{"app":"ADM","config":"annotation","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{},"loops_total":10,"loops_parallel":6,"interp_runs":0,"verify_cached":true,"vm":{"insns_retired":9,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":2,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0}}],"failures":[{"app":"QCD","config":"annotation","stage":"verify","code":"timeout","timeout":true,"message":"verification exceeded the op-budget deadline"}]}"#
+        );
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"workers\":4"));
         assert!(j.contains("\"code\":\"timeout\""));
@@ -529,10 +504,5 @@ mod tests {
         let open = j.matches('{').count();
         let close = j.matches('}').count();
         assert_eq!(open, close);
-    }
-
-    #[test]
-    fn quoting_escapes_specials() {
-        assert_eq!(quote("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -37,7 +37,9 @@
 
 use crate::driver::{source_key, DriverOptions, Fnv128, WallDeadline};
 use crate::error::{panic_message, FailCause, FailStage, PipelineError};
-use crate::phase::{blocker_key, json_count_map, PhaseTimings};
+use crate::json::{self, ToJson};
+use crate::json_object;
+use crate::phase::{blocker_key, PhaseTimings};
 use crate::pipeline::{compile_timed, InlineMode, PipelineOptions, PipelineResult};
 use crate::tournament::{winner_index, MachineScore};
 use crate::verify::{baseline_run_with, guarded, verify_with_baseline_using, VerifyResult};
@@ -107,6 +109,30 @@ impl RequestReport {
     /// micro-units.
     pub fn score_micros(&self) -> u64 {
         MachineScore::geomean(&self.speedups)
+    }
+}
+
+impl ToJson for LoopSummary {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "unit": self.unit, "idx": self.idx, "parallel": self.parallel,
+            "blockers": self.blockers,
+        });
+    }
+}
+
+/// The `report` of an `ok` evaluate response.
+impl ToJson for RequestReport {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "mode": self.mode.label(), "loc": self.loc, "verified": self.verified(),
+            "matches_original": self.matches_original,
+            "parallel_consistent": self.parallel_consistent, "races": self.races,
+            "total_ops": self.total_ops, "loops_total": self.loops.len(),
+            "loops_parallel": self.loops_parallel,
+            "source_key": format!("{:032x}", self.source_key),
+            "speedups": self.speedups, "loops": self.loops,
+        });
     }
 }
 
@@ -369,6 +395,27 @@ pub struct TournamentReport {
     pub lost: Vec<String>,
     /// One row per arm, portfolio order.
     pub arms: Vec<ArmSummary>,
+}
+
+impl ToJson for ArmSummary {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "arm": self.arm, "mode": self.mode.label(), "verified": self.verified,
+            "score_micros": self.score_micros, "loops_parallel": self.loops_parallel,
+            "loc": self.loc, "error": self.error,
+        });
+    }
+}
+
+/// The `tournament` of an `ok` tournament response.
+impl ToJson for TournamentReport {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "winner": self.winner, "winner_mode": self.winner_mode.map(InlineMode::label),
+            "winner_score_micros": self.winner_score_micros, "gained": self.gained,
+            "lost": self.lost, "arms": self.arms,
+        });
+    }
 }
 
 /// Evaluate a portfolio tournament for one request: every arm of
@@ -774,33 +821,27 @@ impl ServerMetrics {
         self.panicked == 0
     }
 
-    /// Serialize as a JSON object (hand-rolled, like every other report
-    /// in the workspace).
+    /// Serialize as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"wall_ns\":{},\"connections\":{},\"connections_rejected\":{},\"protocol_errors\":{},\"requests\":{},\"tournament_requests\":{},\"shed\":{},\"throttled\":{},\"rejected_draining\":{},\"completed_ok\":{},\"failed\":{},\"timed_out\":{},\"panicked\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\"cache_entries\":{},\"queue_peak\":{},\"in_flight_at_drain\":{},\"failure_codes\":{},\"vm\":{}}}",
-            self.wall_nanos,
-            self.connections,
-            self.connections_rejected,
-            self.protocol_errors,
-            self.requests,
-            self.tournament_requests,
-            self.shed,
-            self.throttled,
-            self.rejected_draining,
-            self.completed_ok,
-            self.failed,
-            self.timed_out,
-            self.panicked,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_entries,
-            self.queue_peak,
-            self.in_flight_at_drain,
-            json_count_map(&self.failure_codes),
-            crate::phase::vm_to_json(&self.vm)
-        )
+        json::to_string(self)
+    }
+}
+
+impl ToJson for ServerMetrics {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "wall_ns": self.wall_nanos, "connections": self.connections,
+            "connections_rejected": self.connections_rejected,
+            "protocol_errors": self.protocol_errors, "requests": self.requests,
+            "tournament_requests": self.tournament_requests, "shed": self.shed,
+            "throttled": self.throttled, "rejected_draining": self.rejected_draining,
+            "completed_ok": self.completed_ok, "failed": self.failed,
+            "timed_out": self.timed_out, "panicked": self.panicked,
+            "cache_hits": self.cache_hits, "cache_misses": self.cache_misses,
+            "cache_evictions": self.cache_evictions, "cache_entries": self.cache_entries,
+            "queue_peak": self.queue_peak, "in_flight_at_drain": self.in_flight_at_drain,
+            "failure_codes": self.failure_codes, "vm": self.vm,
+        });
     }
 }
 

@@ -25,7 +25,9 @@
 //! Wall-clock and VM counters live on the [`StreamOutcome`] next to it.
 
 use crate::driver::{run_suite, AppReport, DriverOptions, SuiteJob, SuiteOutcome};
-use crate::phase::{json_count_map, AutogenCoverage, PhaseTimings};
+use crate::json::{self, ToJson};
+use crate::json_object;
+use crate::phase::{AutogenCoverage, PhaseTimings};
 use std::collections::BTreeMap;
 
 /// Deterministic aggregate over every cell of a streamed corpus.
@@ -106,23 +108,21 @@ impl StreamSummary {
 
     /// Serialize the deterministic aggregate as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"window\":{},\"programs\":{},\"cells\":{},\"failed_cells\":{},\"timed_out_cells\":{},\"panicked_cells\":{},\"verified_ok\":{},\"interp_runs\":{},\"verify_cache_hits\":{},\"loops_total\":{},\"loops_parallel\":{},\"blockers\":{},\"autogen\":{},\"failure_stages\":{}}}",
-            self.window,
-            self.programs,
-            self.cells,
-            self.failed_cells,
-            self.timed_out_cells,
-            self.panicked_cells,
-            self.verified_ok,
-            self.interp_runs,
-            self.verify_cache_hits,
-            self.loops_total,
-            self.loops_parallel,
-            json_count_map(&self.blockers),
-            self.autogen.to_json(),
-            json_count_map(&self.failure_stages)
-        )
+        json::to_string(self)
+    }
+}
+
+impl ToJson for StreamSummary {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "window": self.window, "programs": self.programs, "cells": self.cells,
+            "failed_cells": self.failed_cells, "timed_out_cells": self.timed_out_cells,
+            "panicked_cells": self.panicked_cells, "verified_ok": self.verified_ok,
+            "interp_runs": self.interp_runs, "verify_cache_hits": self.verify_cache_hits,
+            "loops_total": self.loops_total, "loops_parallel": self.loops_parallel,
+            "blockers": self.blockers, "autogen": self.autogen,
+            "failure_stages": self.failure_stages,
+        });
     }
 }
 

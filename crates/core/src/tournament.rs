@@ -29,7 +29,9 @@
 //! byte-identical reports across worker counts.
 
 use crate::driver::{run_matrix, CellConfig, DriverOptions, SuiteJob};
-use crate::phase::{json_count_map, json_or_null, json_str_array, quote, SuiteMetrics};
+use crate::json::ToJson;
+use crate::json_object;
+use crate::phase::SuiteMetrics;
 use crate::pipeline::{InlineMode, PipelineOptions, PipelineResult};
 use crate::report::{extra_loops, lost_loops};
 use crate::verify::VerifyResult;
@@ -133,6 +135,15 @@ impl MachineScore {
             .map(|s| s.speedup_micros as f64 / 1e6)
             .collect();
         geomean_micros(&speedups)
+    }
+}
+
+impl ToJson for MachineScore {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "machine": self.machine, "speedup_micros": self.speedup_micros,
+            "tuned_off": self.tuned_off,
+        });
     }
 }
 
@@ -369,53 +380,29 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
     }
 }
 
-impl ArmScore {
-    fn to_json(&self) -> String {
-        let machines: Vec<String> = self
-            .machines
-            .iter()
-            .map(|m| {
-                format!(
-                    "{{\"machine\":{},\"speedup_micros\":{},\"tuned_off\":{}}}",
-                    quote(&m.machine),
-                    m.speedup_micros,
-                    m.tuned_off
-                )
-            })
-            .collect();
-        format!(
-            "{{\"arm\":{},\"mode\":{},\"ok\":{},\"score_micros\":{},\"machines\":[{}],\"loops_total\":{},\"loops_parallel\":{},\"loc\":{},\"blockers\":{},\"error\":{}}}",
-            quote(&self.arm),
-            quote(self.mode),
-            self.ok,
-            json_or_null(self.score_micros.map(|s| s.to_string())),
-            machines.join(","),
-            self.loops_total,
-            self.loops_parallel,
-            self.loc,
-            json_count_map(&self.blockers),
-            json_or_null(self.error.as_deref().map(quote)),
-        )
+impl ToJson for ArmScore {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "arm": self.arm, "mode": self.mode, "ok": self.ok, "score_micros": self.score_micros,
+            "machines": self.machines, "loops_total": self.loops_total,
+            "loops_parallel": self.loops_parallel, "loc": self.loc, "blockers": self.blockers,
+            "error": self.error,
+        });
+    }
+}
+
+impl ToJson for AppTournament {
+    fn write_json(&self, out: &mut String) {
+        json_object!(out, {
+            "app": self.app, "winner": self.winner,
+            "winner_score_micros": self.winner_score_micros, "gained": self.gained,
+            "lost": self.lost, "directives": self.directives, "interp_runs": self.interp_runs,
+            "arms_cached": self.arms_cached, "arms": self.arms,
+        });
     }
 }
 
 impl AppTournament {
-    fn to_json(&self) -> String {
-        let arms: Vec<String> = self.arms.iter().map(|a| a.to_json()).collect();
-        format!(
-            "{{\"app\":{},\"winner\":{},\"winner_score_micros\":{},\"gained\":{},\"lost\":{},\"directives\":{},\"interp_runs\":{},\"arms_cached\":{},\"arms\":[{}]}}",
-            quote(&self.app),
-            json_or_null(self.winner.as_deref().map(quote)),
-            self.winner_score_micros,
-            json_str_array(&self.gained),
-            json_str_array(&self.lost),
-            json_str_array(&self.directives),
-            self.interp_runs,
-            self.arms_cached,
-            arms.join(","),
-        )
-    }
-
     /// The winner's score as a display float.
     pub fn winner_score(&self) -> f64 {
         self.winner_score_micros as f64 / 1e6
@@ -429,14 +416,11 @@ impl TournamentOutcome {
     /// winner-stability gate rely on this). Driver timings are excluded;
     /// serialize [`TournamentOutcome::metrics`] separately when wanted.
     pub fn to_json(&self) -> String {
-        let apps: Vec<String> = self.apps.iter().map(|a| a.to_json()).collect();
-        format!(
-            "{{\"machines\":{},\"arms\":{},\"interp_runs\":{},\"apps\":[{}]}}",
-            json_str_array(&self.machines),
-            json_str_array(&self.arm_labels),
-            self.apps.iter().map(|a| a.interp_runs).sum::<u64>(),
-            apps.join(","),
-        )
+        let interp_runs: u64 = self.apps.iter().map(|a| a.interp_runs).sum();
+        json_object!({
+            "machines": self.machines, "arms": self.arm_labels, "interp_runs": interp_runs,
+            "apps": self.apps,
+        })
     }
 
     /// GitHub-flavored markdown "best-of-portfolio" table — the paper

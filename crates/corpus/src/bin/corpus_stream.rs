@@ -51,17 +51,14 @@ fn main() {
     let out = run_stream(corpus::jobs(seed, programs), &opts);
 
     if json {
-        println!(
-            "{{\"seed\":{},\"workers\":{},\"effective_workers\":{},\"window\":{},\"wall_ms\":{},\"programs_per_sec\":{:.3},\"peak_retained\":{},\"summary\":{}}}",
-            seed,
-            opts.workers,
-            out.workers,
-            out.window,
-            out.wall_nanos / 1_000_000,
-            out.programs_per_sec(),
-            out.peak_retained,
-            out.summary.to_json()
-        );
+        let per_sec = format!("{:.3}", out.programs_per_sec());
+        let line = ipp_core::json_object!({
+            "seed": seed, "workers": opts.workers, "effective_workers": out.workers,
+            "window": out.window, "wall_ms": out.wall_nanos / 1_000_000,
+            "programs_per_sec": ipp_core::json::Raw(&per_sec),
+            "peak_retained": out.peak_retained, "summary": out.summary,
+        });
+        println!("{line}");
     } else {
         let s = &out.summary;
         println!(

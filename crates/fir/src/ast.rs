@@ -72,14 +72,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// True for `+ - * / **`.
-    pub fn is_arith(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Pow
-        )
-    }
-
     /// True for the six comparison operators.
     pub fn is_rel(self) -> bool {
         matches!(
@@ -662,11 +654,6 @@ impl Program {
     /// Find a unit by (upper-case) name.
     pub fn unit(&self, name: &str) -> Option<&ProcUnit> {
         self.units.iter().find(|u| u.name == name)
-    }
-
-    /// Find a unit mutably.
-    pub fn unit_mut(&mut self, name: &str) -> Option<&mut ProcUnit> {
-        self.units.iter_mut().find(|u| u.name == name)
     }
 
     /// The `PROGRAM` unit, if present.

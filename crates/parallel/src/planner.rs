@@ -86,18 +86,6 @@ impl ParReport {
         out
     }
 
-    /// Distinct original loop ids that appear in the program at all.
-    pub fn all_ids(&self) -> Vec<LoopId> {
-        let mut out: Vec<LoopId> = Vec::new();
-        for d in &self.decisions {
-            if !out.contains(&d.id) {
-                out.push(d.id.clone());
-            }
-        }
-        out.sort();
-        out
-    }
-
     /// Decisions for a given loop id.
     pub fn of(&self, id: &LoopId) -> Vec<&LoopDecision> {
         self.decisions.iter().filter(|d| &d.id == id).collect()

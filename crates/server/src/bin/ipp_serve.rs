@@ -73,7 +73,8 @@ fn main() {
             std::process::exit(3);
         }
     };
-    println!("{{\"listening\":\"{}\"}}", handle.addr());
+    let addr = handle.addr().to_string();
+    println!("{}", ipp_core::json_object!({ "listening": addr }));
     let _ = std::io::stdout().flush();
 
     let metrics = handle.join();

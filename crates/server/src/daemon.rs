@@ -24,6 +24,7 @@ use crate::proto::{
     self, EvaluateRequest, FrameError, Request, TournamentRequest, DEFAULT_MAX_FRAME,
 };
 use ipp_core::driver::DriverOptions;
+use ipp_core::error::PipelineError;
 use ipp_core::service::{
     evaluate_request_metered, evaluate_tournament_metered, request_key, RequestCache, ServerMetrics,
 };
@@ -185,12 +186,28 @@ impl Shared {
             .absorb(vm);
     }
 
-    fn record_failure_code(&self, code: &str) {
+    /// The one failure path of `process` and `process_tournament`:
+    /// count a structured request failure and render its response. The
+    /// error is re-attributed to this request's `name`, because a cache
+    /// hit may carry the *first* requester's name and the response must
+    /// stay a pure function of this request.
+    fn fail(&self, id: &str, name: &str, mut e: PipelineError) -> String {
+        let c = &self.counters;
+        c.failed.fetch_add(1, Ordering::SeqCst);
+        if e.is_timeout() {
+            c.timed_out.fetch_add(1, Ordering::SeqCst);
+        }
+        if e.code() == "panic" {
+            c.panicked.fetch_add(1, Ordering::SeqCst);
+        }
         let mut codes = self
             .failure_codes
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        *codes.entry(code.to_string()).or_insert(0) += 1;
+        *codes.entry(e.code().to_string()).or_insert(0) += 1;
+        drop(codes);
+        e.app = name.to_string();
+        proto::error_response(id, &e)
     }
 
     fn snapshot(&self) -> ServerMetrics {
@@ -513,27 +530,14 @@ fn process(shared: &Arc<Shared>, req: &EvaluateRequest) -> String {
             outcome
         }
     };
-    let c = &shared.counters;
     match outcome {
         Ok(report) => {
-            c.completed_ok.fetch_add(1, Ordering::SeqCst);
+            shared.counters.completed_ok.fetch_add(1, Ordering::SeqCst);
             proto::ok_response(&req.id, &report)
         }
-        Err(mut e) => {
-            c.failed.fetch_add(1, Ordering::SeqCst);
-            if e.is_timeout() {
-                c.timed_out.fetch_add(1, Ordering::SeqCst);
-            }
-            if e.code() == "panic" {
-                c.panicked.fetch_add(1, Ordering::SeqCst);
-            }
-            shared.record_failure_code(e.code());
-            // The cache key is (mode, source, annotations, budget) — a
-            // hit may carry the *first* requester's name. Re-attribute so
-            // the response stays a pure function of this request.
-            e.app = req.name.clone();
-            proto::error_response(&req.id, &e)
-        }
+        // The cache key is (mode, source, annotations, budget): a hit may
+        // carry another requester's name, which `fail` replaces.
+        Err(e) => shared.fail(&req.id, &req.name, e),
     }
 }
 
@@ -550,23 +554,11 @@ fn process_tournament(shared: &Arc<Shared>, req: &TournamentRequest) -> String {
         Some(&shared.cache),
     );
     shared.absorb_vm(&vm);
-    let c = &shared.counters;
     match outcome {
         Ok(report) => {
-            c.completed_ok.fetch_add(1, Ordering::SeqCst);
+            shared.counters.completed_ok.fetch_add(1, Ordering::SeqCst);
             proto::tournament_response(&req.id, &report)
         }
-        Err(mut e) => {
-            c.failed.fetch_add(1, Ordering::SeqCst);
-            if e.is_timeout() {
-                c.timed_out.fetch_add(1, Ordering::SeqCst);
-            }
-            if e.code() == "panic" {
-                c.panicked.fetch_add(1, Ordering::SeqCst);
-            }
-            shared.record_failure_code(e.code());
-            e.app = req.name.clone();
-            proto::error_response(&req.id, &e)
-        }
+        Err(e) => shared.fail(&req.id, &req.name, e),
     }
 }

@@ -9,8 +9,8 @@
 //! The crate is organised as the request's journey:
 //!
 //! * [`proto`] — framing (`<len>\n<payload>`) and the JSON
-//!   request/response vocabulary, built on the hand-rolled [`json`]
-//!   decoder (std-only, like the rest of the workspace);
+//!   request/response vocabulary, read and written through
+//!   [`ipp_core::json`], the workspace's one JSON layer;
 //! * [`admission`] — the degradation ladder: per-client token buckets
 //!   denominated in interpreter ops, and the bounded ready queue whose
 //!   overflow is answered with explicit load-shedding rejections;
@@ -35,7 +35,6 @@
 
 pub mod admission;
 pub mod daemon;
-pub mod json;
 pub mod proto;
 
 pub use daemon::{spawn, ServerHandle, ServerOptions};

@@ -32,16 +32,16 @@
 //! `"overloaded"`, `"budget"`, `"busy"`, or `"draining"`, with a
 //! `retry_after_hint_ms`). Responses to well-formed `evaluate` requests
 //! are pure functions of the request document: byte-identical across
-//! runs, worker counts, and daemon instances.
+//! runs, worker counts, and daemon instances. Every document is read
+//! and written through [`ipp_core::json`].
 
 use ipp_core::error::PipelineError;
-use ipp_core::phase::{json_or_null, json_str_array, quote};
+use ipp_core::json::{self, Json};
+use ipp_core::json_object;
 use ipp_core::pipeline::InlineMode;
 use ipp_core::service::{RequestReport, ServerMetrics, TournamentReport};
 use std::fmt;
 use std::io::{Read, Write};
-
-use crate::json::{self, Json};
 
 /// Hard cap on identifier-ish request fields (`id`, `client`, `name`).
 pub const MAX_IDENT_BYTES: usize = 256;
@@ -302,168 +302,65 @@ pub fn decode_request(payload: &str) -> Result<Request, String> {
 /// Serialize an `evaluate` request (the client side; also what the load
 /// generator mutates).
 pub fn encode_evaluate(req: &EvaluateRequest) -> String {
-    format!(
-        "{{\"op\":\"evaluate\",\"id\":{},\"client\":{},\"name\":{},\"mode\":{},\"source\":{},\"annotations\":{}}}",
-        quote(&req.id),
-        quote(&req.client),
-        quote(&req.name),
-        quote(req.mode.label()),
-        quote(&req.source),
-        quote(&req.annotations),
-    )
-}
-
-fn report_json(r: &RequestReport) -> String {
-    let loops: Vec<String> = r
-        .loops
-        .iter()
-        .map(|l| {
-            format!(
-                "{{\"unit\":{},\"idx\":{},\"parallel\":{},\"blockers\":{}}}",
-                quote(&l.unit),
-                l.idx,
-                l.parallel,
-                json_str_array(&l.blockers)
-            )
-        })
-        .collect();
-    let speedups: Vec<String> = r
-        .speedups
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"machine\":{},\"speedup_micros\":{},\"tuned_off\":{}}}",
-                quote(&s.machine),
-                s.speedup_micros,
-                s.tuned_off
-            )
-        })
-        .collect();
-    format!(
-        "{{\"mode\":{},\"loc\":{},\"verified\":{},\"matches_original\":{},\"parallel_consistent\":{},\"races\":{},\"total_ops\":{},\"loops_total\":{},\"loops_parallel\":{},\"source_key\":{},\"speedups\":[{}],\"loops\":[{}]}}",
-        quote(r.mode.label()),
-        r.loc,
-        r.verified(),
-        r.matches_original,
-        r.parallel_consistent,
-        r.races,
-        r.total_ops,
-        r.loops.len(),
-        r.loops_parallel,
-        quote(&format!("{:032x}", r.source_key)),
-        speedups.join(","),
-        loops.join(",")
-    )
-}
-
-fn tournament_json(t: &TournamentReport) -> String {
-    let arms: Vec<String> = t
-        .arms
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"arm\":{},\"mode\":{},\"verified\":{},\"score_micros\":{},\"loops_parallel\":{},\"loc\":{},\"error\":{}}}",
-                quote(&a.arm),
-                quote(a.mode.label()),
-                a.verified,
-                json_or_null(a.score_micros.map(|s| s.to_string())),
-                a.loops_parallel,
-                a.loc,
-                json_or_null(a.error.as_deref().map(quote)),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"winner\":{},\"winner_mode\":{},\"winner_score_micros\":{},\"gained\":{},\"lost\":{},\"arms\":[{}]}}",
-        json_or_null(t.winner.as_deref().map(quote)),
-        json_or_null(t.winner_mode.map(|m| quote(m.label()))),
-        t.winner_score_micros,
-        json_str_array(&t.gained),
-        json_str_array(&t.lost),
-        arms.join(",")
-    )
+    json_object!({
+        "op": "evaluate", "id": req.id, "client": req.client, "name": req.name,
+        "mode": req.mode.label(), "source": req.source, "annotations": req.annotations,
+    })
 }
 
 /// Serialize a `tournament` request (the client side).
 pub fn encode_tournament(req: &TournamentRequest) -> String {
-    format!(
-        "{{\"op\":\"tournament\",\"id\":{},\"client\":{},\"name\":{},\"source\":{},\"annotations\":{}}}",
-        quote(&req.id),
-        quote(&req.client),
-        quote(&req.name),
-        quote(&req.source),
-        quote(&req.annotations),
-    )
+    json_object!({
+        "op": "tournament", "id": req.id, "client": req.client, "name": req.name,
+        "source": req.source, "annotations": req.annotations,
+    })
 }
 
 /// `status:"ok"` response for a completed tournament.
 pub fn tournament_response(id: &str, report: &TournamentReport) -> String {
-    format!(
-        "{{\"status\":\"ok\",\"id\":{},\"tournament\":{}}}",
-        quote(id),
-        tournament_json(report)
-    )
+    json_object!({ "status": "ok", "id": id, "tournament": report })
 }
 
 /// `status:"ok"` response for a completed evaluation.
 pub fn ok_response(id: &str, report: &RequestReport) -> String {
-    format!(
-        "{{\"status\":\"ok\",\"id\":{},\"report\":{}}}",
-        quote(id),
-        report_json(report)
-    )
+    json_object!({ "status": "ok", "id": id, "report": report })
 }
 
 /// `status:"error"` response for a structured per-request failure.
 pub fn error_response(id: &str, e: &PipelineError) -> String {
-    let mode = match e.mode {
-        Some(m) => quote(m.label()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"status\":\"error\",\"id\":{},\"code\":{},\"stage\":{},\"mode\":{},\"app\":{},\"message\":{}}}",
-        quote(id),
-        quote(e.code()),
-        quote(e.stage.label()),
-        mode,
-        quote(&e.app),
-        quote(&e.cause_message())
-    )
+    json_object!({
+        "status": "error", "id": id, "code": e.code(), "stage": e.stage.label(),
+        "mode": e.mode.map(InlineMode::label), "app": e.app, "message": e.cause_message(),
+    })
 }
 
 /// `status:"error"` response for a frame/document the daemon could not
 /// decode (code `"protocol"`; no id — the request never had one).
 pub fn protocol_error_response(message: &str) -> String {
-    format!(
-        "{{\"status\":\"error\",\"code\":\"protocol\",\"message\":{}}}",
-        quote(message)
-    )
+    json_object!({ "status": "error", "code": "protocol", "message": message })
 }
 
 /// `status:"rejected"` response from admission control.
 pub fn reject_response(id: &str, code: &str, retry_after_hint_ms: u64, message: &str) -> String {
-    format!(
-        "{{\"status\":\"rejected\",\"id\":{},\"code\":{},\"retry_after_hint_ms\":{},\"message\":{}}}",
-        quote(id),
-        quote(code),
-        retry_after_hint_ms,
-        quote(message)
-    )
+    json_object!({
+        "status": "rejected", "id": id, "code": code,
+        "retry_after_hint_ms": retry_after_hint_ms, "message": message,
+    })
 }
 
 /// `status:"ok"` metrics snapshot.
 pub fn metrics_response(m: &ServerMetrics) -> String {
-    format!("{{\"status\":\"ok\",\"metrics\":{}}}", m.to_json())
+    json_object!({ "status": "ok", "metrics": m })
 }
 
 /// `status:"ok"` liveness reply.
 pub fn pong_response() -> String {
-    "{\"status\":\"ok\",\"pong\":true}".to_string()
+    json_object!({ "status": "ok", "pong": true })
 }
 
 /// `status:"ok"` acknowledgement that drain has begun.
 pub fn draining_response() -> String {
-    "{\"status\":\"ok\",\"draining\":true}".to_string()
+    json_object!({ "status": "ok", "draining": true })
 }
 
 #[cfg(test)]
@@ -574,14 +471,18 @@ mod tests {
         }
         let long = format!(
             "{{\"op\":\"evaluate\",\"id\":{},\"name\":\"A\",\"mode\":\"no-inline\",\"source\":\"\"}}",
-            quote(&"i".repeat(MAX_IDENT_BYTES + 1))
+            json::to_string(&"i".repeat(MAX_IDENT_BYTES + 1))
         );
         assert!(decode_request(&long).unwrap_err().contains("exceeds"));
     }
 
+    /// Text carrying every character class the writer escapes or must
+    /// pass through untouched: quote, backslash, newline, tab, a raw
+    /// control byte, a two-byte and a four-byte UTF-8 scalar.
+    const NASTY: &str = "q\"b\\s\nt\tc\u{1}é😀";
+
     #[test]
     fn responses_are_valid_json() {
-        use crate::json;
         let report = RequestReport {
             mode: InlineMode::None,
             loc: 3,
@@ -612,35 +513,90 @@ mod tests {
                 wall_ms: 0,
             },
         );
+        let modeless =
+            PipelineError::pre_pipeline(NASTY, FailStage::Parse, FailCause::Panic(NASTY.into()));
         let tournament = TournamentReport {
             winner: Some("annotation".into()),
             winner_mode: Some(InlineMode::Annotation),
             winner_score_micros: 2_000_000,
             gained: vec!["MAIN#2".into()],
             lost: vec![],
-            arms: vec![ipp_core::service::ArmSummary {
-                arm: "annotation".into(),
-                mode: InlineMode::Annotation,
-                score_micros: Some(2_000_000),
-                verified: true,
-                loops_parallel: 2,
-                loc: 10,
-                error: None,
-            }],
+            arms: vec![
+                ipp_core::service::ArmSummary {
+                    arm: "annotation".into(),
+                    mode: InlineMode::Annotation,
+                    score_micros: Some(2_000_000),
+                    verified: true,
+                    loops_parallel: 2,
+                    loc: 10,
+                    error: None,
+                },
+                ipp_core::service::ArmSummary {
+                    arm: "no-inline".into(),
+                    mode: InlineMode::None,
+                    score_micros: None,
+                    verified: false,
+                    loops_parallel: 0,
+                    loc: 0,
+                    error: Some("timeout".into()),
+                },
+            ],
         };
-        for payload in [
-            ok_response("r", &report),
-            error_response("r", &err),
-            tournament_response("r", &tournament),
-            protocol_error_response("bad \"frame\""),
-            reject_response("r", "overloaded", 50, "queue full"),
+        let eval = EvaluateRequest {
+            id: NASTY.into(),
+            client: "soak".into(),
+            name: NASTY.into(),
+            mode: InlineMode::AutoAnnot,
+            source: NASTY.into(),
+            annotations: "".into(),
+        };
+        let treq = TournamentRequest {
+            id: NASTY.into(),
+            client: NASTY.into(),
+            name: "ADM".into(),
+            source: NASTY.into(),
+            annotations: NASTY.into(),
+        };
+        let payloads = [
+            ok_response(NASTY, &report),
+            error_response(NASTY, &err),
+            error_response("r", &modeless),
+            tournament_response(NASTY, &tournament),
+            protocol_error_response(NASTY),
+            reject_response(NASTY, "overloaded", 50, NASTY),
             metrics_response(&ServerMetrics::default()),
             pong_response(),
             draining_response(),
-        ] {
-            let doc = json::parse(&payload).expect(&payload);
-            assert!(doc.get("status").is_some(), "{payload}");
+            encode_evaluate(&eval),
+            encode_tournament(&treq),
+        ];
+        let pinned = [
+            r#"{"status":"ok","id":"q\"b\\s\nt\tc\u0001é😀","report":{"mode":"no-inline","loc":3,"verified":true,"matches_original":true,"parallel_consistent":true,"races":0,"total_ops":42,"loops_total":1,"loops_parallel":0,"source_key":"00000000000000000000000000000abc","speedups":[{"machine":"intel8","speedup_micros":1500000,"tuned_off":0}],"loops":[{"unit":"MAIN","idx":1,"parallel":false,"blockers":["array-dep"]}]}}"#,
+            r#"{"status":"error","id":"q\"b\\s\nt\tc\u0001é😀","code":"timeout","stage":"verify","mode":"no-inline","app":"ADM","message":"verification exceeded the op-budget deadline (10 ops)"}"#,
+            r#"{"status":"error","id":"r","code":"panic","stage":"parse","mode":null,"app":"q\"b\\s\nt\tc\u0001é😀","message":"panic: q\"b\\s\nt\tc\u0001é😀"}"#,
+            r#"{"status":"ok","id":"q\"b\\s\nt\tc\u0001é😀","tournament":{"winner":"annotation","winner_mode":"annotation","winner_score_micros":2000000,"gained":["MAIN#2"],"lost":[],"arms":[{"arm":"annotation","mode":"annotation","verified":true,"score_micros":2000000,"loops_parallel":2,"loc":10,"error":null},{"arm":"no-inline","mode":"no-inline","verified":false,"score_micros":null,"loops_parallel":0,"loc":0,"error":"timeout"}]}}"#,
+            r#"{"status":"error","code":"protocol","message":"q\"b\\s\nt\tc\u0001é😀"}"#,
+            r#"{"status":"rejected","id":"q\"b\\s\nt\tc\u0001é😀","code":"overloaded","retry_after_hint_ms":50,"message":"q\"b\\s\nt\tc\u0001é😀"}"#,
+            r#"{"status":"ok","metrics":{"wall_ns":0,"connections":0,"connections_rejected":0,"protocol_errors":0,"requests":0,"tournament_requests":0,"shed":0,"throttled":0,"rejected_draining":0,"completed_ok":0,"failed":0,"timed_out":0,"panicked":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"cache_entries":0,"queue_peak":0,"in_flight_at_drain":0,"failure_codes":{},"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0}}}"#,
+            r#"{"status":"ok","pong":true}"#,
+            r#"{"status":"ok","draining":true}"#,
+            r#"{"op":"evaluate","id":"q\"b\\s\nt\tc\u0001é😀","client":"soak","name":"q\"b\\s\nt\tc\u0001é😀","mode":"auto-annot","source":"q\"b\\s\nt\tc\u0001é😀","annotations":""}"#,
+            r#"{"op":"tournament","id":"q\"b\\s\nt\tc\u0001é😀","client":"q\"b\\s\nt\tc\u0001é😀","name":"ADM","source":"q\"b\\s\nt\tc\u0001é😀","annotations":"q\"b\\s\nt\tc\u0001é😀"}"#,
+        ];
+        for (payload, want) in payloads.iter().zip(pinned) {
+            // The exact wire bytes: clients and the soak compare them.
+            assert_eq!(payload, want);
+            let doc = json::parse(payload).expect(payload);
+            assert!(doc.get("status").or(doc.get("op")).is_some(), "{payload}");
         }
+        assert_eq!(
+            decode_request(&encode_evaluate(&eval)).unwrap(),
+            Request::Evaluate(eval)
+        );
+        assert_eq!(
+            decode_request(&encode_tournament(&treq)).unwrap(),
+            Request::Tournament(treq)
+        );
         let ok = json::parse(&ok_response("r", &report)).unwrap();
         let rep = ok.get("report").unwrap();
         assert_eq!(rep.get("loops_total").and_then(Json::as_u64), Some(1));
@@ -651,6 +607,9 @@ mod tests {
         let e = json::parse(&error_response("r", &err)).unwrap();
         assert_eq!(e.get("code").and_then(Json::as_str), Some("timeout"));
         assert_eq!(e.get("stage").and_then(Json::as_str), Some("verify"));
+        let e = json::parse(&error_response("r", &modeless)).unwrap();
+        assert_eq!(e.get("app").and_then(Json::as_str), Some(NASTY));
+        assert_eq!(e.get("mode"), Some(&Json::Null));
         let t = json::parse(&tournament_response("r", &tournament)).unwrap();
         let tr = t.get("tournament").unwrap();
         assert_eq!(tr.get("winner").and_then(Json::as_str), Some("annotation"));

@@ -1,0 +1,44 @@
+//! Every committed bench artifact re-parses through the workspace's one
+//! JSON layer (`ipp_core::json`), and the engine artifact's counter block
+//! carries exactly the fields the one `VmCounters` serializer writes.
+
+use ipp_core::json::{self, Json};
+use std::path::Path;
+
+fn keys(doc: &Json) -> Vec<&str> {
+    match doc {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("expected an object, got {other:?}"),
+    }
+}
+
+#[test]
+fn committed_artifacts_reparse_through_the_json_layer() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/artifacts");
+    let mut parsed = 0;
+    for entry in std::fs::read_dir(&dir).expect("artifacts directory") {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(!keys(&doc).is_empty(), "{}: empty object", path.display());
+        parsed += 1;
+    }
+    assert!(
+        parsed >= 4,
+        "only {parsed} artifacts found in {}",
+        dir.display()
+    );
+}
+
+#[test]
+fn engine_artifact_counters_match_the_vm_counters_serializer() {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/artifacts/interp_engines.json");
+    let doc = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let written = json::to_string(&fruntime::VmCounters::default());
+    let want = json::parse(&written).unwrap();
+    assert_eq!(keys(doc.get("vm_counters").unwrap()), keys(&want));
+}

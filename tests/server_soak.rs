@@ -16,7 +16,7 @@
 //!   final `ServerMetrics` snapshot is well-formed.
 
 use chaos::client_load::{self, canary_request, LoadOptions};
-use server::json::{self, Json};
+use ipp_core::json::{self, Json};
 use server::proto::{encode_evaluate, read_frame, write_frame, EvaluateRequest};
 use server::{daemon, ServerOptions};
 use std::collections::BTreeMap;
