@@ -14,7 +14,10 @@
 //!   verification runs per app from 12 to 9;
 //! * **verify dedup** — configurations that emit byte-identical optimized
 //!   source (conventional inlining that found nothing to inline, an empty
-//!   annotation registry) share one verification, saving two more runs;
+//!   annotation registry) share one verification, saving two more runs.
+//!   Memo and dedup live in one per-program `ProgramMemo`, always on; the
+//!   cell evaluator over it (`evaluate_cell`) also serves the daemon's
+//!   requests ([`crate::service`]);
 //! * **observability** — per-phase wall-clock, per-loop blocker counts,
 //!   and cache statistics are aggregated into a [`SuiteMetrics`] report;
 //! * **fault isolation** — a cell that fails (malformed input, a runtime
@@ -104,10 +107,6 @@ pub struct DriverOptions {
     pub verify_threads: usize,
     /// Machines simulated for Figure 20.
     pub machines: Vec<Machine>,
-    /// Interpret each original program once per app, not once per cell.
-    pub baseline_memo: bool,
-    /// Share verification across cells emitting byte-identical source.
-    pub verify_cache: bool,
     /// Per-interpreter-run op budget: the cell's deadline. A verification
     /// that burns through this much work is degraded to a reported
     /// [`FailCause::Timeout`] instead of running away with a worker.
@@ -159,8 +158,6 @@ impl Default for DriverOptions {
             workers: 0,
             verify_threads: 4,
             machines: Vec::new(),
-            baseline_memo: true,
-            verify_cache: true,
             verify_max_ops: ExecOptions::default().max_ops,
             wall_budget_ms: 0,
             engine: fruntime::Engine::default(),
@@ -300,30 +297,38 @@ pub struct SuiteOutcome {
     pub metrics: SuiteMetrics,
 }
 
-/// One finished matrix cell, parked until assembly.
-enum CellOutcome {
-    /// The cell completed; payload boxed to keep the queue slot small.
-    Done(Box<CellDone>),
-    /// The cell failed; the suite degrades instead of dying.
-    Failed(PipelineError),
-}
-
-/// A completed cell's payloads, handed to the matrix caller
-/// ([`run_suite`] or [`crate::tournament::run_tournament`]).
+/// A completed cell's payloads, handed to the cell's caller ([`run_suite`],
+/// [`crate::tournament::run_tournament`] or the daemon's
+/// [`crate::service`] requests).
 pub(crate) struct CellDone {
     pub(crate) result: PipelineResult,
-    pub(crate) verify: VerifyResult,
+    pub(crate) verify: Arc<VerifyResult>,
     pub(crate) fig20: Vec<Fig20Point>,
     pub(crate) metrics: CellMetrics,
 }
 
-/// (application index, emitted-source hash) keying a shared verification
-/// slot. The 128-bit key replaces retained whole-source strings; at that
-/// width accidental collision over a suite corpus is not a practical
-/// concern ([`source_key`]). Failed verifications are shared exactly like
-/// successful ones: byte-identical source fails identically.
+/// A shared verification outcome. Failed verifications are shared
+/// exactly like successful ones: byte-identical source fails identically.
 type VerifySlot = OnceLock<Result<Arc<VerifyResult>, FailCause>>;
-type VerifyCache = HashMap<(usize, u128), Arc<VerifySlot>>;
+
+/// What every cell of one program shares: the guarded baseline run of
+/// the original program, the verify-dedup slots keyed by the emitted
+/// source's [`source_key`], and the run accounting. Failures are memoized
+/// like successes: a baseline that cannot run fails every cell of the
+/// program with the same diagnostic for the price of one run. The
+/// 128-bit key replaces retained whole-source strings; at that width
+/// accidental collision over a suite corpus is not a practical concern.
+#[derive(Default)]
+pub(crate) struct ProgramMemo {
+    baseline: OnceLock<Result<RunResult, FailCause>>,
+    verifies: Mutex<HashMap<u128, Arc<VerifySlot>>>,
+    /// Interpreter runs paid for (1 per baseline, 2 per verification).
+    interp_runs: AtomicU64,
+    /// Cells served the memoized baseline.
+    memo_hits: AtomicU64,
+    /// Cells served a shared verification.
+    cache_hits: AtomicU64,
+}
 
 /// 128-bit FNV-1a, the one content hash under [`source_key`] and
 /// [`crate::service::arm_key`].
@@ -407,23 +412,19 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// One matrix cell's outcome.
+type CellOutcome = Result<Box<CellDone>, PipelineError>;
+
 /// Shared across workers for the duration of one matrix run.
 struct Shared<'a> {
     jobs: &'a [SuiteJob],
     configs: &'a [CellConfig],
     opts: &'a DriverOptions,
     queue: Mutex<VecDeque<(usize, usize)>>,
-    /// Per-app memoized baseline run of the original program. Failures
-    /// are memoized too: a baseline that cannot run fails all of the
-    /// app's cells with the same diagnostic, paying for one run.
-    baselines: Vec<OnceLock<Arc<Result<RunResult, FailCause>>>>,
-    /// (app, emitted source) → shared verification outcome.
-    vcache: Mutex<VerifyCache>,
+    /// One memo per app, shared by all of the app's columns.
+    memos: Vec<ProgramMemo>,
     /// Finished cells, indexed `app * n_configs + config`.
     cells: Vec<Mutex<Option<CellOutcome>>>,
-    interp_runs: AtomicU64,
-    memo_hits: AtomicU64,
-    cache_hits: AtomicU64,
 }
 
 /// The generic matrix run behind [`run_suite`] and
@@ -432,15 +433,15 @@ struct Shared<'a> {
 /// [`SuiteMetrics`] with cache accounting shared across all columns.
 pub(crate) struct MatrixOutcome {
     /// `outcomes[app][config]`, both in input order.
-    pub(crate) cells: Vec<Vec<Result<Box<CellDone>, PipelineError>>>,
+    pub(crate) cells: Vec<Vec<CellOutcome>>,
     /// Aggregated counters, cell metrics, and failure records.
     pub(crate) metrics: SuiteMetrics,
 }
 
 /// Evaluate every job across every configuration column through the
-/// worker pool, sharing the per-app baseline memo and the verify-dedup
-/// cache across *all* columns of an app — this cache discipline is what
-/// keeps a widened tournament portfolio near one pass.
+/// worker pool, sharing one [`ProgramMemo`] across *all* columns of an
+/// app — this cache discipline is what keeps a widened tournament
+/// portfolio near one pass.
 pub(crate) fn run_matrix(
     jobs: &[SuiteJob],
     configs: &[CellConfig],
@@ -462,12 +463,8 @@ pub(crate) fn run_matrix(
                 .flat_map(|m| (0..jobs.len()).map(move |a| (a, m)))
                 .collect(),
         ),
-        baselines: (0..jobs.len()).map(|_| OnceLock::new()).collect(),
-        vcache: Mutex::new(HashMap::new()),
+        memos: (0..jobs.len()).map(|_| ProgramMemo::default()).collect(),
         cells: (0..n_cells).map(|_| Mutex::new(None)).collect(),
-        interp_runs: AtomicU64::new(0),
-        memo_hits: AtomicU64::new(0),
-        cache_hits: AtomicU64::new(0),
     };
 
     let workers = opts.effective_workers().max(1).min(n_cells.max(1));
@@ -528,129 +525,111 @@ fn worker_loop(shared: &Shared<'_>) {
         let Some((app_idx, cfg_idx)) = cell else {
             return;
         };
-        let mode = shared.configs[cfg_idx].mode();
+        let job = &shared.jobs[app_idx];
+        let cfg = &shared.configs[cfg_idx];
+        let opts = shared.opts;
         // Last-resort isolation boundary: `evaluate_cell` is panic-free
         // for every fault we know how to classify; anything that still
         // unwinds costs this one cell, not the worker or the suite.
-        let outcome = catch_unwind(AssertUnwindSafe(|| evaluate_cell(shared, app_idx, cfg_idx)))
-            .unwrap_or_else(|payload| {
-                CellOutcome::Failed(PipelineError::in_cell(
-                    shared.jobs[app_idx].name.clone(),
-                    mode,
-                    FailStage::Driver,
-                    FailCause::Panic(panic_message(&*payload)),
-                ))
-            });
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let deadline = WallDeadline::start(opts.wall_budget_ms);
+            opts.inject_fault(&job.name);
+            let memo = &shared.memos[app_idx];
+            evaluate_cell(
+                &job.name,
+                &job.program,
+                &job.registry,
+                cfg,
+                opts,
+                memo,
+                &deadline,
+            )
+        }))
+        .unwrap_or_else(|payload| {
+            Err(PipelineError::in_cell(
+                job.name.clone(),
+                cfg.mode(),
+                FailStage::Driver,
+                FailCause::Panic(panic_message(&*payload)),
+            ))
+        });
         *lock_clean(&shared.cells[app_idx * shared.configs.len() + cfg_idx]) = Some(outcome);
     }
 }
 
-fn evaluate_cell(shared: &Shared<'_>, app_idx: usize, cfg_idx: usize) -> CellOutcome {
-    match evaluate_cell_inner(shared, app_idx, cfg_idx) {
-        Ok(done) => CellOutcome::Done(done),
-        Err(e) => CellOutcome::Failed(e),
-    }
-}
-
-fn evaluate_cell_inner(
-    shared: &Shared<'_>,
-    app_idx: usize,
-    cfg_idx: usize,
+/// The one cell evaluator, behind the batch matrix and the daemon alike:
+/// compile `program` under `cfg`, run the baseline of the original (once
+/// per `memo`), and verify the emitted program (once per distinct emitted
+/// source in `memo`), checking `deadline` at every stage boundary. Every
+/// interpreter run is guarded, so a fault comes back as a structured
+/// [`PipelineError`] of the failing stage.
+pub(crate) fn evaluate_cell(
+    name: &str,
+    program: &Program,
+    registry: &AnnotRegistry,
+    cfg: &CellConfig,
+    opts: &DriverOptions,
+    memo: &ProgramMemo,
+    deadline: &WallDeadline,
 ) -> Result<Box<CellDone>, PipelineError> {
-    let job = &shared.jobs[app_idx];
-    let cfg = &shared.configs[cfg_idx];
     let mode = cfg.mode();
-    let opts = shared.opts;
     let max_ops = opts.verify_max_ops;
+    let fail = |stage, cause| PipelineError::in_cell(name, mode, stage, cause);
     let mut timings = PhaseTimings::default();
-    let deadline = WallDeadline::start(opts.wall_budget_ms);
-    opts.inject_fault(&job.name);
 
-    let result =
-        compile_timed(&job.program, &job.registry, &cfg.opts, &mut timings).map_err(|d| {
-            PipelineError::in_cell(&job.name, mode, FailStage::Compile, FailCause::Diag(d))
-        })?;
-    deadline.check(&job.name, mode, FailStage::Compile, max_ops)?;
+    let result = compile_timed(program, registry, &cfg.opts, &mut timings)
+        .map_err(|d| fail(FailStage::Compile, FailCause::Diag(d)))?;
+    deadline.check(name, mode, FailStage::Compile, max_ops)?;
 
     let mut cell_runs = 0u64;
     let mut verify_cached = false;
     let verify: Result<Arc<VerifyResult>, PipelineError> = timings.time(Phase::Verify, || {
-        // Gate 1 baseline: the original program's run, memoized per app.
-        // The run is guarded: an `Err` or a panic is memoized as the
-        // app-wide baseline failure, never a poisoned `OnceLock`.
-        let run_baseline = |runs: &mut u64| -> Arc<Result<RunResult, FailCause>> {
-            shared.interp_runs.fetch_add(1, Ordering::Relaxed);
-            *runs += 1;
-            Arc::new(guarded(max_ops, || {
-                baseline_run_with(&job.program, &opts.exec(1))
-            }))
-        };
-        let base: Arc<Result<RunResult, FailCause>> = if opts.baseline_memo {
-            if shared.baselines[app_idx].get().is_some() {
-                shared.memo_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            shared.baselines[app_idx]
-                .get_or_init(|| run_baseline(&mut cell_runs))
-                .clone()
-        } else {
-            run_baseline(&mut cell_runs)
-        };
-        let base = match &*base {
-            Ok(r) => r,
-            Err(cause) => {
-                return Err(PipelineError::in_cell(
-                    &job.name,
-                    mode,
-                    FailStage::Baseline,
-                    cause.clone(),
-                ))
-            }
-        };
-        deadline.check(&job.name, mode, FailStage::Baseline, max_ops)?;
+        // Gate 1 baseline: the original program's guarded run. An `Err`
+        // or a panic is memoized as the program-wide baseline failure,
+        // never a poisoned `OnceLock`.
+        if memo.baseline.get().is_some() {
+            memo.memo_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        let base = memo.baseline.get_or_init(|| {
+            cell_runs += 1;
+            guarded(max_ops, || baseline_run_with(program, &opts.exec(1)))
+        });
+        let base = base
+            .as_ref()
+            .map_err(|cause| fail(FailStage::Baseline, cause.clone()))?;
+        deadline.check(name, mode, FailStage::Baseline, max_ops)?;
 
-        let run_verify = |runs: &mut u64| -> Result<Arc<VerifyResult>, FailCause> {
-            shared.interp_runs.fetch_add(2, Ordering::Relaxed);
-            *runs += 2;
+        // Byte-identical emitted source ⇒ identical verification (the
+        // baseline is fixed per program, the interpreter deterministic).
+        let slot = lock_clean(&memo.verifies)
+            .entry(source_key(&result.source))
+            .or_default()
+            .clone();
+        let mut paid = false;
+        let verified = slot.get_or_init(|| {
+            paid = true;
+            cell_runs += 2;
             let par_opts = opts.exec(opts.effective_verify_threads());
             guarded(max_ops, || {
                 verify_with_baseline_using(base, &result.program, &par_opts)
             })
             .map(Arc::new)
-        };
-
-        let verified = if opts.verify_cache {
-            // Byte-identical emitted source ⇒ identical verification (the
-            // baseline is fixed per app, the interpreter deterministic) —
-            // identical failures included.
-            let slot = {
-                let mut map = lock_clean(&shared.vcache);
-                map.entry((app_idx, source_key(&result.source)))
-                    .or_insert_with(|| Arc::new(OnceLock::new()))
-                    .clone()
-            };
-            let mut paid = false;
-            let v = slot
-                .get_or_init(|| {
-                    paid = true;
-                    run_verify(&mut cell_runs)
-                })
-                .clone();
-            if !paid {
-                verify_cached = true;
-                shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            v
-        } else {
-            run_verify(&mut cell_runs)
-        };
-        verified.map_err(|cause| PipelineError::in_cell(&job.name, mode, FailStage::Verify, cause))
+        });
+        verify_cached = !paid;
+        if verify_cached {
+            memo.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        verified
+            .clone()
+            .map_err(|cause| fail(FailStage::Verify, cause))
     });
+    memo.interp_runs.fetch_add(cell_runs, Ordering::Relaxed);
     let verify = verify?;
     // A cell that finished its work but blew the wall budget doing so is
     // still reported as a timeout — that is what a deadline means to a
     // caller holding a per-request budget (the computed result is
     // discarded with the error).
-    deadline.check(&job.name, mode, FailStage::Verify, max_ops)?;
+    deadline.check(name, mode, FailStage::Verify, max_ops)?;
 
     // Figure 20: simulate each machine with empirical tuning, from the
     // verification's sequential run (no extra interpreter run).
@@ -660,7 +639,7 @@ fn evaluate_cell_inner(
         .map(|m| {
             let (speedup, tuned_off) = tuned_speedup(&verify, m);
             Fig20Point {
-                app: job.name.clone(),
+                app: name.to_string(),
                 config: cfg.label.clone(),
                 machine: m.name.to_string(),
                 speedup,
@@ -670,7 +649,7 @@ fn evaluate_cell_inner(
         .collect();
 
     let metrics = CellMetrics {
-        app: job.name.clone(),
+        app: name.to_string(),
         config: cfg.label.clone(),
         blockers: blocker_counts(&result),
         loops_total: result.par_report.decisions.len(),
@@ -700,7 +679,7 @@ fn evaluate_cell_inner(
 
     Ok(Box::new(CellDone {
         result,
-        verify: (*verify).clone(),
+        verify,
         fig20,
         metrics,
     }))
@@ -713,17 +692,19 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
         workers,
         configs: shared.configs.len() as u64,
         wall_nanos: wall.as_nanos() as u64,
-        interp_runs: shared.interp_runs.load(Ordering::Relaxed),
-        baseline_memo_hits: shared.memo_hits.load(Ordering::Relaxed),
-        verify_cache_hits: shared.cache_hits.load(Ordering::Relaxed),
         ..Default::default()
     };
+    for memo in &shared.memos {
+        metrics.interp_runs += memo.interp_runs.load(Ordering::Relaxed);
+        metrics.baseline_memo_hits += memo.memo_hits.load(Ordering::Relaxed);
+        metrics.verify_cache_hits += memo.cache_hits.load(Ordering::Relaxed);
+    }
 
     let n_configs = shared.configs.len();
     let mut out = Vec::with_capacity(shared.jobs.len());
     let mut cells = shared.cells.into_iter();
     for job in shared.jobs.iter() {
-        let mut row: Vec<Result<Box<CellDone>, PipelineError>> = Vec::with_capacity(n_configs);
+        let mut row: Vec<CellOutcome> = Vec::with_capacity(n_configs);
         for cfg in shared.configs.iter() {
             // A missing or never-written cell (a worker died outside the
             // isolation boundary) degrades to a recorded failure — it must
@@ -733,7 +714,7 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
                 .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
                 .and_then(|slot| slot)
                 .unwrap_or_else(|| {
-                    CellOutcome::Failed(PipelineError::in_cell(
+                    Err(PipelineError::in_cell(
                         job.name.clone(),
                         cfg.mode(),
                         FailStage::Driver,
@@ -741,7 +722,7 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
                     ))
                 });
             match outcome {
-                CellOutcome::Done(done) => {
+                Ok(done) => {
                     metrics.phases.merge(&done.metrics.phases);
                     metrics.vm.absorb(&done.metrics.vm);
                     metrics.cells.push(done.metrics.clone());
@@ -750,7 +731,7 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
                     }
                     row.push(Ok(done));
                 }
-                CellOutcome::Failed(e) => {
+                Err(e) => {
                     metrics.failed_cells += 1;
                     if e.is_timeout() {
                         metrics.timed_out_cells += 1;
@@ -795,7 +776,7 @@ fn assemble(
                         ..
                     } = *done;
                     fig20.extend(points);
-                    verifies.push((cfg.mode(), verify));
+                    verifies.push((cfg.mode(), Arc::unwrap_or_clone(verify)));
                     results.push((cfg.mode(), result));
                 }
                 Err(e) => failures.push(e),
@@ -871,35 +852,46 @@ mod tests {
 ";
 
     #[test]
-    fn baseline_memo_counts_runs_nine_not_twelve() {
+    fn memo_and_dedup_pay_three_runs_for_four_cells() {
+        // All four modes of this program emit identical source: one
+        // baseline and one shared verification serve the four cells.
         let j = job("T", SRC, "");
-        let memo = DriverOptions {
+        let opts = DriverOptions {
             workers: 1,
             ..Default::default()
         };
-        let (_, m) = run_app(&j, &memo);
-        // 1 baseline + 4 × (seq + par)… minus verify-cache dedup: all four
-        // modes of this program emit identical source, so runs collapse
-        // further. Disable the cache to see the memo's 9 alone.
-        let memo_only = DriverOptions {
-            workers: 1,
-            verify_cache: false,
-            ..Default::default()
-        };
-        let (_, m2) = run_app(&j, &memo_only);
-        assert_eq!(m2.interp_runs, 9, "{m2:?}");
-        assert_eq!(m2.baseline_memo_hits, 3);
-        assert!(m.interp_runs <= m2.interp_runs);
+        let (_, m) = run_app(&j, &opts);
+        assert_eq!(m.interp_runs, 3, "{m:?}");
+        assert_eq!(m.baseline_memo_hits, 3, "{m:?}");
+        assert_eq!(m.verify_cache_hits, 3, "{m:?}");
+    }
 
-        let serial = DriverOptions {
-            workers: 1,
-            baseline_memo: false,
-            verify_cache: false,
+    #[test]
+    fn failed_baseline_is_paid_once_across_the_portfolio() {
+        // An op budget below the original program's cost: the baseline
+        // fails, and that failure serves every arm of the one memo.
+        let j = job("T", SRC, "");
+        let opts = DriverOptions {
+            verify_max_ops: 10,
             ..Default::default()
         };
-        let (_, m3) = run_app(&j, &serial);
-        assert_eq!(m3.interp_runs, 12, "{m3:?}");
-        assert_eq!(m3.baseline_memo_hits, 0);
+        let memo = ProgramMemo::default();
+        let deadline = WallDeadline::start(0);
+        for cfg in portfolio() {
+            let e = match evaluate_cell("T", &j.program, &j.registry, &cfg, &opts, &memo, &deadline)
+            {
+                Ok(_) => panic!("{}: completed under a 10-op budget", cfg.label),
+                Err(e) => e,
+            };
+            assert_eq!(e.stage, FailStage::Baseline, "{}: {e}", cfg.label);
+            assert!(
+                matches!(e.cause, FailCause::Timeout { wall_ms: 0, .. }),
+                "{}: {e:?}",
+                cfg.label
+            );
+        }
+        assert_eq!(memo.interp_runs.load(Ordering::Relaxed), 1);
+        assert_eq!(memo.memo_hits.load(Ordering::Relaxed), 6);
     }
 
     #[test]
@@ -1051,9 +1043,9 @@ mod tests {
     #[test]
     fn wall_clock_deadline_degrades_to_timeout() {
         // Enough interpreter work (~1M ops) that the baseline run alone
-        // takes well over the 1 ms wall budget on any host, so every cell
-        // hits a deadline checkpoint. Memo and cache are off so no cell
-        // is served instantly from a shared slot.
+        // takes well over the 1 ms wall budget on any host. Cells served
+        // from the memo may finish in time; every cell that pays for a
+        // run hits a deadline checkpoint.
         let src = "      PROGRAM MAIN
       COMMON /OUT/ A(5000), TOT
       DO J = 1, 40
@@ -1072,14 +1064,12 @@ mod tests {
         let opts = DriverOptions {
             workers: 1,
             wall_budget_ms: 1,
-            baseline_memo: false,
-            verify_cache: false,
             ..Default::default()
         };
         let (report, metrics) = run_app(&j, &opts);
         assert!(!report.ok());
-        assert_eq!(metrics.failed_cells, 4);
-        assert_eq!(metrics.timed_out_cells, 4);
+        assert!(metrics.failed_cells >= 1, "{metrics:?}");
+        assert_eq!(metrics.timed_out_cells, metrics.failed_cells);
         for f in &report.failures {
             assert!(f.is_timeout(), "{f}");
             assert!(

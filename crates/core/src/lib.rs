@@ -91,6 +91,5 @@ pub use report::{
     Table2Row, Table2Totals,
 };
 pub use verify::{
-    baseline_run, baseline_run_with, verify, verify_with_baseline, verify_with_baseline_using,
-    VerifyResult,
+    baseline_run, baseline_run_with, verify, verify_with_baseline_using, VerifyResult,
 };

@@ -10,7 +10,8 @@
 //! * [`evaluate_request`] — parse → compile → verify for a single
 //!   (source, annotations, mode) triple;
 //! * [`evaluate_tournament`] — every portfolio arm for one request, with
-//!   one shared parse and baseline run and one wall-clock deadline;
+//!   one shared parse, one memo (baseline and verify dedup) and one
+//!   wall-clock deadline;
 //! * [`RequestCache`] — a bounded, content-addressed compile/verify
 //!   cache shared across requests, keyed by [`arm_key`] over (arm label,
 //!   source, annotations, op budget); values are the deterministic
@@ -20,13 +21,16 @@
 //! * [`ServerMetrics`] — the daemon-wide observability report, the
 //!   service counterpart of [`crate::phase::SuiteMetrics`].
 //!
-//! The verdict itself is the batch driver's, from the same helpers: the
-//! guarded interpreter run (`verify::guarded`), the budgets and
-//! chaos seam of [`DriverOptions`] with the stage checks of
-//! [`WallDeadline`], the per-machine score (`MachineScore::all`), the
-//! tournament winner rule and the FNV-1a content hash of
-//! [`crate::driver::source_key`]. Every failure mode, panics included,
-//! comes back as a structured [`PipelineError`].
+//! The verdict itself is the batch driver's: each request compiles, runs
+//! the baseline and verifies through the driver's one cell evaluator
+//! (`driver::evaluate_cell`) over a per-request `ProgramMemo`, under the
+//! budgets of [`DriverOptions`] and the stage checks of [`WallDeadline`].
+//! A failed baseline or verification is memoized like a success, so a
+//! tournament pays for it once. The per-machine score
+//! (`MachineScore::all`), the tournament winner rule and the FNV-1a
+//! content hash of [`crate::driver::source_key`] are shared too. Every
+//! failure mode, panics included, comes back as a structured
+//! [`PipelineError`].
 //!
 //! Determinism contract: a [`RequestReport`] is a pure function of
 //! (source, annotations, mode, op budget, engine, machines).
@@ -35,15 +39,16 @@
 //! responses for identical requests across runs and worker counts, and
 //! this is the struct those responses are rendered from.
 
-use crate::driver::{source_key, DriverOptions, Fnv128, WallDeadline};
+use crate::driver::{
+    evaluate_cell, source_key, CellConfig, CellDone, DriverOptions, Fnv128, ProgramMemo,
+    WallDeadline,
+};
 use crate::error::{panic_message, FailCause, FailStage, PipelineError};
 use crate::json::{self, ToJson};
 use crate::json_object;
-use crate::phase::{blocker_key, PhaseTimings};
-use crate::pipeline::{compile_timed, InlineMode, PipelineOptions, PipelineResult};
+use crate::phase::blocker_key;
+use crate::pipeline::InlineMode;
 use crate::tournament::{winner_index, MachineScore};
-use crate::verify::{baseline_run_with, guarded, verify_with_baseline_using, VerifyResult};
-use fir::ast::Program;
 use fruntime::Machine;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -147,11 +152,11 @@ impl ToJson for RequestReport {
 /// `inject_panic` chaos seam (a request whose `name` is listed panics
 /// deliberately, exercising the isolation boundary under live traffic).
 ///
-/// Never panics: the interpreter runs go through
-/// `verify::guarded` (a panic there is [`FailCause::Panic`], as
-/// in the batch driver), compilation through the pipeline's per-stage
-/// wrappers, and the whole request through one more `catch_unwind`, so a
-/// hostile request degrades to an `Err` and the calling worker lives on.
+/// Never panics: the interpreter runs inside the driver's cell evaluator
+/// are guarded (a panic there is [`FailCause::Panic`], as in the batch
+/// driver), compilation goes through the pipeline's per-stage wrappers,
+/// and the whole request through one more `catch_unwind`, so a hostile
+/// request degrades to an `Err` and the calling worker lives on.
 pub fn evaluate_request(
     name: &str,
     source: &str,
@@ -210,42 +215,9 @@ fn parse_request(
     Ok((program, registry))
 }
 
-/// The original program's guarded run. The baseline is
-/// configuration-independent; a tournament runs it once per request.
-fn run_baseline(
-    name: &str,
-    mode: InlineMode,
-    program: &Program,
-    opts: &DriverOptions,
-) -> Result<fruntime::RunResult, PipelineError> {
-    guarded(opts.verify_max_ops, || {
-        baseline_run_with(program, &opts.exec(1))
-    })
-    .map_err(|cause| PipelineError::in_cell(name, mode, FailStage::Baseline, cause))
-}
-
-/// The optimized program's guarded verification against the baseline.
-fn run_verify(
-    name: &str,
-    mode: InlineMode,
-    base: &fruntime::RunResult,
-    optimized: &Program,
-    opts: &DriverOptions,
-) -> Result<VerifyResult, PipelineError> {
-    let par_opts = opts.exec(opts.effective_verify_threads());
-    guarded(opts.verify_max_ops, || {
-        verify_with_baseline_using(base, optimized, &par_opts)
-    })
-    .map_err(|cause| PipelineError::in_cell(name, mode, FailStage::Verify, cause))
-}
-
-/// Build the deterministic report from a compiled + verified arm.
-fn report_from(
-    mode: InlineMode,
-    result: &PipelineResult,
-    verify: &VerifyResult,
-    machines: &[Machine],
-) -> RequestReport {
+/// Build the deterministic report from a completed cell.
+fn report_from(mode: InlineMode, done: &CellDone, machines: &[Machine]) -> RequestReport {
+    let CellDone { result, verify, .. } = done;
     // Per-loop verdicts: aggregate the planner's decisions per distinct
     // original loop (annotation-body copies excluded), blockers deduped
     // into sorted stable keys — a deterministic, wire-friendly shape.
@@ -296,35 +268,16 @@ fn evaluate_request_inner(
     vm: &mut fruntime::VmCounters,
 ) -> Result<RequestReport, PipelineError> {
     let deadline = WallDeadline::start(opts.wall_budget_ms);
-    let max_ops = opts.verify_max_ops;
     opts.inject_fault(name);
 
     let (program, registry) = parse_request(name, source, annotations)?;
-    deadline.check(name, mode, FailStage::Parse, max_ops)?;
+    deadline.check(name, mode, FailStage::Parse, opts.verify_max_ops)?;
 
-    let mut timings = PhaseTimings::default();
-    let result = compile_timed(
-        &program,
-        &registry,
-        &PipelineOptions::for_mode(mode),
-        &mut timings,
-    )
-    .map_err(|d| PipelineError::in_cell(name, mode, FailStage::Compile, FailCause::Diag(d)))?;
-    deadline.check(name, mode, FailStage::Compile, max_ops)?;
-
-    let base = run_baseline(name, mode, &program, opts)?;
-    deadline.check(name, mode, FailStage::Baseline, max_ops)?;
-
-    let verify = run_verify(name, mode, &base, &result.program, opts)?;
-    deadline.check(name, mode, FailStage::Verify, max_ops)?;
-    vm.absorb(&verify.vm);
-
-    Ok(report_from(
-        mode,
-        &result,
-        &verify,
-        &opts.effective_machines(),
-    ))
+    let cfg = CellConfig::for_mode(mode);
+    let memo = ProgramMemo::default();
+    let done = evaluate_cell(name, &program, &registry, &cfg, opts, &memo, &deadline)?;
+    vm.absorb(&done.metrics.vm);
+    Ok(report_from(mode, &done, &opts.effective_machines()))
 }
 
 /// Content address for a request: 128-bit FNV-1a over the mode label,
@@ -420,10 +373,10 @@ impl ToJson for TournamentReport {
 
 /// Evaluate a portfolio tournament for one request: every arm of
 /// [`DriverOptions::arms`] (the default portfolio when empty) compiled
-/// and verified against a *shared* parse and baseline run, with
-/// intra-request verify dedup (arms emitting byte-identical source share
-/// one verification) and per-arm [`RequestCache`] sharing via
-/// [`arm_key`] — the service counterpart of
+/// and verified against a *shared* parse and one per-request memo — one
+/// lazy baseline run, and one verification per distinct emitted source,
+/// failures included — with per-arm [`RequestCache`] sharing via
+/// [`arm_key`]: the service counterpart of
 /// [`crate::tournament::run_tournament`]'s cache discipline.
 ///
 /// Budgets: one [`WallDeadline`] spans the whole tournament; each
@@ -485,11 +438,9 @@ fn evaluate_tournament_inner(
 
     let (program, registry) = parse_request(name, source, annotations)?;
 
-    // Shared across arms: the baseline run (configuration-independent,
-    // computed lazily so an all-cache-hit tournament pays zero runs) and
-    // the verify-dedup map keyed by emitted-source content.
-    let mut baseline: Option<fruntime::RunResult> = None;
-    let mut verify_memo: HashMap<u128, VerifyResult> = HashMap::new();
+    // Shared across arms: the lazy baseline (an all-cache-hit tournament
+    // pays zero runs) and the verify dedup, failures included.
+    let memo = ProgramMemo::default();
 
     let mut outcomes: Vec<CachedOutcome> = Vec::with_capacity(arms.len());
     for cfg in &arms {
@@ -503,28 +454,11 @@ fn evaluate_tournament_inner(
             outcomes.push(hit);
             continue;
         }
-        let computed: CachedOutcome = (|| {
-            let mut timings = PhaseTimings::default();
-            let result =
-                compile_timed(&program, &registry, &cfg.opts, &mut timings).map_err(|d| {
-                    PipelineError::in_cell(name, mode, FailStage::Compile, FailCause::Diag(d))
-                })?;
-            if baseline.is_none() {
-                baseline = Some(run_baseline(name, mode, &program, opts)?);
-            }
-            let base = baseline.as_ref().expect("baseline just initialized");
-            let skey = source_key(&result.source);
-            let verify = match verify_memo.get(&skey) {
-                Some(v) => v.clone(),
-                None => {
-                    let v = run_verify(name, mode, base, &result.program, opts)?;
-                    vm.absorb(&v.vm);
-                    verify_memo.insert(skey, v.clone());
-                    v
-                }
-            };
-            Ok(Arc::new(report_from(mode, &result, &verify, &machines)))
-        })();
+        let computed: CachedOutcome =
+            evaluate_cell(name, &program, &registry, cfg, opts, &memo, &deadline).map(|done| {
+                vm.absorb(&done.metrics.vm);
+                Arc::new(report_from(mode, &done, &machines))
+            });
         if let Some(c) = cache {
             c.insert(key, computed.clone());
         }

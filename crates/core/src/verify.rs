@@ -54,9 +54,9 @@ impl VerifyResult {
 /// Run the *original* program once — the baseline every optimized
 /// configuration is compared against. The original is mode-independent,
 /// so the driver memoizes this per application and shares it across the
-/// three inlining configurations ([`verify_with_baseline`]).
+/// inlining configurations ([`verify_with_baseline_using`]).
 pub fn baseline_run(original: &Program) -> Result<fruntime::RunResult, RtError> {
-    baseline_run_with(original, &ExecOptions::default())
+    run(original, &ExecOptions::default())
 }
 
 /// [`baseline_run`] with explicit executor options — the driver passes a
@@ -70,25 +70,9 @@ pub fn baseline_run_with(
 }
 
 /// Verify `optimized` against an already-computed baseline run of the
-/// original program. Two interpreter runs: the optimized program
+/// original program, with explicit executor options for the chunked
+/// (`threads > 1`) run. Two interpreter runs: the optimized program
 /// sequentially with race checking, then chunked.
-pub fn verify_with_baseline(
-    base: &fruntime::RunResult,
-    optimized: &Program,
-    threads: usize,
-) -> Result<VerifyResult, RtError> {
-    verify_with_baseline_using(
-        base,
-        optimized,
-        &ExecOptions {
-            threads,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`verify_with_baseline`] with explicit executor options for the
-/// chunked (`threads > 1`) run.
 pub fn verify_with_baseline_using(
     base: &fruntime::RunResult,
     optimized: &Program,
@@ -129,14 +113,17 @@ pub fn verify_with_baseline_using(
 
 /// Verify `optimized` against `original`, running the chunked executor
 /// with `threads` chunks per directive loop (three interpreter runs; see
-/// [`verify_with_baseline`] for the baseline-sharing variant).
+/// [`verify_with_baseline_using`] for the baseline-sharing variant).
 pub fn verify(
     original: &Program,
     optimized: &Program,
     threads: usize,
 ) -> Result<VerifyResult, RtError> {
-    let base = baseline_run(original)?;
-    verify_with_baseline(&base, optimized, threads)
+    let par_opts = ExecOptions {
+        threads,
+        ..Default::default()
+    };
+    verify_with_baseline_using(&baseline_run(original)?, optimized, &par_opts)
 }
 
 /// Run one interpreter call behind the isolation boundary and classify

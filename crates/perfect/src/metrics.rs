@@ -151,24 +151,28 @@ mod tests {
     }
 
     #[test]
-    fn driver_matches_uncached_driver_and_plain_runs_on_one_app() {
+    fn driver_matches_plain_compile_and_verify_on_one_app() {
         let app = by_name("TRFD").unwrap();
         let machines = [Machine::intel8(), Machine::amd4()];
         let fast = evaluate_app(&app, &machines);
-        let (slow, _) = ipp_core::driver::run_app(
-            &suite_job(&app),
-            &DriverOptions {
-                workers: 1,
-                baseline_memo: false,
-                verify_cache: false,
-                ..driver_options(&machines)
-            },
-        );
-        assert_eq!(fast.rows, slow.rows);
-        assert_eq!(fast.fig20, slow.fig20);
-        assert_eq!(fast.results.len(), slow.results.len());
-        for ((_, a), (_, b)) in fast.results.iter().zip(&slow.results) {
-            assert_eq!(a.source, b.source);
+        assert_eq!(fast.results.len(), ipp_core::InlineMode::all().len());
+        // Plain `compile` + `verify` share no code with the driver's
+        // memo, dedup or cell evaluator.
+        let program = app.program();
+        let registry = app.registry();
+        for ((mode, r), (vmode, v)) in fast.results.iter().zip(&fast.verify) {
+            assert_eq!(mode, vmode);
+            let plain = ipp_core::compile(
+                &program,
+                &registry,
+                &ipp_core::PipelineOptions::for_mode(*mode),
+            );
+            let pv = ipp_core::verify(&program, &plain.program, VERIFY_THREADS).unwrap();
+            assert_eq!(r.source, plain.source, "{mode:?}");
+            assert_eq!(v.matches_original, pv.matches_original, "{mode:?}");
+            assert_eq!(v.parallel_consistent, pv.parallel_consistent, "{mode:?}");
+            assert_eq!(v.total_ops, pv.total_ops, "{mode:?}");
+            assert_eq!(v.par_events, pv.par_events, "{mode:?}");
         }
         // Figure 20 comes from the race-checked verification run; a plain
         // run of each emitted program must yield the same points.

@@ -96,8 +96,8 @@ impl Default for ServerOptions {
 /// One admitted unit of work. A tournament is a single work item — one
 /// admission charge, one queue slot, one worker — even though it
 /// evaluates a whole portfolio: its arms share the request cache, one
-/// parse, and one baseline run, so its cost is bounded and the ladder's
-/// accounting stays per-request.
+/// parse, and one baseline run (a failed baseline included), so its cost
+/// is bounded and the ladder's accounting stays per-request.
 enum WorkItem {
     Evaluate(EvaluateRequest),
     Tournament(TournamentRequest),
