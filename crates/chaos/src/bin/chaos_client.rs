@@ -9,11 +9,19 @@
 //! chaos_client --addr HOST:PORT [--seed N] [--requests N] [--pool N]
 //!              [--clients N] [--hostile-percent N] [--tournament-percent N]
 //!              [--canary-every N] [--shutdown-after] [--json]
+//! chaos_client --check CAMPAIGN.json METRICS.json
 //! ```
 //!
-//! Exit codes: `0` clean, `1` dirty campaign, `2` bad usage.
+//! `--check` runs no campaign: it re-parses a campaign's `--json` report
+//! and the daemon's drain-flushed metrics snapshot through
+//! `ipp_core::json` and applies the soak gates
+//! ([`chaos::client_load::soak_gate`]), printing a summary line.
+//!
+//! Exit codes: `0` clean (or gates pass), `1` dirty campaign (or a gate,
+//! a read or a parse fails), `2` bad usage.
 
-use chaos::client_load::{run, send_shutdown, LoadOptions};
+use chaos::client_load::{run, send_shutdown, soak_gate, LoadOptions};
+use ipp_core::json::{self, Json};
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -21,9 +29,35 @@ fn usage() -> ! {
         "usage: chaos_client --addr HOST:PORT [--seed N] [--requests N] \
          [--pool N] [--clients N] [--hostile-percent N] \
          [--tournament-percent N] [--canary-every N] [--shutdown-after] \
-         [--json]"
+         [--json]\n       chaos_client --check CAMPAIGN.json METRICS.json"
     );
     std::process::exit(2);
+}
+
+/// Read and parse one JSON file, or exit 1 saying why not.
+fn load(path: &str) -> Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(1);
+    });
+    json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: {e}");
+        std::process::exit(1);
+    })
+}
+
+/// `--check`: apply the soak gates to two files and exit.
+fn check(campaign: &str, metrics: &str) -> ! {
+    match soak_gate(&load(campaign), &load(metrics)) {
+        Ok(summary) => {
+            println!("{summary}");
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("soak gate failed: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 fn main() {
@@ -50,6 +84,11 @@ fn main() {
             "--canary-every" => opts.canary_every = parse(&val("--canary-every")),
             "--shutdown-after" => shutdown_after = true,
             "--json" => json = true,
+            "--check" => {
+                let campaign = val("--check");
+                let metrics = val("--check");
+                check(&campaign, &metrics);
+            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown argument: {other}");

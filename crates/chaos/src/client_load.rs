@@ -423,9 +423,148 @@ pub fn run(addr: &str, opts: &LoadOptions) -> LoadStats {
     stats
 }
 
+/// The soak gates over a campaign's `--json` report and the daemon's
+/// drain-flushed [`ipp_core::ServerMetrics`] snapshot, both parsed
+/// through [`ipp_core::json`]. The campaign must be clean (no mismatch,
+/// no canary failure), have seen ok, hostile and tournament traffic, and
+/// no malformed response. The daemon must show no escaped panic, real
+/// completions, tournaments, structured protocol rejections and cache
+/// hits, and a balanced request ledger. Returns the summary line, or the
+/// first violation.
+pub fn soak_gate(campaign: &Json, metrics: &Json) -> Result<String, String> {
+    let count = |doc: &Json, name: &str, key: &str| {
+        doc.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{name} lacks the count \"{key}\""))
+    };
+    let c = |key| count(campaign, "campaign", key);
+    let m = |key| count(metrics, "metrics", key);
+    let settled =
+        m("completed_ok")? + m("failed")? + m("shed")? + m("throttled")? + m("rejected_draining")?;
+    let gates = [
+        (
+            campaign.get("clean").and_then(Json::as_bool) == Some(true),
+            "campaign dirty".to_string(),
+        ),
+        (
+            c("mismatches")? == 0 && c("canary_failures")? == 0,
+            format!(
+                "{} mismatches, {} canary failures",
+                c("mismatches")?,
+                c("canary_failures")?
+            ),
+        ),
+        (
+            c("ok")? > 0 && c("hostile")? > 0,
+            format!("campaign inert: {} ok, {} hostile", c("ok")?, c("hostile")?),
+        ),
+        (c("tournaments")? > 0, "no tournament traffic".to_string()),
+        (
+            c("malformed_responses")? == 0,
+            format!("{} malformed responses", c("malformed_responses")?),
+        ),
+        (
+            m("panicked")? == 0,
+            format!("escaped panics: {}", m("panicked")?),
+        ),
+        (m("completed_ok")? > 0, "no completed requests".to_string()),
+        (
+            m("tournament_requests")? > 0,
+            "tournament op never exercised".to_string(),
+        ),
+        (
+            m("protocol_errors")? > 0,
+            "abuse left no structured trace".to_string(),
+        ),
+        (m("cache_hits")? > 0, "shared cache never hit".to_string()),
+        (
+            m("requests")? == settled,
+            format!(
+                "request ledger leaks: {} requests, {settled} settled",
+                m("requests")?
+            ),
+        ),
+    ];
+    if let Some((_, violation)) = gates.into_iter().find(|(holds, _)| !holds) {
+        return Err(violation);
+    }
+    Ok(format!(
+        "server-soak ok: {} requests, {} ok, {} protocol errors, {} cache hits, 0 panics",
+        m("requests")?,
+        m("completed_ok")?,
+        m("protocol_errors")?,
+        m("cache_hits")?
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One way to spoil a healthy report, and the violation it must
+    /// produce.
+    type Spoil<T> = (fn(&mut T), &'static str);
+
+    #[test]
+    fn soak_gate_passes_a_healthy_soak_and_names_each_violation() {
+        let stats = LoadStats {
+            sent: 10,
+            well_formed: 6,
+            tournaments: 1,
+            hostile: 4,
+            ok: 5,
+            protocol_errors: 3,
+            canaries: 2,
+            ..Default::default()
+        };
+        let metrics = ipp_core::ServerMetrics {
+            requests: 7,
+            tournament_requests: 1,
+            completed_ok: 5,
+            failed: 1,
+            shed: 1,
+            protocol_errors: 3,
+            cache_hits: 2,
+            ..Default::default()
+        };
+        let parse = |text: &str| json::parse(text).unwrap();
+        let gate = |s: &LoadStats, m: &ipp_core::ServerMetrics| {
+            soak_gate(&parse(&s.to_json()), &parse(&m.to_json()))
+        };
+        assert_eq!(
+            gate(&stats, &metrics).unwrap(),
+            "server-soak ok: 7 requests, 5 ok, 3 protocol errors, 2 cache hits, 0 panics"
+        );
+        let bad_stats: [Spoil<LoadStats>; 5] = [
+            (|s| s.canaries = 0, "campaign dirty"),
+            (|s| s.hostile = 0, "campaign inert"),
+            (|s| s.tournaments = 0, "no tournament traffic"),
+            (|s| s.malformed_responses = 1, "malformed"),
+            (|s| s.mismatches = 1, "campaign dirty"),
+        ];
+        for (spoil, needle) in bad_stats {
+            let mut s = stats.clone();
+            spoil(&mut s);
+            let e = gate(&s, &metrics).unwrap_err();
+            assert!(e.contains(needle), "{e}");
+        }
+        let bad_metrics: [Spoil<ipp_core::ServerMetrics>; 6] = [
+            (|m| m.panicked = 1, "escaped panics: 1"),
+            (|m| m.completed_ok = 0, "no completed requests"),
+            (|m| m.tournament_requests = 0, "tournament op"),
+            (|m| m.protocol_errors = 0, "no structured trace"),
+            (|m| m.cache_hits = 0, "never hit"),
+            (|m| m.requests = 8, "ledger leaks"),
+        ];
+        for (spoil, needle) in bad_metrics {
+            let mut m = metrics.clone();
+            spoil(&mut m);
+            let e = gate(&stats, &m).unwrap_err();
+            assert!(e.contains(needle), "{e}");
+        }
+        let e = soak_gate(&parse("{}"), &parse(&metrics.to_json())).unwrap_err();
+        assert!(e.contains("campaign lacks the count"), "{e}");
+    }
 
     #[test]
     fn canary_request_is_stable() {

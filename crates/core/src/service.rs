@@ -641,6 +641,13 @@ impl RequestCache {
         }
     }
 
+    /// Look up a request key without counting a hit or a miss: for a
+    /// caller that re-checks a request whose one counted
+    /// [`lookup`](RequestCache::lookup) already missed.
+    pub fn peek(&self, key: u128) -> Option<CachedOutcome> {
+        self.lock().map.get(&key).cloned()
+    }
+
     /// True when `outcome` is a pure function of the request content and
     /// may be replayed to future identical requests.
     pub fn cacheable(outcome: &CachedOutcome) -> bool {
@@ -924,6 +931,10 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.hits, 2);
         assert_eq!(s.misses, 2);
+        // A peek sees the same entries and counts nothing.
+        assert!(cache.peek(1).is_none());
+        assert!(cache.peek(2).is_some());
+        assert_eq!(cache.stats(), s);
         // Duplicate insert neither grows the queue nor evicts.
         cache.insert(2, Ok(report));
         assert_eq!(cache.stats().entries, 2);

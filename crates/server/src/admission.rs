@@ -159,7 +159,12 @@ impl TokenBuckets {
     /// holds one request's worth of ops again).
     pub fn try_admit_at(&self, client: &str, now: Instant) -> Result<(), u64> {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if !state.contains_key(client) && state.len() >= self.max_clients {
+        // A known client pays one lookup and no allocation; only a new
+        // bucket owns a copy of the name.
+        if let Some(bucket) = state.get_mut(client) {
+            return self.charge(bucket, now);
+        }
+        if state.len() >= self.max_clients {
             // Bound the map: forget the client seen longest ago.
             if let Some(victim) = state
                 .iter()
@@ -173,6 +178,11 @@ impl TokenBuckets {
             tokens: self.capacity,
             last: now,
         });
+        self.charge(bucket, now)
+    }
+
+    /// Refill `bucket` up to `now`, then take one admission's cost from it.
+    fn charge(&self, bucket: &mut Bucket, now: Instant) -> Result<(), u64> {
         let elapsed = now.saturating_duration_since(bucket.last).as_secs_f64();
         bucket.tokens = (bucket.tokens + elapsed * self.refill_per_sec).min(self.capacity);
         bucket.last = now;

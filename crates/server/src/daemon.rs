@@ -3,16 +3,19 @@
 //!
 //! Life of a request: the acceptor admits a connection (bounded by
 //! [`ServerOptions::max_connections`] — beyond it, a `"busy"` rejection
-//! and close); the connection thread reads length-prefixed frames under
-//! a read timeout (slow-loris defence), decodes and validates the JSON
-//! document, then walks the admission ladder — drain flag, per-client
-//! token bucket, bounded ready queue. Each gate that refuses answers
-//! with a structured `"rejected"` response carrying a retry hint; the
-//! queue gate is the load-shedding point (never unbounded buffering).
-//! Admitted work is executed by the worker pool through the shared
-//! content-addressed [`RequestCache`], with every failure mode — panics
-//! included — flowing back over the wire as a structured error while
-//! the daemon keeps serving.
+//! and close); the connection thread reads length-prefixed frames through
+//! one buffered reader under a read timeout (slow-loris defence), decodes
+//! and validates the JSON document, then walks the admission ladder —
+//! drain flag, per-client token bucket, bounded ready queue. Each gate
+//! that refuses answers with a structured `"rejected"` response carrying
+//! a retry hint; the queue gate is the load-shedding point (never
+//! unbounded buffering). Between gates 2 and 3 an evaluate request makes
+//! its one counted lookup in the shared content-addressed
+//! [`RequestCache`]: a hit is answered right there on the connection
+//! thread, so only misses and tournaments take a queue slot and a worker.
+//! Every failure mode — panics included — flows back over the wire as a
+//! structured error while the daemon keeps serving, and every response
+//! leaves as one frame in one write.
 //!
 //! The scope of every degradation is one request. The daemon process
 //! itself only exits on graceful drain: stop accepting, refuse new
@@ -26,10 +29,11 @@ use crate::proto::{
 use ipp_core::driver::DriverOptions;
 use ipp_core::error::PipelineError;
 use ipp_core::service::{
-    evaluate_request_metered, evaluate_tournament_metered, request_key, RequestCache, ServerMetrics,
+    evaluate_request_metered, evaluate_tournament_metered, request_key, CachedOutcome,
+    RequestCache, ServerMetrics,
 };
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -93,28 +97,23 @@ impl Default for ServerOptions {
     }
 }
 
-/// One admitted unit of work. A tournament is a single work item — one
-/// admission charge, one queue slot, one worker — even though it
+/// One unit of work for the pool. A tournament is a single work item —
+/// one admission charge, one queue slot, one worker — even though it
 /// evaluates a whole portfolio: its arms share the request cache, one
 /// parse, and one baseline run (a failed baseline included), so its cost
 /// is bounded and the ladder's accounting stays per-request.
 enum WorkItem {
-    Evaluate(EvaluateRequest),
+    /// An evaluate request that missed the cache at admission, with its
+    /// [`request_key`].
+    Evaluate(EvaluateRequest, u128),
     Tournament(TournamentRequest),
 }
 
 impl WorkItem {
     fn id(&self) -> &str {
         match self {
-            WorkItem::Evaluate(r) => &r.id,
+            WorkItem::Evaluate(r, _) => &r.id,
             WorkItem::Tournament(r) => &r.id,
-        }
-    }
-
-    fn client(&self) -> &str {
-        match self {
-            WorkItem::Evaluate(r) => &r.client,
-            WorkItem::Tournament(r) => &r.client,
         }
     }
 }
@@ -186,8 +185,22 @@ impl Shared {
             .absorb(vm);
     }
 
-    /// The one failure path of `process` and `process_tournament`:
-    /// count a structured request failure and render its response. The
+    /// Count and render the answer to an evaluate request, whether the
+    /// outcome came from the cache or from a fresh evaluation.
+    fn answer(&self, req: &EvaluateRequest, outcome: CachedOutcome) -> String {
+        match outcome {
+            Ok(report) => {
+                self.counters.completed_ok.fetch_add(1, Ordering::SeqCst);
+                proto::ok_response(&req.id, &report)
+            }
+            // The cache key is (mode, source, annotations, budget): a hit
+            // may carry another requester's name, which `fail` replaces.
+            Err(e) => self.fail(&req.id, &req.name, e),
+        }
+    }
+
+    /// The one failure path of evaluate and tournament requests: count a
+    /// structured request failure and render its response. The
     /// error is re-attributed to this request's `name`, because a cache
     /// hit may carry the *first* requester's name and the response must
     /// stay a pure function of this request.
@@ -368,13 +381,16 @@ fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
+fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
         shared.opts.read_timeout_ms.max(1),
     )));
     let _ = stream.set_nodelay(true);
+    // One buffer per connection: a frame header costs one read, not one
+    // per byte. Responses are written straight to the socket underneath.
+    let mut reader = BufReader::new(stream);
     loop {
-        match proto::read_frame(&mut stream, shared.opts.max_frame_bytes) {
+        match proto::read_frame(&mut reader, shared.opts.max_frame_bytes) {
             Err(FrameError::Closed) => return,
             Err(e) => {
                 shared
@@ -383,7 +399,7 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                     .fetch_add(1, Ordering::SeqCst);
                 if e.answerable() {
                     let _ = proto::write_frame(
-                        &mut stream,
+                        reader.get_mut(),
                         &proto::protocol_error_response(&e.to_string()),
                     );
                 }
@@ -391,77 +407,102 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 // boundary — close it.
                 return;
             }
-            Ok(payload) => match proto::decode_request(&payload) {
-                Err(msg) => {
-                    // The *frame* was fine; the document was not. Answer
-                    // and keep serving this connection.
-                    shared
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::SeqCst);
-                    if proto::write_frame(&mut stream, &proto::protocol_error_response(&msg))
-                        .is_err()
-                    {
+            Ok(payload) => {
+                let resp = match proto::decode_request(&payload) {
+                    Err(msg) => {
+                        // The *frame* was fine; the document was not.
+                        // Answer and keep serving this connection.
+                        shared
+                            .counters
+                            .protocol_errors
+                            .fetch_add(1, Ordering::SeqCst);
+                        proto::protocol_error_response(&msg)
+                    }
+                    Ok(Request::Ping) => proto::pong_response(),
+                    Ok(Request::Metrics) => proto::metrics_response(&shared.snapshot()),
+                    Ok(Request::Shutdown) => {
+                        let _ = proto::write_frame(reader.get_mut(), &proto::draining_response());
+                        shared.begin_drain();
                         return;
                     }
-                }
-                Ok(Request::Ping) => {
-                    if proto::write_frame(&mut stream, &proto::pong_response()).is_err() {
-                        return;
-                    }
-                }
-                Ok(Request::Metrics) => {
-                    let resp = proto::metrics_response(&shared.snapshot());
-                    if proto::write_frame(&mut stream, &resp).is_err() {
-                        return;
-                    }
-                }
-                Ok(Request::Shutdown) => {
-                    let _ = proto::write_frame(&mut stream, &proto::draining_response());
-                    shared.begin_drain();
+                    Ok(Request::Evaluate(req)) => admit_evaluate(shared, req),
+                    Ok(Request::Tournament(req)) => admit_tournament(shared, req),
+                };
+                if proto::write_frame(reader.get_mut(), &resp).is_err() {
                     return;
                 }
-                Ok(Request::Evaluate(req)) => {
-                    let resp = admit_and_run(shared, WorkItem::Evaluate(req));
-                    if proto::write_frame(&mut stream, &resp).is_err() {
-                        return;
-                    }
-                }
-                Ok(Request::Tournament(req)) => {
-                    let resp = admit_and_run(shared, WorkItem::Tournament(req));
-                    if proto::write_frame(&mut stream, &resp).is_err() {
-                        return;
-                    }
-                }
-            },
+            }
         }
     }
 }
 
-/// Walk the admission ladder for one admitted work item (evaluate or
-/// tournament) and produce its response. Every exit is a structured
-/// answer, and every item lands in exactly one ledger bucket —
+/// Ladder gates 1–2 for an evaluate or tournament request: count it,
+/// then refuse it while draining or when its client's op bucket is
+/// empty. `Err` is the structured rejection to send. Together with gate
+/// 3 ([`run_queued`]) every request lands in exactly one ledger bucket —
 /// `requests == completed_ok + failed + shed + throttled +
-/// rejected_draining` holds with tournaments in the mix.
-fn admit_and_run(shared: &Arc<Shared>, item: WorkItem) -> String {
+/// rejected_draining` holds with cache hits and tournaments in the mix.
+fn pass_gates(shared: &Shared, id: &str, client: &str) -> Result<(), String> {
     let c = &shared.counters;
     c.requests.fetch_add(1, Ordering::SeqCst);
-    if matches!(item, WorkItem::Tournament(_)) {
-        c.tournament_requests.fetch_add(1, Ordering::SeqCst);
-    }
     if shared.draining.load(Ordering::SeqCst) {
         c.rejected_draining.fetch_add(1, Ordering::SeqCst);
-        return proto::reject_response(item.id(), "draining", 0, "daemon is draining");
+        return Err(proto::reject_response(
+            id,
+            "draining",
+            0,
+            "daemon is draining",
+        ));
     }
-    if let Err(retry_ms) = shared.buckets.try_admit(item.client()) {
+    if let Err(retry_ms) = shared.buckets.try_admit(client) {
         c.throttled.fetch_add(1, Ordering::SeqCst);
-        return proto::reject_response(
-            item.id(),
+        return Err(proto::reject_response(
+            id,
             "budget",
             retry_ms,
             "per-client op budget exhausted",
-        );
+        ));
     }
+    Ok(())
+}
+
+/// Serve one evaluate request. Past gates 1–2 it makes its one counted
+/// cache lookup: a hit is answered here on the connection thread, with
+/// no queue slot and no worker hand-off, so a saturated pool does not
+/// delay it; only a miss goes on to gate 3.
+fn admit_evaluate(shared: &Arc<Shared>, req: EvaluateRequest) -> String {
+    if let Err(rejection) = pass_gates(shared, &req.id, &req.client) {
+        return rejection;
+    }
+    let key = request_key(
+        req.mode,
+        &req.source,
+        &req.annotations,
+        shared.opts.verify_max_ops,
+    );
+    match shared.cache.lookup(key) {
+        Some(hit) => shared.answer(&req, hit),
+        None => run_queued(shared, WorkItem::Evaluate(req, key)),
+    }
+}
+
+/// Serve one tournament request: gates 1–2, then gate 3. Its arms
+/// consult the cache on the worker.
+fn admit_tournament(shared: &Arc<Shared>, req: TournamentRequest) -> String {
+    shared
+        .counters
+        .tournament_requests
+        .fetch_add(1, Ordering::SeqCst);
+    match pass_gates(shared, &req.id, &req.client) {
+        Ok(()) => run_queued(shared, WorkItem::Tournament(req)),
+        Err(rejection) => rejection,
+    }
+}
+
+/// Gate 3, the bounded ready queue: shed the item when the queue is full,
+/// otherwise wait for the worker's response.
+fn run_queued(shared: &Arc<Shared>, item: WorkItem) -> String {
+    let c = &shared.counters;
     let (tx, rx) = mpsc::channel();
     let id = item.id().to_string();
     match shared.queue.try_push(Job { item, reply: tx }) {
@@ -500,7 +541,7 @@ fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let resp = match &job.item {
-            WorkItem::Evaluate(req) => process(shared, req),
+            WorkItem::Evaluate(req, key) => process(shared, req, *key),
             WorkItem::Tournament(req) => process_tournament(shared, req),
         };
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -510,16 +551,13 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Execute one admitted request through the shared cache.
-fn process(shared: &Arc<Shared>, req: &EvaluateRequest) -> String {
-    let key = request_key(
-        req.mode,
-        &req.source,
-        &req.annotations,
-        shared.opts.verify_max_ops,
-    );
-    let outcome = match shared.cache.lookup(key) {
-        Some(cached) => cached,
+/// Evaluate one queued miss and cache its outcome. The re-check is an
+/// uncounted peek (admission already counted this request's lookup): a
+/// duplicate of a miss queued ahead of it finds that miss's outcome
+/// there, so identical queued misses still pay one evaluation.
+fn process(shared: &Arc<Shared>, req: &EvaluateRequest, key: u128) -> String {
+    let outcome = match shared.cache.peek(key) {
+        Some(done) => done,
         None => {
             let opts = shared.driver_options();
             let (outcome, vm) =
@@ -530,15 +568,7 @@ fn process(shared: &Arc<Shared>, req: &EvaluateRequest) -> String {
             outcome
         }
     };
-    match outcome {
-        Ok(report) => {
-            shared.counters.completed_ok.fetch_add(1, Ordering::SeqCst);
-            proto::ok_response(&req.id, &report)
-        }
-        // The cache key is (mode, source, annotations, budget): a hit may
-        // carry another requester's name, which `fail` replaces.
-        Err(e) => shared.fail(&req.id, &req.name, e),
-    }
+    shared.answer(req, outcome)
 }
 
 /// Execute one admitted tournament through the shared cache: the arms

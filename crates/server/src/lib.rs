@@ -8,15 +8,18 @@
 //!
 //! The crate is organised as the request's journey:
 //!
-//! * [`proto`] — framing (`<len>\n<payload>`) and the JSON
-//!   request/response vocabulary, read and written through
-//!   [`ipp_core::json`], the workspace's one JSON layer;
+//! * [`proto`] — framing (`<len>\n<payload>`, each frame sent in one
+//!   write) and the JSON request/response vocabulary, read and written
+//!   through [`ipp_core::json`], the workspace's one JSON layer;
 //! * [`admission`] — the degradation ladder: per-client token buckets
 //!   denominated in interpreter ops, and the bounded ready queue whose
 //!   overflow is answered with explicit load-shedding rejections;
-//! * [`daemon`] — the acceptor, connection handlers and worker pool,
-//!   executing requests through [`ipp_core::service`]'s per-request
-//!   entry point and shared [`ipp_core::service::RequestCache`].
+//! * [`daemon`] — the acceptor, connection handlers and worker pool.
+//!   After the drain flag and the token bucket, a connection thread looks
+//!   an evaluate request up in the shared
+//!   [`ipp_core::service::RequestCache`] and answers a hit itself; only
+//!   misses and tournaments take a queue slot and run on a worker through
+//!   [`ipp_core::service`]'s per-request entry points.
 //!
 //! ## Invariants (asserted by `tests/server_soak.rs` and the CI soak)
 //!

@@ -113,6 +113,11 @@ fn map_io(e: std::io::Error, started: bool) -> FrameError {
 }
 
 /// Read one frame, enforcing `max` on the declared payload length.
+///
+/// The header is read a byte at a time, so `r` should be buffered (the
+/// daemon reads each connection through one `BufReader`): unbuffered, each
+/// header byte is a syscall. Bytes read ahead stay in the buffer for the
+/// next call, so pipelined frames come back in order.
 pub fn read_frame(r: &mut impl Read, max: usize) -> Result<String, FrameError> {
     // Header: byte-at-a-time until '\n' (bounded at MAX_HEADER_DIGITS).
     let mut len: usize = 0;
@@ -160,10 +165,14 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> Result<String, FrameError> {
     String::from_utf8(payload).map_err(|_| FrameError::Malformed("payload is not UTF-8".into()))
 }
 
-/// Write one frame.
+/// Write one frame. Header and payload go out in a single `write_all`,
+/// so under `TCP_NODELAY` a small frame leaves in one segment, not in
+/// three (digits, newline, payload).
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    writeln!(w, "{}", payload.len())?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(MAX_HEADER_DIGITS + 1 + payload.len());
+    writeln!(frame, "{}", payload.len())?;
+    frame.extend_from_slice(payload.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -388,6 +397,66 @@ mod tests {
         assert_eq!(read_frame(&mut c, 64).unwrap(), "first");
         assert_eq!(read_frame(&mut c, 64).unwrap(), "second");
         assert_eq!(read_frame(&mut c, 64).unwrap_err(), FrameError::Closed);
+    }
+
+    /// A writer that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A reader that counts `read` calls.
+    struct CountingReader {
+        inner: Cursor<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for CountingReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        for p in ["", "{\"op\":\"ping\"}", &"z".repeat(70_000)] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, p).unwrap();
+            assert_eq!(w.writes, 1, "a {}-byte frame", p.len());
+            assert_eq!(w.bytes, format!("{}\n{p}", p.len()).into_bytes());
+        }
+    }
+
+    #[test]
+    fn pipelined_frames_survive_read_ahead() {
+        // Two frames arrive in one segment; one buffered reader takes both
+        // in one read and must hand them back in order, dropping neither.
+        let mut both = Vec::new();
+        write_frame(&mut both, "first").unwrap();
+        write_frame(&mut both, "second").unwrap();
+        let mut r = std::io::BufReader::new(CountingReader {
+            inner: Cursor::new(both),
+            reads: 0,
+        });
+        assert_eq!(read_frame(&mut r, 64).unwrap(), "first");
+        assert_eq!(read_frame(&mut r, 64).unwrap(), "second");
+        assert_eq!(read_frame(&mut r, 64).unwrap_err(), FrameError::Closed);
+        // One read for both frames (header bytes included), one for EOF.
+        assert_eq!(r.get_ref().reads, 2);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * every malformed input is answered with a structured protocol
 //!   error where the transport still allows an answer;
 //! * overload is shed with explicit `"rejected"` responses carrying
-//!   retry hints (never unbounded buffering), and per-client budgets
-//!   throttle one client without starving another;
+//!   retry hints (never unbounded buffering), a cache hit is answered
+//!   even while the pool is saturated, and per-client budgets throttle
+//!   one client without starving another;
 //! * shutdown is a graceful drain: in-flight work completes and the
 //!   final `ServerMetrics` snapshot is well-formed.
 
@@ -184,12 +185,13 @@ fn overload_sheds_with_structured_rejections_and_recovers() {
         let addr = Arc::clone(&addr);
         let barrier = Arc::clone(&barrier);
         threads.push(std::thread::spawn(move || {
-            // Distinct ids so identical-request caching cannot collapse
-            // the workload; the source is identical so evaluation cost
-            // is identical.
+            // The cache key is (mode, source, annotations, budget), not
+            // the id: a trailing comment gives each request a source of
+            // its own, so none can be answered from the cache, while the
+            // evaluation cost stays identical.
             let req = evaluate(
                 "SLOW",
-                SLOW_SOURCE,
+                &format!("{SLOW_SOURCE}C {i}\n"),
                 ipp_core::InlineMode::None,
                 &format!("s{i}"),
             );
@@ -229,6 +231,115 @@ fn overload_sheds_with_structured_rejections_and_recovers() {
     let m = handle.shutdown();
     assert_eq!(m.shed, rejected.len() as u64, "{}", m.to_json());
     assert!(m.queue_peak <= 1, "{}", m.to_json());
+}
+
+/// A miss that holds the worker for about a second in either build: a
+/// scaled-up [`SLOW_SOURCE`] whose trailing comment gives it a cache key
+/// of its own.
+fn slow_miss(tag: &str) -> String {
+    let iters = if cfg!(debug_assertions) {
+        5_000
+    } else {
+        40_000
+    };
+    let source = SLOW_SOURCE.replace("5000", &iters.to_string());
+    encode_evaluate(&evaluate(
+        "SLOW",
+        &format!("{source}C {tag}\n"),
+        ipp_core::InlineMode::None,
+        tag,
+    ))
+}
+
+/// Poll the daemon's metrics until `done` holds (or fail after 20 s).
+fn wait_until(handle: &server::ServerHandle, done: impl Fn(&ipp_core::ServerMetrics) -> bool) {
+    let start = std::time::Instant::now();
+    while !done(&handle.metrics()) {
+        assert!(
+            start.elapsed() < IO_TIMEOUT,
+            "{}",
+            handle.metrics().to_json()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+fn code_of(resp: &str) -> Option<String> {
+    json::parse(resp)
+        .ok()?
+        .get("code")
+        .and_then(Json::as_str)
+        .map(str::to_string)
+}
+
+#[test]
+fn cache_hit_bypasses_a_saturated_pool() {
+    let handle = daemon::spawn(ServerOptions {
+        workers: 1,
+        queue_capacity: 1,
+        ..generous()
+    })
+    .expect("spawn");
+    let addr = Arc::new(handle.addr().to_string());
+    let k = encode_evaluate(&canary_request());
+    let first = exchange(&addr, &k);
+    assert_eq!(status_of(&first), "ok", "{first}");
+
+    // Saturate the pool: one slow miss on the worker, one in the queue.
+    let send = |tag: &'static str| {
+        let addr = Arc::clone(&addr);
+        std::thread::spawn(move || exchange(&addr, &slow_miss(tag)))
+    };
+    // The metrics count a request before it reaches the queue, and a
+    // worker's pop is not visible at all, so a short pause follows each
+    // count; each slow miss holds the worker for about a second.
+    let running = send("running");
+    wait_until(&handle, |m| m.requests == 2);
+    std::thread::sleep(Duration::from_millis(50));
+    let queued = send("queued");
+    wait_until(&handle, |m| m.requests == 3);
+    std::thread::sleep(Duration::from_millis(50));
+    let shed_before = exchange(&addr, &slow_miss("shed-before"));
+    assert_eq!(
+        code_of(&shed_before).as_deref(),
+        Some("overloaded"),
+        "{shed_before}"
+    );
+
+    // The hit needs no worker: it is answered at once, byte for byte.
+    let hit = exchange(&addr, &k);
+    assert_eq!(
+        hit, first,
+        "a cache hit must not wait for, or be shed by, the pool"
+    );
+
+    // The pool was still saturated after the hit was answered.
+    let shed_after = exchange(&addr, &slow_miss("shed-after"));
+    assert_eq!(
+        code_of(&shed_after).as_deref(),
+        Some("overloaded"),
+        "{shed_after}"
+    );
+    for t in [running, queued] {
+        let resp = t.join().unwrap();
+        assert_eq!(status_of(&resp), "ok", "{resp}");
+    }
+
+    let m = handle.shutdown();
+    assert_eq!(
+        m.shed,
+        2,
+        "only the two extra misses are shed: {}",
+        m.to_json()
+    );
+    assert_eq!(m.completed_ok, 4, "{}", m.to_json());
+    assert_eq!((m.cache_hits, m.cache_misses), (1, 5), "{}", m.to_json());
+    assert_eq!(
+        m.requests,
+        m.completed_ok + m.failed + m.shed + m.throttled + m.rejected_draining,
+        "request ledger leaks: {}",
+        m.to_json()
+    );
 }
 
 #[test]
