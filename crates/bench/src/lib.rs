@@ -14,6 +14,10 @@
 //!   `--write` refreshes the committed `artifacts/tournament.json`;
 //!   `--check` exits nonzero unless a fresh run reproduces it byte for
 //!   byte (the CI winner-stability gate).
+//! * `check_artifacts` — the CI gates over `interp_engines.json` and
+//!   `corpus_throughput.json` ([`gates`]): `--engines PATH`,
+//!   `--throughput PATH`, and `--ledger COMMITTED FRESH` for a fresh
+//!   run's allocation count against the committed one.
 //!
 //! Benches (`cargo bench`, on the local [`harness`] shim — the build
 //! container has no crates.io access, so criterion is replaced by a
@@ -29,11 +33,14 @@
 
 #![warn(missing_docs)]
 
+pub mod gates;
 pub mod harness;
 
 use fruntime::Machine;
-use ipp_core::{render_fig20, render_table2, totals_for, Fig20Point, SuiteMetrics, Table2Row};
-use perfect::{driver_options, evaluate_suite, evaluate_suite_with_metrics, AppEvaluation};
+use ipp_core::{
+    render_fig20, render_table2, totals_for, AppReport, Fig20Point, SuiteMetrics, Table2Row,
+};
+use perfect::{driver_options, evaluate_suite, evaluate_suite_with_metrics};
 
 /// The two machines of the paper's evaluation.
 pub fn machines() -> Vec<Machine> {
@@ -41,12 +48,12 @@ pub fn machines() -> Vec<Machine> {
 }
 
 /// Evaluate the full suite on both machines.
-pub fn full_evaluation() -> Vec<AppEvaluation> {
+pub fn full_evaluation() -> Vec<AppReport> {
     evaluate_suite(&machines())
 }
 
 /// Evaluate the full suite and keep the driver's observability report.
-pub fn full_evaluation_with_metrics() -> (Vec<AppEvaluation>, SuiteMetrics) {
+pub fn full_evaluation_with_metrics() -> (Vec<AppReport>, SuiteMetrics) {
     let ms = machines();
     evaluate_suite_with_metrics(&ms, &driver_options(&ms))
 }
@@ -68,17 +75,17 @@ pub fn metrics_report(m: &SuiteMetrics) -> String {
 }
 
 /// Flatten Table II rows from an evaluation.
-pub fn all_rows(evals: &[AppEvaluation]) -> Vec<Table2Row> {
+pub fn all_rows(evals: &[AppReport]) -> Vec<Table2Row> {
     evals.iter().flat_map(|e| e.rows.clone()).collect()
 }
 
 /// Flatten Figure 20 points from an evaluation.
-pub fn all_points(evals: &[AppEvaluation]) -> Vec<Fig20Point> {
+pub fn all_points(evals: &[AppReport]) -> Vec<Fig20Point> {
     evals.iter().flat_map(|e| e.fig20.clone()).collect()
 }
 
 /// Render the complete Table II report, including the §IV-A totals.
-pub fn table2_report(evals: &[AppEvaluation]) -> String {
+pub fn table2_report(evals: &[AppReport]) -> String {
     let rows = all_rows(evals);
     let mut out =
         String::from("TABLE II — automatically parallelized loops per inlining configuration\n\n");
@@ -96,7 +103,7 @@ pub fn table2_report(evals: &[AppEvaluation]) -> String {
 }
 
 /// Render the complete Figure 20 report.
-pub fn fig20_report(evals: &[AppEvaluation]) -> String {
+pub fn fig20_report(evals: &[AppReport]) -> String {
     let pts = all_points(evals);
     let mut out = String::from(
         "FIGURE 20 — simulated runtime speedups (machine cost model, after empirical tuning)\n\n",
@@ -107,7 +114,7 @@ pub fn fig20_report(evals: &[AppEvaluation]) -> String {
 }
 
 /// Verification summary (the paper's runtime-tester methodology).
-pub fn verify_report(evals: &[AppEvaluation]) -> String {
+pub fn verify_report(evals: &[AppReport]) -> String {
     let mut out =
         String::from("RUNTIME TESTERS — original ≡ optimized ≡ threaded, per configuration\n\n");
     for e in evals {

@@ -174,6 +174,35 @@ fn exchange(addr: &str, payload: &str, timeout: Duration) -> std::io::Result<Str
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
+/// The retry hint of a `"rejected"` answer, or `None` for any other.
+fn rejection_hint(resp: &str) -> Option<u64> {
+    let doc = json::parse(resp).ok()?;
+    (doc.get("status").and_then(Json::as_str) == Some("rejected")).then(|| {
+        doc.get("retry_after_hint_ms")
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    })
+}
+
+/// [`exchange`] for a well-formed request that honours the daemon's
+/// retry hint: a `"rejected"` answer is counted in `rejected`, and the
+/// request is resent once after the hinted delay. The resend's answer is
+/// the one returned.
+fn exchange_with_retry(
+    addr: &str,
+    payload: &str,
+    timeout: Duration,
+    stats: &mut LoadStats,
+) -> std::io::Result<String> {
+    let resp = exchange(addr, payload, timeout)?;
+    let Some(hint_ms) = rejection_hint(&resp) else {
+        return Ok(resp);
+    };
+    stats.rejected += 1;
+    std::thread::sleep(Duration::from_millis(hint_ms));
+    exchange(addr, payload, timeout)
+}
+
 /// Ask a live daemon to begin graceful drain.
 pub fn send_shutdown(addr: &str, timeout: Duration) -> std::io::Result<String> {
     exchange(addr, "{\"op\":\"shutdown\"}", timeout)
@@ -332,7 +361,10 @@ fn classify(resp: &str, well_formed: bool, stats: &mut LoadStats) {
 /// the same payload must receive the same bytes (`mismatches` counts
 /// violations). Rejected responses are exempt — admission is load-, not
 /// content-, dependent. Every `canary_every` slots the canary probes
-/// that the daemon still answers correctly and identically.
+/// that the daemon still answers correctly and identically. A rejected
+/// well-formed or canary request is resent once after its retry hint,
+/// and the resend's answer is the one classified and gated: so a clean
+/// campaign also shows that the daemon's hints are honest.
 pub fn run(addr: &str, opts: &LoadOptions) -> LoadStats {
     let mut stats = LoadStats::default();
     let mut seen: HashMap<String, String> = HashMap::new();
@@ -371,19 +403,14 @@ pub fn run(addr: &str, opts: &LoadOptions) -> LoadStats {
                     annotations: spec.annotations.clone(),
                 })
             };
-            match exchange(addr, &payload, opts.io_timeout) {
+            match exchange_with_retry(addr, &payload, opts.io_timeout, &mut stats) {
                 Err(_) => stats.transport_failures += 1,
                 Ok(resp) => {
                     classify(&resp, true, &mut stats);
                     // Determinism gate: identical request payload ⇒
                     // identical response bytes (rejections exempt — they
                     // depend on load, not content).
-                    let is_rejection = json::parse(&resp)
-                        .ok()
-                        .and_then(|d| d.get("status").and_then(Json::as_str).map(str::to_string))
-                        .as_deref()
-                        == Some("rejected");
-                    if !is_rejection {
+                    if rejection_hint(&resp).is_none() {
                         match seen.get(&payload) {
                             Some(prev) if prev != &resp => stats.mismatches += 1,
                             Some(_) => {}
@@ -397,7 +424,7 @@ pub fn run(addr: &str, opts: &LoadOptions) -> LoadStats {
         }
         if opts.canary_every > 0 && (i as u64 + 1).is_multiple_of(opts.canary_every) {
             stats.canaries += 1;
-            match exchange(addr, &canary_payload, opts.io_timeout) {
+            match exchange_with_retry(addr, &canary_payload, opts.io_timeout, &mut stats) {
                 Err(_) => stats.canary_failures += 1,
                 Ok(resp) => match &canary_expected {
                     None => {
@@ -564,6 +591,37 @@ mod tests {
         }
         let e = soak_gate(&parse("{}"), &parse(&metrics.to_json())).unwrap_err();
         assert!(e.contains("campaign lacks the count"), "{e}");
+    }
+
+    #[test]
+    fn campaign_honours_retry_hints_from_a_tight_bucket() {
+        // One request of burst per client: back-to-back requests, the
+        // canary's included, are throttled, and each resend after the
+        // daemon's hint must be admitted for the campaign to stay clean.
+        let handle = server::spawn(server::ServerOptions {
+            client_burst: 1,
+            wall_budget_ms: 60_000,
+            ..Default::default()
+        })
+        .expect("spawn");
+        let stats = run(
+            &handle.addr().to_string(),
+            &LoadOptions {
+                seed: 0x4E7E_2011,
+                requests: 30,
+                pool: 4,
+                clients: 2,
+                hostile_percent: 0,
+                tournament_percent: 0,
+                canary_every: 2,
+                ..Default::default()
+            },
+        );
+        let m = handle.shutdown();
+        assert!(stats.clean(), "{}", stats.to_json());
+        assert!(stats.rejected > 0, "{}", stats.to_json());
+        assert_eq!(stats.ok, stats.well_formed, "{}", stats.to_json());
+        assert_eq!(m.throttled, stats.rejected, "{}", m.to_json());
     }
 
     #[test]

@@ -564,17 +564,13 @@ fn evaluate_mutant(
             }
         }
     };
-    let registry = if annotations.trim().is_empty() {
-        finline::annot::AnnotRegistry::default()
-    } else {
-        match finline::annot::AnnotRegistry::parse(annotations) {
-            Ok(r) => r,
-            Err(e) => {
-                return Outcome::Rejected {
-                    stage: "annotations",
-                    located: !e.span.is_synthetic(),
-                    message: e.to_string(),
-                }
+    let registry = match finline::annot::AnnotRegistry::parse(annotations) {
+        Ok(r) => r,
+        Err(e) => {
+            return Outcome::Rejected {
+                stage: "annotations",
+                located: !e.span.is_synthetic(),
+                message: e.to_string(),
             }
         }
     };

@@ -36,7 +36,7 @@ use crate::error::{panic_message, FailCause, FailStage, PipelineError};
 use crate::phase::{blocker_counts, CellMetrics, FailureRecord, Phase, PhaseTimings, SuiteMetrics};
 use crate::pipeline::{compile_timed, InlineMode, PipelineOptions, PipelineResult};
 use crate::report::{table2_rows, Fig20Point, Table2Row};
-use crate::tournament::{default_machines, portfolio, tuned_speedup};
+use crate::tournament::{default_machines, tuned_speedup};
 use crate::verify::{baseline_run_with, guarded, verify_with_baseline_using, VerifyResult};
 use finline::annot::AnnotRegistry;
 use fir::ast::Program;
@@ -138,12 +138,6 @@ pub struct DriverOptions {
     /// (0 = auto: enough to keep every worker busy). Bounds streaming
     /// memory: at most one window of jobs and reports is alive at once.
     pub stream_window: usize,
-    /// Tournament portfolio: the labelled configurations
-    /// [`crate::tournament::run_tournament`] fans out per app. Empty
-    /// selects the default portfolio ([`crate::tournament::portfolio`]).
-    /// The classic [`run_suite`] matrix ignores this field — its columns
-    /// are always the four [`InlineMode`]s.
-    pub arms: Vec<CellConfig>,
     /// Chaos seam: cells of applications named here panic deliberately at
     /// the start of evaluation, to exercise the driver's `catch_unwind`
     /// isolation boundary (used by the fault-isolation tests and the
@@ -163,7 +157,6 @@ impl Default for DriverOptions {
             engine: fruntime::Engine::default(),
             retain_results: false,
             stream_window: 0,
-            arms: Vec::new(),
             inject_panic: Vec::new(),
         }
     }
@@ -209,16 +202,6 @@ impl DriverOptions {
             self.stream_window
         } else {
             self.effective_workers() * 4
-        }
-    }
-
-    /// Resolved tournament portfolio: [`DriverOptions::arms`], or the
-    /// default [`portfolio`] when that is empty.
-    pub(crate) fn effective_arms(&self) -> Vec<CellConfig> {
-        if self.arms.is_empty() {
-            portfolio()
-        } else {
-            self.arms.clone()
         }
     }
 
@@ -285,6 +268,13 @@ impl AppReport {
     /// True when every configuration completed.
     pub fn ok(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// True when every configuration completed and every retained
+    /// verification passed both runtime-tester gates (with
+    /// [`DriverOptions::retain_results`] off there are none to check).
+    pub fn all_verified(&self) -> bool {
+        self.ok() && self.verify.iter().all(|(_, v)| v.ok())
     }
 }
 
@@ -826,11 +816,7 @@ mod tests {
         SuiteJob {
             name: name.into(),
             program: parse(src).unwrap(),
-            registry: if annot.trim().is_empty() {
-                AnnotRegistry::default()
-            } else {
-                AnnotRegistry::parse(annot).unwrap()
-            },
+            registry: AnnotRegistry::parse(annot).unwrap(),
         }
     }
 
@@ -877,7 +863,7 @@ mod tests {
         };
         let memo = ProgramMemo::default();
         let deadline = WallDeadline::start(0);
-        for cfg in portfolio() {
+        for cfg in crate::tournament::portfolio() {
             let e = match evaluate_cell("T", &j.program, &j.registry, &cfg, &opts, &memo, &deadline)
             {
                 Ok(_) => panic!("{}: completed under a 10-op budget", cfg.label),

@@ -48,7 +48,7 @@ use crate::json::{self, ToJson};
 use crate::json_object;
 use crate::phase::blocker_key;
 use crate::pipeline::InlineMode;
-use crate::tournament::{winner_index, MachineScore};
+use crate::tournament::{portfolio, winner_index, MachineScore};
 use fruntime::Machine;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -205,13 +205,9 @@ fn parse_request(
 ) -> Result<(fir::ast::Program, finline::annot::AnnotRegistry), PipelineError> {
     let program = fir::parse(source)
         .map_err(|d| PipelineError::pre_pipeline(name, FailStage::Parse, FailCause::Diag(d)))?;
-    let registry = if annotations.trim().is_empty() {
-        finline::annot::AnnotRegistry::default()
-    } else {
-        finline::annot::AnnotRegistry::parse(annotations).map_err(|d| {
-            PipelineError::pre_pipeline(name, FailStage::Annotations, FailCause::Diag(d))
-        })?
-    };
+    let registry = finline::annot::AnnotRegistry::parse(annotations).map_err(|d| {
+        PipelineError::pre_pipeline(name, FailStage::Annotations, FailCause::Diag(d))
+    })?;
     Ok((program, registry))
 }
 
@@ -371,13 +367,13 @@ impl ToJson for TournamentReport {
     }
 }
 
-/// Evaluate a portfolio tournament for one request: every arm of
-/// [`DriverOptions::arms`] (the default portfolio when empty) compiled
-/// and verified against a *shared* parse and one per-request memo — one
-/// lazy baseline run, and one verification per distinct emitted source,
-/// failures included — with per-arm [`RequestCache`] sharing via
-/// [`arm_key`]: the service counterpart of
-/// [`crate::tournament::run_tournament`]'s cache discipline.
+/// Evaluate a portfolio tournament for one request: every arm of the
+/// fixed [`portfolio`] compiled and verified against a *shared* parse
+/// and one per-request memo — one lazy baseline run, and one
+/// verification per distinct emitted source, failures included — with
+/// per-arm [`RequestCache`] sharing via [`arm_key`]: the service
+/// counterpart of [`crate::tournament::run_tournament`]'s cache
+/// discipline.
 ///
 /// Budgets: one [`WallDeadline`] spans the whole tournament; each
 /// interpreter run keeps the usual per-run op budget. Returns `Err` only
@@ -430,7 +426,7 @@ fn evaluate_tournament_inner(
     cache: Option<&RequestCache>,
     vm: &mut fruntime::VmCounters,
 ) -> Result<TournamentReport, PipelineError> {
-    let arms = opts.effective_arms();
+    let arms = portfolio();
     let machines = opts.effective_machines();
     let deadline = WallDeadline::start(opts.wall_budget_ms);
     let max_ops = opts.verify_max_ops;

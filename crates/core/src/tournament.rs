@@ -258,10 +258,9 @@ pub fn geomean_micros(speedups: &[f64]) -> u64 {
 
 /// Run the configuration tournament: every job × every portfolio arm
 /// through the shared-cache matrix, scored on `opts.machines` (the
-/// paper's two hosts when empty). Arms come from [`DriverOptions::arms`],
-/// or [`portfolio`] when that is empty.
+/// paper's two hosts when empty). The arms are the fixed [`portfolio`].
 pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutcome {
-    let arms = opts.effective_arms();
+    let arms = portfolio();
     let machines = opts.effective_machines();
 
     let mx = run_matrix(jobs, &arms, opts);

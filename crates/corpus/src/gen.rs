@@ -100,15 +100,10 @@ impl GeneratedProgram {
     /// corpus contract is that every emitted program parses.
     pub fn job(&self) -> Result<SuiteJob, fir::diag::Error> {
         let program = fir::parse(&self.source)?;
-        let registry = if self.annotations.trim().is_empty() {
-            AnnotRegistry::default()
-        } else {
-            AnnotRegistry::parse(&self.annotations)?
-        };
         Ok(SuiteJob {
             name: self.name.clone(),
             program,
-            registry,
+            registry: AnnotRegistry::parse(&self.annotations)?,
         })
     }
 }

@@ -68,8 +68,12 @@ pub struct AnnotRegistry {
 }
 
 impl AnnotRegistry {
-    /// Parse a whole annotation file.
+    /// Parse a whole annotation file. Blank text (empty or only
+    /// whitespace) is the empty registry.
     pub fn parse(src: &str) -> Result<AnnotRegistry> {
+        if src.trim().is_empty() {
+            return Ok(AnnotRegistry::default());
+        }
         let toks = lex(src)?;
         let mut p = P {
             toks,
@@ -787,6 +791,16 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
         M3[JL,JN] = M3[JL,JN] + M1[JL,JM] * M2[JM,JN];
 }
 ";
+
+    #[test]
+    fn blank_text_is_the_empty_registry() {
+        for blank in ["", "  ", "\n\t \n"] {
+            assert_eq!(
+                AnnotRegistry::parse(blank).unwrap(),
+                AnnotRegistry::default()
+            );
+        }
+    }
 
     #[test]
     fn parses_matmlt() {

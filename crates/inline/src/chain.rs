@@ -776,11 +776,7 @@ mod tests {
 
     fn chains_with(src: &str, manual: &str) -> ChainReport {
         let p = parse(src).unwrap();
-        let reg = if manual.trim().is_empty() {
-            AnnotRegistry::default()
-        } else {
-            AnnotRegistry::parse(manual).unwrap()
-        };
+        let reg = AnnotRegistry::parse(manual).unwrap();
         generate_with_chains(&p, &reg, &AutoGenOptions::default())
     }
 

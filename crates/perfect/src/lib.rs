@@ -21,6 +21,6 @@ pub mod trfd;
 
 pub use metrics::{
     driver_options, evaluate_app, evaluate_suite, evaluate_suite_with_metrics, suite_job,
-    suite_jobs, AppEvaluation, VERIFY_THREADS,
+    suite_jobs, VERIFY_THREADS,
 };
 pub use suite::{all, by_name, App};

@@ -11,42 +11,15 @@
 
 use crate::suite::App;
 use fruntime::Machine;
-use ipp_core::driver::{run_suite, AppReport, DriverOptions, SuiteJob, SuiteOutcome};
-use ipp_core::{Fig20Point, InlineMode, PipelineResult, SuiteMetrics, Table2Row, VerifyResult};
-
-/// Everything measured for one application.
-#[derive(Debug, Clone)]
-pub struct AppEvaluation {
-    /// Application name.
-    pub name: &'static str,
-    /// The three Table II rows (no-inline / conventional / annotation).
-    pub rows: Vec<Table2Row>,
-    /// Figure 20 points (configurations × machines).
-    pub fig20: Vec<Fig20Point>,
-    /// Verification results per configuration.
-    pub verify: Vec<(InlineMode, VerifyResult)>,
-    /// One pipeline result per configuration (including `auto-annot`),
-    /// for deeper inspection.
-    pub results: Vec<(InlineMode, PipelineResult)>,
-    /// Structured failures for configurations that did not complete
-    /// (empty on the healthy path).
-    pub failures: Vec<ipp_core::PipelineError>,
-}
-
-impl AppEvaluation {
-    /// True when every configuration completed and passed both
-    /// runtime-tester gates.
-    pub fn all_verified(&self) -> bool {
-        self.failures.is_empty() && self.verify.iter().all(|(_, v)| v.ok())
-    }
-}
+use ipp_core::driver::{run_suite, AppReport, DriverOptions, SuiteJob};
+use ipp_core::SuiteMetrics;
 
 /// Threads used for the correctness-checking parallel runs.
 pub const VERIFY_THREADS: usize = 4;
 
 /// Driver configuration used for suite evaluation. Result retention is
-/// on: the suite is twelve apps, and every consumer of an
-/// [`AppEvaluation`] reads the per-configuration payloads.
+/// on: the suite is twelve apps, and every consumer of its
+/// [`AppReport`]s reads the per-configuration payloads.
 pub fn driver_options(machines: &[Machine]) -> DriverOptions {
     DriverOptions {
         verify_threads: VERIFY_THREADS,
@@ -70,25 +43,13 @@ pub fn suite_jobs() -> Vec<SuiteJob> {
     crate::suite::all().iter().map(suite_job).collect()
 }
 
-fn from_report(app: &App, report: AppReport) -> AppEvaluation {
-    AppEvaluation {
-        name: app.name,
-        rows: report.rows,
-        fig20: report.fig20,
-        verify: report.verify,
-        results: report.results,
-        failures: report.failures,
-    }
-}
-
 /// Evaluate one application on the given machines (via the driver).
-pub fn evaluate_app(app: &App, machines: &[Machine]) -> AppEvaluation {
-    let (report, _) = ipp_core::driver::run_app(&suite_job(app), &driver_options(machines));
-    from_report(app, report)
+pub fn evaluate_app(app: &App, machines: &[Machine]) -> AppReport {
+    ipp_core::driver::run_app(&suite_job(app), &driver_options(machines)).0
 }
 
 /// Evaluate the whole suite through the concurrent driver.
-pub fn evaluate_suite(machines: &[Machine]) -> Vec<AppEvaluation> {
+pub fn evaluate_suite(machines: &[Machine]) -> Vec<AppReport> {
     evaluate_suite_with_metrics(machines, &driver_options(machines)).0
 }
 
@@ -96,24 +57,20 @@ pub fn evaluate_suite(machines: &[Machine]) -> Vec<AppEvaluation> {
 pub fn evaluate_suite_with_metrics(
     machines: &[Machine],
     opts: &DriverOptions,
-) -> (Vec<AppEvaluation>, SuiteMetrics) {
+) -> (Vec<AppReport>, SuiteMetrics) {
     let mut opts = opts.clone();
     if opts.machines.is_empty() {
         opts.machines = machines.to_vec();
     }
-    let SuiteOutcome { apps, metrics } = run_suite(&suite_jobs(), &opts);
-    let evals = crate::suite::all()
-        .iter()
-        .zip(apps)
-        .map(|(app, report)| from_report(app, report))
-        .collect();
-    (evals, metrics)
+    let out = run_suite(&suite_jobs(), &opts);
+    (out.apps, out.metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::suite::by_name;
+    use ipp_core::Fig20Point;
 
     #[test]
     fn dyfesm_evaluation_shape() {

@@ -39,12 +39,8 @@ impl App {
 
     /// Parse the annotation registry.
     pub fn registry(&self) -> AnnotRegistry {
-        if self.annotations.trim().is_empty() {
-            AnnotRegistry::default()
-        } else {
-            AnnotRegistry::parse(self.annotations)
-                .unwrap_or_else(|e| panic!("{}: annotation parse failed: {e}", self.name))
-        }
+        AnnotRegistry::parse(self.annotations)
+            .unwrap_or_else(|e| panic!("{}: annotation parse failed: {e}", self.name))
     }
 }
 

@@ -1,6 +1,7 @@
-//! Admission control: the bounded request queue and per-client budgets.
+//! Admission control: per-client budgets and the evaluation gate.
 //!
-//! Two independent gates stand between a decoded request and a worker:
+//! Two independent gates stand between a decoded request and an
+//! evaluation:
 //!
 //! 1. [`TokenBuckets`] — per-client op budgets. Every evaluation costs
 //!    its full op budget up front ([`ipp_core::DriverOptions::verify_max_ops`]
@@ -9,110 +10,132 @@
 //!    rejections with a refill-derived retry hint — other clients are
 //!    unaffected. The client map itself is bounded (oldest-seen evicted),
 //!    so an attacker minting client names cannot grow it without bound.
-//! 2. [`AdmissionQueue`] — the bounded ready queue. When it is full the
-//!    daemon *sheds load*: the request is rejected immediately with
-//!    `"overloaded"` and a retry hint, never buffered without bound.
-//!    This is the 429 of the wire protocol.
+//! 2. [`EvalGate`] — a counting gate over evaluations. At most `workers`
+//!    evaluations run at once, each on its own connection thread, and at
+//!    most `capacity` wait their turn, in arrival order. When the wait
+//!    line is full the daemon *sheds load*: the request is rejected
+//!    immediately with `"overloaded"` and a retry hint, never buffered
+//!    without bound. This is the 429 of the wire protocol.
 //!
 //! Both gates fail *loudly and structurally* — a rejected request gets a
 //! response explaining which gate refused it and when to come back.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::collections::HashMap;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Why [`AdmissionQueue::try_push`] refused an item (the item comes
-/// back — the caller still owns the reply channel and must answer).
-#[derive(Debug)]
-pub enum AdmitError<T> {
-    /// The queue is at capacity: shed load.
-    Full(T),
+/// Why [`EvalGate::enter`] refused an evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The wait line is full: shed load, come back after `retry_ms`.
+    Overloaded {
+        /// Retry hint, scaled by the backlog per running slot.
+        retry_ms: u64,
+    },
     /// The daemon is draining: no new work.
-    Draining(T),
+    Draining,
 }
 
-struct QueueState<T> {
-    items: VecDeque<T>,
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    waiting: usize,
     peak: usize,
     draining: bool,
+    /// Arrival tickets: the next one handed out, and the next one whose
+    /// holder may run.
+    issued: u64,
+    served: u64,
 }
 
-/// Bounded MPMC ready queue (mutex + condvar — std-only, no lock-free
-/// cleverness needed at request granularity).
-pub struct AdmissionQueue<T> {
-    cap: usize,
-    state: Mutex<QueueState<T>>,
-    ready: Condvar,
+/// Bounds the evaluations that run at once and the ones that wait
+/// (mutex + condvar — std-only, no lock-free cleverness needed at
+/// request granularity). The caller runs its evaluation on its own
+/// thread while it holds the [`Permit`].
+pub struct EvalGate {
+    workers: usize,
+    capacity: usize,
+    state: Mutex<GateState>,
+    turn: Condvar,
 }
 
-impl<T> AdmissionQueue<T> {
-    /// A queue admitting at most `cap` waiting items (`cap` ≥ 1).
-    pub fn new(cap: usize) -> AdmissionQueue<T> {
-        AdmissionQueue {
-            cap: cap.max(1),
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                peak: 0,
-                draining: false,
-            }),
-            ready: Condvar::new(),
+/// The right to run one evaluation; dropping it (also by unwinding)
+/// frees the slot for the next waiter.
+pub struct Permit<'a>(&'a EvalGate);
+
+impl EvalGate {
+    /// A gate running at most `workers` evaluations at once and letting
+    /// at most `capacity` wait (both ≥ 1).
+    pub fn new(workers: usize, capacity: usize) -> EvalGate {
+        EvalGate {
+            workers: workers.max(1),
+            capacity: capacity.max(1),
+            state: Mutex::default(),
+            turn: Condvar::new(),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
+    fn lock(&self) -> MutexGuard<'_, GateState> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Admit an item, or hand it back with the gate that refused it.
-    pub fn try_push(&self, item: T) -> Result<(), AdmitError<T>> {
+    /// Refuse (draining, or the wait line is full), or wait in arrival
+    /// order for a free slot and take it.
+    pub fn enter(&self) -> Result<Permit<'_>, Refusal> {
         let mut st = self.lock();
         if st.draining {
-            return Err(AdmitError::Draining(item));
+            return Err(Refusal::Draining);
         }
-        if st.items.len() >= self.cap {
-            return Err(AdmitError::Full(item));
+        if st.waiting >= self.capacity {
+            // Hint scales with how deep the backlog is relative to the
+            // running slots — crude, bounded, and honest about overload.
+            let retry_ms = 25 * (st.waiting as u64 / self.workers as u64 + 1);
+            return Err(Refusal::Overloaded {
+                retry_ms: retry_ms.min(5_000),
+            });
         }
-        st.items.push_back(item);
-        st.peak = st.peak.max(st.items.len());
+        st.waiting += 1;
+        st.peak = st.peak.max(st.waiting);
+        let ticket = st.issued;
+        st.issued += 1;
+        while st.served != ticket || st.running >= self.workers {
+            st = self.turn.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        st.served += 1;
+        st.waiting -= 1;
+        st.running += 1;
         drop(st);
-        self.ready.notify_one();
-        Ok(())
+        // The next ticket may be runnable too.
+        self.turn.notify_all();
+        Ok(Permit(self))
     }
 
-    /// Block until an item is available. Returns `None` once the queue
-    /// is draining *and* empty — the worker-shutdown signal.
-    pub fn pop(&self) -> Option<T> {
+    /// Refuse newcomers from now on; everyone already admitted still
+    /// runs. Returns the evaluations running or waiting at that moment.
+    pub fn drain(&self) -> usize {
         let mut st = self.lock();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                return Some(item);
-            }
-            if st.draining {
-                return None;
-            }
-            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        st.draining = true;
+        st.running + st.waiting
+    }
+
+    /// Block until nothing runs and nothing waits.
+    pub fn wait_idle(&self) {
+        let mut st = self.lock();
+        while st.running + st.waiting > 0 {
+            st = self.turn.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
-    /// Stop admitting; wake every waiting worker so the queue can empty.
-    pub fn drain(&self) {
-        self.lock().draining = true;
-        self.ready.notify_all();
-    }
-
-    /// Items currently waiting.
-    pub fn len(&self) -> usize {
-        self.lock().items.len()
-    }
-
-    /// True when nothing is waiting.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Depth high-water mark.
+    /// High-water mark of evaluations waiting at once.
     pub fn peak(&self) -> usize {
         self.lock().peak
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.lock().running -= 1;
+        self.0.turn.notify_all();
     }
 }
 
@@ -213,49 +236,115 @@ impl TokenBuckets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    #[test]
-    fn queue_bounds_and_reports_peak() {
-        let q = AdmissionQueue::new(2);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        match q.try_push(3) {
-            Err(AdmitError::Full(3)) => {}
-            other => panic!("{other:?}"),
+    /// Poll `done` for up to ten seconds.
+    fn eventually(done: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !done() {
+            assert!(start.elapsed() < Duration::from_secs(10), "timed out");
+            std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        q.try_push(4).unwrap();
-        assert_eq!(q.peak(), 2);
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(4));
-        assert!(q.is_empty());
+    }
+
+    /// Start a thread that enters `gate`, records `tag`, and holds its
+    /// permit until `release` is set.
+    fn holder(
+        gate: &Arc<EvalGate>,
+        tag: u32,
+        log: &Arc<Mutex<Vec<u32>>>,
+        release: &Arc<AtomicBool>,
+    ) -> std::thread::JoinHandle<Result<(), Refusal>> {
+        let (gate, log, release) = (Arc::clone(gate), Arc::clone(log), Arc::clone(release));
+        std::thread::spawn(move || {
+            let _permit = gate.enter()?;
+            log.lock().unwrap().push(tag);
+            while !release.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Ok(())
+        })
     }
 
     #[test]
-    fn drained_queue_rejects_and_releases_workers() {
-        let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(4));
-        q.try_push(7).unwrap();
-        q.drain();
-        match q.try_push(8) {
-            Err(AdmitError::Draining(8)) => {}
-            other => panic!("{other:?}"),
+    fn gate_bounds_waiters_and_reports_peak() {
+        let gate = Arc::new(EvalGate::new(1, 2));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let release = Arc::new(AtomicBool::new(false));
+        let running = holder(&gate, 0, &log, &release);
+        eventually(|| log.lock().unwrap().len() == 1);
+        let waiters: Vec<_> = (1..=2).map(|t| holder(&gate, t, &log, &release)).collect();
+        eventually(|| gate.lock().waiting == 2);
+        // The wait line is full: the next entrant is shed with a hint
+        // scaled by the backlog per running slot.
+        match gate.enter() {
+            Err(Refusal::Overloaded { retry_ms: 75 }) => {}
+            Err(other) => panic!("{other:?}"),
+            Ok(_) => panic!("entered a full gate"),
         }
-        // In-flight work still drains...
-        assert_eq!(q.pop(), Some(7));
-        // ...then workers are released.
-        assert_eq!(q.pop(), None);
-        // A blocked worker is woken by drain, not stranded.
-        let q2: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(4));
-        let waiter = {
-            let q2 = Arc::clone(&q2);
-            std::thread::spawn(move || q2.pop())
+        release.store(true, Ordering::SeqCst);
+        for t in std::iter::once(running).chain(waiters) {
+            t.join().unwrap().unwrap();
+        }
+        gate.wait_idle();
+        assert_eq!(gate.peak(), 2);
+        assert_eq!(log.lock().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn drained_gate_refuses_newcomers_while_admitted_waiters_run() {
+        let gate = Arc::new(EvalGate::new(1, 4));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let release = Arc::new(AtomicBool::new(false));
+        let running = holder(&gate, 0, &log, &release);
+        eventually(|| log.lock().unwrap().len() == 1);
+        let waiter = holder(&gate, 1, &log, &release);
+        eventually(|| gate.lock().waiting == 1);
+        assert_eq!(gate.drain(), 2, "one running, one waiting");
+        assert!(matches!(gate.enter(), Err(Refusal::Draining)));
+        release.store(true, Ordering::SeqCst);
+        running.join().unwrap().unwrap();
+        // The waiter admitted before the drain still gets its turn.
+        waiter.join().unwrap().unwrap();
+        gate.wait_idle();
+        assert_eq!(*log.lock().unwrap(), [0, 1]);
+    }
+
+    #[test]
+    fn gate_grants_permits_in_arrival_order() {
+        let gate = Arc::new(EvalGate::new(1, 8));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let release = Arc::new(AtomicBool::new(false));
+        let mut threads = vec![holder(&gate, 0, &log, &release)];
+        eventually(|| log.lock().unwrap().len() == 1);
+        for tag in 1..=5 {
+            threads.push(holder(&gate, tag, &log, &release));
+            eventually(|| gate.lock().waiting == tag as usize);
+        }
+        release.store(true, Ordering::SeqCst);
+        for t in threads {
+            t.join().unwrap().unwrap();
+        }
+        assert_eq!(*log.lock().unwrap(), [0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn permit_is_released_when_its_holder_panics() {
+        let gate = Arc::new(EvalGate::new(1, 1));
+        let panicker = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                let _permit = gate.enter().unwrap();
+                panic!("evaluation panicked");
+            })
         };
-        std::thread::sleep(Duration::from_millis(20));
-        q2.drain();
-        assert_eq!(waiter.join().unwrap(), None);
+        assert!(panicker.join().is_err());
+        gate.wait_idle();
+        // The slot is free again: a fresh entrant runs at once.
+        drop(gate.enter().unwrap());
+        assert_eq!(gate.lock().running, 0);
     }
 
     #[test]

@@ -1,28 +1,31 @@
-//! The daemon: acceptor, connection handlers, worker pool, and the
-//! degradation ladder.
+//! The daemon: acceptor, connection threads, and the degradation
+//! ladder.
 //!
-//! Life of a request: the acceptor admits a connection (bounded by
-//! [`ServerOptions::max_connections`] — beyond it, a `"busy"` rejection
-//! and close); the connection thread reads length-prefixed frames through
-//! one buffered reader under a read timeout (slow-loris defence), decodes
-//! and validates the JSON document, then walks the admission ladder —
-//! drain flag, per-client token bucket, bounded ready queue. Each gate
-//! that refuses answers with a structured `"rejected"` response carrying
-//! a retry hint; the queue gate is the load-shedding point (never
+//! Life of a request: the acceptor blocks in `accept` and admits a
+//! connection (bounded by [`ServerOptions::max_connections`] — beyond
+//! it, a `"busy"` rejection and close) onto a thread of its own. That
+//! connection thread reads length-prefixed frames through one buffered
+//! reader under a read timeout (slow-loris defence), decodes and
+//! validates the JSON document, then walks the admission ladder — drain
+//! flag, per-client token bucket, evaluation gate. Each gate that
+//! refuses answers with a structured `"rejected"` response carrying a
+//! retry hint; the evaluation gate is the load-shedding point (never
 //! unbounded buffering). Between gates 2 and 3 an evaluate request makes
 //! its one counted lookup in the shared content-addressed
-//! [`RequestCache`]: a hit is answered right there on the connection
-//! thread, so only misses and tournaments take a queue slot and a worker.
-//! Every failure mode — panics included — flows back over the wire as a
-//! structured error while the daemon keeps serving, and every response
-//! leaves as one frame in one write.
+//! [`RequestCache`]: a hit is answered right there, so only misses and
+//! tournaments pass the gate. Past it, the connection thread runs the
+//! evaluation itself while it holds one of the
+//! [`ServerOptions::workers`] run permits. Every failure mode — panics
+//! included — flows back over the wire as a structured error while the
+//! daemon keeps serving, and every response leaves as one frame in one
+//! write.
 //!
 //! The scope of every degradation is one request. The daemon process
 //! itself only exits on graceful drain: stop accepting, refuse new
-//! admissions, finish everything in flight, flush a final
+//! admissions, finish everything admitted, flush a final
 //! [`ServerMetrics`] snapshot.
 
-use crate::admission::{AdmissionQueue, AdmitError, TokenBuckets};
+use crate::admission::{EvalGate, Refusal, TokenBuckets};
 use crate::proto::{
     self, EvaluateRequest, FrameError, Request, TournamentRequest, DEFAULT_MAX_FRAME,
 };
@@ -34,9 +37,8 @@ use ipp_core::service::{
 };
 use std::collections::BTreeMap;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -46,9 +48,10 @@ use std::time::{Duration, Instant};
 pub struct ServerOptions {
     /// Bind address (`127.0.0.1:0` for an ephemeral test port).
     pub addr: String,
-    /// Worker threads executing evaluations.
+    /// Evaluations (cache misses and tournaments) running at once.
     pub workers: usize,
-    /// Ready-queue capacity — the load-shedding threshold.
+    /// Evaluations allowed to wait for a run slot — the load-shedding
+    /// threshold.
     pub queue_capacity: usize,
     /// Concurrent-connection cap.
     pub max_connections: usize,
@@ -97,32 +100,6 @@ impl Default for ServerOptions {
     }
 }
 
-/// One unit of work for the pool. A tournament is a single work item —
-/// one admission charge, one queue slot, one worker — even though it
-/// evaluates a whole portfolio: its arms share the request cache, one
-/// parse, and one baseline run (a failed baseline included), so its cost
-/// is bounded and the ladder's accounting stays per-request.
-enum WorkItem {
-    /// An evaluate request that missed the cache at admission, with its
-    /// [`request_key`].
-    Evaluate(EvaluateRequest, u128),
-    Tournament(TournamentRequest),
-}
-
-impl WorkItem {
-    fn id(&self) -> &str {
-        match self {
-            WorkItem::Evaluate(r, _) => &r.id,
-            WorkItem::Tournament(r) => &r.id,
-        }
-    }
-}
-
-struct Job {
-    item: WorkItem,
-    reply: mpsc::Sender<String>,
-}
-
 #[derive(Default)]
 struct Counters {
     connections: AtomicU64,
@@ -142,13 +119,15 @@ struct Counters {
 
 struct Shared {
     opts: ServerOptions,
-    queue: AdmissionQueue<Job>,
+    /// The bound address, which [`Shared::begin_drain`] connects to once
+    /// to wake the blocked acceptor.
+    addr: SocketAddr,
+    gate: EvalGate,
     buckets: TokenBuckets,
     cache: RequestCache,
     draining: AtomicBool,
     started: Instant,
     active_conns: AtomicUsize,
-    in_flight: AtomicU64,
     counters: Counters,
     failure_codes: Mutex<BTreeMap<String, u64>>,
     /// Aggregate VM counters of verification work actually executed
@@ -170,11 +149,21 @@ impl Shared {
 
     fn begin_drain(&self) {
         if !self.draining.swap(true, Ordering::SeqCst) {
-            let in_flight = self.in_flight.load(Ordering::SeqCst) + self.queue.len() as u64;
+            let in_flight = self.gate.drain() as u64;
             self.counters
                 .in_flight_at_drain
                 .store(in_flight, Ordering::SeqCst);
-            self.queue.drain();
+            // Wake the acceptor from its blocking `accept`: it sees the
+            // drain flag on the next connection and stops.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(if wake.is_ipv4() {
+                    Ipv4Addr::LOCALHOST.into()
+                } else {
+                    Ipv6Addr::LOCALHOST.into()
+                });
+            }
+            let _ = TcpStream::connect(wake);
         }
     }
 
@@ -196,6 +185,21 @@ impl Shared {
             // The cache key is (mode, source, annotations, budget): a hit
             // may carry another requester's name, which `fail` replaces.
             Err(e) => self.fail(&req.id, &req.name, e),
+        }
+    }
+
+    /// Count and render a refusal: gate 1's drain check, or gate 3.
+    fn refuse(&self, id: &str, refusal: Refusal) -> String {
+        let c = &self.counters;
+        match refusal {
+            Refusal::Overloaded { retry_ms } => {
+                c.shed.fetch_add(1, Ordering::SeqCst);
+                proto::reject_response(id, "overloaded", retry_ms, "admission queue full")
+            }
+            Refusal::Draining => {
+                c.rejected_draining.fetch_add(1, Ordering::SeqCst);
+                proto::reject_response(id, "draining", 0, "daemon is draining")
+            }
         }
     }
 
@@ -244,7 +248,7 @@ impl Shared {
             cache_misses: cache.misses,
             cache_evictions: cache.evictions,
             cache_entries: cache.entries,
-            queue_peak: self.queue.peak() as u64,
+            queue_peak: self.gate.peak() as u64,
             in_flight_at_drain: c.in_flight_at_drain.load(Ordering::SeqCst),
             failure_codes: self
                 .failure_codes
@@ -263,7 +267,6 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -278,7 +281,7 @@ impl ServerHandle {
     }
 
     /// Initiate graceful drain: stop accepting, refuse new admissions,
-    /// finish in-flight work, return the final metrics snapshot.
+    /// finish admitted evaluations, return the final metrics snapshot.
     pub fn shutdown(self) -> ServerMetrics {
         self.shared.begin_drain();
         self.join()
@@ -288,21 +291,18 @@ impl ServerHandle {
     /// return the final metrics snapshot.
     pub fn join(self) -> ServerMetrics {
         let _ = self.acceptor.join();
-        for w in self.workers {
-            let _ = w.join();
-        }
+        self.shared.gate.wait_idle();
         self.shared.snapshot()
     }
 }
 
-/// The daemon entry point: bind, start the worker pool and acceptor,
-/// return a handle.
+/// The daemon entry point: bind, start the acceptor, return a handle.
 pub fn spawn(opts: ServerOptions) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&opts.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let shared = Arc::new(Shared {
-        queue: AdmissionQueue::new(opts.queue_capacity),
+        addr,
+        gate: EvalGate::new(opts.workers, opts.queue_capacity),
         buckets: TokenBuckets::new(
             opts.verify_max_ops,
             opts.client_burst,
@@ -313,22 +313,11 @@ pub fn spawn(opts: ServerOptions) -> io::Result<ServerHandle> {
         draining: AtomicBool::new(false),
         started: Instant::now(),
         active_conns: AtomicUsize::new(0),
-        in_flight: AtomicU64::new(0),
         counters: Counters::default(),
         failure_codes: Mutex::new(BTreeMap::new()),
         vm: Mutex::new(fruntime::VmCounters::default()),
         opts,
     });
-
-    let workers = (0..shared.opts.workers.max(1))
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name(format!("ipp-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn worker")
-        })
-        .collect();
 
     let acceptor = {
         let shared = Arc::clone(&shared);
@@ -342,46 +331,51 @@ pub fn spawn(opts: ServerOptions) -> io::Result<ServerHandle> {
         addr,
         shared,
         acceptor,
-        workers,
     })
 }
 
 fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.active_conns.load(Ordering::SeqCst) >= shared.opts.max_connections {
-                    shared
-                        .counters
-                        .connections_rejected
-                        .fetch_add(1, Ordering::SeqCst);
-                    // Best-effort structured refusal; then close.
-                    let mut s = stream;
-                    let _ = proto::write_frame(
-                        &mut s,
-                        &proto::reject_response("", "busy", 100, "connection limit reached"),
-                    );
-                    continue;
-                }
-                shared.counters.connections.fetch_add(1, Ordering::SeqCst);
-                shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                let shared = Arc::clone(shared);
-                let _ = std::thread::Builder::new()
-                    .name("ipp-conn".into())
-                    .spawn(move || {
-                        connection_loop(stream, &shared);
-                        shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+    loop {
+        let accepted = listener.accept();
+        if shared.draining.load(Ordering::SeqCst) {
+            // Dropping the listener refuses every later connect.
+            return;
         }
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            // A genuine accept failure (descriptor exhaustion, say):
+            // back off briefly rather than spin on it.
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(10));
+                continue;
+            }
+        };
+        if shared.active_conns.load(Ordering::SeqCst) >= shared.opts.max_connections {
+            shared
+                .counters
+                .connections_rejected
+                .fetch_add(1, Ordering::SeqCst);
+            // Best-effort structured refusal; then close.
+            let mut s = stream;
+            let _ = proto::write_frame(
+                &mut s,
+                &proto::reject_response("", "busy", 100, "connection limit reached"),
+            );
+            continue;
+        }
+        shared.counters.connections.fetch_add(1, Ordering::SeqCst);
+        shared.active_conns.fetch_add(1, Ordering::SeqCst);
+        let shared = Arc::clone(shared);
+        let _ = std::thread::Builder::new()
+            .name("ipp-conn".into())
+            .spawn(move || {
+                connection_loop(stream, &shared);
+                shared.active_conns.fetch_sub(1, Ordering::SeqCst);
+            });
     }
 }
 
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
+fn connection_loop(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(
         shared.opts.read_timeout_ms.max(1),
     )));
@@ -439,20 +433,14 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 /// Ladder gates 1–2 for an evaluate or tournament request: count it,
 /// then refuse it while draining or when its client's op bucket is
 /// empty. `Err` is the structured rejection to send. Together with gate
-/// 3 ([`run_queued`]) every request lands in exactly one ledger bucket —
-/// `requests == completed_ok + failed + shed + throttled +
+/// 3 ([`Shared::refuse`]) every request lands in exactly one ledger
+/// bucket — `requests == completed_ok + failed + shed + throttled +
 /// rejected_draining` holds with cache hits and tournaments in the mix.
 fn pass_gates(shared: &Shared, id: &str, client: &str) -> Result<(), String> {
     let c = &shared.counters;
     c.requests.fetch_add(1, Ordering::SeqCst);
     if shared.draining.load(Ordering::SeqCst) {
-        c.rejected_draining.fetch_add(1, Ordering::SeqCst);
-        return Err(proto::reject_response(
-            id,
-            "draining",
-            0,
-            "daemon is draining",
-        ));
+        return Err(shared.refuse(id, Refusal::Draining));
     }
     if let Err(retry_ms) = shared.buckets.try_admit(client) {
         c.throttled.fetch_add(1, Ordering::SeqCst);
@@ -467,10 +455,12 @@ fn pass_gates(shared: &Shared, id: &str, client: &str) -> Result<(), String> {
 }
 
 /// Serve one evaluate request. Past gates 1–2 it makes its one counted
-/// cache lookup: a hit is answered here on the connection thread, with
-/// no queue slot and no worker hand-off, so a saturated pool does not
-/// delay it; only a miss goes on to gate 3.
-fn admit_evaluate(shared: &Arc<Shared>, req: EvaluateRequest) -> String {
+/// cache lookup: a hit is answered at once, without the evaluation gate,
+/// so saturated run slots do not delay it. A miss takes a run permit
+/// and is evaluated on this thread; the re-check under the permit is an
+/// uncounted peek, so a duplicate of a miss that ran ahead of it finds
+/// that miss's outcome there and identical misses pay one evaluation.
+fn admit_evaluate(shared: &Shared, req: EvaluateRequest) -> String {
     if let Err(rejection) = pass_gates(shared, &req.id, &req.client) {
         return rejection;
     }
@@ -480,82 +470,13 @@ fn admit_evaluate(shared: &Arc<Shared>, req: EvaluateRequest) -> String {
         &req.annotations,
         shared.opts.verify_max_ops,
     );
-    match shared.cache.lookup(key) {
-        Some(hit) => shared.answer(&req, hit),
-        None => run_queued(shared, WorkItem::Evaluate(req, key)),
+    if let Some(hit) = shared.cache.lookup(key) {
+        return shared.answer(&req, hit);
     }
-}
-
-/// Serve one tournament request: gates 1–2, then gate 3. Its arms
-/// consult the cache on the worker.
-fn admit_tournament(shared: &Arc<Shared>, req: TournamentRequest) -> String {
-    shared
-        .counters
-        .tournament_requests
-        .fetch_add(1, Ordering::SeqCst);
-    match pass_gates(shared, &req.id, &req.client) {
-        Ok(()) => run_queued(shared, WorkItem::Tournament(req)),
-        Err(rejection) => rejection,
-    }
-}
-
-/// Gate 3, the bounded ready queue: shed the item when the queue is full,
-/// otherwise wait for the worker's response.
-fn run_queued(shared: &Arc<Shared>, item: WorkItem) -> String {
-    let c = &shared.counters;
-    let (tx, rx) = mpsc::channel();
-    let id = item.id().to_string();
-    match shared.queue.try_push(Job { item, reply: tx }) {
-        Err(AdmitError::Full(job)) => {
-            c.shed.fetch_add(1, Ordering::SeqCst);
-            // Hint scales with how deep the backlog is relative to the
-            // worker pool — crude, bounded, and honest about overload.
-            let hint = 25 * (shared.queue.len() as u64 / shared.opts.workers.max(1) as u64 + 1);
-            proto::reject_response(
-                job.item.id(),
-                "overloaded",
-                hint.min(5_000),
-                "admission queue full",
-            )
-        }
-        Err(AdmitError::Draining(job)) => {
-            c.rejected_draining.fetch_add(1, Ordering::SeqCst);
-            proto::reject_response(job.item.id(), "draining", 0, "daemon is draining")
-        }
-        Ok(()) => {
-            // Generous ceiling: the wall budget (if any) plus margin for
-            // queueing. A lost reply is an internal fault, answered
-            // structurally rather than hanging the connection.
-            let ceiling = Duration::from_millis(shared.opts.wall_budget_ms.max(1_000) * 4 + 30_000);
-            match rx.recv_timeout(ceiling) {
-                Ok(resp) => resp,
-                Err(_) => proto::protocol_error_response(&format!(
-                    "internal: worker reply lost for request \"{id}\""
-                )),
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(job) = shared.queue.pop() {
-        shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let resp = match &job.item {
-            WorkItem::Evaluate(req, key) => process(shared, req, *key),
-            WorkItem::Tournament(req) => process_tournament(shared, req),
-        };
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        // The connection may have given up (timeout, disconnect) — a
-        // dead reply channel is its problem, not ours.
-        let _ = job.reply.send(resp);
-    }
-}
-
-/// Evaluate one queued miss and cache its outcome. The re-check is an
-/// uncounted peek (admission already counted this request's lookup): a
-/// duplicate of a miss queued ahead of it finds that miss's outcome
-/// there, so identical queued misses still pay one evaluation.
-fn process(shared: &Arc<Shared>, req: &EvaluateRequest, key: u128) -> String {
+    let _permit = match shared.gate.enter() {
+        Ok(permit) => permit,
+        Err(refusal) => return shared.refuse(&req.id, refusal),
+    };
     let outcome = match shared.cache.peek(key) {
         Some(done) => done,
         None => {
@@ -568,19 +489,32 @@ fn process(shared: &Arc<Shared>, req: &EvaluateRequest, key: u128) -> String {
             outcome
         }
     };
-    shared.answer(req, outcome)
+    shared.answer(&req, outcome)
 }
 
-/// Execute one admitted tournament through the shared cache: the arms
-/// read and write the same per-arm entries plain evaluate requests use
-/// ([`ipp_core::service::arm_key`]).
-fn process_tournament(shared: &Arc<Shared>, req: &TournamentRequest) -> String {
-    let opts = shared.driver_options();
+/// Serve one tournament request: gates 1–3, then the whole portfolio on
+/// this thread under one run permit. A tournament is one request — one
+/// admission charge, one permit — even though it evaluates every arm:
+/// the arms share the request cache (the per-arm entries plain evaluate
+/// requests use, [`ipp_core::service::arm_key`]), one parse and one
+/// baseline run, so its cost is bounded.
+fn admit_tournament(shared: &Shared, req: TournamentRequest) -> String {
+    shared
+        .counters
+        .tournament_requests
+        .fetch_add(1, Ordering::SeqCst);
+    if let Err(rejection) = pass_gates(shared, &req.id, &req.client) {
+        return rejection;
+    }
+    let _permit = match shared.gate.enter() {
+        Ok(permit) => permit,
+        Err(refusal) => return shared.refuse(&req.id, refusal),
+    };
     let (outcome, vm) = evaluate_tournament_metered(
         &req.name,
         &req.source,
         &req.annotations,
-        &opts,
+        &shared.driver_options(),
         Some(&shared.cache),
     );
     shared.absorb_vm(&vm);

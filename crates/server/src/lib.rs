@@ -12,14 +12,15 @@
 //!   write) and the JSON request/response vocabulary, read and written
 //!   through [`ipp_core::json`], the workspace's one JSON layer;
 //! * [`admission`] — the degradation ladder: per-client token buckets
-//!   denominated in interpreter ops, and the bounded ready queue whose
-//!   overflow is answered with explicit load-shedding rejections;
-//! * [`daemon`] — the acceptor, connection handlers and worker pool.
+//!   denominated in interpreter ops, and the evaluation gate that bounds
+//!   running and waiting evaluations and answers overflow with explicit
+//!   load-shedding rejections;
+//! * [`daemon`] — a blocking acceptor and one thread per connection.
 //!   After the drain flag and the token bucket, a connection thread looks
 //!   an evaluate request up in the shared
-//!   [`ipp_core::service::RequestCache`] and answers a hit itself; only
-//!   misses and tournaments take a queue slot and run on a worker through
-//!   [`ipp_core::service`]'s per-request entry points.
+//!   [`ipp_core::service::RequestCache`] and answers a hit itself; a miss
+//!   or a tournament passes the evaluation gate and runs on the same
+//!   thread through [`ipp_core::service`]'s per-request entry points.
 //!
 //! ## Invariants (asserted by `tests/server_soak.rs` and the CI soak)
 //!
@@ -31,7 +32,7 @@
 //!   transport still permits an answer;
 //! * overload is shed with `"rejected"` + retry hints, never buffered
 //!   without bound;
-//! * shutdown is a drain: in-flight work finishes, then a final
+//! * shutdown is a drain: admitted evaluations finish, then a final
 //!   [`ipp_core::service::ServerMetrics`] snapshot is flushed.
 
 #![warn(missing_docs)]

@@ -42,3 +42,18 @@ fn engine_artifact_counters_match_the_vm_counters_serializer() {
     let want = json::parse(&written).unwrap();
     assert_eq!(keys(doc.get("vm_counters").unwrap()), keys(&want));
 }
+
+#[test]
+fn committed_artifacts_pass_their_ci_gates() {
+    let load = |name: &str| {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("crates/bench/artifacts")
+            .join(name);
+        json::parse(&std::fs::read_to_string(path).unwrap()).unwrap()
+    };
+    let engines = load("interp_engines.json");
+    let throughput = load("corpus_throughput.json");
+    bench::gates::engines_gate(&engines).unwrap();
+    bench::gates::throughput_gate(&throughput).unwrap();
+    bench::gates::ledger_gate(&throughput, &throughput).unwrap();
+}

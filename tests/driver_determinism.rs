@@ -8,11 +8,11 @@
 //! total runs instead of the naive path's 192.
 
 use fruntime::Machine;
-use ipp_core::driver::DriverOptions;
+use ipp_core::driver::{AppReport, DriverOptions};
 use ipp_core::SuiteMetrics;
-use perfect::{driver_options, evaluate_suite_with_metrics, AppEvaluation};
+use perfect::{driver_options, evaluate_suite_with_metrics};
 
-fn run_at(workers: usize) -> (Vec<AppEvaluation>, SuiteMetrics) {
+fn run_at(workers: usize) -> (Vec<AppReport>, SuiteMetrics) {
     let machines = [Machine::intel8(), Machine::amd4()];
     let opts = DriverOptions {
         workers,

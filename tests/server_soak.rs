@@ -11,7 +11,7 @@
 //!   error where the transport still allows an answer;
 //! * overload is shed with explicit `"rejected"` responses carrying
 //!   retry hints (never unbounded buffering), a cache hit is answered
-//!   even while the pool is saturated, and per-client budgets throttle
+//!   even while every run slot is taken, and per-client budgets throttle
 //!   one client without starving another;
 //! * shutdown is a graceful drain: in-flight work completes and the
 //!   final `ServerMetrics` snapshot is well-formed.
@@ -56,7 +56,7 @@ fn evaluate(name: &str, source: &str, mode: ipp_core::InlineMode, id: &str) -> E
     }
 }
 
-/// A program slow enough (in a debug build) to hold a worker for a
+/// A program slow enough (in a debug build) to hold a run slot for a
 /// while, but far under every budget.
 const SLOW_SOURCE: &str = "      PROGRAM SLOW
       COMMON /C/ A(100)
@@ -233,7 +233,7 @@ fn overload_sheds_with_structured_rejections_and_recovers() {
     assert!(m.queue_peak <= 1, "{}", m.to_json());
 }
 
-/// A miss that holds the worker for about a second in either build: a
+/// A miss that holds its run slot for about a second in either build: a
 /// scaled-up [`SLOW_SOURCE`] whose trailing comment gives it a cache key
 /// of its own.
 fn slow_miss(tag: &str) -> String {
@@ -285,14 +285,14 @@ fn cache_hit_bypasses_a_saturated_pool() {
     let first = exchange(&addr, &k);
     assert_eq!(status_of(&first), "ok", "{first}");
 
-    // Saturate the pool: one slow miss on the worker, one in the queue.
+    // Saturate the evaluation gate: one slow miss running, one waiting.
     let send = |tag: &'static str| {
         let addr = Arc::clone(&addr);
         std::thread::spawn(move || exchange(&addr, &slow_miss(tag)))
     };
-    // The metrics count a request before it reaches the queue, and a
-    // worker's pop is not visible at all, so a short pause follows each
-    // count; each slow miss holds the worker for about a second.
+    // The metrics count a request before it reaches the gate, and taking
+    // a run permit is not visible at all, so a short pause follows each
+    // count; each slow miss holds its run slot for about a second.
     let running = send("running");
     wait_until(&handle, |m| m.requests == 2);
     std::thread::sleep(Duration::from_millis(50));
@@ -306,14 +306,14 @@ fn cache_hit_bypasses_a_saturated_pool() {
         "{shed_before}"
     );
 
-    // The hit needs no worker: it is answered at once, byte for byte.
+    // The hit needs no run slot: it is answered at once, byte for byte.
     let hit = exchange(&addr, &k);
     assert_eq!(
         hit, first,
         "a cache hit must not wait for, or be shed by, the pool"
     );
 
-    // The pool was still saturated after the hit was answered.
+    // The gate was still saturated after the hit was answered.
     let shed_after = exchange(&addr, &slow_miss("shed-after"));
     assert_eq!(
         code_of(&shed_after).as_deref(),
@@ -516,4 +516,38 @@ fn graceful_drain_finishes_in_flight_work_and_flushes_metrics() {
     assert!(doc.get("wall_ns").and_then(Json::as_u64).unwrap() > 0);
     assert_eq!(m.completed_ok, 1, "{}", m.to_json());
     assert!(m.panic_free());
+}
+
+#[test]
+fn fresh_connections_are_accepted_without_polling_delay() {
+    let handle = daemon::spawn(generous()).expect("spawn");
+    let addr = handle.addr().to_string();
+    let start = std::time::Instant::now();
+    for _ in 0..50 {
+        let resp = exchange(&addr, "{\"op\":\"ping\"}");
+        assert_eq!(status_of(&resp), "ok", "{resp}");
+    }
+    let took = start.elapsed();
+    handle.shutdown();
+    // A blocking acceptor takes each connection as it arrives; a 10 ms
+    // accept poll alone would cost at least 500 ms here.
+    assert!(
+        took < Duration::from_millis(250),
+        "50 fresh-connection pings took {took:?}"
+    );
+}
+
+#[test]
+fn shutdown_of_an_idle_daemon_returns_and_closes_the_port() {
+    let handle = daemon::spawn(generous()).expect("spawn");
+    let addr = handle.addr();
+    let m = handle.shutdown();
+    assert_eq!(
+        (m.requests, m.in_flight_at_drain),
+        (0, 0),
+        "{}",
+        m.to_json()
+    );
+    let err = TcpStream::connect(addr).expect_err("the drained daemon still listens");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused, "{err}");
 }
