@@ -8,7 +8,9 @@
 //! composition (more failing cells, fewer parallel loops) is visible
 //! next to the wall-clock. The host CPU count contextualizes the worker
 //! curve — on a single-CPU host the three points measure scheduling
-//! overhead, not fan-out.
+//! overhead, not fan-out. Each point also records `threads_spawned`, the
+//! stream's worker threads: one pool per stream, so it never exceeds the
+//! effective worker count however long the stream.
 //!
 //! A counting global allocator is installed. One extra workers-1 stream
 //! after the timed points is metered: the artifact records its allocation
@@ -47,12 +49,13 @@ fn main() {
         let median = median_of(SAMPLES, || last = Some(stream_at(workers)));
         let out = last.expect("at least one sample ran");
         println!(
-            "bench: {:<44} median {:>8.3} s   ({:.1} programs/sec, effective-workers {}, window {})",
+            "bench: {:<44} median {:>8.3} s   ({:.1} programs/sec, effective-workers {}, window {}, threads {})",
             format!("corpus_throughput/w{workers}"),
             median.as_secs_f64(),
             PROGRAMS as f64 / median.as_secs_f64(),
             out.workers,
-            out.window
+            out.window,
+            out.threads_spawned
         );
         points.push((workers, out, median));
     }
@@ -97,7 +100,8 @@ fn main() {
                 let per_sec = format!("{:.3}", PROGRAMS as f64 / median.as_secs_f64());
                 json_object!(o, {
                     "workers": w, "effective_workers": out.workers, "window": out.window,
-                    "median_ns": median.as_nanos(), "programs_per_sec": json::Raw(&per_sec),
+                    "threads_spawned": out.threads_spawned, "median_ns": median.as_nanos(),
+                    "programs_per_sec": json::Raw(&per_sec),
                 });
             })
         })

@@ -1,9 +1,10 @@
-//! `check_artifacts` — the CI gates over the engine and corpus-throughput
-//! artifacts.
+//! `check_artifacts` — the CI gates over the engine, corpus-throughput
+//! and driver-scaling artifacts.
 //!
 //! ```text
 //! check_artifacts --engines PATH             gate an interp_engines.json
 //! check_artifacts --throughput PATH          gate a corpus_throughput.json
+//! check_artifacts --scaling PATH             gate a driver_scaling.json
 //! check_artifacts --ledger COMMITTED FRESH   hold a fresh corpus_throughput
 //!                                            allocation count against the
 //!                                            committed one
@@ -13,13 +14,13 @@
 //! [`bench::gates`]. Exit codes: `0` every gate holds (the summary line is
 //! printed), `1` a gate, a read or a parse fails, `2` bad usage.
 
-use bench::gates::{engines_gate, ledger_gate, throughput_gate};
+use bench::gates::{engines_gate, ledger_gate, scaling_gate, throughput_gate};
 use ipp_core::json::{self, Json};
 
 fn usage() -> ! {
     eprintln!(
         "usage: check_artifacts --engines PATH\n       check_artifacts --throughput PATH\n       \
-         check_artifacts --ledger COMMITTED FRESH"
+         check_artifacts --scaling PATH\n       check_artifacts --ledger COMMITTED FRESH"
     );
     std::process::exit(2);
 }
@@ -41,6 +42,7 @@ fn main() {
     let verdict = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
         ["--engines", path] => engines_gate(&load(path)),
         ["--throughput", path] => throughput_gate(&load(path)),
+        ["--scaling", path] => scaling_gate(&load(path)),
         ["--ledger", committed, fresh] => ledger_gate(&load(committed), &load(fresh)),
         _ => usage(),
     };

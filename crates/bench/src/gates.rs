@@ -1,8 +1,8 @@
-//! The CI gates over the committed engine and corpus-throughput
-//! artifacts, read through [`ipp_core::json`]. Each gate returns its
-//! summary line, or the first violation; `check_artifacts` runs them from
-//! the command line and `tests/artifacts.rs` runs them over the
-//! committed files.
+//! The CI gates over the committed engine, corpus-throughput and
+//! driver-scaling artifacts, read through [`ipp_core::json`]. Each gate
+//! returns its summary line, or the first violation; `check_artifacts`
+//! runs them from the command line and `tests/artifacts.rs` runs them
+//! over the committed files.
 
 use ipp_core::json::Json;
 
@@ -167,7 +167,8 @@ pub fn engines_gate(a: &Json) -> Result<String, String> {
 }
 
 /// The `corpus_throughput.json` gates: a ≥ 1,000-program stream measured
-/// at workers 1, 2 and 4 with a positive rate at each, no panicked cell,
+/// at workers 1, 2 and 4 with a positive rate at each and no more threads
+/// spawned than effective workers, no panicked cell,
 /// four cells per program, verified and parallel loops present, the
 /// allocation ledger at or below 0.6× the `String`-identifier baseline,
 /// and every pipeline phase timed.
@@ -197,6 +198,16 @@ pub fn throughput_gate(a: &Json) -> Result<String, String> {
             .zip(&rates)
             .map(|(w, rate)| (*rate > 0.0, format!("bad throughput at w{w}"))),
     );
+    // One pool per stream: never more threads than effective workers,
+    // however many programs the stream held.
+    for (w, r) in workers.iter().zip(runs) {
+        let spawned = count(r, "run", "threads_spawned")?;
+        let effective = count(r, "run", "effective_workers")?;
+        gates.push((
+            spawned <= effective,
+            format!("w{w} spawned {spawned} threads for {effective} workers"),
+        ));
+    }
     gates.extend([
         (
             sc("panicked_cells")? == 0,
@@ -246,5 +257,41 @@ pub fn ledger_gate(committed: &Json, fresh: &Json) -> Result<String, String> {
     }
     Ok(format!(
         "allocation ledger ok: {fresh} per cell (committed {committed})"
+    ))
+}
+
+/// The `driver_scaling.json` gates: the PERFECT suite timed at workers 1,
+/// 2, 4 and 8, each point with a positive median and the cached driver's
+/// exact interpreter-run accounting (90 runs, 36 baseline-memo hits, 9
+/// verify-cache hits for the 48 cells) — a count that holds at any worker
+/// count.
+pub fn scaling_gate(a: &Json) -> Result<String, String> {
+    const NAME: &str = "driver_scaling";
+    let points = items(a, NAME, "driver")?;
+    let workers = points
+        .iter()
+        .map(|p| count(p, "point", "workers"))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut gates = vec![(workers == [1, 2, 4, 8], "missing worker points".to_string())];
+    for (w, p) in workers.iter().zip(points) {
+        let c = |key| count(p, "point", key);
+        let accounting = (
+            c("interp_runs")?,
+            c("baseline_memo_hits")?,
+            c("verify_cache_hits")?,
+        );
+        gates.push((c("median_ns")? > 0, format!("no median at w{w}")));
+        gates.push((
+            accounting == (90, 36, 9),
+            format!(
+                "w{w}: {} interp runs, {} memo hits, {} cache hits (want 90, 36, 9)",
+                accounting.0, accounting.1, accounting.2
+            ),
+        ));
+    }
+    first_violation(gates)?;
+    Ok(format!(
+        "driver_scaling ok: {} worker points, 90 interp runs, 36 memo hits, 9 cache hits at each",
+        workers.len()
     ))
 }

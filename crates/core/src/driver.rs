@@ -134,9 +134,10 @@ pub struct DriverOptions {
     /// payloads); [`crate::stream::run_stream`] is the bounded-memory
     /// path and leaves it off unless asked.
     pub retain_results: bool,
-    /// Jobs per in-flight window for [`crate::stream::run_stream`]
-    /// (0 = auto: enough to keep every worker busy). Bounds streaming
-    /// memory: at most one window of jobs and reports is alive at once.
+    /// In-flight bound for [`crate::stream::run_stream`] (0 = auto: a few
+    /// jobs per worker). Bounds streaming memory: the stream runs at most
+    /// this many workers, each holding one program at a time, so never
+    /// more than a window of jobs and reports is alive at once.
     pub stream_window: usize,
     /// Chaos seam: cells of applications named here panic deliberately at
     /// the start of evaluation, to exercise the driver's `catch_unwind`
@@ -189,12 +190,12 @@ impl DriverOptions {
     }
 
     /// Resolved streaming window: `stream_window = 0` asks for an
-    /// automatic size — a few jobs per worker, so the pool stays busy
-    /// while the window (and thus peak memory) stays small and
-    /// stream-length-independent. The result is always ≥ 1 by
-    /// construction (a configured value is used as-is, auto derives from
-    /// the ≥ 1 worker count), and [`crate::stream::run_stream`] records
-    /// the value that applied in
+    /// automatic size of four jobs per worker, which never caps the
+    /// stream's pool. A smaller configured window caps the stream's
+    /// workers, so peak memory stays small and stream-length-independent.
+    /// The result is always ≥ 1 by construction (a configured value is
+    /// used as-is, auto derives from the ≥ 1 worker count), and
+    /// [`crate::stream::run_stream`] records the value that applied in
     /// [`crate::stream::StreamSummary::window`] instead of clamping
     /// silently.
     pub fn effective_stream_window(&self) -> usize {

@@ -5,15 +5,18 @@
 //! size. [`run_stream`] evaluates an `Iterator<Item = SuiteJob>` instead
 //! — the corpus-scale path (thousands of generated programs):
 //!
-//! * **bounded in-flight window** — jobs are pulled
-//!   [`DriverOptions::effective_stream_window`] at a time and fed to the
-//!   existing worker pool; at most one window of jobs, cells, and
-//!   reports is alive at any moment, so peak memory is independent of
-//!   stream length (pinned by the retention integration test);
-//! * **incremental aggregation** — each window's [`crate::phase::SuiteMetrics`]
-//!   counters are folded into a running [`StreamSummary`] and the
-//!   window's reports are dropped (unless
-//!   [`DriverOptions::retain_results`] opts back into keeping them);
+//! * **one pool, no barriers** — one set of workers lives for the whole
+//!   stream. Each worker pulls the next job from the shared iterator,
+//!   evaluates that program's whole row on its own thread, folds the
+//!   result and pulls again; nobody waits for a slower neighbour between
+//!   programs. At most one program per worker is in flight, and the
+//!   worker count is capped by [`DriverOptions::effective_stream_window`],
+//!   so peak memory is independent of stream length (pinned by the
+//!   retention integration test);
+//! * **incremental aggregation** — each program's [`crate::phase::SuiteMetrics`]
+//!   counters are folded into a running [`StreamSummary`] and its report
+//!   is dropped (unless [`DriverOptions::retain_results`] opts back into
+//!   keeping them);
 //! * **fault isolation unchanged** — every cell still runs inside the
 //!   driver's `catch_unwind` boundary, so one hostile generated program
 //!   degrades its own cells and the stream keeps going.
@@ -29,6 +32,9 @@ use crate::json::{self, ToJson};
 use crate::json_object;
 use crate::phase::{AutogenCoverage, PhaseTimings};
 use std::collections::BTreeMap;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Deterministic aggregate over every cell of a streamed corpus.
 ///
@@ -74,10 +80,11 @@ pub struct StreamSummary {
 }
 
 impl StreamSummary {
-    /// Fold one finished window into the running aggregate.
-    pub fn absorb(&mut self, window: &SuiteOutcome) {
-        let m = &window.metrics;
-        self.programs += window.apps.len() as u64;
+    /// Fold one finished suite run (in a stream, one program's row) into
+    /// the running aggregate.
+    pub fn absorb(&mut self, out: &SuiteOutcome) {
+        let m = &out.metrics;
+        self.programs += out.apps.len() as u64;
         self.cells += m.cells.len() as u64 + m.failed_cells;
         self.failed_cells += m.failed_cells;
         self.timed_out_cells += m.timed_out_cells;
@@ -132,10 +139,16 @@ impl ToJson for StreamSummary {
 pub struct StreamOutcome {
     /// Deterministic aggregate (byte-identical across worker counts).
     pub summary: StreamSummary,
-    /// Worker threads the pool ran with.
+    /// Workers that evaluated the stream:
+    /// [`DriverOptions::effective_workers`] capped by the window.
     pub workers: usize,
-    /// Window size the stream was chunked by.
+    /// The in-flight bound the stream ran with
+    /// ([`DriverOptions::effective_stream_window`]).
     pub window: usize,
+    /// Worker threads the stream spawned: [`StreamOutcome::workers`], or
+    /// 0 when the calling thread evaluated the stream alone. One pool
+    /// serves the whole stream, so this never grows with its length.
+    pub threads_spawned: usize,
     /// End-to-end wall-clock, nanoseconds (schedule-dependent).
     pub wall_nanos: u64,
     /// Aggregate per-phase wall-clock (schedule-dependent).
@@ -145,9 +158,10 @@ pub struct StreamOutcome {
     /// Retained reports, in stream order — non-empty only when
     /// [`DriverOptions::retain_results`] is set.
     pub retained: Vec<AppReport>,
-    /// High-water mark of [`AppReport`]s alive at once. Without
-    /// retention this is bounded by the window size no matter how long
-    /// the stream ran — the memory contract, pinned by test.
+    /// High-water mark of programs in flight plus retained reports. Each
+    /// worker holds at most one program, so without retention this is at
+    /// most [`StreamOutcome::workers`] no matter how long the stream ran
+    /// — the memory contract, pinned by test.
     pub peak_retained: usize,
 }
 
@@ -161,62 +175,109 @@ impl StreamOutcome {
     }
 }
 
+/// The running fold every worker adds its finished programs to.
+#[derive(Default)]
+struct Fold {
+    summary: StreamSummary,
+    phases: PhaseTimings,
+    vm: fruntime::VmCounters,
+    /// Retained reports tagged with their stream position.
+    retained: Vec<(usize, AppReport)>,
+    peak_retained: usize,
+}
+
 /// Evaluate an unbounded job stream with bounded memory.
 ///
-/// Jobs are drawn from the iterator one window at a time
-/// ([`DriverOptions::effective_stream_window`]); each window runs
-/// through the existing worker pool ([`run_suite`]), its counters are
-/// folded into the [`StreamSummary`], and its reports are dropped before
-/// the next window is drawn — unless
-/// [`DriverOptions::retain_results`] asks to keep them. Lazy iterators
-/// stay lazy: generation of window `k + 1` happens after window `k` has
-/// been evaluated and released.
-pub fn run_stream(jobs: impl IntoIterator<Item = SuiteJob>, opts: &DriverOptions) -> StreamOutcome {
+/// One pool of `min(workers, window)` workers
+/// ([`DriverOptions::effective_workers`],
+/// [`DriverOptions::effective_stream_window`]) serves the whole stream;
+/// with one worker the calling thread does the work and nothing is
+/// spawned. Each worker repeatedly takes the next job from the
+/// iterator (so parsing in a lazy iterator happens on the worker that
+/// pulls), evaluates the program's whole row through [`run_suite`] on its
+/// own thread, folds the counters into the [`StreamSummary`] and drops
+/// the report — unless [`DriverOptions::retain_results`] asks to keep it;
+/// retained reports come back in stream order. Lazy iterators stay lazy:
+/// a job is generated only when a worker is free to evaluate it.
+///
+/// A panic raised by the iterator itself propagates out of `run_stream`;
+/// the other workers finish the program they hold and stop pulling.
+pub fn run_stream<I>(jobs: I, opts: &DriverOptions) -> StreamOutcome
+where
+    I: IntoIterator<Item = SuiteJob>,
+    I::IntoIter: Send,
+{
     let t0 = std::time::Instant::now();
-    // The resolved window is validated/reported the way worker counts
-    // are: `effective_stream_window` never returns 0 (a configured value
-    // is used as-is, `0 = auto` derives from the worker count), and the
-    // value that actually applied is recorded on the summary instead of
-    // being silently clamped here.
+    // `effective_stream_window` never returns 0 (a configured value is
+    // used as-is, `0 = auto` derives from the worker count), and the
+    // value that applied is recorded on the summary.
     let window = opts.effective_stream_window();
-    let mut it = jobs.into_iter();
-
-    let mut summary = StreamSummary {
-        window: window as u64,
-        ..StreamSummary::default()
+    let workers = opts.effective_workers().min(window);
+    // Each worker evaluates one program's row on its own thread.
+    let row_opts = DriverOptions {
+        workers: 1,
+        ..opts.clone()
     };
-    let mut phases = PhaseTimings::default();
-    let mut vm = fruntime::VmCounters::default();
-    let mut retained: Vec<AppReport> = Vec::new();
-    let mut peak_retained = 0usize;
+    let source = Mutex::new(jobs.into_iter().enumerate());
+    let in_flight = AtomicUsize::new(0);
+    let fold = Mutex::new(Fold {
+        summary: StreamSummary {
+            window: window as u64,
+            ..StreamSummary::default()
+        },
+        ..Fold::default()
+    });
 
-    loop {
-        let chunk: Vec<SuiteJob> = it.by_ref().take(window).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        let out = run_suite(&chunk, opts);
-        phases.merge(&out.metrics.phases);
-        vm.absorb(&out.metrics.vm);
-        summary.absorb(&out);
-        peak_retained = peak_retained.max(retained.len() + out.apps.len());
+    let work = || loop {
+        // A poisoned source means another worker's pull panicked: that
+        // panic is the stream's outcome, so stop pulling.
+        let Ok(mut it) = source.lock() else { return };
+        let Some((seq, job)) = it.next() else { return };
+        in_flight.fetch_add(1, Ordering::Relaxed);
+        drop(it);
+
+        let out = run_suite(std::slice::from_ref(&job), &row_opts);
+        drop(job);
+
+        let mut f = fold.lock().unwrap_or_else(PoisonError::into_inner);
+        f.phases.merge(&out.metrics.phases);
+        f.vm.absorb(&out.metrics.vm);
+        f.summary.absorb(&out);
+        // Programs in flight (this one included) plus retained reports.
+        f.peak_retained = f
+            .peak_retained
+            .max(f.retained.len() + in_flight.fetch_sub(1, Ordering::Relaxed));
         if opts.retain_results {
-            retained.extend(out.apps);
+            f.retained.extend(out.apps.into_iter().map(|a| (seq, a)));
         }
-        // !retain_results: `out` (reports, cell metrics, failures) is
-        // dropped here, together with `chunk` on the next iteration —
-        // the whole point of the streaming mode.
-    }
+    };
+    let threads_spawned = if workers <= 1 {
+        work();
+        0
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    resume_unwind(payload);
+                }
+            }
+        });
+        workers
+    };
 
+    let mut f = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
+    f.retained.sort_by_key(|(seq, _)| *seq);
     StreamOutcome {
-        summary,
-        workers: opts.effective_workers(),
+        summary: f.summary,
+        workers,
         window,
+        threads_spawned,
         wall_nanos: t0.elapsed().as_nanos() as u64,
-        phases,
-        vm,
-        retained,
-        peak_retained,
+        phases: f.phases,
+        vm: f.vm,
+        retained: f.retained.into_iter().map(|(_, a)| a).collect(),
+        peak_retained: f.peak_retained,
     }
 }
 
@@ -263,9 +324,10 @@ mod tests {
         assert_eq!(streamed.summary.failed_cells, batch.metrics.failed_cells);
         assert_eq!(streamed.summary.interp_runs, batch.metrics.interp_runs);
         assert_eq!(streamed.summary.verified_ok, batch.metrics.verified_ok);
-        // Window of 2 jobs → never more than 2 reports alive, and no
-        // reports retained.
-        assert_eq!(streamed.peak_retained, 2);
+        // One worker → one program alive at a time whatever the window,
+        // no thread spawned, and no reports retained.
+        assert_eq!(streamed.peak_retained, 1);
+        assert_eq!(streamed.threads_spawned, 0);
         assert!(streamed.retained.is_empty());
         assert!(streamed.summary.panic_free());
         assert!(streamed.programs_per_sec() > 0.0);
@@ -273,21 +335,30 @@ mod tests {
 
     #[test]
     fn retention_opt_in_keeps_reports_in_stream_order() {
-        let jobs: Vec<SuiteJob> = (0..5).map(|i| job(&format!("K{i}"), 8)).collect();
-        let out = run_stream(
-            jobs,
-            &DriverOptions {
-                workers: 1,
-                stream_window: 2,
-                retain_results: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(out.retained.len(), 5);
-        assert_eq!(out.peak_retained, 5);
-        let names: Vec<&str> = out.retained.iter().map(|a| a.name.as_str()).collect();
-        assert_eq!(names, ["K0", "K1", "K2", "K3", "K4"]);
-        assert!(out.retained.iter().all(|a| a.results.len() == 4));
+        // At 4 workers programs finish out of order; the retained
+        // reports still come back in input order.
+        for workers in [1, 4] {
+            let jobs: Vec<SuiteJob> = (0..12).map(|i| job(&format!("K{i}"), 4 + i)).collect();
+            let out = run_stream(
+                jobs,
+                &DriverOptions {
+                    workers,
+                    stream_window: 8,
+                    retain_results: true,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(out.retained.len(), 12);
+            assert_eq!(out.peak_retained, 12);
+            let names: Vec<String> = out.retained.iter().map(|a| a.name.clone()).collect();
+            let want: Vec<String> = (0..12).map(|i| format!("K{i}")).collect();
+            assert_eq!(names, want, "{workers} workers");
+            assert!(out.retained.iter().all(|a| a.results.len() == 4));
+            // One pool for the whole stream: a thread per worker, or
+            // none when a single worker runs on the calling thread.
+            let pool = if out.workers > 1 { out.workers } else { 0 };
+            assert_eq!(out.threads_spawned, pool);
+        }
     }
 
     #[test]
@@ -350,22 +421,70 @@ mod tests {
 
     #[test]
     fn hostile_job_degrades_without_killing_the_stream() {
-        let jobs = vec![job("OK1", 8), job("BOOM", 8), job("OK2", 8)];
+        for workers in [1, 2] {
+            let jobs: Vec<SuiteJob> = ["OK1", "BOOM", "OK2", "OK3"]
+                .iter()
+                .map(|n| job(n, 8))
+                .collect();
+            let out = run_stream(
+                jobs,
+                &DriverOptions {
+                    workers,
+                    stream_window: 2,
+                    retain_results: true,
+                    inject_panic: vec!["BOOM".into()],
+                    ..Default::default()
+                },
+            );
+            assert_eq!(out.summary.programs, 4);
+            assert_eq!(out.summary.panicked_cells, 4);
+            assert_eq!(out.summary.failed_cells, 4);
+            assert!(!out.summary.panic_free());
+            assert_eq!(out.summary.failure_stages.get("driver"), Some(&4));
+            // The healthy programs still verified all cells, and only the
+            // hostile program's report carries failures.
+            assert_eq!(out.summary.verified_ok, 12);
+            for app in &out.retained {
+                let want = if app.name == "BOOM" { 4 } else { 0 };
+                assert_eq!(app.failures.len(), want, "{} at {workers}", app.name);
+            }
+        }
+    }
+
+    #[test]
+    fn window_below_workers_caps_the_workers() {
+        let jobs: Vec<SuiteJob> = (0..6).map(|i| job(&format!("C{i}"), 8)).collect();
         let out = run_stream(
             jobs,
             &DriverOptions {
-                workers: 1,
-                stream_window: 2,
-                inject_panic: vec!["BOOM".into()],
+                workers: 4,
+                stream_window: 1,
                 ..Default::default()
             },
         );
-        assert_eq!(out.summary.programs, 3);
-        assert_eq!(out.summary.panicked_cells, 4);
-        assert_eq!(out.summary.failed_cells, 4);
-        assert!(!out.summary.panic_free());
-        assert_eq!(out.summary.failure_stages.get("driver"), Some(&4));
-        // The two healthy programs still verified all cells.
-        assert_eq!(out.summary.verified_ok, 8);
+        assert_eq!(out.workers, 1);
+        assert_eq!(out.threads_spawned, 0);
+        assert_eq!(out.peak_retained, 1);
+        assert_eq!(out.summary.window, 1);
+        assert_eq!(out.summary.programs, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "job source failed")]
+    fn iterator_panic_propagates_out_of_the_stream() {
+        let jobs = (0..6).map(|i| {
+            if i == 3 {
+                panic!("job source failed");
+            }
+            job(&format!("I{i}"), 8)
+        });
+        run_stream(
+            jobs,
+            &DriverOptions {
+                workers: 2,
+                stream_window: 4,
+                ..Default::default()
+            },
+        );
     }
 }

@@ -56,4 +56,5 @@ fn committed_artifacts_pass_their_ci_gates() {
     bench::gates::engines_gate(&engines).unwrap();
     bench::gates::throughput_gate(&throughput).unwrap();
     bench::gates::ledger_gate(&throughput, &throughput).unwrap();
+    bench::gates::scaling_gate(&load("driver_scaling.json")).unwrap();
 }

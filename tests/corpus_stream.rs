@@ -3,9 +3,9 @@
 //! * **determinism** — the aggregated stream summary is byte-identical
 //!   across worker counts (mirroring `driver_determinism`, but over a
 //!   generated corpus through `run_stream`);
-//! * **bounded retention** — peak retained reports depend on the window,
-//!   not the stream length: a 200-program stream holds no more reports
-//!   at once than a 50-program one;
+//! * **bounded retention** — peak retained reports depend on the worker
+//!   pool, not the stream length: a 200-program stream holds no more
+//!   programs at once than a 50-program one;
 //! * **corpus validity** — every generated program parses and survives
 //!   the full four-configuration pipeline with zero panicked cells
 //!   (structured failures are expected on a pathological corpus;
@@ -40,9 +40,10 @@ fn stream_summary_is_byte_identical_across_worker_counts() {
             "summary differs at {workers} workers"
         );
     }
-    // And across window sizes: chunking is an implementation detail of
-    // memory bounding, not of the aggregate. The summary records the
-    // effective window, so that one field is expected to differ.
+    // And across window sizes: the in-flight bound is an implementation
+    // detail of memory bounding, not of the aggregate. The summary
+    // records the effective window, so that one field is expected to
+    // differ.
     let rewindowed = run_stream(corpus::jobs(SEED, PROGRAMS), &opts(1, 17));
     assert_eq!(rewindowed.summary.window, 17);
     let mut normalized = rewindowed.summary.clone();
@@ -55,10 +56,12 @@ fn peak_retention_is_independent_of_stream_length() {
     const SEED: u64 = 0x5EED_CAFE;
     let short = run_stream(corpus::jobs(SEED, 50), &opts(2, 8));
     let long = run_stream(corpus::jobs(SEED, 200), &opts(2, 8));
-    // Four times the programs, same high-water mark: the window, not the
-    // stream, bounds what is alive at once.
-    assert_eq!(short.peak_retained, 8);
-    assert_eq!(long.peak_retained, 8);
+    // Four times the programs, same high-water mark: each worker holds
+    // one program at a time, so the pool (workers capped by the window),
+    // not the stream, bounds what is alive at once.
+    let pool = opts(2, 8).effective_workers().min(8);
+    assert_eq!(short.peak_retained, pool);
+    assert_eq!(long.peak_retained, pool);
     assert!(long.retained.is_empty());
     assert_eq!(long.summary.programs, 200);
     // Opting in is what grows memory with stream length.
