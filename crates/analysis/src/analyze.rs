@@ -9,7 +9,7 @@
 //! dependences), and the tests in `perfect` assert on them directly.
 
 use crate::ddtest::{test_pair, DepCtx, DepResult};
-use crate::fwdsub::forward_substitute;
+use crate::fwdsub::{forward_substitute, forward_substitutes};
 use crate::ivsub::substitute_inductions;
 use crate::privatize::{try_privatize, PrivArray};
 use crate::refs::BodyRefs;
@@ -58,14 +58,12 @@ pub struct LoopAnalysis {
     pub private_arrays: Vec<PrivArray>,
     /// Constant trip count, when the bounds are constants.
     pub trip_count: Option<i64>,
-    /// The loop with induction variables substituted (what must be emitted
-    /// if a directive is attached — the raw loop still carries the scalar
-    /// recurrence). `None` when the loop has no induction-variable
-    /// candidate: the analyzed loop itself is then what gets emitted.
-    pub transformed: Option<DoLoop>,
-    /// `(name, increment)` of each substituted induction variable; the
-    /// emitter appends `name = name + max(trip,0)*increment` after the loop
-    /// so the post-loop value matches sequential semantics.
+    /// `(name, increment)` of each substituted induction variable. When
+    /// it is non-empty the raw loop still carries the scalar recurrence:
+    /// the emitter rewrites it with [`substitute_for_emission`] before
+    /// attaching a directive, and appends
+    /// `name = name + max(trip,0)*increment` after the loop so the
+    /// post-loop value matches sequential semantics.
     pub iv_subs: Vec<(Ident, i64)>,
 }
 
@@ -98,34 +96,37 @@ impl<'a> UnitCtx<'a> {
     }
 }
 
-/// Analyze one loop. The loop is cloned internally; the input program is
-/// never modified (normalizations are analysis-local, like a compiler
-/// working on a scratch copy).
+/// Analyze one loop. The input program is never modified: the
+/// normalizations below are analysis-local, made on a scratch copy of the
+/// loop, and only when one of them would rewrite it.
 pub fn analyze_loop(d: &DoLoop, ctx: &UnitCtx<'_>) -> LoopAnalysis {
-    let mut work = d.clone();
     let is_array = |n: &str| ctx.is_array(n);
 
-    // 1. Induction-variable substitution (needs raw increments). The
-    //    ivsub-only clone is kept: it is what gets emitted if the loop is
-    //    parallelized. Without candidates the loop is left as it was and
-    //    needs no copy.
-    let info0 = classify(&work.body, &work.var, &is_array);
+    // 1. Induction-variable substitution (needs raw increments), then
+    // 2. forward substitution of scalar definitions into subscripts
+    //    (analysis-only: value-preserving, never emitted), then
+    // 3. the final scalar classification. A loop neither pass rewrites
+    //    is analyzed as it stands, with the classification it already has.
+    let info0 = classify(&d.body, &d.var, &is_array);
     let has_candidates = info0
         .classes
         .values()
         .any(|c| matches!(c, ScalarClass::Induction { .. }));
-    let iv_subs = substitute_inductions(&mut work, &info0);
-    let transformed = has_candidates.then(|| work.clone());
-
-    // 2. Forward substitution of scalar definitions into subscripts
-    //    (analysis-only: value-preserving, never emitted).
-    forward_substitute(&mut work.body, &is_array);
-
-    // 3. Final scalar classification.
-    let info: ScalarInfo = classify(&work.body, &work.var, &is_array);
+    let scratch;
+    let (work, info, iv_subs): (&DoLoop, ScalarInfo, _) =
+        if has_candidates || forward_substitutes(&d.body, &is_array) {
+            let mut w = d.clone();
+            let iv_subs = substitute_inductions(&mut w, &info0);
+            forward_substitute(&mut w.body, &is_array);
+            let info = classify(&w.body, &w.var, &is_array);
+            scratch = w;
+            (&scratch, info, iv_subs)
+        } else {
+            (d, info0, Vec::new())
+        };
 
     // 4. Reference collection.
-    let refs = BodyRefs::collect(&work, &is_array);
+    let refs = BodyRefs::collect(work, &is_array);
 
     let mut blockers = Vec::new();
 
@@ -188,7 +189,7 @@ pub fn analyze_loop(d: &DoLoop, ctx: &UnitCtx<'_>) -> LoopAnalysis {
     let dep_ctx = DepCtx {
         carried: work.var.clone(),
         carried_bounds,
-        variant: variant.clone(),
+        variant,
     };
 
     let mut private_arrays = Vec::new();
@@ -239,9 +240,17 @@ pub fn analyze_loop(d: &DoLoop, ctx: &UnitCtx<'_>) -> LoopAnalysis {
         reductions,
         private_arrays,
         trip_count,
-        transformed,
         iv_subs,
     }
+}
+
+/// Rewrite `d` into the loop to emit under a directive: the induction
+/// variables [`analyze_loop`] substituted on its scratch copy, substituted
+/// the same way in `d` itself. Returns the `(name, increment)` pairs, the
+/// analysis's [`LoopAnalysis::iv_subs`].
+pub fn substitute_for_emission(d: &mut DoLoop, ctx: &UnitCtx<'_>) -> Vec<(Ident, i64)> {
+    let info = classify(&d.body, &d.var, &|n| ctx.is_array(n));
+    substitute_inductions(d, &info)
 }
 
 fn fold_const(e: &Expr) -> Option<i64> {

@@ -58,13 +58,13 @@ impl CallGraph {
 
     /// True if `unit` can reach itself through the graph.
     pub fn is_recursive(&self, unit: &str) -> bool {
-        let mut seen = BTreeSet::new();
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
         let mut stack: Vec<&str> = self.callees(unit).iter().map(|s| s.as_str()).collect();
         while let Some(n) = stack.pop() {
             if n == unit {
                 return true;
             }
-            if seen.insert(n.to_string()) {
+            if seen.insert(n) {
                 stack.extend(self.callees(n).iter().map(|s| s.as_str()));
             }
         }

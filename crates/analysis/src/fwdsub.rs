@@ -22,6 +22,129 @@ pub fn forward_substitute(block: &mut Block, is_array: &dyn Fn(&str) -> bool) {
 
 type Env = BTreeMap<Ident, Expr>;
 
+/// True when [`forward_substitute`] would rewrite `block`: some use reads
+/// a scalar that a recorded definition replaces. Until the first such use
+/// nothing is rewritten, so this walk records the definitions as they
+/// stand, by reference, and needs no copy of the block.
+pub fn forward_substitutes(block: &Block, is_array: &dyn Fn(&str) -> bool) -> bool {
+    let mut env: RefEnv<'_> = BTreeMap::new();
+    finds_use(block, &mut env, is_array)
+}
+
+/// [`Env`] before any rewrite: definitions borrowed from the block.
+type RefEnv<'a> = BTreeMap<&'a str, &'a Expr>;
+
+/// [`invalidate`] over borrowed definitions.
+fn invalidate_ref(env: &mut RefEnv<'_>, name: &str) {
+    env.retain(|_, def| !def.mentions(name));
+    env.remove(name);
+}
+
+/// True when [`subst`] would replace a node of `e`.
+fn reads(e: &Expr, env: &RefEnv<'_>) -> bool {
+    let mut found = false;
+    e.walk(&mut |node| {
+        found |= matches!(node, Expr::Var(v) if env.contains_key(v.as_str()));
+    });
+    found
+}
+
+/// [`walk`] without rewriting: stops at the first use it would rewrite.
+fn finds_use<'a>(block: &'a Block, env: &mut RefEnv<'a>, is_array: &dyn Fn(&str) -> bool) -> bool {
+    for s in block {
+        match &s.kind {
+            StmtKind::Assign { lhs, rhs } => {
+                if reads(rhs, env) {
+                    return true;
+                }
+                match lhs {
+                    Expr::Var(name) if !is_array(name) => {
+                        invalidate_ref(env, name);
+                        if !rhs.mentions(name) && is_pure(rhs) {
+                            env.insert(name.as_str(), rhs);
+                        }
+                    }
+                    Expr::Index(name, subs) => {
+                        if subs.iter().any(|sub| reads(sub, env)) {
+                            return true;
+                        }
+                        invalidate_ref(env, name);
+                    }
+                    Expr::Section(name, ranges) => {
+                        for r in ranges {
+                            let hit = match r {
+                                fir::ast::SecRange::At(e) => reads(e, env),
+                                fir::ast::SecRange::Range { lo, hi, step } => {
+                                    [lo, hi, step].into_iter().flatten().any(|e| reads(e, env))
+                                }
+                                fir::ast::SecRange::Full => false,
+                            };
+                            if hit {
+                                return true;
+                            }
+                        }
+                        invalidate_ref(env, name);
+                    }
+                    Expr::Var(name) => invalidate_ref(env, name),
+                    _ => {}
+                }
+            }
+            StmtKind::If {
+                cond,
+                then_blk,
+                else_blk,
+            } => {
+                if reads(cond, env) {
+                    return true;
+                }
+                let mut env_then = env.clone();
+                let mut env_else = env.clone();
+                if finds_use(then_blk, &mut env_then, is_array)
+                    || finds_use(else_blk, &mut env_else, is_array)
+                {
+                    return true;
+                }
+                env.retain(|k, v| env_then.get(k) == Some(v) && env_else.get(k) == Some(v));
+            }
+            StmtKind::Do(d) => {
+                if [&d.lo, &d.hi]
+                    .into_iter()
+                    .chain(&d.step)
+                    .any(|e| reads(e, env))
+                {
+                    return true;
+                }
+                let mut killed = vec![d.var.clone()];
+                assigned_names(&d.body, &mut killed);
+                for k in &killed {
+                    invalidate_ref(env, k);
+                }
+                if finds_use(&d.body, &mut env.clone(), is_array) {
+                    return true;
+                }
+            }
+            StmtKind::Call { args, .. } => {
+                if args.iter().any(|a| reads(a, env)) {
+                    return true;
+                }
+                env.clear();
+            }
+            StmtKind::Write { items, .. } => {
+                if items.iter().any(|i| reads(i, env)) {
+                    return true;
+                }
+            }
+            StmtKind::Tagged { body, .. } => {
+                if finds_use(body, env, is_array) {
+                    return true;
+                }
+            }
+            StmtKind::Stop { .. } | StmtKind::Return | StmtKind::Continue => {}
+        }
+    }
+    false
+}
+
 /// Drop environment entries whose definition mentions `name` (scalar or
 /// array base).
 fn invalidate(env: &mut Env, name: &str) {

@@ -15,7 +15,9 @@
 //! A counting global allocator is installed. One extra workers-1 stream
 //! after the timed points is metered: the artifact records its allocation
 //! events per cell (a deterministic count CI can gate, unlike the
-//! wall-clock) and its per-phase `PhaseTimings` split.
+//! wall-clock), its per-phase `PhaseTimings` split, and its
+//! `compile_memo_hits` (cells served a shared compile another cell
+//! built; the same at every worker count).
 
 use bench::harness::alloc_counter::{self, CountingAlloc};
 use bench::harness::median_of;
@@ -71,6 +73,11 @@ fn main() {
     for (w, out, _) in &points {
         assert_eq!(windowless(out).to_json(), base, "summary diverged at w{w}");
         assert!(out.summary.panic_free(), "panicked cells at w{w}");
+        // Served minus built: the same count on any schedule.
+        assert_eq!(
+            out.compile_memo_hits, points[0].1.compile_memo_hits,
+            "compile-memo hits diverged at w{w}"
+        );
     }
     let s = &points[0].1.summary;
 
@@ -80,6 +87,10 @@ fn main() {
     println!(
         "allocations: {allocs} events over {} cells ({allocs_per_cell} per cell, workers 1)",
         s.cells
+    );
+    println!(
+        "compile memo: {} cells served a shared compile",
+        metered.compile_memo_hits
     );
     println!(
         "corpus: {} programs, {} cells, {} verified ok, {} failed ({} timed out), {}/{} loops parallel",
@@ -109,6 +120,7 @@ fn main() {
     let mut artifact = json_object!({
         "bench": "corpus_throughput", "seed": SEED, "programs": PROGRAMS,
         "samples_per_point": SAMPLES, "host_cpus": host_cpus, "runs": runs,
+        "compile_memo_hits": metered.compile_memo_hits,
         "alloc_events": allocs, "alloc_events_per_cell": allocs_per_cell,
         "phases": metered.phases, "summary": s,
     });

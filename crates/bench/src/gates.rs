@@ -45,6 +45,15 @@ const RETIREMENT_CEILING: u64 = 13_500_000;
 /// ledger holds the stream at or below 0.6× this.
 const STRING_IDENT_ALLOCS_PER_CELL: f64 = 1758.0;
 
+/// The corpus the throughput artifact streams: 1,000 programs of this
+/// seed.
+const CORPUS_SEED: u64 = 501_227_537;
+
+/// Cells of that corpus served a shared compile another cell built: its
+/// inlining left the normalized program unchanged in 1,675 of the 3,000
+/// inlining cells. Deterministic, so gated exactly.
+const COMPILE_MEMO_HITS: u64 = 1675;
+
 /// `doc[key]`, or the violation naming what `name` lacks.
 fn field<'a>(doc: &'a Json, name: &str, key: &str) -> Result<&'a Json, String> {
     doc.get(key)
@@ -169,7 +178,8 @@ pub fn engines_gate(a: &Json) -> Result<String, String> {
 /// The `corpus_throughput.json` gates: a ≥ 1,000-program stream measured
 /// at workers 1, 2 and 4 with a positive rate at each and no more threads
 /// spawned than effective workers, no panicked cell,
-/// four cells per program, verified and parallel loops present, the
+/// four cells per program, verified and parallel loops present, exactly
+/// 1,675 compile-memo hits over 1,000 programs of seed 501227537, the
 /// allocation ledger at or below 0.6× the `String`-identifier baseline,
 /// and every pipeline phase timed.
 pub fn throughput_gate(a: &Json) -> Result<String, String> {
@@ -188,6 +198,8 @@ pub fn throughput_gate(a: &Json) -> Result<String, String> {
     let sc = |key| count(s, "summary", key);
     let per_cell = count(a, NAME, "alloc_events_per_cell")?;
     let phases = field(a, NAME, "phases")?;
+    let seed = count(a, NAME, "seed")?;
+    let memo_hits = count(a, NAME, "compile_memo_hits")?;
     let mut gates = vec![
         (programs >= 1000, format!("stream too short: {programs}")),
         (workers == [1, 2, 4], "missing worker points".to_string()),
@@ -218,6 +230,13 @@ pub fn throughput_gate(a: &Json) -> Result<String, String> {
             sc("verified_ok")? > 0 && sc("loops_parallel")? > 0,
             "corpus inert".into(),
         ),
+        (
+            (seed, programs, memo_hits) == (CORPUS_SEED, 1000, COMPILE_MEMO_HITS),
+            format!(
+                "{memo_hits} compile-memo hits over {programs} programs of seed {seed} \
+                 (want {COMPILE_MEMO_HITS} over 1000 of seed {CORPUS_SEED})"
+            ),
+        ),
         // Allocation ledger of the metered workers-1 stream: a
         // deterministic count.
         (
@@ -236,7 +255,8 @@ pub fn throughput_gate(a: &Json) -> Result<String, String> {
     let best = rates.iter().copied().fold(0f64, f64::max);
     Ok(format!(
         "corpus_throughput ok: {programs} programs, peak {best:.1} programs/sec, \
-         {}/{} cells verified, {per_cell} allocation events per cell",
+         {}/{} cells verified, {memo_hits} compile-memo hits, \
+         {per_cell} allocation events per cell",
         sc("verified_ok")?,
         sc("cells")?
     ))

@@ -14,10 +14,14 @@
 //!   verification runs per app from 12 to 9;
 //! * **verify dedup** — configurations that emit byte-identical optimized
 //!   source (conventional inlining that found nothing to inline, an empty
-//!   annotation registry) share one verification, saving two more runs.
-//!   Memo and dedup live in one per-program `ProgramMemo`, always on; the
-//!   cell evaluator over it (`evaluate_cell`) also serves the daemon's
-//!   requests ([`crate::service`]);
+//!   annotation registry) share one verification, saving two more runs;
+//! * **compile memo** — each program is normalized once, and every
+//!   configuration whose inlining left it unchanged shares one no-inline
+//!   compile instead of running its own parallelize, reverse-inline and
+//!   print. Memo, dedup and compile memo live in one per-program
+//!   `ProgramMemo`, always on; the cell evaluator over it
+//!   (`evaluate_cell`) also serves the daemon's requests
+//!   ([`crate::service`]);
 //! * **observability** — per-phase wall-clock, per-loop blocker counts,
 //!   and cache statistics are aggregated into a [`SuiteMetrics`] report;
 //! * **fault isolation** — a cell that fails (malformed input, a runtime
@@ -34,16 +38,19 @@
 
 use crate::error::{panic_message, FailCause, FailStage, PipelineError};
 use crate::phase::{blocker_counts, CellMetrics, FailureRecord, Phase, PhaseTimings, SuiteMetrics};
-use crate::pipeline::{compile_timed, InlineMode, PipelineOptions, PipelineResult};
-use crate::report::{table2_rows, Fig20Point, Table2Row};
+use crate::pipeline::{
+    self, Compiled, Emitted, InlineMode, PipelineOptions, PipelineResult, StageReports,
+};
+use crate::report::{rows_from, Fig20Point, Table2Row};
 use crate::tournament::{default_machines, tuned_speedup};
 use crate::verify::{baseline_run_with, guarded, verify_with_baseline_using, VerifyResult};
 use finline::annot::AnnotRegistry;
 use fir::ast::Program;
 use fruntime::{ExecOptions, Machine, RunResult};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One application to evaluate: parsed program + annotation registry.
@@ -172,9 +179,7 @@ impl DriverOptions {
     /// churn, so a larger request is capped, and `workers = 0` asks for
     /// one per available core.
     pub fn effective_workers(&self) -> usize {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+        let avail = host_cpus();
         if self.workers > 0 {
             self.workers.min(avail).max(1)
         } else {
@@ -239,6 +244,18 @@ impl DriverOptions {
     }
 }
 
+/// The host's available parallelism, resolved once per process: the
+/// query reads the CPU affinity mask and cgroup quota on every call, and
+/// the stream asks once per program.
+fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Everything the driver produced for one application.
 #[derive(Debug, Clone)]
 pub struct AppReport {
@@ -290,9 +307,14 @@ pub struct SuiteOutcome {
 
 /// A completed cell's payloads, handed to the cell's caller ([`run_suite`],
 /// [`crate::tournament::run_tournament`] or the daemon's
-/// [`crate::service`] requests).
+/// [`crate::service`] requests). The compile may be shared with other
+/// cells of the same program; only a caller that retains results keeps
+/// the program and copies it out into a [`PipelineResult`].
 pub(crate) struct CellDone {
-    pub(crate) result: PipelineResult,
+    pub(crate) emitted: Arc<Emitted>,
+    /// The whole compile, held only under [`DriverOptions::retain_results`].
+    pub(crate) retained: Option<Arc<Compiled>>,
+    pub(crate) reports: StageReports,
     pub(crate) verify: Arc<VerifyResult>,
     pub(crate) fig20: Vec<Fig20Point>,
     pub(crate) metrics: CellMetrics,
@@ -302,15 +324,37 @@ pub(crate) struct CellDone {
 /// exactly like successful ones: byte-identical source fails identically.
 type VerifySlot = OnceLock<Result<Arc<VerifyResult>, FailCause>>;
 
-/// What every cell of one program shares: the guarded baseline run of
-/// the original program, the verify-dedup slots keyed by the emitted
-/// source's [`source_key`], and the run accounting. Failures are memoized
-/// like successes: a baseline that cannot run fails every cell of the
-/// program with the same diagnostic for the price of one run. The
-/// 128-bit key replaces retained whole-source strings; at that width
-/// accidental collision over a suite corpus is not a practical concern.
-#[derive(Default)]
+/// The normalized program, or the normalize stage's diagnostic.
+type NormalizedSlot = OnceLock<Result<Program, fir::diag::Error>>;
+
+/// The no-inline compile of a program's normalized form under one
+/// [`fpar::ParOptions`], or the diagnostic of the stage that failed.
+type CompileSlot = OnceLock<Result<Arc<Compiled>, fir::diag::Error>>;
+
+/// What every cell of one program shares: the normalized program, the
+/// no-inline compile of it per distinct [`fpar::ParOptions`], the guarded
+/// baseline run of the original program, the verify-dedup slots keyed by
+/// the emitted source's [`source_key`], and the run accounting.
+///
+/// A cell whose inline stage left the normalized program unchanged takes
+/// the shared compile instead of re-running parallelize, reverse-inline
+/// and print: the back end is a pure function of the program and the
+/// parallelizer options. Failures are memoized like successes: a program
+/// that cannot be normalized, or a baseline that cannot run, fails every
+/// cell of the program with the same diagnostic for the price of one try.
+/// The 128-bit verify key replaces retained whole-source strings; at that
+/// width accidental collision over a suite corpus is not a practical
+/// concern.
 pub(crate) struct ProgramMemo {
+    /// The normalized program, taken by the program's last compile.
+    normalized: Mutex<Option<Arc<NormalizedSlot>>>,
+    /// Cells that will compile the program.
+    cells: usize,
+    /// Compiles still to come; counted down under the `normalized` lock.
+    pending: AtomicUsize,
+    /// One slot per distinct parallelizer configuration (a short list:
+    /// the portfolio has two).
+    shared: Mutex<Vec<(fpar::ParOptions, Arc<CompileSlot>)>>,
     baseline: OnceLock<Result<RunResult, FailCause>>,
     verifies: Mutex<HashMap<u128, Arc<VerifySlot>>>,
     /// Interpreter runs paid for (1 per baseline, 2 per verification).
@@ -319,6 +363,168 @@ pub(crate) struct ProgramMemo {
     memo_hits: AtomicU64,
     /// Cells served a shared verification.
     cache_hits: AtomicU64,
+    /// Cells served a shared compile that another cell built.
+    compile_hits: AtomicU64,
+}
+
+/// One cell's compile: the back end's output (perhaps shared), the
+/// cell's own reports, and whether a shared compile built by another
+/// cell served it.
+struct CellCompile {
+    compiled: Arc<Compiled>,
+    reports: StageReports,
+    memo_hit: bool,
+}
+
+impl ProgramMemo {
+    /// A memo for a program that `cells` cells will compile. The last of
+    /// them takes the normalized program instead of copying it, and a
+    /// one-cell memo runs the plain pipeline on it; compiles beyond
+    /// `cells` are still correct, only they copy.
+    pub(crate) fn new(cells: usize) -> ProgramMemo {
+        ProgramMemo {
+            normalized: Mutex::new(None),
+            cells,
+            pending: AtomicUsize::new(cells),
+            shared: Mutex::new(Vec::new()),
+            baseline: OnceLock::new(),
+            verifies: Mutex::new(HashMap::new()),
+            interp_runs: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
+            compile_hits: AtomicU64::new(0),
+        }
+    }
+
+    /// Compile `program` under `opts` through the memo: the stages of
+    /// [`compile_timed`], with the normalize stage run once per program
+    /// and one back end shared by every mode whose inlining left the
+    /// normalized program unchanged.
+    fn compile(
+        &self,
+        program: &Program,
+        registry: &AnnotRegistry,
+        opts: &PipelineOptions,
+        timings: &mut PhaseTimings,
+    ) -> Result<CellCompile, fir::diag::Error> {
+        let slot = {
+            let mut held = lock_clean(&self.normalized);
+            let slot = held.get_or_insert_with(Default::default).clone();
+            let last = self
+                .pending
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+                == Ok(1);
+            if last {
+                *held = None;
+            }
+            slot
+        };
+        slot.get_or_init(|| pipeline::normalize(program, timings));
+        let borrowed;
+        let normalized: Cow<'_, Program> = match Arc::try_unwrap(slot) {
+            // No other cell holds the slot: this is the last compile.
+            Ok(owned) => Cow::Owned(owned.into_inner().expect("normalized above")?),
+            Err(shared) => {
+                borrowed = shared;
+                let normalized = borrowed.get().expect("normalized above");
+                Cow::Borrowed(normalized.as_ref().map_err(Clone::clone)?)
+            }
+        };
+        let normalized = match normalized {
+            // A one-cell memo (a daemon evaluate request) shares nothing:
+            // the plain pipeline inlines its owned program in place.
+            Cow::Owned(p) if self.cells == 1 => {
+                let (compiled, reports) = pipeline::compile_normalized(p, registry, opts, timings)?;
+                return Ok(CellCompile {
+                    compiled: Arc::new(compiled),
+                    reports,
+                    memo_hit: false,
+                });
+            }
+            normalized => normalized,
+        };
+        let (inlined, mut reports) =
+            pipeline::inline(Cow::Borrowed(&*normalized), registry, opts, timings)?;
+        let reverse_with = reports.reverse_registry(opts.mode, registry);
+        // A borrowed result is the normalized program itself, uncopied.
+        let unchanged = match &inlined {
+            Cow::Borrowed(_) => true,
+            Cow::Owned(p) => *p == *normalized,
+        };
+        // Without a tagged region reverse-inlining finds nothing to undo.
+        if unchanged && (reverse_with.is_none() || !has_tagged_region(&normalized)) {
+            reports.reverse_report = reverse_with.map(|_| Default::default());
+            let (compiled, built) = self.shared(normalized, &opts.par, timings)?;
+            if !built {
+                self.compile_hits.fetch_add(1, Ordering::Relaxed);
+            }
+            return Ok(CellCompile {
+                compiled,
+                reports,
+                memo_hit: !built,
+            });
+        }
+        let p = match inlined {
+            Cow::Owned(p) => {
+                // An owned normalized program is spent: free it before
+                // the back end runs.
+                drop(normalized);
+                p
+            }
+            Cow::Borrowed(_) => normalized.into_owned(),
+        };
+        let (compiled, reverse_report) = pipeline::back_end(p, reverse_with, &opts.par, timings)?;
+        reports.reverse_report = reverse_report;
+        Ok(CellCompile {
+            compiled: Arc::new(compiled),
+            reports,
+            memo_hit: false,
+        })
+    }
+
+    /// The no-inline compile of `normalized` under `par`, built on first
+    /// use (from `normalized` itself when it is owned), and whether this
+    /// call built it.
+    fn shared(
+        &self,
+        normalized: Cow<'_, Program>,
+        par: &fpar::ParOptions,
+        timings: &mut PhaseTimings,
+    ) -> Result<(Arc<Compiled>, bool), fir::diag::Error> {
+        let slot = {
+            let mut slots = lock_clean(&self.shared);
+            match slots.iter().find(|(p, _)| p == par) {
+                Some((_, slot)) => slot.clone(),
+                None => {
+                    let slot = Arc::<CompileSlot>::default();
+                    slots.push((par.clone(), slot.clone()));
+                    slot
+                }
+            }
+        };
+        let mut built = false;
+        let compiled = slot
+            .get_or_init(|| {
+                built = true;
+                let (compiled, _) =
+                    pipeline::back_end(normalized.into_owned(), None, par, timings)?;
+                Ok(Arc::new(compiled))
+            })
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok((compiled.clone(), built))
+    }
+}
+
+/// True when some unit of `p` holds a reverse-inlining tag region.
+fn has_tagged_region(p: &Program) -> bool {
+    let mut tagged = false;
+    for u in &p.units {
+        fir::visit::walk_stmts(&u.body, &mut |s| {
+            tagged |= matches!(s.kind, fir::ast::StmtKind::Tagged { .. });
+        });
+    }
+    tagged
 }
 
 /// 128-bit FNV-1a, the one content hash under [`source_key`] and
@@ -423,7 +629,8 @@ struct Shared<'a> {
 /// deterministic (input × portfolio) order, plus the aggregated
 /// [`SuiteMetrics`] with cache accounting shared across all columns.
 pub(crate) struct MatrixOutcome {
-    /// `outcomes[app][config]`, both in input order.
+    /// `outcomes[app][config]`, both in input order. Each completed
+    /// cell's `metrics` has moved into `metrics.cells`, in the same order.
     pub(crate) cells: Vec<Vec<CellOutcome>>,
     /// Aggregated counters, cell metrics, and failure records.
     pub(crate) metrics: SuiteMetrics,
@@ -454,7 +661,9 @@ pub(crate) fn run_matrix(
                 .flat_map(|m| (0..jobs.len()).map(move |a| (a, m)))
                 .collect(),
         ),
-        memos: (0..jobs.len()).map(|_| ProgramMemo::default()).collect(),
+        memos: (0..jobs.len())
+            .map(|_| ProgramMemo::new(n_configs))
+            .collect(),
         cells: (0..n_cells).map(|_| Mutex::new(None)).collect(),
     };
 
@@ -508,6 +717,29 @@ pub fn run_app(job: &SuiteJob, opts: &DriverOptions) -> (AppReport, SuiteMetrics
         }
     });
     (report, out.metrics)
+}
+
+/// Compile `program` under each of `configs` the way the driver's cells
+/// do, through one per-program memo: one normalize, and one back end
+/// shared by every configuration whose inlining changed nothing. Each
+/// entry equals [`compile_timed`](crate::compile_timed) of its
+/// configuration; a shared compile is copied into every result that
+/// holds it.
+pub fn compile_configs(
+    program: &Program,
+    registry: &AnnotRegistry,
+    configs: &[CellConfig],
+) -> Vec<Result<PipelineResult, fir::diag::Error>> {
+    let memo = ProgramMemo::new(configs.len());
+    let mut timings = PhaseTimings::default();
+    configs
+        .iter()
+        .map(|cfg| {
+            let cell = memo.compile(program, registry, &cfg.opts, &mut timings)?;
+            let compiled = Arc::unwrap_or_clone(cell.compiled);
+            Ok(PipelineResult::from_parts(compiled, cell.reports))
+        })
+        .collect()
 }
 
 fn worker_loop(shared: &Shared<'_>) {
@@ -568,7 +800,12 @@ pub(crate) fn evaluate_cell(
     let fail = |stage, cause| PipelineError::in_cell(name, mode, stage, cause);
     let mut timings = PhaseTimings::default();
 
-    let result = compile_timed(program, registry, &cfg.opts, &mut timings)
+    let CellCompile {
+        compiled,
+        reports,
+        memo_hit,
+    } = memo
+        .compile(program, registry, &cfg.opts, &mut timings)
         .map_err(|d| fail(FailStage::Compile, FailCause::Diag(d)))?;
     deadline.check(name, mode, FailStage::Compile, max_ops)?;
 
@@ -593,7 +830,7 @@ pub(crate) fn evaluate_cell(
         // Byte-identical emitted source ⇒ identical verification (the
         // baseline is fixed per program, the interpreter deterministic).
         let slot = lock_clean(&memo.verifies)
-            .entry(source_key(&result.source))
+            .entry(source_key(&compiled.emitted.source))
             .or_default()
             .clone();
         let mut paid = false;
@@ -602,7 +839,7 @@ pub(crate) fn evaluate_cell(
             cell_runs += 2;
             let par_opts = opts.exec(opts.effective_verify_threads());
             guarded(max_ops, || {
-                verify_with_baseline_using(base, &result.program, &par_opts)
+                verify_with_baseline_using(base, &compiled.program, &par_opts)
             })
             .map(Arc::new)
         });
@@ -642,11 +879,12 @@ pub(crate) fn evaluate_cell(
     let metrics = CellMetrics {
         app: name.to_string(),
         config: cfg.label.clone(),
-        blockers: blocker_counts(&result),
-        loops_total: result.par_report.decisions.len(),
-        loops_parallel: result.parallel_loops().len(),
+        blockers: blocker_counts(&compiled.emitted.par_report),
+        loops_total: compiled.emitted.par_report.decisions.len(),
+        loops_parallel: compiled.emitted.parallel_loops().len(),
         interp_runs: cell_runs,
         verify_cached,
+        compile_memo_hits: memo_hit as u64,
         // Cache-served cells report zero counters so the suite aggregate
         // counts VM work actually executed, not work saved by dedup.
         vm: if verify_cached {
@@ -654,7 +892,7 @@ pub(crate) fn evaluate_cell(
         } else {
             verify.vm
         },
-        autogen: result
+        autogen: reports
             .autogen
             .as_ref()
             .map(|r| crate::phase::AutogenCoverage {
@@ -669,7 +907,9 @@ pub(crate) fn evaluate_cell(
     };
 
     Ok(Box::new(CellDone {
-        result,
+        emitted: compiled.emitted.clone(),
+        retained: opts.retain_results.then_some(compiled),
+        reports,
         verify,
         fig20,
         metrics,
@@ -689,6 +929,7 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
         metrics.interp_runs += memo.interp_runs.load(Ordering::Relaxed);
         metrics.baseline_memo_hits += memo.memo_hits.load(Ordering::Relaxed);
         metrics.verify_cache_hits += memo.cache_hits.load(Ordering::Relaxed);
+        metrics.compile_memo_hits += memo.compile_hits.load(Ordering::Relaxed);
     }
 
     let n_configs = shared.configs.len();
@@ -713,10 +954,10 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
                     ))
                 });
             match outcome {
-                Ok(done) => {
+                Ok(mut done) => {
                     metrics.phases.merge(&done.metrics.phases);
                     metrics.vm.absorb(&done.metrics.vm);
-                    metrics.cells.push(done.metrics.clone());
+                    metrics.cells.push(std::mem::take(&mut done.metrics));
                     if done.verify.ok() {
                         metrics.verified_ok += 1;
                     }
@@ -753,22 +994,14 @@ fn assemble(
 ) -> SuiteOutcome {
     let mut apps = Vec::with_capacity(jobs.len());
     for (job, row) in jobs.iter().zip(mx.cells) {
-        let mut results = Vec::with_capacity(configs.len());
-        let mut verifies = Vec::with_capacity(configs.len());
+        let mut done: Vec<(InlineMode, CellDone)> = Vec::with_capacity(configs.len());
         let mut fig20 = Vec::new();
         let mut failures = Vec::new();
         for (cfg, outcome) in configs.iter().zip(row) {
             match outcome {
-                Ok(done) => {
-                    let CellDone {
-                        result,
-                        verify,
-                        fig20: points,
-                        ..
-                    } = *done;
-                    fig20.extend(points);
-                    verifies.push((cfg.mode(), Arc::unwrap_or_clone(verify)));
-                    results.push((cfg.mode(), result));
+                Ok(mut cell) => {
+                    fig20.append(&mut cell.fig20);
+                    done.push((cfg.mode(), *cell));
                 }
                 Err(e) => failures.push(e),
             }
@@ -776,27 +1009,49 @@ fn assemble(
         // Table II rows compare the paper's three configurations; they
         // only exist when all three classic cells completed (the derived
         // auto-annot cell reports coverage, not a Table II column).
-        let classic: Vec<&PipelineResult> = InlineMode::classic()
+        let classic: Vec<&Emitted> = InlineMode::classic()
             .iter()
-            .filter_map(|m| results.iter().find(|(rm, _)| rm == m).map(|(_, r)| r))
+            .filter_map(|m| done.iter().find(|(dm, _)| dm == m))
+            .map(|(_, cell)| &*cell.emitted)
             .collect();
         let rows = if let [none, conv, annot] = classic[..] {
-            table2_rows(&job.name, none, conv, annot)
+            rows_from(
+                &job.name,
+                [none, conv, annot].map(|c| (c.parallel_loops(), c.loc)),
+            )
         } else {
             Vec::new()
         };
         // Retention is opt-in: the rows and counters above are derived
         // with the payloads in hand, then the payloads themselves are
         // dropped unless a caller asked to keep them.
-        if !opts.retain_results {
-            results = Vec::new();
-            verifies = Vec::new();
-        }
+        let (results, verify) = if opts.retain_results {
+            done.into_iter()
+                .map(|(mode, cell)| {
+                    let CellDone {
+                        emitted,
+                        retained,
+                        reports,
+                        verify,
+                        ..
+                    } = cell;
+                    // The compile's own handle on `emitted` is the only
+                    // one left unless another cell shares it.
+                    drop(emitted);
+                    let compiled = retained.expect("a retaining run keeps every compile");
+                    let result =
+                        PipelineResult::from_parts(Arc::unwrap_or_clone(compiled), reports);
+                    ((mode, result), (mode, Arc::unwrap_or_clone(verify)))
+                })
+                .unzip()
+        } else {
+            (Vec::new(), Vec::new())
+        };
         apps.push(AppReport {
             name: job.name.clone(),
             rows,
             fig20,
-            verify: verifies,
+            verify,
             results,
             failures,
         });
@@ -862,9 +1117,10 @@ mod tests {
             verify_max_ops: 10,
             ..Default::default()
         };
-        let memo = ProgramMemo::default();
+        let arms = crate::tournament::portfolio();
+        let memo = ProgramMemo::new(arms.len());
         let deadline = WallDeadline::start(0);
-        for cfg in crate::tournament::portfolio() {
+        for cfg in arms {
             let e = match evaluate_cell("T", &j.program, &j.registry, &cfg, &opts, &memo, &deadline)
             {
                 Ok(_) => panic!("{}: completed under a 10-op budget", cfg.label),
@@ -879,6 +1135,186 @@ mod tests {
         }
         assert_eq!(memo.interp_runs.load(Ordering::Relaxed), 1);
         assert_eq!(memo.memo_hits.load(Ordering::Relaxed), 6);
+    }
+
+    /// MATMLT (paper Fig. 16): both conventional and annotation inlining
+    /// rewrite the one call site.
+    const MATMLT: &str = "      PROGRAM MAIN
+      DIMENSION PP(8, 8, 15), PHIT(8, 8), TM1(8, 8)
+      NDIM = 8
+      DO KS = 1, 15
+        CALL MATMLT(PP(1, 1, KS), PHIT(1, 1), TM1(1, 1), NDIM, NDIM, NDIM)
+      ENDDO
+      END
+      SUBROUTINE MATMLT(M1, M2, M3, L, M, N)
+      DIMENSION M1(L, M), M2(M, N), M3(L, N)
+      DO JN = 1, N
+        DO JM = 1, M
+          M3(JM, JN) = M1(JM, JN) + M2(JM, JN)
+        ENDDO
+      ENDDO
+      END
+";
+
+    const MATMLT_ANNOT: &str = "
+subroutine MATMLT(M1, M2, M3, L, M, N) {
+  dimension M1[L,M], M2[M,N], M3[L,N];
+  do (JN = 1:N)
+    do (JM = 1:M)
+      M3[JM,JN] = M1[JM,JN] + M2[JM,JN];
+}
+";
+
+    /// Compile `j` under each config through one memo.
+    fn memo_compiles(j: &SuiteJob, configs: &[CellConfig]) -> (ProgramMemo, Vec<CellCompile>) {
+        let memo = ProgramMemo::new(configs.len());
+        let cells = configs
+            .iter()
+            .map(|cfg| {
+                let mut timings = PhaseTimings::default();
+                memo.compile(&j.program, &j.registry, &cfg.opts, &mut timings)
+                    .unwrap_or_else(|e| panic!("{}: {e}", cfg.label))
+            })
+            .collect();
+        (memo, cells)
+    }
+
+    #[test]
+    fn unchanged_modes_share_one_compile() {
+        // No call sites: no mode's inlining changes anything, so one
+        // back end serves all four cells.
+        let (memo, cells) = memo_compiles(&job("T", SRC, ""), &default_configs());
+        assert!(cells
+            .iter()
+            .all(|c| Arc::ptr_eq(&c.compiled, &cells[0].compiled)));
+        assert!(!cells[0].memo_hit);
+        assert!(cells[1..].iter().all(|c| c.memo_hit));
+        assert_eq!(memo.compile_hits.load(Ordering::Relaxed), 3);
+        // The reverse stage's report is still there, empty.
+        assert!(cells[2].reports.reverse_report.is_some());
+        assert!(cells[1].reports.reverse_report.is_none());
+    }
+
+    #[test]
+    fn a_mode_whose_inlining_changed_the_program_never_shares() {
+        let j = job("M", MATMLT, MATMLT_ANNOT);
+        let configs: Vec<CellConfig> = InlineMode::classic()
+            .into_iter()
+            .map(CellConfig::for_mode)
+            .collect();
+        let (memo, cells) = memo_compiles(&j, &configs);
+        for (cfg, cell) in configs.iter().zip(&cells).skip(1) {
+            assert!(!cell.memo_hit, "{}", cfg.label);
+            assert!(
+                !Arc::ptr_eq(&cell.compiled, &cells[0].compiled),
+                "{} took the no-inline compile",
+                cfg.label
+            );
+            let fresh = crate::compile(&j.program, &j.registry, &cfg.opts);
+            assert_eq!(cell.compiled.emitted.source, fresh.source, "{}", cfg.label);
+            assert_ne!(
+                cell.compiled.emitted.source,
+                cells[0].compiled.emitted.source
+            );
+        }
+        assert_eq!(memo.compile_hits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_tagged_input_runs_its_own_reverse_stage() {
+        // The input already holds the MATMLT region that annotation
+        // inlining makes: no call site is left to inline, but reverse
+        // inlining restores the call, so the annotation cell must not
+        // take the no-inline compile.
+        let mut j = job("M", MATMLT, MATMLT_ANNOT);
+        finline::annot_inline::apply(&mut j.program, &j.registry);
+        let configs: Vec<CellConfig> = [InlineMode::None, InlineMode::Annotation]
+            .into_iter()
+            .map(CellConfig::for_mode)
+            .collect();
+        let (memo, cells) = memo_compiles(&j, &configs);
+        let fresh = crate::compile(&j.program, &j.registry, &configs[1].opts);
+        assert_eq!(cells[1].compiled.emitted.source, fresh.source);
+        assert!(fresh.source.contains("CALL MATMLT"), "{}", fresh.source);
+        assert!(!Arc::ptr_eq(&cells[1].compiled, &cells[0].compiled));
+        assert_eq!(memo.compile_hits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn annotation_no_peel_never_takes_the_default_compile() {
+        // The loop needs last-iteration peeling: the default parallelizer
+        // peels it, the no-peel ablation leaves it sequential. No mode's
+        // inlining changes this call-free program.
+        let src = "      PROGRAM P
+      COMMON /WK/ WTDET
+      DIMENSION A(100), B(100)
+      DO I = 1, 100
+        WTDET = A(I)
+        B(I) = WTDET*2.0
+      ENDDO
+      WRITE(6,*) WTDET, B(7)
+      END
+";
+        let j = job("P", src, "");
+        let arms = crate::tournament::portfolio();
+        let (memo, cells) = memo_compiles(&j, &arms);
+        let none = &cells[0].compiled;
+        for (cfg, cell) in arms.iter().zip(&cells) {
+            let fresh = crate::compile(&j.program, &j.registry, &cfg.opts);
+            assert_eq!(cell.compiled.emitted.source, fresh.source, "{}", cfg.label);
+            let default_par = cfg.opts.par == fpar::ParOptions::default();
+            assert_eq!(
+                Arc::ptr_eq(&cell.compiled, none),
+                default_par,
+                "{} shared the wrong compile",
+                cfg.label
+            );
+        }
+        let no_peel = arms
+            .iter()
+            .position(|c| c.label == "annotation-no-peel")
+            .unwrap();
+        assert_ne!(cells[no_peel].compiled.emitted.source, none.emitted.source);
+        // Five arms share the default compile; no-peel built its own.
+        assert_eq!(memo.compile_hits.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn a_normalize_panic_fails_every_mode_alike() {
+        // Constant folding divides i64::MIN by -1, which panics: the
+        // normalize stage's diagnostic is memoized and serves every arm.
+        let src = "      PROGRAM P
+      K = (-9223372036854775807 - 1) / (-1)
+      WRITE(6,*) K
+      END
+";
+        let j = job("N", src, "");
+        let arms = crate::tournament::portfolio();
+        let memo = ProgramMemo::new(arms.len());
+        let deadline = WallDeadline::start(0);
+        let opts = DriverOptions::default();
+        let errors: Vec<PipelineError> = arms
+            .iter()
+            .map(|cfg| {
+                match evaluate_cell("N", &j.program, &j.registry, cfg, &opts, &memo, &deadline) {
+                    Ok(_) => panic!("{}: compiled a program whose normalize panics", cfg.label),
+                    Err(e) => e,
+                }
+            })
+            .collect();
+        for e in &errors {
+            assert_eq!(e.stage, FailStage::Compile, "{e}");
+            assert!(matches!(e.cause, FailCause::Diag(_)), "{e:?}");
+            assert_eq!(e.cause_message(), errors[0].cause_message());
+        }
+        assert!(
+            errors[0]
+                .cause_message()
+                .contains("normalize stage panicked"),
+            "{}",
+            errors[0]
+        );
+        assert_eq!(memo.interp_runs.load(Ordering::Relaxed), 0);
     }
 
     #[test]

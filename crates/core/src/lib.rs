@@ -71,8 +71,8 @@ pub mod tournament;
 pub mod verify;
 
 pub use driver::{
-    default_configs, run_app, run_suite, source_key, AppReport, CellConfig, DriverOptions,
-    SuiteJob, SuiteOutcome,
+    compile_configs, default_configs, run_app, run_suite, source_key, AppReport, CellConfig,
+    DriverOptions, SuiteJob, SuiteOutcome,
 };
 pub use error::{FailCause, FailStage, PipelineError};
 pub use phase::{

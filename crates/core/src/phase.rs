@@ -7,8 +7,8 @@
 
 use crate::json::{self, ToJson};
 use crate::json_object;
-use crate::pipeline::PipelineResult;
 use fdep::analyze::Blocker;
+use fpar::ParReport;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -139,10 +139,11 @@ pub fn blocker_key(b: &Blocker) -> &'static str {
     }
 }
 
-/// Count a pipeline result's per-loop blockers by kind (stable keys).
-pub fn blocker_counts(r: &PipelineResult) -> BTreeMap<&'static str, usize> {
+/// Count a parallelization report's per-loop blockers by kind (stable
+/// keys).
+pub fn blocker_counts(r: &ParReport) -> BTreeMap<&'static str, usize> {
     let mut out = BTreeMap::new();
-    for d in &r.par_report.decisions {
+    for d in &r.decisions {
         for b in &d.blockers {
             *out.entry(blocker_key(b)).or_insert(0) += 1;
         }
@@ -193,7 +194,7 @@ impl ToJson for AutogenCoverage {
 }
 
 /// Metrics for one (application × configuration) cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CellMetrics {
     /// Application name.
     pub app: String,
@@ -212,6 +213,10 @@ pub struct CellMetrics {
     pub interp_runs: u64,
     /// True when the verification result came from the dedup cache.
     pub verify_cached: bool,
+    /// 1 when another cell's compile served this one: its inlining left
+    /// the normalized program unchanged, so it shared the program's
+    /// no-inline compile instead of running its own back end; else 0.
+    pub compile_memo_hits: u64,
     /// Autogen coverage counters; present only on `auto-annot` cells.
     pub autogen: Option<AutogenCoverage>,
     /// VM execution counters from this cell's verification runs (zeros
@@ -251,6 +256,7 @@ impl ToJson for CellMetrics {
             .field("loops_parallel", &self.loops_parallel)
             .field("interp_runs", &self.interp_runs)
             .field("verify_cached", &self.verify_cached)
+            .field("compile_memo_hits", &self.compile_memo_hits)
             .field("vm", &self.vm);
         if let Some(a) = &self.autogen {
             obj.field("autogen", a);
@@ -318,6 +324,10 @@ pub struct SuiteMetrics {
     pub baseline_memo_hits: u64,
     /// Verifications served from the emitted-source dedup cache.
     pub verify_cache_hits: u64,
+    /// Cells served a shared compile another cell built: the cells whose
+    /// inlining changed nothing, minus the shared compiles built. Like
+    /// `verify_cache_hits` it does not depend on the schedule.
+    pub compile_memo_hits: u64,
     /// Cells that failed (any cause, timeouts included).
     pub failed_cells: u64,
     /// The subset of failed cells that hit the op-budget deadline.
@@ -344,7 +354,8 @@ impl SuiteMetrics {
         json_object!({
             "workers": self.workers, "configs": self.configs, "wall_ns": self.wall_nanos,
             "interp_runs": self.interp_runs, "baseline_memo_hits": self.baseline_memo_hits,
-            "verify_cache_hits": self.verify_cache_hits, "failed_cells": self.failed_cells,
+            "verify_cache_hits": self.verify_cache_hits,
+            "compile_memo_hits": self.compile_memo_hits, "failed_cells": self.failed_cells,
             "timed_out_cells": self.timed_out_cells, "panicked_cells": self.panicked_cells,
             "verified_ok": self.verified_ok, "phases": self.phases, "vm": self.vm,
             "cells": self.cells, "failures": self.failures,
@@ -446,6 +457,7 @@ mod tests {
             loops_parallel: 4,
             interp_runs: 3,
             verify_cached: false,
+            compile_memo_hits: 0,
             autogen: Some(AutogenCoverage {
                 auto_sites: 5,
                 manual_sites: 1,
@@ -465,6 +477,7 @@ mod tests {
             loops_parallel: 6,
             interp_runs: 0,
             verify_cached: true,
+            compile_memo_hits: 1,
             autogen: None,
             vm: fruntime::VmCounters {
                 insns_retired: 9,
@@ -485,7 +498,7 @@ mod tests {
         // The exact bytes of the report format.
         assert_eq!(
             j,
-            r#"{"workers":4,"configs":0,"wall_ns":123,"interp_runs":0,"baseline_memo_hits":0,"verify_cache_hits":0,"failed_cells":1,"timed_out_cells":0,"panicked_cells":0,"verified_ok":0,"phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":7,"calls":1},"verify":{"ns":0,"calls":0}},"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"cells":[{"app":"ADM","config":"no-inline","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{"call":3},"loops_total":10,"loops_parallel":4,"interp_runs":3,"verify_cached":false,"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"autogen":{"auto_sites":5,"manual_sites":1,"refused_sites":2,"derived_subs":4,"chain_derived_subs":1,"refused_subs":2}},{"app":"ADM","config":"annotation","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{},"loops_total":10,"loops_parallel":6,"interp_runs":0,"verify_cached":true,"vm":{"insns_retired":9,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":2,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0}}],"failures":[{"app":"QCD","config":"annotation","stage":"verify","code":"timeout","timeout":true,"message":"verification exceeded the op-budget deadline"}]}"#
+            r#"{"workers":4,"configs":0,"wall_ns":123,"interp_runs":0,"baseline_memo_hits":0,"verify_cache_hits":0,"compile_memo_hits":0,"failed_cells":1,"timed_out_cells":0,"panicked_cells":0,"verified_ok":0,"phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":7,"calls":1},"verify":{"ns":0,"calls":0}},"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"cells":[{"app":"ADM","config":"no-inline","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{"call":3},"loops_total":10,"loops_parallel":4,"interp_runs":3,"verify_cached":false,"compile_memo_hits":0,"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"autogen":{"auto_sites":5,"manual_sites":1,"refused_sites":2,"derived_subs":4,"chain_derived_subs":1,"refused_subs":2}},{"app":"ADM","config":"annotation","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{},"loops_total":10,"loops_parallel":6,"interp_runs":0,"verify_cached":true,"compile_memo_hits":1,"vm":{"insns_retired":9,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":2,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0}}],"failures":[{"app":"QCD","config":"annotation","stage":"verify","code":"timeout","timeout":true,"message":"verification exceeded the op-budget deadline"}]}"#
         );
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"workers\":4"));

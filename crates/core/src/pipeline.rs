@@ -32,7 +32,9 @@ use finline::{annot_inline, chain, conventional, reverse, AutoGenOptions, Heuris
 use fir::ast::{LoopId, Program};
 use fir::fold::normalize_program;
 use fpar::{parallelize, ParOptions, ParReport};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Which inlining strategy feeds the parallelizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,15 +136,32 @@ pub struct PipelineResult {
 }
 
 impl PipelineResult {
+    /// Reassemble a result from the back end's output and the cell's own
+    /// stage reports.
+    pub(crate) fn from_parts(compiled: Compiled, reports: StageReports) -> PipelineResult {
+        let program = compiled.program;
+        let Emitted {
+            par_report,
+            source,
+            loc,
+        } = Arc::unwrap_or_clone(compiled.emitted);
+        PipelineResult {
+            program,
+            par_report,
+            conv_report: reports.conv_report,
+            annot_report: reports.annot_report,
+            reverse_report: reports.reverse_report,
+            autogen: reports.autogen,
+            source,
+            loc,
+        }
+    }
+
     /// Distinct *original* loops judged parallelizable — annotation-body
     /// loops are excluded because they do not exist in the emitted program
     /// (the reverse inliner replaced them with the original calls).
     pub fn parallel_loops(&self) -> BTreeSet<LoopId> {
-        self.par_report
-            .parallel_ids()
-            .into_iter()
-            .filter(|id| !id.is_annotation())
-            .collect()
+        original_parallel_loops(&self.par_report)
     }
 
     /// Blockers recorded for a given loop (all copies).
@@ -154,6 +173,75 @@ impl PipelineResult {
             .flat_map(|d| d.blockers.iter())
             .collect()
     }
+}
+
+/// What the back end (parallelize, reverse-inline, print) made of one
+/// post-inline program: a [`PipelineResult`] without the per-mode
+/// reports. Modes whose inlining left the normalized program unchanged
+/// share one `Compiled` through the driver's per-program memo.
+#[derive(Debug, Clone)]
+pub(crate) struct Compiled {
+    pub(crate) program: Program,
+    pub(crate) emitted: Arc<Emitted>,
+}
+
+/// What a cell reports of its compile once the program is verified: the
+/// loop decisions, the source and its size. A cell that does not retain
+/// results keeps only this, not the program.
+#[derive(Debug, Clone)]
+pub(crate) struct Emitted {
+    pub(crate) par_report: ParReport,
+    pub(crate) source: String,
+    pub(crate) loc: usize,
+}
+
+impl Emitted {
+    /// [`PipelineResult::parallel_loops`] of this compile.
+    pub(crate) fn parallel_loops(&self) -> BTreeSet<LoopId> {
+        original_parallel_loops(&self.par_report)
+    }
+}
+
+/// The per-mode reports of one compile: the inline stage's, and
+/// reverse-inlining's once the back end ran.
+#[derive(Debug, Default)]
+pub(crate) struct StageReports {
+    pub(crate) conv_report: Option<conventional::ConvReport>,
+    pub(crate) annot_report: Option<annot_inline::AnnotInlineReport>,
+    pub(crate) reverse_report: Option<reverse::ReverseReport>,
+    pub(crate) autogen: Option<chain::ChainReport>,
+}
+
+impl StageReports {
+    /// The registry reverse-inlining matches regions against under
+    /// `mode` (the one that drove inlining), or `None` for the modes
+    /// without a reverse stage.
+    pub(crate) fn reverse_registry<'a>(
+        &'a self,
+        mode: InlineMode,
+        annotations: &'a AnnotRegistry,
+    ) -> Option<&'a AnnotRegistry> {
+        match mode {
+            InlineMode::Annotation => Some(annotations),
+            InlineMode::AutoAnnot => Some(
+                self.autogen
+                    .as_ref()
+                    .map(|r| &r.registry)
+                    .unwrap_or(annotations),
+            ),
+            InlineMode::None | InlineMode::Conventional => None,
+        }
+    }
+}
+
+/// Distinct original loops every copy of which is parallel, annotation
+/// bodies excluded.
+fn original_parallel_loops(report: &ParReport) -> BTreeSet<LoopId> {
+    report
+        .parallel_ids()
+        .into_iter()
+        .filter(|id| !id.is_annotation())
+        .collect()
 }
 
 /// Run the full pipeline on `input` under `opts`, using `annotations` when
@@ -201,55 +289,130 @@ fn stage<T>(
 /// itself is this with a discarded recorder and a panicking error path —
 /// the instrumentation is a few `Instant::now` calls per compile, far
 /// below measurement noise.
+///
+/// The stages are `normalize`, `inline` and `back_end`; the
+/// driver's per-program memo runs the same three, normalizing once per
+/// program and sharing one back end among the modes whose inlining
+/// changed nothing (a one-cell memo runs `compile_normalized`, as here).
 pub fn compile_timed(
     input: &Program,
     annotations: &AnnotRegistry,
     opts: &PipelineOptions,
     timings: &mut crate::phase::PhaseTimings,
 ) -> std::result::Result<PipelineResult, fir::diag::Error> {
+    let p = normalize(input, timings)?;
+    let (compiled, reports) = compile_normalized(p, annotations, opts, timings)?;
+    Ok(PipelineResult::from_parts(compiled, reports))
+}
+
+/// Stages 2–5 on the owned normalized `p`, which inlining rewrites in
+/// place.
+pub(crate) fn compile_normalized(
+    p: Program,
+    annotations: &AnnotRegistry,
+    opts: &PipelineOptions,
+    timings: &mut crate::phase::PhaseTimings,
+) -> std::result::Result<(Compiled, StageReports), fir::diag::Error> {
+    let (p, mut reports) = inline(Cow::Owned(p), annotations, opts, timings)?;
+    let (compiled, reverse_report) = back_end(
+        p.into_owned(),
+        reports.reverse_registry(opts.mode, annotations),
+        &opts.par,
+        timings,
+    )?;
+    reports.reverse_report = reverse_report;
+    Ok((compiled, reports))
+}
+
+/// Stage 1: a normalized copy of `input`. Mode-independent.
+pub(crate) fn normalize(
+    input: &Program,
+    timings: &mut crate::phase::PhaseTimings,
+) -> std::result::Result<Program, fir::diag::Error> {
     use crate::phase::Phase;
 
     let mut p = input.clone();
     timings.time(Phase::Normalize, || {
         stage(Phase::Normalize, || normalize_program(&mut p))
     })?;
+    Ok(p)
+}
 
-    let mut conv_report = None;
-    let mut annot_report = None;
-    let mut autogen = None;
-    timings.time(Phase::Inline, || {
+/// Stage 2: inline into the normalized `p` under `opts.mode`. Returns the
+/// post-inline program and the stage's reports. Each inliner first checks
+/// whether it would change anything; when it would not, `p` comes back
+/// as it was, and a borrowed `p` is not even copied.
+pub(crate) fn inline<'p>(
+    p: Cow<'p, Program>,
+    annotations: &AnnotRegistry,
+    opts: &PipelineOptions,
+    timings: &mut crate::phase::PhaseTimings,
+) -> std::result::Result<(Cow<'p, Program>, StageReports), fir::diag::Error> {
+    use crate::phase::Phase;
+
+    let mut reports = StageReports::default();
+    let inlined = timings.time(Phase::Inline, || {
         stage(Phase::Inline, || match opts.mode {
-            InlineMode::None => {}
+            InlineMode::None => p,
             InlineMode::Conventional => {
-                conv_report = Some(conventional::inline_program(&mut p, &opts.heuristics));
+                let h = &opts.heuristics;
+                if let Some(report) = conventional::report_if_unchanged(&p, h) {
+                    reports.conv_report = Some(report);
+                    return p;
+                }
+                let mut q = p.into_owned();
+                reports.conv_report = Some(conventional::inline_program(&mut q, h));
+                Cow::Owned(q)
             }
-            InlineMode::Annotation => {
-                annot_report = Some(annot_inline::apply(&mut p, annotations));
-            }
+            InlineMode::Annotation => annotate(p, annotations, &mut reports),
             InlineMode::AutoAnnot => {
                 // Derive summaries bottom-up over the call graph, then
                 // inline with the derived registry (manual annotations
                 // inside it only where derivation refused).
                 let rep = chain::generate_with_chains(&p, annotations, &AutoGenOptions::default());
-                annot_report = Some(annot_inline::apply(&mut p, &rep.registry));
-                autogen = Some(rep);
+                let q = annotate(p, &rep.registry, &mut reports);
+                reports.autogen = Some(rep);
+                q
             }
         })
     })?;
+    Ok((inlined, reports))
+}
+
+/// Annotation-inline `p` against `reg`, leaving it as it was when no
+/// call site has an annotation.
+fn annotate<'p>(
+    p: Cow<'p, Program>,
+    reg: &AnnotRegistry,
+    reports: &mut StageReports,
+) -> Cow<'p, Program> {
+    if let Some(report) = annot_inline::report_if_unchanged(&p, reg) {
+        reports.annot_report = Some(report);
+        return p;
+    }
+    let mut q = p.into_owned();
+    reports.annot_report = Some(annot_inline::apply(&mut q, reg));
+    Cow::Owned(q)
+}
+
+/// Stages 3–5 on the post-inline `p`: parallelize, reverse-inline against
+/// `reverse_with` (the registry that drove inlining; `None` skips the
+/// stage's work for the modes without one), print.
+pub(crate) fn back_end(
+    mut p: Program,
+    reverse_with: Option<&AnnotRegistry>,
+    par: &ParOptions,
+    timings: &mut crate::phase::PhaseTimings,
+) -> std::result::Result<(Compiled, Option<reverse::ReverseReport>), fir::diag::Error> {
+    use crate::phase::Phase;
 
     let par_report = timings.time(Phase::Parallelize, || {
-        stage(Phase::Parallelize, || parallelize(&mut p, &opts.par))
+        stage(Phase::Parallelize, || parallelize(&mut p, par))
     })?;
 
     let reverse_report = timings.time(Phase::ReverseInline, || {
-        stage(Phase::ReverseInline, || match opts.mode {
-            InlineMode::Annotation => Some(reverse::apply(&mut p, annotations)),
-            InlineMode::AutoAnnot => {
-                // Reverse against the same registry that drove inlining.
-                let reg = autogen.as_ref().map(|r| &r.registry).unwrap_or(annotations);
-                Some(reverse::apply(&mut p, reg))
-            }
-            _ => None,
+        stage(Phase::ReverseInline, || {
+            reverse_with.map(|reg| reverse::apply(&mut p, reg))
         })
     })?;
 
@@ -260,16 +423,15 @@ pub fn compile_timed(
             (source, loc)
         })
     })?;
-    Ok(PipelineResult {
+    let compiled = Compiled {
         program: p,
-        par_report,
-        conv_report,
-        annot_report,
-        reverse_report,
-        autogen,
-        source,
-        loc,
-    })
+        emitted: Arc::new(Emitted {
+            par_report,
+            source,
+            loc,
+        }),
+    };
+    Ok((compiled, reverse_report))
 }
 
 #[cfg(test)]

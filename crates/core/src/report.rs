@@ -37,23 +37,28 @@ pub fn table2_rows(
     conv: &PipelineResult,
     annot: &PipelineResult,
 ) -> Vec<Table2Row> {
-    let base = none.parallel_loops();
-    let mk = |mode: InlineMode, r: &PipelineResult| {
-        let set = r.parallel_loops();
-        Table2Row {
+    rows_from(
+        app,
+        [none, conv, annot].map(|r| (r.parallel_loops(), r.loc)),
+    )
+}
+
+/// [`table2_rows`] from each run's parallel loops and code size.
+pub(crate) fn rows_from(app: &str, runs: [(BTreeSet<LoopId>, usize); 3]) -> Vec<Table2Row> {
+    let base = runs[0].0.clone();
+    let modes = InlineMode::classic();
+    modes
+        .into_iter()
+        .zip(runs)
+        .map(|(mode, (set, loc))| Table2Row {
             app: app.to_string(),
             config: mode.label().to_string(),
             par_loops: set.len(),
             par_loss: base.difference(&set).count(),
             par_extra: set.difference(&base).count(),
-            loc: r.loc,
-        }
-    };
-    vec![
-        mk(InlineMode::None, none),
-        mk(InlineMode::Conventional, conv),
-        mk(InlineMode::Annotation, annot),
-    ]
+            loc,
+        })
+        .collect()
 }
 
 /// Loops lost (parallel under no-inlining, not under the configuration).

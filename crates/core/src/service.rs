@@ -213,7 +213,11 @@ fn parse_request(
 
 /// Build the deterministic report from a completed cell.
 fn report_from(mode: InlineMode, done: &CellDone, machines: &[Machine]) -> RequestReport {
-    let CellDone { result, verify, .. } = done;
+    let CellDone {
+        emitted: result,
+        verify,
+        ..
+    } = done;
     // Per-loop verdicts: aggregate the planner's decisions per distinct
     // original loop (annotation-body copies excluded), blockers deduped
     // into sorted stable keys — a deterministic, wire-friendly shape.
@@ -270,7 +274,7 @@ fn evaluate_request_inner(
     deadline.check(name, mode, FailStage::Parse, opts.verify_max_ops)?;
 
     let cfg = CellConfig::for_mode(mode);
-    let memo = ProgramMemo::default();
+    let memo = ProgramMemo::new(1);
     let done = evaluate_cell(name, &program, &registry, &cfg, opts, &memo, &deadline)?;
     vm.absorb(&done.metrics.vm);
     Ok(report_from(mode, &done, &opts.effective_machines()))
@@ -436,7 +440,7 @@ fn evaluate_tournament_inner(
 
     // Shared across arms: the lazy baseline (an all-cache-hit tournament
     // pays zero runs) and the verify dedup, failures included.
-    let memo = ProgramMemo::default();
+    let memo = ProgramMemo::new(arms.len());
 
     let mut outcomes: Vec<CachedOutcome> = Vec::with_capacity(arms.len());
     for cfg in &arms {

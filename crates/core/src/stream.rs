@@ -155,6 +155,11 @@ pub struct StreamOutcome {
     pub phases: PhaseTimings,
     /// Aggregate VM execution counters.
     pub vm: fruntime::VmCounters,
+    /// Cells served a shared compile another cell built
+    /// ([`crate::phase::SuiteMetrics::compile_memo_hits`] summed over the
+    /// stream). Schedule-independent, but kept beside the summary rather
+    /// than in it.
+    pub compile_memo_hits: u64,
     /// Retained reports, in stream order — non-empty only when
     /// [`DriverOptions::retain_results`] is set.
     pub retained: Vec<AppReport>,
@@ -181,6 +186,7 @@ struct Fold {
     summary: StreamSummary,
     phases: PhaseTimings,
     vm: fruntime::VmCounters,
+    compile_memo_hits: u64,
     /// Retained reports tagged with their stream position.
     retained: Vec<(usize, AppReport)>,
     peak_retained: usize,
@@ -242,6 +248,7 @@ where
         let mut f = fold.lock().unwrap_or_else(PoisonError::into_inner);
         f.phases.merge(&out.metrics.phases);
         f.vm.absorb(&out.metrics.vm);
+        f.compile_memo_hits += out.metrics.compile_memo_hits;
         f.summary.absorb(&out);
         // Programs in flight (this one included) plus retained reports.
         f.peak_retained = f
@@ -276,6 +283,7 @@ where
         wall_nanos: t0.elapsed().as_nanos() as u64,
         phases: f.phases,
         vm: f.vm,
+        compile_memo_hits: f.compile_memo_hits,
         retained: f.retained.into_iter().map(|(_, a)| a).collect(),
         peak_retained: f.peak_retained,
     }

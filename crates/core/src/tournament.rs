@@ -32,12 +32,12 @@ use crate::driver::{run_matrix, CellConfig, DriverOptions, SuiteJob};
 use crate::json::ToJson;
 use crate::json_object;
 use crate::phase::SuiteMetrics;
-use crate::pipeline::{InlineMode, PipelineOptions, PipelineResult};
-use crate::report::{extra_loops, lost_loops};
+use crate::pipeline::{Emitted, InlineMode, PipelineOptions};
 use crate::verify::VerifyResult;
 use finline::Heuristics;
 use fruntime::{simulate, tune, Machine};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The default tournament portfolio: the four [`InlineMode`] columns with
 /// default knobs, widened with ablation-knob variants that the bench
@@ -264,17 +264,22 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
     let machines = opts.effective_machines();
 
     let mx = run_matrix(jobs, &arms, opts);
+    // The completed cells' metrics, in the same (app × arm) order.
+    let mut cell_metrics = mx.metrics.cells.iter();
     let mut apps = Vec::with_capacity(jobs.len());
     for (job, row) in jobs.iter().zip(mx.cells) {
         let mut scores: Vec<ArmScore> = Vec::with_capacity(arms.len());
-        let mut payloads: Vec<Option<Box<PipelineResult>>> = Vec::with_capacity(arms.len());
+        let mut payloads: Vec<Option<Arc<Emitted>>> = Vec::with_capacity(arms.len());
         let mut interp_runs = 0u64;
         let mut arms_cached = 0u64;
         for (cfg, outcome) in arms.iter().zip(row) {
             match outcome {
                 Ok(done) => {
-                    interp_runs += done.metrics.interp_runs;
-                    if done.metrics.verify_cached {
+                    let metrics = cell_metrics
+                        .next()
+                        .expect("a completed cell has its metrics");
+                    interp_runs += metrics.interp_runs;
+                    if metrics.verify_cached {
                         arms_cached += 1;
                     }
                     let ok = done.verify.ok();
@@ -290,13 +295,13 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
                         ok,
                         score_micros: score,
                         machines: machine_scores,
-                        loops_total: done.metrics.loops_total,
-                        loops_parallel: done.metrics.loops_parallel,
-                        loc: done.result.loc,
-                        blockers: done.metrics.blockers.clone(),
+                        loops_total: metrics.loops_total,
+                        loops_parallel: metrics.loops_parallel,
+                        loc: done.emitted.loc,
+                        blockers: metrics.blockers.clone(),
                         error: if ok { None } else { Some("gate".to_string()) },
                     });
-                    payloads.push(Some(Box::new(done.result)));
+                    payloads.push(Some(done.emitted));
                 }
                 Err(e) => {
                     scores.push(ArmScore {
@@ -323,22 +328,19 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
                 // Diff against the first completed no-inline arm, when
                 // the portfolio carries one and it isn't the winner
                 // itself.
-                let none_res: Option<&PipelineResult> = arms
+                let none_res: Option<&Emitted> = arms
                     .iter()
                     .zip(&payloads)
                     .find(|(cfg, p)| cfg.mode() == InlineMode::None && p.is_some())
                     .and_then(|(_, p)| p.as_deref());
                 let (gained, lost) = match none_res {
-                    Some(none) => (
-                        extra_loops(none, win_res)
-                            .iter()
-                            .map(|id| id.to_string())
-                            .collect(),
-                        lost_loops(none, win_res)
-                            .iter()
-                            .map(|id| id.to_string())
-                            .collect(),
-                    ),
+                    Some(none) => {
+                        let (base, win) = (none.parallel_loops(), win_res.parallel_loops());
+                        (
+                            win.difference(&base).map(|id| id.to_string()).collect(),
+                            base.difference(&win).map(|id| id.to_string()).collect(),
+                        )
+                    }
                     None => (Vec::new(), Vec::new()),
                 };
                 let directives: Vec<String> = win_res

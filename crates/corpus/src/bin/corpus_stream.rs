@@ -56,7 +56,8 @@ fn main() {
             "seed": seed, "workers": opts.workers, "effective_workers": out.workers,
             "window": out.window, "wall_ms": out.wall_nanos / 1_000_000,
             "programs_per_sec": ipp_core::json::Raw(&per_sec),
-            "peak_retained": out.peak_retained, "summary": out.summary,
+            "peak_retained": out.peak_retained, "compile_memo_hits": out.compile_memo_hits,
+            "summary": out.summary,
         });
         println!("{line}");
     } else {
@@ -66,8 +67,13 @@ fn main() {
             s.programs, s.cells, s.failed_cells, s.timed_out_cells, s.panicked_cells
         );
         println!(
-            "verified ok {}  interp runs {}  verify cache hits {}  loops {}/{} parallel",
-            s.verified_ok, s.interp_runs, s.verify_cache_hits, s.loops_parallel, s.loops_total
+            "verified ok {}  interp runs {}  verify cache hits {}  compile memo hits {}  loops {}/{} parallel",
+            s.verified_ok,
+            s.interp_runs,
+            s.verify_cache_hits,
+            out.compile_memo_hits,
+            s.loops_parallel,
+            s.loops_total
         );
         println!(
             "seed {}  workers {} (effective {})  window {}  {:.1} programs/sec  wall {:.1}s",

@@ -95,9 +95,12 @@ fn simplify(node: &mut Expr) {
 
 /// Substitute PARAMETER constants and fold every expression in a unit body.
 pub fn normalize_unit(unit: &mut ProcUnit) {
-    let table = SymbolTable::build(unit);
+    // Only PARAMETER names are substituted: a unit that declares none
+    // needs no symbol table.
+    let has_params = unit.decls.iter().any(|d| matches!(d, Decl::Param { .. }));
+    let table = has_params.then(|| SymbolTable::build(unit));
     rewrite_exprs(&mut unit.body, &mut |e| {
-        if let Expr::Var(n) = e {
+        if let (Expr::Var(n), Some(table)) = (&*e, &table) {
             if let Some(v) = table.param_value(n) {
                 *e = v.clone();
             }

@@ -54,6 +54,35 @@ pub fn apply(p: &mut Program, reg: &AnnotRegistry) -> AnnotInlineReport {
     report
 }
 
+/// The report [`apply`] would return when it inlines nothing — no call
+/// site outside a tagged region has an annotation — or `None` when some
+/// site would be inlined. Reads `p` without copying it: a caller holding
+/// a shared program copies it only for the passes that change it.
+pub fn report_if_unchanged(p: &Program, reg: &AnnotRegistry) -> Option<AnnotInlineReport> {
+    let mut report = AnnotInlineReport::default();
+    p.units
+        .iter()
+        .all(|u| unannotated_calls(&u.body, reg, &mut report.unannotated))
+        .then_some(report)
+}
+
+/// [`walk`]'s visit order without the rewrite: records every call in
+/// `block` as unannotated, or returns false at the first call that has
+/// an annotation.
+fn unannotated_calls(block: &Block, reg: &AnnotRegistry, out: &mut Vec<Ident>) -> bool {
+    block.iter().all(|s| match &s.kind {
+        StmtKind::Call { name, .. } => {
+            out.push(name.clone());
+            reg.get(name).is_none()
+        }
+        StmtKind::If {
+            then_blk, else_blk, ..
+        } => unannotated_calls(then_blk, reg, out) && unannotated_calls(else_blk, reg, out),
+        StmtKind::Do(d) => unannotated_calls(&d.body, reg, out),
+        _ => true,
+    })
+}
+
 fn decl_names(decls: &[Decl]) -> Vec<Ident> {
     let mut out = Vec::new();
     for d in decls {

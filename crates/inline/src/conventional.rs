@@ -20,6 +20,7 @@ use fdep::callgraph::CallGraph;
 use fir::ast::*;
 use fir::fold::{fold_expr, normalize_unit};
 use fir::symbol::{Storage, SymbolTable};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
 
 /// Outcome of conventionally inlining a whole program.
@@ -41,20 +42,12 @@ pub fn inline_program(p: &mut Program, h: &Heuristics) -> ConvReport {
     let mut report = ConvReport::default();
     let graph = CallGraph::build(p);
 
-    // Snapshot callee definitions, normalized (PARAMETER folded) so their
-    // dimension expressions are concrete where possible.
-    let mut callees: BTreeMap<Ident, ProcUnit> = BTreeMap::new();
-    for u in &p.units {
-        if u.kind == UnitKind::Subroutine {
-            let mut c = u.clone();
-            normalize_unit(&mut c);
-            callees.insert(c.name.clone(), c);
-        }
-    }
-
     // Process callees bottom-up first so that (under aggressive policies)
-    // inlining chains expand transitively.
+    // inlining chains expand transitively. A processed subroutine moves
+    // into `done`, where its callers find it, and returns to its slot
+    // once every unit is processed.
     let order = graph.bottom_up();
+    let mut done: BTreeMap<Ident, ProcUnit> = BTreeMap::new();
     let mut fresh = FreshNames::new(p);
     for unit_name in order {
         let Some(idx) = p.units.iter().position(|u| u.name == unit_name) else {
@@ -75,7 +68,10 @@ pub fn inline_program(p: &mut Program, h: &Heuristics) -> ConvReport {
         let mut ctx = InlineCtx {
             caller: unit_name.clone(),
             caller_table,
-            callees: &callees,
+            callees: Callees {
+                done: &done,
+                pending: p,
+            },
             graph: &graph,
             h,
             report: &mut report,
@@ -92,11 +88,18 @@ pub fn inline_program(p: &mut Program, h: &Heuristics) -> ConvReport {
             linearize_unit_array(&mut unit, &arr);
             report.linearized.push((unit_name.clone(), arr));
         }
-        // Refresh the snapshot so callers see the post-inlining callee.
         if unit.kind == UnitKind::Subroutine {
-            callees.insert(unit.name.clone(), unit.clone());
+            done.insert(unit.name.clone(), unit);
+        } else {
+            p.units[idx] = unit;
         }
-        p.units[idx] = unit;
+    }
+    // Each processed subroutine returns to the first slot of its name,
+    // the one it left.
+    for slot in &mut p.units {
+        if let Some(unit) = done.remove(&slot.name) {
+            *slot = unit;
+        }
     }
 
     // Dead-procedure elimination: after inlining, callees with no remaining
@@ -115,6 +118,70 @@ pub fn inline_program(p: &mut Program, h: &Heuristics) -> ConvReport {
         }
     }
     report
+}
+
+/// The report [`inline_program`] would return when it changes nothing:
+/// every call site fails the heuristics and dead-procedure elimination
+/// finds every unit live. `None` when a site passes the heuristics (it
+/// would be expanded), when a unit is dead, or when two units share a
+/// name. Reads `p` without copying it: a caller holding a shared program
+/// copies it only for the passes that change it.
+pub fn report_if_unchanged(p: &Program, h: &Heuristics) -> Option<ConvReport> {
+    let graph = CallGraph::build(p);
+    if graph.edges.len() != p.units.len() {
+        return None;
+    }
+    if graph.main.is_some() {
+        let live = graph.reachable_from_main();
+        if p.units.iter().any(|u| !live.contains(&u.name)) {
+            return None;
+        }
+    }
+    let mut report = ConvReport::default();
+    for name in graph.bottom_up() {
+        let unit = p.units.iter().find(|u| u.name == name)?;
+        if !skipped_calls(&unit.body, false, &name, p, &graph, h, &mut report.skipped) {
+            return None;
+        }
+    }
+    Some(report)
+}
+
+/// [`InlineCtx::walk_block`]'s visit order without the rewrite: records
+/// each call in `block` with the heuristic that rejects it, or returns
+/// false at the first call the heuristics accept.
+fn skipped_calls(
+    block: &Block,
+    in_loop: bool,
+    caller: &Ident,
+    p: &Program,
+    graph: &CallGraph,
+    h: &Heuristics,
+    out: &mut Vec<(Ident, Ident, SkipReason)>,
+) -> bool {
+    block.iter().all(|s| match &s.kind {
+        StmtKind::Call { name, .. } => {
+            let callee = p
+                .units
+                .iter()
+                .find(|u| u.kind == UnitKind::Subroutine && u.name == *name);
+            match check(name, callee, in_loop, graph, h) {
+                Ok(()) => false,
+                Err(reason) => {
+                    out.push((caller.clone(), name.clone(), reason));
+                    true
+                }
+            }
+        }
+        StmtKind::If {
+            then_blk, else_blk, ..
+        } => {
+            skipped_calls(then_blk, in_loop, caller, p, graph, h, out)
+                && skipped_calls(else_blk, in_loop, caller, p, graph, h, out)
+        }
+        StmtKind::Do(d) => skipped_calls(&d.body, true, caller, p, graph, h, out),
+        _ => true,
+    })
 }
 
 /// Fresh caller names for renamed callee locals, `{base}_I{n}`. A
@@ -168,10 +235,39 @@ impl FreshNames {
     }
 }
 
+/// Callee definitions as the walk of one caller sees them.
+#[derive(Clone, Copy)]
+struct Callees<'a> {
+    /// Subroutines already processed, with their own call sites inlined.
+    done: &'a BTreeMap<Ident, ProcUnit>,
+    /// The program, holding the subroutines not processed yet.
+    pending: &'a Program,
+}
+
+impl<'a> Callees<'a> {
+    /// The definition a call to `name` inlines. Bottom-up order processes
+    /// every non-recursive callee before its callers, so an unprocessed
+    /// definition is normalized (PARAMETERs folded) only in the rare case
+    /// it is still pending; the last subroutine of the name defines it.
+    fn get(self, name: &str) -> Option<Cow<'a, ProcUnit>> {
+        if let Some(unit) = self.done.get(name) {
+            return Some(Cow::Borrowed(unit));
+        }
+        let unit = self
+            .pending
+            .units
+            .iter()
+            .rfind(|u| u.kind == UnitKind::Subroutine && u.name == name)?;
+        let mut unit = unit.clone();
+        normalize_unit(&mut unit);
+        Some(Cow::Owned(unit))
+    }
+}
+
 struct InlineCtx<'a> {
     caller: Ident,
     caller_table: SymbolTable,
-    callees: &'a BTreeMap<Ident, ProcUnit>,
+    callees: Callees<'a>,
     graph: &'a CallGraph,
     h: &'a Heuristics,
     report: &'a mut ConvReport,
@@ -189,9 +285,9 @@ impl<'a> InlineCtx<'a> {
             match s.kind {
                 StmtKind::Call { ref name, ref args } => {
                     let callee = self.callees.get(name.as_str());
-                    match check(name, callee, in_loop, self.graph, self.h) {
+                    match check(name, callee.as_deref(), in_loop, self.graph, self.h) {
                         Ok(()) => {
-                            let callee = callee.unwrap().clone();
+                            let callee = callee.expect("check accepts only a defined callee");
                             match self.expand(&callee, args) {
                                 Ok(body) => {
                                     self.report

@@ -9,12 +9,12 @@
 
 use crate::peel::peel_last_iteration;
 use crate::profit::{ProfitVerdict, Profitability};
-use fdep::analyze::{analyze_loop, Blocker, LoopAnalysis, UnitCtx};
+use fdep::analyze::{analyze_loop, substitute_for_emission, Blocker, LoopAnalysis, UnitCtx};
 use fir::ast::*;
 use fir::symbol::SymbolTable;
 
 /// Options controlling the planner.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParOptions {
     /// Profitability model.
     pub profit: Profitability,
@@ -133,14 +133,17 @@ fn plan_block(
                     legal,
                     profitable,
                     emitted: emit,
-                    blockers: analysis.blockers.clone(),
+                    blockers: std::mem::take(&mut analysis.blockers),
                 });
 
                 if emit {
                     // Emit the *transformed* loop (induction variables
                     // substituted) — the raw body still carries the scalar
                     // recurrence and would be wrong to run in parallel.
-                    let mut em = analysis.transformed.take().unwrap_or(d);
+                    let mut em = d;
+                    if !analysis.iv_subs.is_empty() {
+                        substitute_for_emission(&mut em, &ctx);
+                    }
                     // Post-loop compensation: each substituted induction
                     // variable gets its sequential final value,
                     // `iv = iv + max(trip, 0) * incr`.

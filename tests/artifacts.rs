@@ -58,3 +58,21 @@ fn committed_artifacts_pass_their_ci_gates() {
     bench::gates::ledger_gate(&throughput, &throughput).unwrap();
     bench::gates::scaling_gate(&load("driver_scaling.json")).unwrap();
 }
+
+#[test]
+fn throughput_artifact_pins_the_compile_memo_hits() {
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/artifacts/corpus_throughput.json");
+    let doc = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let count = |key: &str| doc.get(key).and_then(Json::as_u64);
+    assert_eq!(count("seed"), Some(501_227_537));
+    assert_eq!(count("programs"), Some(1000));
+    // A top-level measurement, like the worker points: the summary holds
+    // only what the stream's own determinism check compares.
+    assert_eq!(count("compile_memo_hits"), Some(1675));
+    assert!(doc
+        .get("summary")
+        .unwrap()
+        .get("compile_memo_hits")
+        .is_none());
+}
