@@ -140,6 +140,25 @@ impl Affine {
         out
     }
 
+    /// `self / c` when every coefficient divides evenly by `c`; `None`
+    /// when one does not, when `c` is 0, or when a quotient overflows
+    /// (`i64::MIN / -1`).
+    fn div_exact(&self, c: i64) -> Option<Affine> {
+        let div = |v: i64| {
+            if v.checked_rem(c)? == 0 {
+                v.checked_div(c)
+            } else {
+                None
+            }
+        };
+        let mut out = self.clone();
+        out.konst = div(out.konst)?;
+        for v in out.coeffs.values_mut().chain(out.syms.values_mut()) {
+            *v = div(*v)?;
+        }
+        Some(out)
+    }
+
     /// Drop zero entries so structural equality works.
     fn prune(&mut self) {
         self.coeffs.retain(|_, v| *v != 0);
@@ -209,20 +228,8 @@ pub fn extract(e: &Expr, cls: &dyn VarClass) -> Option<Affine> {
             let la = extract(l, cls);
             let ra = extract(r, cls);
             if let (Some(a), Some(b)) = (&la, &ra) {
-                if b.is_const() && b.konst != 0 {
-                    let c = b.konst;
-                    let divisible = a.konst % c == 0
-                        && a.coeffs.values().all(|v| v % c == 0)
-                        && a.syms.values().all(|v| v % c == 0);
-                    if divisible {
-                        let mut out = a.clone();
-                        out.konst /= c;
-                        for v in out.coeffs.values_mut() {
-                            *v /= c;
-                        }
-                        for v in out.syms.values_mut() {
-                            *v /= c;
-                        }
+                if b.is_const() {
+                    if let Some(out) = a.div_exact(b.konst) {
                         return Some(out);
                     }
                 }

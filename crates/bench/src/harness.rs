@@ -169,7 +169,10 @@ pub fn fmt_dur(d: Duration) -> String {
 /// `#[global_allocator]`, then bracket the region of interest with
 /// [`alloc_counter::count`]. Every event bumps a relaxed process-wide
 /// atomic and a per-thread counter — cheap enough to leave on for timed
-/// runs, precise enough to prove a hot path steady-states at zero.
+/// runs, precise enough to prove a hot path steady-states at zero. The
+/// same hooks keep the calling thread's live bytes and their high-water
+/// mark, which [`alloc_counter::peak_live`] reads: an exact, repeatable
+/// peak-heap figure for work that runs on one thread.
 pub mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
@@ -178,9 +181,14 @@ pub mod alloc_counter {
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
     thread_local! {
-        // `const`-initialised with no destructor: reading or bumping it
-        // never allocates, so the allocator itself may touch it.
+        // `const`-initialised with no destructor: reading or bumping them
+        // never allocates, so the allocator itself may touch them.
         static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+        // Bytes this thread allocated minus bytes it freed (negative when
+        // it frees memory another thread allocated), and the highest that
+        // balance has reached.
+        static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
+        static THREAD_PEAK: Cell<i64> = const { Cell::new(0) };
     }
 
     fn bump() {
@@ -188,29 +196,53 @@ pub mod alloc_counter {
         THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
     }
 
+    /// Move the calling thread's live-byte balance by `delta`, raising
+    /// its high-water mark when the balance passes it.
+    fn live(delta: i64) {
+        let now = THREAD_LIVE.get() + delta;
+        THREAD_LIVE.set(now);
+        if now > THREAD_PEAK.get() {
+            THREAD_PEAK.set(now);
+        }
+    }
+
     /// `System` allocator wrapper that counts every allocation event
     /// (`alloc`, `alloc_zeroed`, and growth via `realloc`; frees are not
-    /// counted — the claim under test is about *acquiring* memory).
+    /// counted — the claim under test is about *acquiring* memory) and
+    /// keeps the per-thread live-byte balance behind [`peak_live`].
     pub struct CountingAlloc;
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
             bump();
-            System.alloc(layout)
+            let p = System.alloc(layout);
+            if !p.is_null() {
+                live(layout.size() as i64);
+            }
+            p
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
             bump();
-            System.alloc_zeroed(layout)
+            let p = System.alloc_zeroed(layout);
+            if !p.is_null() {
+                live(layout.size() as i64);
+            }
+            p
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
+            System.dealloc(ptr, layout);
+            live(-(layout.size() as i64));
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             bump();
-            System.realloc(ptr, layout, new_size)
+            let p = System.realloc(ptr, layout, new_size);
+            if !p.is_null() {
+                live(new_size as i64 - layout.size() as i64);
+            }
+            p
         }
     }
 
@@ -233,6 +265,26 @@ pub mod alloc_counter {
         let before = thread_allocations();
         let out = f();
         (out, thread_allocations() - before)
+    }
+
+    /// Bytes the calling thread holds: what it allocated minus what it
+    /// freed since it started (0 unless [`CountingAlloc`] is installed).
+    pub fn thread_live_bytes() -> i64 {
+        THREAD_LIVE.get()
+    }
+
+    /// Run `f` and return its result plus the peak of the calling
+    /// thread's live bytes above their level when `f` began: the most
+    /// heap `f` held at once. Exact when `f` allocates and frees on the
+    /// calling thread only; other threads' allocations do not leak in.
+    pub fn peak_live<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let start = THREAD_LIVE.get();
+        let outer = THREAD_PEAK.replace(start);
+        let out = f();
+        let peak = THREAD_PEAK.get();
+        // An enclosing `peak_live` still sees the highest balance.
+        THREAD_PEAK.set(outer.max(peak));
+        (out, (peak - start) as u64)
     }
 
     /// [`count`] over the whole process: every thread's allocations while

@@ -42,7 +42,7 @@ use crate::pipeline::{
     self, Compiled, Emitted, InlineMode, PipelineOptions, PipelineResult, StageReports,
 };
 use crate::report::{rows_from, Fig20Point, Table2Row};
-use crate::tournament::{default_machines, tuned_speedup};
+use crate::tournament::{default_machines, tuned_speedup, TunedScore};
 use crate::verify::{baseline_run_with, guarded, verify_with_baseline_using, VerifyResult};
 use finline::annot::AnnotRegistry;
 use fir::ast::Program;
@@ -137,9 +137,13 @@ pub struct DriverOptions {
     /// on a corpus-scale stream they grow memory linearly with input
     /// size. When false the driver still computes rows, Figure 20
     /// points, metrics, and failures — only `results`/`verify` come back
-    /// empty. [`run_app`] forces this on (its callers inspect the
-    /// payloads); [`crate::stream::run_stream`] is the bounded-memory
-    /// path and leaves it off unless asked.
+    /// empty — and no cell keeps a trace: each distinct verification is
+    /// scored on the run's machines once, as it completes, and its
+    /// [`VerifyResult::par_events`] is freed there. Traces reach only
+    /// retaining callers: [`run_app`] forces this on (its callers inspect
+    /// the payloads), and so does `perfect::evaluate_suite`;
+    /// tournaments, the daemon and [`crate::stream::run_stream`] (the
+    /// bounded-memory path) leave it off unless asked.
     pub retain_results: bool,
     /// In-flight bound for [`crate::stream::run_stream`] (0 = auto: a few
     /// jobs per worker). Bounds streaming memory: the stream runs at most
@@ -315,14 +319,27 @@ pub(crate) struct CellDone {
     /// The whole compile, held only under [`DriverOptions::retain_results`].
     pub(crate) retained: Option<Arc<Compiled>>,
     pub(crate) reports: StageReports,
-    pub(crate) verify: Arc<VerifyResult>,
-    pub(crate) fig20: Vec<Fig20Point>,
+    pub(crate) verify: Arc<Verified>,
     pub(crate) metrics: CellMetrics,
+}
+
+/// A verification as a [`ProgramMemo`] keeps it: the verdict, and the
+/// cost model's score on each of the memo's machines, computed once when
+/// the verify slot is filled. Figure 20 points, tournament
+/// [`MachineScore`](crate::tournament::MachineScore)s and daemon reports
+/// read the scores; the event trace they came from stays in `result`
+/// only under [`DriverOptions::retain_results`], so a cell costs
+/// O(machines) rather than O(dynamic loop executions).
+#[derive(Clone)]
+pub(crate) struct Verified {
+    pub(crate) result: VerifyResult,
+    /// [`tuned_speedup`] on each of the memo's machines, in order.
+    pub(crate) scores: Vec<TunedScore>,
 }
 
 /// A shared verification outcome. Failed verifications are shared
 /// exactly like successful ones: byte-identical source fails identically.
-type VerifySlot = OnceLock<Result<Arc<VerifyResult>, FailCause>>;
+type VerifySlot = OnceLock<Result<Arc<Verified>, FailCause>>;
 
 /// The normalized program, or the normalize stage's diagnostic.
 type NormalizedSlot = OnceLock<Result<Program, fir::diag::Error>>;
@@ -334,7 +351,8 @@ type CompileSlot = OnceLock<Result<Arc<Compiled>, fir::diag::Error>>;
 /// What every cell of one program shares: the normalized program, the
 /// no-inline compile of it per distinct [`fpar::ParOptions`], the guarded
 /// baseline run of the original program, the verify-dedup slots keyed by
-/// the emitted source's [`source_key`], and the run accounting.
+/// the emitted source's [`source_key`] (each scored on the memo's
+/// machines), and the run accounting.
 ///
 /// A cell whose inline stage left the normalized program unchanged takes
 /// the shared compile instead of re-running parallelize, reverse-inline
@@ -357,6 +375,9 @@ pub(crate) struct ProgramMemo {
     shared: Mutex<Vec<(fpar::ParOptions, Arc<CompileSlot>)>>,
     baseline: OnceLock<Result<RunResult, FailCause>>,
     verifies: Mutex<HashMap<u128, Arc<VerifySlot>>>,
+    /// The machines every verification is scored on (none for a plain
+    /// suite without Figure 20).
+    machines: Vec<Machine>,
     /// Interpreter runs paid for (1 per baseline, 2 per verification).
     interp_runs: AtomicU64,
     /// Cells served the memoized baseline.
@@ -377,11 +398,12 @@ struct CellCompile {
 }
 
 impl ProgramMemo {
-    /// A memo for a program that `cells` cells will compile. The last of
-    /// them takes the normalized program instead of copying it, and a
+    /// A memo for a program that `cells` cells will compile and whose
+    /// verifications are scored on `machines`. The last of the cells
+    /// takes the normalized program instead of copying it, and a
     /// one-cell memo runs the plain pipeline on it; compiles beyond
     /// `cells` are still correct, only they copy.
-    pub(crate) fn new(cells: usize) -> ProgramMemo {
+    pub(crate) fn new(cells: usize, machines: &[Machine]) -> ProgramMemo {
         ProgramMemo {
             normalized: Mutex::new(None),
             cells,
@@ -389,6 +411,7 @@ impl ProgramMemo {
             shared: Mutex::new(Vec::new()),
             baseline: OnceLock::new(),
             verifies: Mutex::new(HashMap::new()),
+            machines: machines.to_vec(),
             interp_runs: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -480,6 +503,21 @@ impl ProgramMemo {
             reports,
             memo_hit: false,
         })
+    }
+
+    /// Score a fresh verification on every machine of the memo, then free
+    /// its event trace unless `retain` keeps it: the scores are all that
+    /// Figure 20, tournaments and the daemon read of it.
+    fn score(&self, mut result: VerifyResult, retain: bool) -> Verified {
+        let scores = self
+            .machines
+            .iter()
+            .map(|m| tuned_speedup(&result, m))
+            .collect();
+        if !retain {
+            result.par_events = Vec::new();
+        }
+        Verified { result, scores }
     }
 
     /// The no-inline compile of `normalized` under `par`, built on first
@@ -639,10 +677,12 @@ pub(crate) struct MatrixOutcome {
 /// Evaluate every job across every configuration column through the
 /// worker pool, sharing one [`ProgramMemo`] across *all* columns of an
 /// app — this cache discipline is what keeps a widened tournament
-/// portfolio near one pass.
+/// portfolio near one pass. Each distinct verification is scored on
+/// `machines`.
 pub(crate) fn run_matrix(
     jobs: &[SuiteJob],
     configs: &[CellConfig],
+    machines: &[Machine],
     opts: &DriverOptions,
 ) -> MatrixOutcome {
     let t0 = std::time::Instant::now();
@@ -662,7 +702,7 @@ pub(crate) fn run_matrix(
                 .collect(),
         ),
         memos: (0..jobs.len())
-            .map(|_| ProgramMemo::new(n_configs))
+            .map(|_| ProgramMemo::new(n_configs, machines))
             .collect(),
         cells: (0..n_cells).map(|_| Mutex::new(None)).collect(),
     };
@@ -682,10 +722,10 @@ pub(crate) fn run_matrix(
 }
 
 /// Evaluate every job across all inlining configurations
-/// ([`InlineMode::all`]).
+/// ([`InlineMode::all`]), with Figure 20 on [`DriverOptions::machines`].
 pub fn run_suite(jobs: &[SuiteJob], opts: &DriverOptions) -> SuiteOutcome {
     let configs = default_configs();
-    let mx = run_matrix(jobs, &configs, opts);
+    let mx = run_matrix(jobs, &configs, &opts.machines, opts);
     assemble(jobs, &configs, mx, opts)
 }
 
@@ -730,7 +770,7 @@ pub fn compile_configs(
     registry: &AnnotRegistry,
     configs: &[CellConfig],
 ) -> Vec<Result<PipelineResult, fir::diag::Error>> {
-    let memo = ProgramMemo::new(configs.len());
+    let memo = ProgramMemo::new(configs.len(), &[]);
     let mut timings = PhaseTimings::default();
     configs
         .iter()
@@ -782,10 +822,10 @@ fn worker_loop(shared: &Shared<'_>) {
 
 /// The one cell evaluator, behind the batch matrix and the daemon alike:
 /// compile `program` under `cfg`, run the baseline of the original (once
-/// per `memo`), and verify the emitted program (once per distinct emitted
-/// source in `memo`), checking `deadline` at every stage boundary. Every
-/// interpreter run is guarded, so a fault comes back as a structured
-/// [`PipelineError`] of the failing stage.
+/// per `memo`), and verify and score the emitted program (once per
+/// distinct emitted source in `memo`), checking `deadline` at every stage
+/// boundary. Every interpreter run is guarded, so a fault comes back as a
+/// structured [`PipelineError`] of the failing stage.
 pub(crate) fn evaluate_cell(
     name: &str,
     program: &Program,
@@ -811,7 +851,7 @@ pub(crate) fn evaluate_cell(
 
     let mut cell_runs = 0u64;
     let mut verify_cached = false;
-    let verify: Result<Arc<VerifyResult>, PipelineError> = timings.time(Phase::Verify, || {
+    let verify: Result<Arc<Verified>, PipelineError> = timings.time(Phase::Verify, || {
         // Gate 1 baseline: the original program's guarded run. An `Err`
         // or a panic is memoized as the program-wide baseline failure,
         // never a poisoned `OnceLock`.
@@ -841,7 +881,7 @@ pub(crate) fn evaluate_cell(
             guarded(max_ops, || {
                 verify_with_baseline_using(base, &compiled.program, &par_opts)
             })
-            .map(Arc::new)
+            .map(|result| Arc::new(memo.score(result, opts.retain_results)))
         });
         verify_cached = !paid;
         if verify_cached {
@@ -859,23 +899,6 @@ pub(crate) fn evaluate_cell(
     // discarded with the error).
     deadline.check(name, mode, FailStage::Verify, max_ops)?;
 
-    // Figure 20: simulate each machine with empirical tuning, from the
-    // verification's sequential run (no extra interpreter run).
-    let fig20 = opts
-        .machines
-        .iter()
-        .map(|m| {
-            let (speedup, tuned_off) = tuned_speedup(&verify, m);
-            Fig20Point {
-                app: name.to_string(),
-                config: cfg.label.clone(),
-                machine: m.name.to_string(),
-                speedup,
-                tuned_off,
-            }
-        })
-        .collect();
-
     let metrics = CellMetrics {
         app: name.to_string(),
         config: cfg.label.clone(),
@@ -890,7 +913,7 @@ pub(crate) fn evaluate_cell(
         vm: if verify_cached {
             fruntime::VmCounters::default()
         } else {
-            verify.vm
+            verify.result.vm
         },
         autogen: reports
             .autogen
@@ -911,7 +934,6 @@ pub(crate) fn evaluate_cell(
         retained: opts.retain_results.then_some(compiled),
         reports,
         verify,
-        fig20,
         metrics,
     }))
 }
@@ -958,7 +980,7 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
                     metrics.phases.merge(&done.metrics.phases);
                     metrics.vm.absorb(&done.metrics.vm);
                     metrics.cells.push(std::mem::take(&mut done.metrics));
-                    if done.verify.ok() {
+                    if done.verify.result.ok() {
                         metrics.verified_ok += 1;
                     }
                     row.push(Ok(done));
@@ -999,8 +1021,17 @@ fn assemble(
         let mut failures = Vec::new();
         for (cfg, outcome) in configs.iter().zip(row) {
             match outcome {
-                Ok(mut cell) => {
-                    fig20.append(&mut cell.fig20);
+                Ok(cell) => {
+                    // Figure 20: the verification's scores on
+                    // `opts.machines`, the machines `run_suite` gave the
+                    // matrix (no extra interpreter run).
+                    fig20.extend(cell.verify.scores.iter().map(|t| Fig20Point {
+                        app: job.name.clone(),
+                        config: cfg.label.clone(),
+                        machine: t.machine.to_string(),
+                        speedup: t.speedup,
+                        tuned_off: t.tuned_off,
+                    }));
                     done.push((cfg.mode(), *cell));
                 }
                 Err(e) => failures.push(e),
@@ -1041,7 +1072,7 @@ fn assemble(
                     let compiled = retained.expect("a retaining run keeps every compile");
                     let result =
                         PipelineResult::from_parts(Arc::unwrap_or_clone(compiled), reports);
-                    ((mode, result), (mode, Arc::unwrap_or_clone(verify)))
+                    ((mode, result), (mode, Arc::unwrap_or_clone(verify).result))
                 })
                 .unzip()
         } else {
@@ -1118,7 +1149,7 @@ mod tests {
             ..Default::default()
         };
         let arms = crate::tournament::portfolio();
-        let memo = ProgramMemo::new(arms.len());
+        let memo = ProgramMemo::new(arms.len(), &[]);
         let deadline = WallDeadline::start(0);
         for cfg in arms {
             let e = match evaluate_cell("T", &j.program, &j.registry, &cfg, &opts, &memo, &deadline)
@@ -1167,7 +1198,7 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
 
     /// Compile `j` under each config through one memo.
     fn memo_compiles(j: &SuiteJob, configs: &[CellConfig]) -> (ProgramMemo, Vec<CellCompile>) {
-        let memo = ProgramMemo::new(configs.len());
+        let memo = ProgramMemo::new(configs.len(), &[]);
         let cells = configs
             .iter()
             .map(|cfg| {
@@ -1281,18 +1312,14 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
 
     #[test]
     fn a_normalize_panic_fails_every_mode_alike() {
-        // Constant folding divides i64::MIN by -1, which panics: the
-        // normalize stage's diagnostic is memoized and serves every arm.
-        let src = "      PROGRAM P
-      K = (-9223372036854775807 - 1) / (-1)
-      WRITE(6,*) K
-      END
-";
-        let j = job("N", src, "");
+        // Normalizing has no known panic, so the test seam makes it
+        // panic: the stage's diagnostic is memoized and serves every arm.
+        let j = job("N", SRC, "");
         let arms = crate::tournament::portfolio();
-        let memo = ProgramMemo::new(arms.len());
+        let memo = ProgramMemo::new(arms.len(), &[]);
         let deadline = WallDeadline::start(0);
         let opts = DriverOptions::default();
+        pipeline::NORMALIZE_PANICS.set(Some(0));
         let errors: Vec<PipelineError> = arms
             .iter()
             .map(|cfg| {
@@ -1302,6 +1329,8 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
                 }
             })
             .collect();
+        let panics = pipeline::NORMALIZE_PANICS.replace(None);
+        assert_eq!(panics, Some(1), "normalize ran more than once");
         for e in &errors {
             assert_eq!(e.stage, FailStage::Compile, "{e}");
             assert!(matches!(e.cause, FailCause::Diag(_)), "{e:?}");
@@ -1315,6 +1344,84 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
             errors[0]
         );
         assert_eq!(memo.interp_runs.load(Ordering::Relaxed), 0);
+    }
+
+    /// A program the empirical tuner has work on: fifty instances of a
+    /// four-iteration loop (a slowdown on both machines, tuned off) and
+    /// one large loop that speeds up.
+    const TUNED: &str = "      PROGRAM MAIN
+      COMMON /OUT/ A(20000), B(4), TOT
+      DO K = 1, 50
+        DO I = 1, 4
+          B(I) = B(I) + K
+        ENDDO
+      ENDDO
+      DO I = 1, 20000
+        A(I) = I*0.5 + 1.0
+      ENDDO
+      TOT = A(7) + B(2)
+      WRITE(6,*) TOT
+      END
+";
+
+    #[test]
+    fn a_non_retaining_matrix_keeps_scores_not_traces() {
+        let jobs = vec![job("T", SRC, ""), job("U", TUNED, "")];
+        let machines = [Machine::intel8(), Machine::amd4()];
+        let arms = crate::tournament::portfolio();
+        let run = |retain_results| {
+            let opts = DriverOptions {
+                workers: 1,
+                machines: machines.to_vec(),
+                retain_results,
+                ..Default::default()
+            };
+            let cells: Vec<Arc<Verified>> = run_matrix(&jobs, &arms, &machines, &opts)
+                .cells
+                .into_iter()
+                .flatten()
+                .map(|c| c.unwrap_or_else(|e| panic!("{e}")).verify)
+                .collect();
+            (cells, run_suite(&jobs, &opts).apps)
+        };
+        let (kept, kept_apps) = run(true);
+        let (dropped, dropped_apps) = run(false);
+        assert_eq!(kept.len(), jobs.len() * arms.len());
+        for (k, d) in kept.iter().zip(&dropped) {
+            assert!(d.result.par_events.is_empty(), "a cell kept its trace");
+            assert!(!k.result.par_events.is_empty());
+            assert_eq!(d.scores, k.scores);
+            assert_eq!(d.result.total_ops, k.result.total_ops);
+            // The stored scores are the cost model's on the whole trace.
+            let fresh: Vec<TunedScore> = machines
+                .iter()
+                .map(|m| tuned_speedup(&k.result, m))
+                .collect();
+            assert_eq!(k.scores, fresh);
+        }
+        let scores = kept.iter().flat_map(|k| &k.scores);
+        assert!(scores.clone().any(|t| t.tuned_off > 0));
+        assert!(scores.clone().any(|t| t.speedup > 1.0));
+        for (k, d) in kept_apps.iter().zip(&dropped_apps) {
+            assert_eq!(k.fig20.len(), 4 * machines.len());
+            assert_eq!(k.fig20, d.fig20);
+        }
+        // Tournament machine scores read the same stored scores.
+        let tournament = |retain_results| {
+            let opts = DriverOptions {
+                workers: 1,
+                retain_results,
+                ..Default::default()
+            };
+            crate::tournament::run_tournament(&jobs, &opts).to_json()
+        };
+        assert_eq!(tournament(true), tournament(false));
+        // run_app retains, so it still hands out the whole trace.
+        let (report, _) = run_app(&jobs[1], &DriverOptions::default());
+        for ((mode, r), (_, v)) in report.results.iter().zip(&report.verify) {
+            let plain = crate::verify(&jobs[1].program, &r.program, 4).unwrap();
+            assert_eq!(v.par_events, plain.par_events, "{mode:?}");
+        }
     }
 
     #[test]

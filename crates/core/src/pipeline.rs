@@ -333,9 +333,25 @@ pub(crate) fn normalize(
 
     let mut p = input.clone();
     timings.time(Phase::Normalize, || {
-        stage(Phase::Normalize, || normalize_program(&mut p))
+        stage(Phase::Normalize, || {
+            #[cfg(test)]
+            if let Some(n) = NORMALIZE_PANICS.get() {
+                NORMALIZE_PANICS.set(Some(n + 1));
+                panic!("injected normalize fault");
+            }
+            normalize_program(&mut p)
+        })
     })?;
     Ok(p)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test seam: while `Some`, the normalize stage panics on the calling
+    /// thread and counts its panics. Normalizing is panic-free on every
+    /// known input, so the tests of its failure path need a trigger.
+    pub(crate) static NORMALIZE_PANICS: std::cell::Cell<Option<u32>> =
+        const { std::cell::Cell::new(None) };
 }
 
 /// Stage 2: inline into the normalized `p` under `opts.mode`. Returns the

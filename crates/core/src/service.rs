@@ -26,8 +26,9 @@
 //! (`driver::evaluate_cell`) over a per-request `ProgramMemo`, under the
 //! budgets of [`DriverOptions`] and the stage checks of [`WallDeadline`].
 //! A failed baseline or verification is memoized like a success, so a
-//! tournament pays for it once. The per-machine score
-//! (`MachineScore::all`), the tournament winner rule and the FNV-1a
+//! tournament pays for it once. The per-machine scores (computed once per
+//! verification in the memo's verify slot and read through
+//! `MachineScore::all`), the tournament winner rule and the FNV-1a
 //! content hash of [`crate::driver::source_key`] are shared too. Every
 //! failure mode, panics included, comes back as a structured
 //! [`PipelineError`].
@@ -49,7 +50,6 @@ use crate::json_object;
 use crate::phase::blocker_key;
 use crate::pipeline::InlineMode;
 use crate::tournament::{portfolio, winner_index, MachineScore};
-use fruntime::Machine;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -211,13 +211,15 @@ fn parse_request(
     Ok((program, registry))
 }
 
-/// Build the deterministic report from a completed cell.
-fn report_from(mode: InlineMode, done: &CellDone, machines: &[Machine]) -> RequestReport {
+/// Build the deterministic report from a completed cell, its speedups
+/// read from the scores its memo kept.
+fn report_from(mode: InlineMode, done: &CellDone) -> RequestReport {
     let CellDone {
         emitted: result,
         verify,
         ..
     } = done;
+    let (verify, speedups) = (&verify.result, MachineScore::all(&verify.scores));
     // Per-loop verdicts: aggregate the planner's decisions per distinct
     // original loop (annotation-body copies excluded), blockers deduped
     // into sorted stable keys — a deterministic, wire-friendly shape.
@@ -243,7 +245,6 @@ fn report_from(mode: InlineMode, done: &CellDone, machines: &[Machine]) -> Reque
         })
         .collect();
     let loops_parallel = loops.iter().filter(|l| l.parallel).count();
-    let speedups = MachineScore::all(verify, machines);
 
     RequestReport {
         mode,
@@ -274,10 +275,10 @@ fn evaluate_request_inner(
     deadline.check(name, mode, FailStage::Parse, opts.verify_max_ops)?;
 
     let cfg = CellConfig::for_mode(mode);
-    let memo = ProgramMemo::new(1);
+    let memo = ProgramMemo::new(1, &opts.effective_machines());
     let done = evaluate_cell(name, &program, &registry, &cfg, opts, &memo, &deadline)?;
     vm.absorb(&done.metrics.vm);
-    Ok(report_from(mode, &done, &opts.effective_machines()))
+    Ok(report_from(mode, &done))
 }
 
 /// Content address for a request: 128-bit FNV-1a over the mode label,
@@ -440,7 +441,7 @@ fn evaluate_tournament_inner(
 
     // Shared across arms: the lazy baseline (an all-cache-hit tournament
     // pays zero runs) and the verify dedup, failures included.
-    let memo = ProgramMemo::new(arms.len());
+    let memo = ProgramMemo::new(arms.len(), &machines);
 
     let mut outcomes: Vec<CachedOutcome> = Vec::with_capacity(arms.len());
     for cfg in &arms {
@@ -457,7 +458,7 @@ fn evaluate_tournament_inner(
         let computed: CachedOutcome =
             evaluate_cell(name, &program, &registry, cfg, opts, &memo, &deadline).map(|done| {
                 vm.absorb(&done.metrics.vm);
-                Arc::new(report_from(mode, &done, &machines))
+                Arc::new(report_from(mode, &done))
             });
         if let Some(c) = cache {
             c.insert(key, computed.clone());

@@ -100,29 +100,43 @@ pub struct MachineScore {
     pub tuned_off: usize,
 }
 
+/// The §IV-B cost model's verdict for one verification on one machine:
+/// the tuned speedup, exact as Figure 20 reports it, and the number of
+/// loops the empirical tuner disabled. The driver computes it once per
+/// distinct verification and keeps it in place of the event trace.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TunedScore {
+    /// Machine name (`intel8` / `amd4`).
+    pub(crate) machine: &'static str,
+    /// Simulated speedup after empirical tuning.
+    pub(crate) speedup: f64,
+    /// Loops tuned off on this machine.
+    pub(crate) tuned_off: usize,
+}
+
 /// The §IV-B cost model on one machine: empirical tuning (loops that run
 /// slower in parallel are disabled) and then the simulation, from a
-/// verification's sequential-run trace. Returns the tuned speedup, exact
-/// as Figure 20 reports it, and the number of loops tuned off.
-pub(crate) fn tuned_speedup(verify: &VerifyResult, m: &Machine) -> (f64, usize) {
+/// verification's sequential-run trace.
+pub(crate) fn tuned_speedup(verify: &VerifyResult, m: &Machine) -> TunedScore {
     let disabled = tune(&verify.par_events, m);
     let sim = simulate(verify.total_ops, &verify.par_events, m, &disabled);
-    (sim.speedup(), disabled.len())
+    TunedScore {
+        machine: m.name,
+        speedup: sim.speedup(),
+        tuned_off: disabled.len(),
+    }
 }
 
 impl MachineScore {
-    /// Score `verify` on every machine, in order ([`tuned_speedup`]
-    /// rounded to micro-units).
-    pub(crate) fn all(verify: &VerifyResult, machines: &[Machine]) -> Vec<MachineScore> {
-        machines
+    /// Per-machine scores from a verification's [`TunedScore`]s, in
+    /// order (the speedup rounded to micro-units).
+    pub(crate) fn all(tuned: &[TunedScore]) -> Vec<MachineScore> {
+        tuned
             .iter()
-            .map(|m| {
-                let (speedup, tuned_off) = tuned_speedup(verify, m);
-                MachineScore {
-                    machine: m.name.to_string(),
-                    speedup_micros: (speedup * 1e6).round() as u64,
-                    tuned_off,
-                }
+            .map(|t| MachineScore {
+                machine: t.machine.to_string(),
+                speedup_micros: (t.speedup * 1e6).round() as u64,
+                tuned_off: t.tuned_off,
             })
             .collect()
     }
@@ -263,7 +277,7 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
     let arms = portfolio();
     let machines = opts.effective_machines();
 
-    let mx = run_matrix(jobs, &arms, opts);
+    let mx = run_matrix(jobs, &arms, &machines, opts);
     // The completed cells' metrics, in the same (app × arm) order.
     let mut cell_metrics = mx.metrics.cells.iter();
     let mut apps = Vec::with_capacity(jobs.len());
@@ -282,9 +296,9 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
                     if metrics.verify_cached {
                         arms_cached += 1;
                     }
-                    let ok = done.verify.ok();
+                    let ok = done.verify.result.ok();
                     let machine_scores = if ok {
-                        MachineScore::all(&done.verify, &machines)
+                        MachineScore::all(&done.verify.scores)
                     } else {
                         Vec::new()
                     };

@@ -28,16 +28,25 @@ pub struct VerifyResult {
     pub matches_original: bool,
     /// Gate 2: chunked ≡ sequential.
     pub parallel_consistent: bool,
-    /// Advisory: conservative race-checker hits. Annotation-parallelized
-    /// loops legitimately trip this on global temporaries that the
-    /// developer asserted privatizable (the write-log executor still
-    /// produces sequential-equivalent results); a *correctness* failure
-    /// shows up in the two gates above, as in the paper ("we use runtime
-    /// testers to check and verify the correctness of our optimized code").
+    /// Advisory: race-checker hits in the sequential run; [`Self::ok`]
+    /// does not read them, so a verdict fails only on the two gates
+    /// above. The known hits on the PERFECT suite (annotation and
+    /// auto-annot cells of BDNA, MDG and SPEC77, none on a COMMON member)
+    /// are believed to be callee-frame false positives: every CALL in a
+    /// loop body builds its frame in the same recycled slots, and the
+    /// checker keys its entries by slot index. Only some of them have
+    /// been traced to such slots so far.
     pub races: usize,
     /// Speedup-model inputs from the sequential run of the optimized code.
     pub total_ops: u64,
-    /// Parallel-loop events (for the cost model).
+    /// Parallel-loop events (for the cost model): one per dynamic
+    /// execution of a directive loop in the sequential run. A plain
+    /// [`verify`] and a driver run that retains results
+    /// ([`crate::driver::DriverOptions::retain_results`]: `run_app`,
+    /// `perfect::evaluate_suite`) hand out the whole trace. Everywhere
+    /// else the driver scores the trace on its machines as soon as the
+    /// verification completes and then frees it, so those cells never
+    /// hold one.
     pub par_events: Vec<fruntime::ParLoopEvent>,
     /// VM execution counters aggregated over both verification runs
     /// (all zero when the tree-walker engine verified this cell).

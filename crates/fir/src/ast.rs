@@ -250,14 +250,14 @@ impl Expr {
     pub fn as_int_const(&self) -> Option<i64> {
         match self {
             Expr::Int(v) => Some(*v),
-            Expr::Un(UnOp::Neg, e) => e.as_int_const().map(|v| -v),
+            Expr::Un(UnOp::Neg, e) => e.as_int_const()?.checked_neg(),
             Expr::Bin(op, l, r) => {
                 let (a, b) = (l.as_int_const()?, r.as_int_const()?);
                 match op {
                     BinOp::Add => a.checked_add(b),
                     BinOp::Sub => a.checked_sub(b),
                     BinOp::Mul => a.checked_mul(b),
-                    BinOp::Div if b != 0 => Some(a / b),
+                    BinOp::Div => a.checked_div(b),
                     BinOp::Pow if (0..=31).contains(&b) => a.checked_pow(b as u32),
                     _ => None,
                 }

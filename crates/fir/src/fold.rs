@@ -66,7 +66,7 @@ fn simplify(node: &mut Expr) {
             }
         }
         Expr::Un(UnOp::Neg, inner) => match &**inner {
-            Expr::Int(v) => Some(Expr::Int(-v)),
+            Expr::Int(v) => v.checked_neg().map(Expr::Int),
             Expr::Un(UnOp::Neg, e) => Some((**e).clone()),
             _ => None,
         },

@@ -150,4 +150,58 @@ mod tests {
         }
         assert_eq!(fast.fig20, plain);
     }
+
+    /// `simulate` as it was before it looked loops up by binary search:
+    /// a linear scan of `disabled` for every event.
+    fn simulate_linear(
+        total_ops: u64,
+        events: &[fruntime::ParLoopEvent],
+        machine: &Machine,
+        disabled: &[fir::ast::LoopId],
+    ) -> fruntime::SimResult {
+        let mut par = total_ops as f64;
+        for ev in events {
+            if disabled.contains(&ev.id) {
+                continue;
+            }
+            par -= ev.ops as f64;
+            par += machine.loop_time(ev);
+        }
+        fruntime::SimResult {
+            seq_time: total_ops as f64,
+            par_time: par,
+        }
+    }
+
+    #[test]
+    fn evaluate_suite_keeps_whole_traces_and_simulate_matches_a_linear_scan() {
+        let machines = [Machine::intel8(), Machine::amd4()];
+        let apps = evaluate_suite(&machines);
+        let (mut events, mut tuned_off) = (0, 0);
+        for app in &apps {
+            assert_eq!(app.verify.len(), ipp_core::InlineMode::all().len());
+            for ((mode, r), (_, v)) in app.results.iter().zip(&app.verify) {
+                let cell = format!("{} [{}]", app.name, mode.label());
+                // The suite retains results, so each verification keeps
+                // the whole trace of a plain run of its program.
+                let seq = fruntime::run(&r.program, &fruntime::ExecOptions::default()).unwrap();
+                assert_eq!(v.par_events, seq.par_events, "{cell}");
+                events += v.par_events.len();
+                for m in &machines {
+                    let disabled = fruntime::tune(&v.par_events, m);
+                    tuned_off += disabled.len();
+                    assert_eq!(
+                        fruntime::simulate(v.total_ops, &v.par_events, m, &disabled),
+                        simulate_linear(v.total_ops, &v.par_events, m, &disabled),
+                        "{cell} on {}",
+                        m.name
+                    );
+                }
+            }
+        }
+        // The traces are real and the tuner disabled loops somewhere, so
+        // both lookups were exercised on hits and misses.
+        assert!(events > 1000, "{events} events");
+        assert!(tuned_off > 0);
+    }
 }

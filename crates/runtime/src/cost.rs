@@ -93,16 +93,21 @@ impl SimResult {
 /// Simulate a run: `total_ops` is the sequential clock; every event in
 /// `events` (one per dynamic parallel-loop instance, outermost only) has
 /// its serial ops replaced by the machine's parallel loop time. Loops in
-/// `disabled` run serially.
+/// `disabled` run serially; the list must be sorted, as [`tune`] returns
+/// it, because each event looks its loop up by binary search.
 pub fn simulate(
     total_ops: u64,
     events: &[ParLoopEvent],
     machine: &Machine,
     disabled: &[LoopId],
 ) -> SimResult {
+    debug_assert!(
+        disabled.windows(2).all(|w| w[0] < w[1]),
+        "disabled loops must be sorted"
+    );
     let mut par = total_ops as f64;
     for ev in events {
-        if disabled.contains(&ev.id) {
+        if disabled.binary_search(&ev.id).is_ok() {
             continue;
         }
         par -= ev.ops as f64;

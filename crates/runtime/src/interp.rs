@@ -1206,7 +1206,7 @@ impl<'a> Interp<'a> {
                 eval_bin(*op, a, b)
             }
             Expr::Un(UnOp::Neg, inner) => match self.eval(inner, frame)? {
-                Scalar::I(v) => Ok(Scalar::I(-v)),
+                Scalar::I(v) => Ok(Scalar::I(v.wrapping_neg())),
                 Scalar::F(v) => Ok(Scalar::F(-v)),
                 Scalar::B(_) => Err(RtError::new("negation of logical")),
             },
@@ -1249,7 +1249,7 @@ pub(crate) fn eval_bin(op: BinOp, a: Scalar, b: Scalar) -> Result<Scalar, RtErro
                         if y == 0 {
                             return Err(RtError::new("integer division by zero"));
                         }
-                        x / y
+                        x.wrapping_div(y)
                     }
                     Pow => {
                         if y < 0 {
@@ -1308,7 +1308,7 @@ pub(crate) fn eval_intrinsic(i: Intrinsic, args: &[Scalar]) -> Result<Scalar, Rt
                 if m == 0 {
                     return Err(RtError::new("MOD by zero"));
                 }
-                Ok(Scalar::I(args[0].as_i() % m))
+                Ok(Scalar::I(args[0].as_i().wrapping_rem(m)))
             } else {
                 Ok(Scalar::F(args[0].as_f() % args[1].as_f()))
             }
@@ -1316,7 +1316,7 @@ pub(crate) fn eval_intrinsic(i: Intrinsic, args: &[Scalar]) -> Result<Scalar, Rt
         Intrinsic::Abs => {
             need(1)?;
             Ok(match args[0] {
-                Scalar::I(v) => Scalar::I(v.abs()),
+                Scalar::I(v) => Scalar::I(v.wrapping_abs()),
                 other => Scalar::F(other.as_f().abs()),
             })
         }

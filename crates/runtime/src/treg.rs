@@ -2577,7 +2577,7 @@ fn step(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr> {
             if y == 0 {
                 return Err(RtError::new("integer division by zero").into());
             }
-            si(st, c, vi(st, a) / y);
+            si(st, c, vi(st, a).wrapping_div(y));
             Ok(Ctl::Next)
         }
         Op::PowI => {
@@ -2671,7 +2671,7 @@ fn step(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr> {
             Ok(Ctl::Next)
         }
         Op::NegI => {
-            si(st, c, -vi(st, a));
+            si(st, c, vi(st, a).wrapping_neg());
             Ok(Ctl::Next)
         }
         Op::NegF => {
@@ -2684,7 +2684,7 @@ fn step(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr> {
             if m == 0 {
                 return Err(RtError::new("MOD by zero").into());
             }
-            si(st, c, vi(st, a) % m);
+            si(st, c, vi(st, a).wrapping_rem(m));
             Ok(Ctl::Next)
         }
         Op::ModFF => {
@@ -2692,7 +2692,7 @@ fn step(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr> {
             Ok(Ctl::Next)
         }
         Op::AbsI => {
-            si(st, c, vi(st, a).abs());
+            si(st, c, vi(st, a).wrapping_abs());
             Ok(Ctl::Next)
         }
         Op::AbsF => {

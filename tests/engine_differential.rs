@@ -194,3 +194,40 @@ fn encoding_limit_cases() -> Vec<(&'static str, String)> {
         ("70,000-local unit", locals),
     ]
 }
+
+/// `i64::MIN / -1`, `-i64::MIN`, `MOD(i64::MIN, -1)` and `ABS(i64::MIN)`
+/// wrap like the engines' add, subtract and multiply, in every build
+/// profile: the folder leaves the overflowing constant division to run
+/// time, and both engines compute the same wrapped values without a
+/// panic, before and after every inlining mode's pipeline.
+#[test]
+fn integer_overflow_edges_wrap_alike_on_both_engines() {
+    let src = "      PROGRAM P
+      K = (-9223372036854775807 - 1) / (-1)
+      I = -9223372036854775807 - 1
+      J = -1
+      L = I / J
+      M = -I
+      N = MOD(I, J)
+      NA = ABS(I)
+      WRITE(6,*) K, L, M, N, NA
+      END
+";
+    let p = fir::parse(src).unwrap();
+    let reg = finline::annot::AnnotRegistry::default();
+    let want = run(&p, &ExecOptions::default()).unwrap().io;
+    let min = i64::MIN.to_string();
+    let got: Vec<&str> = want.iter().flat_map(|l| l.split_whitespace()).collect();
+    assert_eq!(got, [&*min, &min, &min, "0", &min], "{want:?}");
+    differential("overflow edges [original]", &p, &ExecOptions::default());
+    for mode in InlineMode::all() {
+        let r = compile(&p, &reg, &PipelineOptions::for_mode(mode));
+        let label = format!("overflow edges [{}]", mode.label());
+        differential(&label, &r.program, &ExecOptions::default());
+        assert_eq!(
+            run(&r.program, &ExecOptions::default()).unwrap().io,
+            want,
+            "{label}"
+        );
+    }
+}

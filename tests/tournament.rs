@@ -7,14 +7,20 @@
 //! per-configuration cost, and a winner that beats or ties every fixed
 //! configuration on every app (argmax over a superset, so this can only
 //! fail if scoring itself regresses). The daemon's per-request
-//! tournament and evaluate paths must reach the same verdicts.
+//! tournament and evaluate paths must reach the same verdicts, and its
+//! tournament responses the recorded wire bytes. The one-worker run's
+//! peak live heap, counted exactly on its one thread, is gated too.
 
+use bench::harness::alloc_counter::{self, CountingAlloc};
 use fruntime::Machine;
 use ipp_core::driver::DriverOptions;
 use ipp_core::tournament::run_tournament;
 use ipp_core::{evaluate_request, evaluate_tournament, InlineMode, TournamentOutcome};
 use perfect::suite_jobs;
 use std::sync::OnceLock;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn run_at(workers: usize) -> TournamentOutcome {
     let opts = DriverOptions {
@@ -155,4 +161,59 @@ fn daemon_agrees_with_the_batch_tournament_on_every_app() {
             assert_eq!(speedups(&r.speedups), speedups(&w.machines), "{cell}");
         }
     }
+}
+
+/// The daemon's tournament response for every PERFECT app, as wire
+/// bytes, recorded while each verification still kept its whole trace
+/// until scoring: scoring once and dropping the trace changes no byte.
+const DAEMON_TOURNAMENT_RESPONSES: &str =
+    include_str!("fixtures/daemon_tournament_responses.jsonl");
+
+#[test]
+fn daemon_tournament_responses_are_byte_identical_to_the_recorded_ones() {
+    let opts = DriverOptions::default();
+    let apps = perfect::all();
+    let want: Vec<&str> = DAEMON_TOURNAMENT_RESPONSES.lines().collect();
+    assert_eq!(want.len(), apps.len());
+    for (app, want) in apps.iter().zip(want) {
+        let got = evaluate_tournament(app.name, app.source, app.annotations, &opts, None)
+            .unwrap_or_else(|e| panic!("{}: {e}", app.name));
+        assert_eq!(
+            server::proto::tournament_response(app.name, &got),
+            want,
+            "{}",
+            app.name
+        );
+    }
+}
+
+/// The one-worker tournament's peak live heap above its inputs, in
+/// bytes, plus 5%. Each verification keeps its per-machine scores, not
+/// its loop-execution trace, once it is scored: with every trace held to
+/// the end of the run the same peak was 5,660,750 bytes.
+const PEAK_LIVE_CEILING: u64 = 3_763_286 * 105 / 100;
+
+#[test]
+fn one_worker_tournament_peak_heap_holds_scores_not_traces() {
+    // One worker runs every cell on the calling thread, so the thread's
+    // live-byte count sees all of the tournament's heap, exactly.
+    let jobs = suite_jobs();
+    let opts = DriverOptions {
+        workers: 1,
+        machines: vec![Machine::intel8(), Machine::amd4()],
+        ..Default::default()
+    };
+    let before = alloc_counter::thread_live_bytes();
+    let (out, peak) = alloc_counter::peak_live(|| run_tournament(&jobs, &opts));
+    assert_eq!(out.apps.len(), 12);
+    assert!(
+        peak <= PEAK_LIVE_CEILING,
+        "peak live heap {peak} B above the {PEAK_LIVE_CEILING} B ceiling"
+    );
+    drop(out);
+    assert_eq!(
+        alloc_counter::thread_live_bytes(),
+        before,
+        "the tournament left heap behind on its thread"
+    );
 }
