@@ -107,37 +107,37 @@ impl Affine {
         self.coeffs.get(v).copied().unwrap_or(0)
     }
 
-    /// `self + other`.
-    pub fn add(&self, other: &Affine) -> Affine {
+    /// `self + other`; `None` when a coefficient or the constant
+    /// overflows.
+    pub fn add(&self, other: &Affine) -> Option<Affine> {
         let mut out = self.clone();
         for (k, v) in &other.coeffs {
-            *out.coeffs.entry(k.clone()).or_insert(0) += v;
+            let c = out.coeffs.entry(k.clone()).or_insert(0);
+            *c = c.checked_add(*v)?;
         }
         for (k, v) in &other.syms {
-            *out.syms.entry(k.clone()).or_insert(0) += v;
+            let c = out.syms.entry(k.clone()).or_insert(0);
+            *c = c.checked_add(*v)?;
         }
-        out.konst += other.konst;
+        out.konst = out.konst.checked_add(other.konst)?;
         out.prune();
-        out
+        Some(out)
     }
 
-    /// `self - other`.
-    pub fn sub(&self, other: &Affine) -> Affine {
-        self.add(&other.scale(-1))
+    /// `self - other`; `None` when negating `other` or the sum overflows.
+    pub fn sub(&self, other: &Affine) -> Option<Affine> {
+        self.add(&other.scale(-1)?)
     }
 
-    /// `self * c`.
-    pub fn scale(&self, c: i64) -> Affine {
+    /// `self * c`; `None` when a product overflows.
+    pub fn scale(&self, c: i64) -> Option<Affine> {
         let mut out = self.clone();
-        for v in out.coeffs.values_mut() {
-            *v *= c;
+        for v in out.coeffs.values_mut().chain(out.syms.values_mut()) {
+            *v = v.checked_mul(c)?;
         }
-        for v in out.syms.values_mut() {
-            *v *= c;
-        }
-        out.konst *= c;
+        out.konst = out.konst.checked_mul(c)?;
         out.prune();
-        out
+        Some(out)
     }
 
     /// `self / c` when every coefficient divides evenly by `c`; `None`
@@ -186,7 +186,9 @@ impl Affine {
 /// Extract the affine form of `e` relative to the classification `cls`.
 /// Returns `None` when the expression is not affine — a non-constant
 /// coefficient, a loop-variant scalar, an index variable inside an array
-/// subscript used symbolically, etc.
+/// subscript used symbolically, etc. — or when its form does not fit in
+/// `i64` coefficients (the analysis then gives up rather than reason
+/// about wrapped values).
 pub fn extract(e: &Expr, cls: &dyn VarClass) -> Option<Affine> {
     match e {
         Expr::Int(v) => Some(Affine::constant(*v)),
@@ -199,17 +201,17 @@ pub fn extract(e: &Expr, cls: &dyn VarClass) -> Option<Affine> {
                 Some(Affine::sym(e.clone()))
             }
         }
-        Expr::Bin(BinOp::Add, l, r) => Some(extract(l, cls)?.add(&extract(r, cls)?)),
-        Expr::Bin(BinOp::Sub, l, r) => Some(extract(l, cls)?.sub(&extract(r, cls)?)),
+        Expr::Bin(BinOp::Add, l, r) => extract(l, cls)?.add(&extract(r, cls)?),
+        Expr::Bin(BinOp::Sub, l, r) => extract(l, cls)?.sub(&extract(r, cls)?),
         Expr::Bin(BinOp::Mul, l, r) => {
             let la = extract(l, cls);
             let ra = extract(r, cls);
             match (la, ra) {
                 (Some(a), Some(b)) => {
                     if a.is_const() {
-                        Some(b.scale(a.konst))
+                        b.scale(a.konst)
                     } else if b.is_const() {
-                        Some(a.scale(b.konst))
+                        a.scale(b.konst)
                     } else if a.is_invariant() && b.is_invariant() {
                         // Product of two invariants is itself invariant.
                         invariant_sym(e, cls)
@@ -236,7 +238,7 @@ pub fn extract(e: &Expr, cls: &dyn VarClass) -> Option<Affine> {
             }
             invariant_sym(e, cls)
         }
-        Expr::Un(UnOp::Neg, inner) => Some(extract(inner, cls)?.scale(-1)),
+        Expr::Un(UnOp::Neg, inner) => extract(inner, cls)?.scale(-1),
         // Anything else (array refs, intrinsics, powers, unknown/unique) is
         // affine only if it is entirely loop-invariant, in which case the
         // whole expression becomes one symbolic term.
@@ -325,7 +327,7 @@ mod tests {
         )
         .unwrap();
         assert!(!a.same_syms(&b));
-        let d = a.sub(&b);
+        let d = a.sub(&b).unwrap();
         assert!(!d.is_const());
     }
 
@@ -402,10 +404,27 @@ mod tests {
         let c = cls(&["I"], &[]);
         let a = extract(&E::add(E::var("NNPED"), E::var("I")), &c).unwrap();
         let b = extract(&E::add(E::var("NNPED"), E::var("I")), &c).unwrap();
-        let d = a.sub(&b.rename("I", "I'"));
+        let d = a.sub(&b.rename("I", "I'")).unwrap();
         assert!(d.syms.is_empty());
         assert_eq!(d.coeff("I"), 1);
         assert_eq!(d.coeff("I'"), -1);
+    }
+
+    #[test]
+    fn overflowing_forms_give_up() {
+        let c = cls(&["I"], &[]);
+        let min = E::sub(E::int(-i64::MAX), E::int(1));
+        // I - (-9223372036854775807 - 1): negating i64::MIN overflows.
+        assert!(extract(&E::sub(E::var("I"), min.clone()), &c).is_none());
+        assert!(extract(&E::Un(UnOp::Neg, Box::new(min.clone())), &c).is_none());
+        // 2 * i64::MIN and i64::MAX + 1 overflow; i64::MIN itself fits.
+        assert!(extract(&E::mul(E::int(2), min.clone()), &c).is_none());
+        assert!(extract(&E::add(E::int(i64::MAX), E::int(1)), &c).is_none());
+        assert_eq!(extract(&min, &c).unwrap().konst, i64::MIN);
+        // A symbolic coefficient overflows the same way.
+        let n = Affine::sym(E::var("N")).scale(i64::MAX).unwrap();
+        assert!(n.add(&Affine::sym(E::var("N"))).is_none());
+        assert!(n.scale(2).is_none());
     }
 
     #[test]

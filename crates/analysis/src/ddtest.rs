@@ -194,7 +194,9 @@ fn point_verdict(
         _ => return DimVerdict::NoInfo, // non-affine subscript
     };
 
-    let diff = fa.sub(&fb);
+    let Some(diff) = fa.sub(&fb) else {
+        return DimVerdict::NoInfo; // the difference overflows i64
+    };
 
     // Symbolic terms that do not cancel: unknown relation, conservative.
     if !diff.syms.is_empty() {
@@ -216,7 +218,9 @@ fn point_verdict(
     }
 
     // GCD test.
-    let g = vars.iter().fold(0i64, |acc, (_, c)| gcd(acc, **c));
+    let Some(g) = vars.iter().try_fold(0i64, |acc, (_, c)| gcd(acc, **c)) else {
+        return DimVerdict::NoInfo; // a coefficient of i64::MIN
+    };
     if g != 0 && diff.konst % g != 0 {
         return DimVerdict::Independent;
     }
@@ -230,12 +234,15 @@ fn point_verdict(
         let cip = diff.coeff(&ip);
         if ci != 0 && cip == -ci && vars.iter().all(|(n, _)| *n == i || **n == ip) {
             // a*(i - i') + c = 0  ⇒  i' - i = c / a.
-            if diff.konst % ci != 0 {
+            let (Some(rem), Some(d)) = (diff.konst.checked_rem(ci), diff.konst.checked_div(ci))
+            else {
+                return DimVerdict::NoInfo; // i64::MIN / -1
+            };
+            if rem != 0 {
                 return DimVerdict::Independent;
             }
-            let d = diff.konst / ci;
             if let Some((lo, hi)) = ctx.carried_bounds {
-                if d.abs() > (hi - lo).abs() {
+                if (d as i128).abs() > (hi as i128 - lo as i128).abs() {
                     return DimVerdict::Independent;
                 }
             }
@@ -258,7 +265,8 @@ fn point_verdict(
     let cip = diff.coeff(&ip);
 
     // Range sum of all variables except the carried pair. `None` bound =
-    // unbounded in that direction.
+    // unbounded in that direction; a sum that overflows i128 counts as
+    // unbounded too.
     let mut rest_min: Option<i128> = Some(diff.konst as i128);
     let mut rest_max: Option<i128> = Some(diff.konst as i128);
     for (name, &c) in &vars {
@@ -268,8 +276,8 @@ fn point_verdict(
         match ctx.var_range(name, a, b) {
             Some((lo, hi)) => {
                 let (a1, a2) = ((c as i128) * lo as i128, (c as i128) * hi as i128);
-                rest_min = rest_min.map(|v| v + a1.min(a2));
-                rest_max = rest_max.map(|v| v + a1.max(a2));
+                rest_min = rest_min.and_then(|v| v.checked_add(a1.min(a2)));
+                rest_max = rest_max.and_then(|v| v.checked_add(a1.max(a2)));
             }
             None => {
                 rest_min = None;
@@ -280,36 +288,30 @@ fn point_verdict(
 
     if ci != 0 && cip == -ci {
         // δ-form: diff = ci·δ + rest. Feasibility of 0 per direction.
-        let delta_range = ctx.carried_bounds.map(|(lo, hi)| (hi - lo).abs().max(1));
+        let delta_range = ctx
+            .carried_bounds
+            .map(|(lo, hi)| (hi as i128 - lo as i128).abs().max(1));
         let feasible = |dlo: Option<i128>, dhi: Option<i128>| -> bool {
-            // Range of ci·δ over δ ∈ [dlo, dhi] (None = unbounded side).
+            // Range of ci·δ over δ ∈ [dlo, dhi] (None = unbounded side; an
+            // end whose product overflows counts as unbounded).
             let c = ci as i128;
-            let (lo_c, hi_c): (Option<i128>, Option<i128>) = match (dlo, dhi) {
-                (Some(a), Some(b)) => (Some((c * a).min(c * b)), Some((c * a).max(c * b))),
-                (None, Some(b)) if c > 0 => (None, Some(c * b)),
-                (None, Some(b)) => (Some(c * b), None),
-                (Some(a), None) if c > 0 => (Some(c * a), None),
-                (Some(a), None) => (None, Some(c * a)),
-                (None, None) => (None, None),
+            let times_c = |d: Option<i128>| d.and_then(|d| c.checked_mul(d));
+            let (lo_c, hi_c) = if c > 0 {
+                (times_c(dlo), times_c(dhi))
+            } else {
+                (times_c(dhi), times_c(dlo))
             };
             // total range = ci·δ range + rest range; 0 feasible unless the
             // total is provably all-positive or all-negative.
-            let total_min = match (lo_c, rest_min) {
-                (Some(x), Some(y)) => Some(x + y),
-                _ => None,
-            };
-            let total_max = match (hi_c, rest_max) {
-                (Some(x), Some(y)) => Some(x + y),
-                _ => None,
-            };
+            let total = |x: Option<i128>, y: Option<i128>| x?.checked_add(y?);
+            let (total_min, total_max) = (total(lo_c, rest_min), total(hi_c, rest_max));
             let all_pos = matches!(total_min, Some(v) if v > 0);
             let all_neg = matches!(total_max, Some(v) if v < 0);
             !(all_pos || all_neg)
         };
 
-        let b = delta_range.map(|r| r as i128);
-        let lt = feasible(b.map(|r| -r), Some(-1)); // δ ∈ [-range, -1]
-        let gt = feasible(Some(1), b); // δ ∈ [1, range]
+        let lt = feasible(delta_range.map(|r| -r), Some(-1)); // δ ∈ [-range, -1]
+        let gt = feasible(Some(1), delta_range); // δ ∈ [1, range]
         let eq = feasible(Some(0), Some(0));
         return match (lt || gt, eq) {
             (false, false) => DimVerdict::Independent,
@@ -322,14 +324,17 @@ fn point_verdict(
     let mut min_sum = diff.konst as i128;
     let mut max_sum = diff.konst as i128;
     for (name, &c) in &vars {
-        match ctx.var_range(name, a, b) {
-            Some((lo, hi)) => {
-                let (a1, a2) = ((c as i128) * lo as i128, (c as i128) * hi as i128);
-                min_sum += a1.min(a2);
-                max_sum += a1.max(a2);
-            }
-            None => return DimVerdict::NoInfo, // unbounded variable
-        }
+        let Some((lo, hi)) = ctx.var_range(name, a, b) else {
+            return DimVerdict::NoInfo; // unbounded variable
+        };
+        let (a1, a2) = ((c as i128) * lo as i128, (c as i128) * hi as i128);
+        let (Some(lo_sum), Some(hi_sum)) = (
+            min_sum.checked_add(a1.min(a2)),
+            max_sum.checked_add(a1.max(a2)),
+        ) else {
+            return DimVerdict::NoInfo; // the range sum overflows i128
+        };
+        (min_sum, max_sum) = (lo_sum, hi_sum);
     }
     // The carried-pair constant terms were double-counted above only if the
     // pair fell through (ci == 0 or mismatched coefficients) — in that case
@@ -374,14 +379,16 @@ fn unique_verdict(
     }
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+/// `gcd(|a|, |b|)`; `None` when `a` or `b` is `i64::MIN`, whose magnitude
+/// has no `i64`.
+fn gcd(a: i64, b: i64) -> Option<i64> {
+    let (mut a, mut b) = (a.checked_abs()?, b.checked_abs()?);
     while b != 0 {
         let t = a % b;
         a = b;
         b = t;
     }
-    a
+    Some(a)
 }
 
 #[cfg(test)]
@@ -665,6 +672,45 @@ mod tests {
         let w1 = acc("X2", vec![Sub::At(E::var("I"))], true);
         let w2 = acc("X2", vec![Sub::At(E::var("I"))], true);
         assert_eq!(test_pair(&w1, &w2, &c), DepResult::Carried(None));
+    }
+
+    #[test]
+    fn extreme_coefficients_and_bounds_give_up_without_overflow() {
+        // Each pair's difference form fits in i64, but a step of the test
+        // (|i64::MIN|, i64::MIN / -1, hi - lo) would not: the test must give
+        // up conservatively instead of panicking or wrapping.
+        let min = || E::sub(E::int(-i64::MAX), E::int(1));
+        let pair = |sa: E, sb: E| {
+            (
+                acc("A", vec![Sub::At(sa)], true),
+                acc("A", vec![Sub::At(sb)], false),
+            )
+        };
+        let neg_i = || E::Un(fir::ast::UnOp::Neg, Box::new(E::var("I")));
+        // -I + i64::MIN vs -I: diff {I: -1, I': 1, konst: i64::MIN}.
+        let (w, r) = pair(E::add(neg_i(), min()), neg_i());
+        assert_eq!(
+            test_pair(&w, &r, &ctx("I", Some((1, 100)))),
+            DepResult::Carried(None)
+        );
+        // I * i64::MIN on both sides: the GCD of the coefficients.
+        let (w, r) = pair(E::mul(E::var("I"), min()), E::mul(E::var("I"), min()));
+        assert_eq!(
+            test_pair(&w, &r, &ctx("I", Some((1, 100)))),
+            DepResult::Carried(None)
+        );
+        // I + i64::MIN vs I: the distance i64::MIN has no |d| in i64.
+        let (w, r) = pair(E::add(E::var("I"), min()), E::var("I"));
+        assert_eq!(
+            test_pair(&w, &r, &ctx("I", Some((1, 100)))),
+            DepResult::Independent
+        );
+        // A(I) vs A(I - 1) over the whole i64 range: hi - lo overflows.
+        let (w, r) = pair(E::var("I"), E::sub(E::var("I"), E::int(1)));
+        assert_eq!(
+            test_pair(&w, &r, &ctx("I", Some((i64::MIN, i64::MAX)))),
+            DepResult::Carried(Some(1))
+        );
     }
 }
 

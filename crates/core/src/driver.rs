@@ -131,20 +131,6 @@ pub struct DriverOptions {
     /// (baseline and verification). Defaults to the bytecode VM; the
     /// tree-walker stays available as the differential reference.
     pub engine: fruntime::Engine,
-    /// Keep per-cell `PipelineResult`/`VerifyResult` payloads on the
-    /// [`AppReport`]s. Retention is opt-in: the payloads hold the full
-    /// optimized program, emitted source, and parallel-event traces, so
-    /// on a corpus-scale stream they grow memory linearly with input
-    /// size. When false the driver still computes rows, Figure 20
-    /// points, metrics, and failures — only `results`/`verify` come back
-    /// empty — and no cell keeps a trace: each distinct verification is
-    /// scored on the run's machines once, as it completes, and its
-    /// [`VerifyResult::par_events`] is freed there. Traces reach only
-    /// retaining callers: [`run_app`] forces this on (its callers inspect
-    /// the payloads), and so does `perfect::evaluate_suite`;
-    /// tournaments, the daemon and [`crate::stream::run_stream`] (the
-    /// bounded-memory path) leave it off unless asked.
-    pub retain_results: bool,
     /// In-flight bound for [`crate::stream::run_stream`] (0 = auto: a few
     /// jobs per worker). Bounds streaming memory: the stream runs at most
     /// this many workers, each holding one program at a time, so never
@@ -167,7 +153,6 @@ impl Default for DriverOptions {
             verify_max_ops: ExecOptions::default().max_ops,
             wall_budget_ms: 0,
             engine: fruntime::Engine::default(),
-            retain_results: false,
             stream_window: 0,
             inject_panic: Vec::new(),
         }
@@ -274,13 +259,10 @@ pub struct AppReport {
     pub rows: Vec<Table2Row>,
     /// Figure 20 points (successful configurations × machines).
     pub fig20: Vec<Fig20Point>,
-    /// Verification results for the configurations that completed.
-    /// Empty when [`DriverOptions::retain_results`] is off — the
-    /// verifications still ran (their verdicts are folded into rows and
-    /// [`SuiteMetrics::verified_ok`]); only the payloads are dropped.
+    /// Verification results, whole event traces included, for the
+    /// configurations that completed.
     pub verify: Vec<(InlineMode, VerifyResult)>,
-    /// Pipeline results for the configurations that completed. Empty
-    /// when [`DriverOptions::retain_results`] is off, like `verify`.
+    /// Pipeline results for the configurations that completed.
     pub results: Vec<(InlineMode, PipelineResult)>,
     /// Structured failures for the configurations that did not.
     pub failures: Vec<PipelineError>,
@@ -292,9 +274,8 @@ impl AppReport {
         self.failures.is_empty()
     }
 
-    /// True when every configuration completed and every retained
-    /// verification passed both runtime-tester gates (with
-    /// [`DriverOptions::retain_results`] off there are none to check).
+    /// True when every configuration completed and every verification
+    /// passed both runtime-tester gates.
     pub fn all_verified(&self) -> bool {
         self.ok() && self.verify.iter().all(|(_, v)| v.ok())
     }
@@ -312,11 +293,11 @@ pub struct SuiteOutcome {
 /// A completed cell's payloads, handed to the cell's caller ([`run_suite`],
 /// [`crate::tournament::run_tournament`] or the daemon's
 /// [`crate::service`] requests). The compile may be shared with other
-/// cells of the same program; only a caller that retains results keeps
-/// the program and copies it out into a [`PipelineResult`].
+/// cells of the same program; only a memo that retains results keeps the
+/// program, for [`run_suite`] to copy out into a [`PipelineResult`].
 pub(crate) struct CellDone {
     pub(crate) emitted: Arc<Emitted>,
-    /// The whole compile, held only under [`DriverOptions::retain_results`].
+    /// The whole compile, held only when the cell's memo retains results.
     pub(crate) retained: Option<Arc<Compiled>>,
     pub(crate) reports: StageReports,
     pub(crate) verify: Arc<Verified>,
@@ -328,8 +309,9 @@ pub(crate) struct CellDone {
 /// the verify slot is filled. Figure 20 points, tournament
 /// [`MachineScore`](crate::tournament::MachineScore)s and daemon reports
 /// read the scores; the event trace they came from stays in `result`
-/// only under [`DriverOptions::retain_results`], so a cell costs
-/// O(machines) rather than O(dynamic loop executions).
+/// only when the memo retains results ([`run_suite`] and [`run_app`]), so
+/// a tournament, daemon or stream cell costs O(machines) rather than
+/// O(dynamic loop executions).
 #[derive(Clone)]
 pub(crate) struct Verified {
     pub(crate) result: VerifyResult,
@@ -352,7 +334,8 @@ type CompileSlot = OnceLock<Result<Arc<Compiled>, fir::diag::Error>>;
 /// no-inline compile of it per distinct [`fpar::ParOptions`], the guarded
 /// baseline run of the original program, the verify-dedup slots keyed by
 /// the emitted source's [`source_key`] (each scored on the memo's
-/// machines), and the run accounting.
+/// machines), and the run accounting. Whether cells keep their payloads
+/// is the memo's too: the entry point that builds it decides.
 ///
 /// A cell whose inline stage left the normalized program unchanged takes
 /// the shared compile instead of re-running parallelize, reverse-inline
@@ -378,6 +361,9 @@ pub(crate) struct ProgramMemo {
     /// The machines every verification is scored on (none for a plain
     /// suite without Figure 20).
     machines: Vec<Machine>,
+    /// Cells keep their whole compile and verifications keep their event
+    /// traces ([`run_suite`]); otherwise only emitted output and scores.
+    retain: bool,
     /// Interpreter runs paid for (1 per baseline, 2 per verification).
     interp_runs: AtomicU64,
     /// Cells served the memoized baseline.
@@ -398,12 +384,13 @@ struct CellCompile {
 }
 
 impl ProgramMemo {
-    /// A memo for a program that `cells` cells will compile and whose
-    /// verifications are scored on `machines`. The last of the cells
-    /// takes the normalized program instead of copying it, and a
-    /// one-cell memo runs the plain pipeline on it; compiles beyond
-    /// `cells` are still correct, only they copy.
-    pub(crate) fn new(cells: usize, machines: &[Machine]) -> ProgramMemo {
+    /// A memo for a program that `cells` cells will compile, whose
+    /// verifications are scored on `machines`, and whose cells keep their
+    /// payloads when `retain` is set. The last of the cells takes the
+    /// normalized program instead of copying it, and a one-cell memo runs
+    /// the plain pipeline on it; compiles beyond `cells` are still
+    /// correct, only they copy.
+    pub(crate) fn new(cells: usize, machines: &[Machine], retain: bool) -> ProgramMemo {
         ProgramMemo {
             normalized: Mutex::new(None),
             cells,
@@ -412,6 +399,7 @@ impl ProgramMemo {
             baseline: OnceLock::new(),
             verifies: Mutex::new(HashMap::new()),
             machines: machines.to_vec(),
+            retain,
             interp_runs: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -506,15 +494,15 @@ impl ProgramMemo {
     }
 
     /// Score a fresh verification on every machine of the memo, then free
-    /// its event trace unless `retain` keeps it: the scores are all that
-    /// Figure 20, tournaments and the daemon read of it.
-    fn score(&self, mut result: VerifyResult, retain: bool) -> Verified {
+    /// its event trace unless the memo retains results: the scores are all
+    /// that Figure 20, tournaments and the daemon read of it.
+    fn score(&self, mut result: VerifyResult) -> Verified {
         let scores = self
             .machines
             .iter()
             .map(|m| tuned_speedup(&result, m))
             .collect();
-        if !retain {
+        if !self.retain {
             result.par_events = Vec::new();
         }
         Verified { result, scores }
@@ -678,11 +666,13 @@ pub(crate) struct MatrixOutcome {
 /// worker pool, sharing one [`ProgramMemo`] across *all* columns of an
 /// app — this cache discipline is what keeps a widened tournament
 /// portfolio near one pass. Each distinct verification is scored on
-/// `machines`.
+/// `machines`, and completed cells keep their payloads when `retain` is
+/// set.
 pub(crate) fn run_matrix(
     jobs: &[SuiteJob],
     configs: &[CellConfig],
     machines: &[Machine],
+    retain: bool,
     opts: &DriverOptions,
 ) -> MatrixOutcome {
     let t0 = std::time::Instant::now();
@@ -702,7 +692,7 @@ pub(crate) fn run_matrix(
                 .collect(),
         ),
         memos: (0..jobs.len())
-            .map(|_| ProgramMemo::new(n_configs, machines))
+            .map(|_| ProgramMemo::new(n_configs, machines, retain))
             .collect(),
         cells: (0..n_cells).map(|_| Mutex::new(None)).collect(),
     };
@@ -723,22 +713,20 @@ pub(crate) fn run_matrix(
 
 /// Evaluate every job across all inlining configurations
 /// ([`InlineMode::all`]), with Figure 20 on [`DriverOptions::machines`].
+/// Every [`AppReport`] carries its completed cells' `results` and
+/// `verify` payloads, whole event traces included; the bounded-memory
+/// paths ([`crate::stream::run_stream`], tournaments, the daemon) keep
+/// none.
 pub fn run_suite(jobs: &[SuiteJob], opts: &DriverOptions) -> SuiteOutcome {
     let configs = default_configs();
-    let mx = run_matrix(jobs, &configs, &opts.machines, opts);
-    assemble(jobs, &configs, mx, opts)
+    let mx = run_matrix(jobs, &configs, &opts.machines, true, opts);
+    assemble(jobs, &configs, mx)
 }
 
-/// Evaluate a single application (a one-job suite). Result retention is
-/// forced on: `run_app` callers inspect the per-configuration payloads,
-/// and a single app is never the memory problem retention opt-in exists
-/// to solve.
+/// Evaluate a single application (a one-job [`run_suite`]), payloads
+/// included.
 pub fn run_app(job: &SuiteJob, opts: &DriverOptions) -> (AppReport, SuiteMetrics) {
-    let opts = DriverOptions {
-        retain_results: true,
-        ..opts.clone()
-    };
-    let mut out = run_suite(std::slice::from_ref(job), &opts);
+    let mut out = run_suite(std::slice::from_ref(job), opts);
     let report = out.apps.pop().unwrap_or_else(|| {
         // Structurally unreachable (assemble emits one report per job),
         // but a missing report must degrade like any other fault instead
@@ -770,7 +758,7 @@ pub fn compile_configs(
     registry: &AnnotRegistry,
     configs: &[CellConfig],
 ) -> Vec<Result<PipelineResult, fir::diag::Error>> {
-    let memo = ProgramMemo::new(configs.len(), &[]);
+    let memo = ProgramMemo::new(configs.len(), &[], true);
     let mut timings = PhaseTimings::default();
     configs
         .iter()
@@ -881,7 +869,7 @@ pub(crate) fn evaluate_cell(
             guarded(max_ops, || {
                 verify_with_baseline_using(base, &compiled.program, &par_opts)
             })
-            .map(|result| Arc::new(memo.score(result, opts.retain_results)))
+            .map(|result| Arc::new(memo.score(result)))
         });
         verify_cached = !paid;
         if verify_cached {
@@ -931,7 +919,7 @@ pub(crate) fn evaluate_cell(
 
     Ok(Box::new(CellDone {
         emitted: compiled.emitted.clone(),
-        retained: opts.retain_results.then_some(compiled),
+        retained: memo.retain.then_some(compiled),
         reports,
         verify,
         metrics,
@@ -1007,13 +995,9 @@ fn collect(shared: Shared<'_>, workers: usize, wall: std::time::Duration) -> Mat
     }
 }
 
-/// Assemble the classic suite view from a finished default-config matrix.
-fn assemble(
-    jobs: &[SuiteJob],
-    configs: &[CellConfig],
-    mx: MatrixOutcome,
-    opts: &DriverOptions,
-) -> SuiteOutcome {
+/// Assemble the classic suite view from a finished, retaining
+/// default-config matrix.
+fn assemble(jobs: &[SuiteJob], configs: &[CellConfig], mx: MatrixOutcome) -> SuiteOutcome {
     let mut apps = Vec::with_capacity(jobs.len());
     for (job, row) in jobs.iter().zip(mx.cells) {
         let mut done: Vec<(InlineMode, CellDone)> = Vec::with_capacity(configs.len());
@@ -1053,31 +1037,24 @@ fn assemble(
         } else {
             Vec::new()
         };
-        // Retention is opt-in: the rows and counters above are derived
-        // with the payloads in hand, then the payloads themselves are
-        // dropped unless a caller asked to keep them.
-        let (results, verify) = if opts.retain_results {
-            done.into_iter()
-                .map(|(mode, cell)| {
-                    let CellDone {
-                        emitted,
-                        retained,
-                        reports,
-                        verify,
-                        ..
-                    } = cell;
-                    // The compile's own handle on `emitted` is the only
-                    // one left unless another cell shares it.
-                    drop(emitted);
-                    let compiled = retained.expect("a retaining run keeps every compile");
-                    let result =
-                        PipelineResult::from_parts(Arc::unwrap_or_clone(compiled), reports);
-                    ((mode, result), (mode, Arc::unwrap_or_clone(verify).result))
-                })
-                .unzip()
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (results, verify) = done
+            .into_iter()
+            .map(|(mode, cell)| {
+                let CellDone {
+                    emitted,
+                    retained,
+                    reports,
+                    verify,
+                    ..
+                } = cell;
+                // The compile's own handle on `emitted` is the only one
+                // left unless another cell shares it.
+                drop(emitted);
+                let compiled = retained.expect("a retaining run keeps every compile");
+                let result = PipelineResult::from_parts(Arc::unwrap_or_clone(compiled), reports);
+                ((mode, result), (mode, Arc::unwrap_or_clone(verify).result))
+            })
+            .unzip();
         apps.push(AppReport {
             name: job.name.clone(),
             rows,
@@ -1149,7 +1126,7 @@ mod tests {
             ..Default::default()
         };
         let arms = crate::tournament::portfolio();
-        let memo = ProgramMemo::new(arms.len(), &[]);
+        let memo = ProgramMemo::new(arms.len(), &[], false);
         let deadline = WallDeadline::start(0);
         for cfg in arms {
             let e = match evaluate_cell("T", &j.program, &j.registry, &cfg, &opts, &memo, &deadline)
@@ -1198,7 +1175,7 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
 
     /// Compile `j` under each config through one memo.
     fn memo_compiles(j: &SuiteJob, configs: &[CellConfig]) -> (ProgramMemo, Vec<CellCompile>) {
-        let memo = ProgramMemo::new(configs.len(), &[]);
+        let memo = ProgramMemo::new(configs.len(), &[], false);
         let cells = configs
             .iter()
             .map(|cfg| {
@@ -1316,7 +1293,7 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
         // panic: the stage's diagnostic is memoized and serves every arm.
         let j = job("N", SRC, "");
         let arms = crate::tournament::portfolio();
-        let memo = ProgramMemo::new(arms.len(), &[]);
+        let memo = ProgramMemo::new(arms.len(), &[], false);
         let deadline = WallDeadline::start(0);
         let opts = DriverOptions::default();
         pipeline::NORMALIZE_PANICS.set(Some(0));
@@ -1369,23 +1346,20 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
         let jobs = vec![job("T", SRC, ""), job("U", TUNED, "")];
         let machines = [Machine::intel8(), Machine::amd4()];
         let arms = crate::tournament::portfolio();
-        let run = |retain_results| {
-            let opts = DriverOptions {
-                workers: 1,
-                machines: machines.to_vec(),
-                retain_results,
-                ..Default::default()
-            };
-            let cells: Vec<Arc<Verified>> = run_matrix(&jobs, &arms, &machines, &opts)
+        let opts = DriverOptions {
+            workers: 1,
+            machines: machines.to_vec(),
+            ..Default::default()
+        };
+        let run = |retain| -> Vec<Arc<Verified>> {
+            run_matrix(&jobs, &arms, &machines, retain, &opts)
                 .cells
                 .into_iter()
                 .flatten()
                 .map(|c| c.unwrap_or_else(|e| panic!("{e}")).verify)
-                .collect();
-            (cells, run_suite(&jobs, &opts).apps)
+                .collect()
         };
-        let (kept, kept_apps) = run(true);
-        let (dropped, dropped_apps) = run(false);
+        let (kept, dropped) = (run(true), run(false));
         assert_eq!(kept.len(), jobs.len() * arms.len());
         for (k, d) in kept.iter().zip(&dropped) {
             assert!(d.result.par_events.is_empty(), "a cell kept its trace");
@@ -1402,21 +1376,32 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
         let scores = kept.iter().flat_map(|k| &k.scores);
         assert!(scores.clone().any(|t| t.tuned_off > 0));
         assert!(scores.clone().any(|t| t.speedup > 1.0));
-        for (k, d) in kept_apps.iter().zip(&dropped_apps) {
-            assert_eq!(k.fig20.len(), 4 * machines.len());
-            assert_eq!(k.fig20, d.fig20);
+        // Figure 20 points are the cost model's on the whole traces that
+        // run_suite hands out.
+        for app in run_suite(&jobs, &opts).apps {
+            assert_eq!(app.fig20.len(), 4 * machines.len());
+            let fresh: Vec<f64> = app
+                .verify
+                .iter()
+                .flat_map(|(_, v)| machines.iter().map(|m| tuned_speedup(v, m).speedup))
+                .collect();
+            let points: Vec<f64> = app.fig20.iter().map(|p| p.speedup).collect();
+            assert_eq!(points, fresh, "{}", app.name);
         }
-        // Tournament machine scores read the same stored scores.
-        let tournament = |retain_results| {
-            let opts = DriverOptions {
-                workers: 1,
-                retain_results,
-                ..Default::default()
-            };
-            crate::tournament::run_tournament(&jobs, &opts).to_json()
-        };
-        assert_eq!(tournament(true), tournament(false));
-        // run_app retains, so it still hands out the whole trace.
+        // Tournament machine scores, built without traces, read the same
+        // stored scores.
+        let tournament = crate::tournament::run_tournament(&jobs, &opts);
+        let arm_scores = tournament.apps.iter().flat_map(|a| &a.arms);
+        for (arm, k) in arm_scores.zip(&kept) {
+            assert!(arm.ok, "{}", arm.arm);
+            assert_eq!(
+                arm.machines,
+                crate::tournament::MachineScore::all(&k.scores),
+                "{}",
+                arm.arm
+            );
+        }
+        // run_app still hands out the whole trace.
         let (report, _) = run_app(&jobs[1], &DriverOptions::default());
         for ((mode, r), (_, v)) in report.results.iter().zip(&report.verify) {
             let plain = crate::verify(&jobs[1].program, &r.program, 4).unwrap();
@@ -1430,7 +1415,6 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
         let opts = DriverOptions {
             workers: 2,
             machines: vec![Machine::intel8()],
-            retain_results: true,
             ..Default::default()
         };
         let out = run_suite(&[j], &opts);
@@ -1472,7 +1456,6 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
             &DriverOptions {
                 workers: 1,
                 machines: vec![Machine::amd4()],
-                retain_results: true,
                 ..Default::default()
             },
         );
@@ -1481,7 +1464,6 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
             &DriverOptions {
                 workers: 4,
                 machines: vec![Machine::amd4()],
-                retain_results: true,
                 ..Default::default()
             },
         );
@@ -1492,38 +1474,6 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
                 assert_eq!(x.source, y.source);
             }
         }
-    }
-
-    #[test]
-    fn retention_off_drops_payloads_but_keeps_rows_and_counters() {
-        let j = job("T", SRC, "");
-        let out = run_suite(
-            std::slice::from_ref(&j),
-            &DriverOptions {
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        let app = &out.apps[0];
-        assert!(app.ok());
-        // Derived reporting survives the drop...
-        assert_eq!(app.rows.len(), 3);
-        assert_eq!(out.metrics.cells.len(), 4);
-        assert_eq!(out.metrics.verified_ok, 4);
-        assert_eq!(out.metrics.panicked_cells, 0);
-        // ...only the payloads are gone.
-        assert!(app.results.is_empty());
-        assert!(app.verify.is_empty());
-        // run_app forces retention on for its payload-inspecting callers.
-        let (report, _) = run_app(
-            &j,
-            &DriverOptions {
-                workers: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(report.results.len(), 4);
-        assert_eq!(report.verify.len(), 4);
     }
 
     #[test]

@@ -18,11 +18,12 @@
 //!   over the application × configuration matrix, a per-app baseline-run
 //!   memo (one reference run shared by all four configurations), a
 //!   verify-dedup cache, and per-phase observability ([`phase`]) rolled
-//!   into a [`phase::SuiteMetrics`] JSON report;
+//!   into a [`phase::SuiteMetrics`] JSON report; [`driver::run_suite`]
+//!   and [`driver::run_app`] return every completed cell's payloads;
 //! * [`stream::run_stream`] — the corpus-scale path: bounded-memory
 //!   streaming evaluation of an unbounded job iterator, aggregating a
-//!   deterministic [`stream::StreamSummary`] instead of retaining
-//!   per-app reports;
+//!   deterministic [`stream::StreamSummary`] and keeping no per-app
+//!   report or payload;
 //! * [`tournament`] — ComPar-style portfolio execution: per app, fan a
 //!   labelled configuration portfolio (the four modes plus ablation-knob
 //!   variants) through the same worker pool and caches, score every arm

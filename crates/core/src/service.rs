@@ -28,10 +28,10 @@
 //! A failed baseline or verification is memoized like a success, so a
 //! tournament pays for it once. The per-machine scores (computed once per
 //! verification in the memo's verify slot and read through
-//! `MachineScore::all`), the tournament winner rule and the FNV-1a
-//! content hash of [`crate::driver::source_key`] are shared too. Every
-//! failure mode, panics included, comes back as a structured
-//! [`PipelineError`].
+//! `MachineScore::all`), the tournament ranking (arm scores, winner rule
+//! and the winner's loop diff, `tournament::rank`) and the FNV-1a content
+//! hash of [`crate::driver::source_key`] are shared too. Every failure
+//! mode, panics included, comes back as a structured [`PipelineError`].
 //!
 //! Determinism contract: a [`RequestReport`] is a pure function of
 //! (source, annotations, mode, op budget, engine, machines).
@@ -49,7 +49,7 @@ use crate::json::{self, ToJson};
 use crate::json_object;
 use crate::phase::blocker_key;
 use crate::pipeline::InlineMode;
-use crate::tournament::{portfolio, winner_index, MachineScore};
+use crate::tournament::{portfolio, rank, ArmRun, MachineScore};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -108,12 +108,6 @@ impl RequestReport {
     /// Both correctness gates green.
     pub fn verified(&self) -> bool {
         self.matches_original && self.parallel_consistent
-    }
-
-    /// Tournament score: geometric mean of the per-machine speedups,
-    /// micro-units.
-    pub fn score_micros(&self) -> u64 {
-        MachineScore::geomean(&self.speedups)
     }
 }
 
@@ -275,7 +269,7 @@ fn evaluate_request_inner(
     deadline.check(name, mode, FailStage::Parse, opts.verify_max_ops)?;
 
     let cfg = CellConfig::for_mode(mode);
-    let memo = ProgramMemo::new(1, &opts.effective_machines());
+    let memo = ProgramMemo::new(1, &opts.effective_machines(), false);
     let done = evaluate_cell(name, &program, &registry, &cfg, opts, &memo, &deadline)?;
     vm.absorb(&done.metrics.vm);
     Ok(report_from(mode, &done))
@@ -343,7 +337,7 @@ pub struct TournamentReport {
     /// The winner's score (0 when no winner).
     pub winner_score_micros: u64,
     /// Loops parallel under the winner but not under no-inline
-    /// (`UNIT#idx`, sorted).
+    /// (`UNIT#idx`, in loop order: unit, then numeric index).
     pub gained: Vec<String>,
     /// Loops parallel under no-inline but not under the winner.
     pub lost: Vec<String>,
@@ -441,7 +435,7 @@ fn evaluate_tournament_inner(
 
     // Shared across arms: the lazy baseline (an all-cache-hit tournament
     // pays zero runs) and the verify dedup, failures included.
-    let memo = ProgramMemo::new(arms.len(), &machines);
+    let memo = ProgramMemo::new(arms.len(), &machines, false);
 
     let mut outcomes: Vec<CachedOutcome> = Vec::with_capacity(arms.len());
     for cfg in &arms {
@@ -466,101 +460,57 @@ fn evaluate_tournament_inner(
         outcomes.push(computed);
     }
 
-    let mut summaries: Vec<ArmSummary> = Vec::with_capacity(arms.len());
-    let mut reports: Vec<Option<Arc<RequestReport>>> = Vec::with_capacity(arms.len());
-    let mut first_err: Option<PipelineError> = None;
-    for (cfg, outcome) in arms.iter().zip(outcomes) {
-        match outcome {
-            Ok(r) => {
-                let verified = r.verified();
-                summaries.push(ArmSummary {
-                    arm: cfg.label.clone(),
-                    mode: cfg.mode(),
-                    score_micros: if verified {
-                        Some(r.score_micros())
-                    } else {
-                        None
-                    },
-                    verified,
-                    loops_parallel: r.loops_parallel,
-                    loc: r.loc,
-                    error: if verified {
-                        None
-                    } else {
-                        Some("gate".to_string())
-                    },
-                });
-                reports.push(Some(r));
-            }
-            Err(e) => {
-                summaries.push(ArmSummary {
-                    arm: cfg.label.clone(),
-                    mode: cfg.mode(),
-                    score_micros: None,
-                    verified: false,
-                    loops_parallel: 0,
-                    loc: 0,
-                    error: Some(e.code().to_string()),
-                });
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-                reports.push(None);
-            }
-        }
-    }
-
-    if reports.iter().all(|r| r.is_none()) {
+    if outcomes.iter().all(Result::is_err) {
         // Every arm failed: surface the first structured error rather
         // than an empty report (portfolio order, so the diagnostic is
         // stable).
-        return Err(first_err.expect("all-failed tournament has an error"));
+        return Err(outcomes
+            .into_iter()
+            .find_map(Result::err)
+            .expect("an arm ran"));
     }
 
-    let parallel_set = |r: &RequestReport| -> std::collections::BTreeSet<String> {
-        r.loops
-            .iter()
-            .filter(|l| l.parallel)
-            .map(|l| format!("{}#{}", l.unit, l.idx))
-            .collect()
-    };
-    let winner = winner_index(summaries.iter().map(|s| s.score_micros));
-    let (winner, winner_mode, winner_score, gained, lost) = match winner {
-        Some(w) => {
-            let win = reports[w].as_deref().expect("scored arm has a report");
-            let none_rep: Option<&RequestReport> = arms
-                .iter()
-                .zip(&reports)
-                .find(|(cfg, r)| cfg.mode() == InlineMode::None && r.is_some())
-                .and_then(|(_, r)| r.as_deref());
-            let (gained, lost) = match none_rep {
-                Some(none) => {
-                    let a = parallel_set(none);
-                    let b = parallel_set(win);
-                    (
-                        b.difference(&a).cloned().collect(),
-                        a.difference(&b).cloned().collect(),
-                    )
-                }
-                None => (Vec::new(), Vec::new()),
-            };
-            (
-                Some(summaries[w].arm.clone()),
-                Some(summaries[w].mode),
-                summaries[w].score_micros.unwrap_or(0),
-                gained,
-                lost,
-            )
-        }
-        None => (None, None, 0, Vec::new(), Vec::new()),
-    };
-
+    let runs: Vec<Result<ArmRun, &'static str>> = outcomes
+        .iter()
+        .map(|outcome| match outcome {
+            Ok(r) => Ok(ArmRun {
+                verified: r.verified(),
+                machines: r.speedups.clone(),
+                parallel: r
+                    .loops
+                    .iter()
+                    .filter(|l| l.parallel)
+                    .map(|l| fir::ast::LoopId::new(l.unit.as_str(), l.idx))
+                    .collect(),
+            }),
+            Err(e) => Err(e.code()),
+        })
+        .collect();
+    let ranking = rank(&arms, &runs);
+    let summaries: Vec<ArmSummary> = arms
+        .iter()
+        .zip(&outcomes)
+        .zip(ranking.scores)
+        .map(|((cfg, outcome), score)| {
+            let report = outcome.as_ref().ok();
+            ArmSummary {
+                arm: cfg.label.clone(),
+                mode: cfg.mode(),
+                score_micros: score.as_ref().ok().copied(),
+                verified: score.is_ok(),
+                loops_parallel: report.map_or(0, |r| r.loops_parallel),
+                loc: report.map_or(0, |r| r.loc),
+                error: score.err().map(str::to_string),
+            }
+        })
+        .collect();
+    let winner = ranking.winner;
     Ok(TournamentReport {
-        winner,
-        winner_mode,
-        winner_score_micros: winner_score,
-        gained,
-        lost,
+        winner: winner.map(|w| summaries[w].arm.clone()),
+        winner_mode: winner.map(|w| summaries[w].mode),
+        winner_score_micros: winner.and_then(|w| summaries[w].score_micros).unwrap_or(0),
+        gained: ranking.gained,
+        lost: ranking.lost,
         arms: summaries,
     })
 }

@@ -13,10 +13,9 @@
 //!   worker count is capped by [`DriverOptions::effective_stream_window`],
 //!   so peak memory is independent of stream length (pinned by the
 //!   retention integration test);
-//! * **incremental aggregation** — each program's [`crate::phase::SuiteMetrics`]
-//!   counters are folded into a running [`StreamSummary`] and its report
-//!   is dropped (unless [`DriverOptions::retain_results`] opts back into
-//!   keeping them);
+//! * **incremental aggregation** — each program's [`SuiteMetrics`]
+//!   counters are folded into a running [`StreamSummary`]; no report is
+//!   assembled and no cell keeps its compile or event trace;
 //! * **fault isolation unchanged** — every cell still runs inside the
 //!   driver's `catch_unwind` boundary, so one hostile generated program
 //!   degrades its own cells and the stream keeps going.
@@ -27,10 +26,10 @@
 //! stream, which is what the streaming-determinism test pins.
 //! Wall-clock and VM counters live on the [`StreamOutcome`] next to it.
 
-use crate::driver::{run_suite, AppReport, DriverOptions, SuiteJob, SuiteOutcome};
+use crate::driver::{default_configs, run_matrix, DriverOptions, SuiteJob};
 use crate::json::{self, ToJson};
 use crate::json_object;
-use crate::phase::{AutogenCoverage, PhaseTimings};
+use crate::phase::{AutogenCoverage, PhaseTimings, SuiteMetrics};
 use std::collections::BTreeMap;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,11 +79,10 @@ pub struct StreamSummary {
 }
 
 impl StreamSummary {
-    /// Fold one finished suite run (in a stream, one program's row) into
-    /// the running aggregate.
-    pub fn absorb(&mut self, out: &SuiteOutcome) {
-        let m = &out.metrics;
-        self.programs += out.apps.len() as u64;
+    /// Fold the metrics of one program's evaluated row into the running
+    /// aggregate.
+    pub fn absorb(&mut self, m: &SuiteMetrics) {
+        self.programs += 1;
         self.cells += m.cells.len() as u64 + m.failed_cells;
         self.failed_cells += m.failed_cells;
         self.timed_out_cells += m.timed_out_cells;
@@ -160,13 +158,10 @@ pub struct StreamOutcome {
     /// stream). Schedule-independent, but kept beside the summary rather
     /// than in it.
     pub compile_memo_hits: u64,
-    /// Retained reports, in stream order — non-empty only when
-    /// [`DriverOptions::retain_results`] is set.
-    pub retained: Vec<AppReport>,
-    /// High-water mark of programs in flight plus retained reports. Each
-    /// worker holds at most one program, so without retention this is at
-    /// most [`StreamOutcome::workers`] no matter how long the stream ran
-    /// — the memory contract, pinned by test.
+    /// High-water mark of programs in flight. Each worker holds at most
+    /// one program, so this is at most [`StreamOutcome::workers`] no
+    /// matter how long the stream ran — the memory contract, pinned by
+    /// test.
     pub peak_retained: usize,
 }
 
@@ -187,8 +182,6 @@ struct Fold {
     phases: PhaseTimings,
     vm: fruntime::VmCounters,
     compile_memo_hits: u64,
-    /// Retained reports tagged with their stream position.
-    retained: Vec<(usize, AppReport)>,
     peak_retained: usize,
 }
 
@@ -200,11 +193,11 @@ struct Fold {
 /// with one worker the calling thread does the work and nothing is
 /// spawned. Each worker repeatedly takes the next job from the
 /// iterator (so parsing in a lazy iterator happens on the worker that
-/// pulls), evaluates the program's whole row through [`run_suite`] on its
-/// own thread, folds the counters into the [`StreamSummary`] and drops
-/// the report — unless [`DriverOptions::retain_results`] asks to keep it;
-/// retained reports come back in stream order. Lazy iterators stay lazy:
-/// a job is generated only when a worker is free to evaluate it.
+/// pulls), evaluates the program's whole row on its own thread, and folds
+/// the row's counters into the [`StreamSummary`]. The stream reports no
+/// scores, so no verification is scored and no cell keeps a payload. Lazy
+/// iterators stay lazy: a job is generated only when a worker is free to
+/// evaluate it.
 ///
 /// A panic raised by the iterator itself propagates out of `run_stream`;
 /// the other workers finish the program they hold and stop pulling.
@@ -224,7 +217,8 @@ where
         workers: 1,
         ..opts.clone()
     };
-    let source = Mutex::new(jobs.into_iter().enumerate());
+    let configs = default_configs();
+    let source = Mutex::new(jobs.into_iter());
     let in_flight = AtomicUsize::new(0);
     let fold = Mutex::new(Fold {
         summary: StreamSummary {
@@ -238,25 +232,23 @@ where
         // A poisoned source means another worker's pull panicked: that
         // panic is the stream's outcome, so stop pulling.
         let Ok(mut it) = source.lock() else { return };
-        let Some((seq, job)) = it.next() else { return };
+        let Some(job) = it.next() else { return };
         in_flight.fetch_add(1, Ordering::Relaxed);
         drop(it);
 
-        let out = run_suite(std::slice::from_ref(&job), &row_opts);
-        drop(job);
+        let mx = run_matrix(std::slice::from_ref(&job), &configs, &[], false, &row_opts);
+        drop((job, mx.cells));
 
+        let m = &mx.metrics;
         let mut f = fold.lock().unwrap_or_else(PoisonError::into_inner);
-        f.phases.merge(&out.metrics.phases);
-        f.vm.absorb(&out.metrics.vm);
-        f.compile_memo_hits += out.metrics.compile_memo_hits;
-        f.summary.absorb(&out);
-        // Programs in flight (this one included) plus retained reports.
+        f.phases.merge(&m.phases);
+        f.vm.absorb(&m.vm);
+        f.compile_memo_hits += m.compile_memo_hits;
+        f.summary.absorb(m);
+        // Programs in flight, this one included.
         f.peak_retained = f
             .peak_retained
-            .max(f.retained.len() + in_flight.fetch_sub(1, Ordering::Relaxed));
-        if opts.retain_results {
-            f.retained.extend(out.apps.into_iter().map(|a| (seq, a)));
-        }
+            .max(in_flight.fetch_sub(1, Ordering::Relaxed));
     };
     let threads_spawned = if workers <= 1 {
         work();
@@ -273,8 +265,7 @@ where
         workers
     };
 
-    let mut f = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
-    f.retained.sort_by_key(|(seq, _)| *seq);
+    let f = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
     StreamOutcome {
         summary: f.summary,
         workers,
@@ -284,7 +275,6 @@ where
         phases: f.phases,
         vm: f.vm,
         compile_memo_hits: f.compile_memo_hits,
-        retained: f.retained.into_iter().map(|(_, a)| a).collect(),
         peak_retained: f.peak_retained,
     }
 }
@@ -292,6 +282,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::run_suite;
     use finline::annot::AnnotRegistry;
 
     fn job(name: &str, n: i64) -> SuiteJob {
@@ -333,40 +324,11 @@ mod tests {
         assert_eq!(streamed.summary.interp_runs, batch.metrics.interp_runs);
         assert_eq!(streamed.summary.verified_ok, batch.metrics.verified_ok);
         // One worker → one program alive at a time whatever the window,
-        // no thread spawned, and no reports retained.
+        // and no thread spawned.
         assert_eq!(streamed.peak_retained, 1);
         assert_eq!(streamed.threads_spawned, 0);
-        assert!(streamed.retained.is_empty());
         assert!(streamed.summary.panic_free());
         assert!(streamed.programs_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn retention_opt_in_keeps_reports_in_stream_order() {
-        // At 4 workers programs finish out of order; the retained
-        // reports still come back in input order.
-        for workers in [1, 4] {
-            let jobs: Vec<SuiteJob> = (0..12).map(|i| job(&format!("K{i}"), 4 + i)).collect();
-            let out = run_stream(
-                jobs,
-                &DriverOptions {
-                    workers,
-                    stream_window: 8,
-                    retain_results: true,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(out.retained.len(), 12);
-            assert_eq!(out.peak_retained, 12);
-            let names: Vec<String> = out.retained.iter().map(|a| a.name.clone()).collect();
-            let want: Vec<String> = (0..12).map(|i| format!("K{i}")).collect();
-            assert_eq!(names, want, "{workers} workers");
-            assert!(out.retained.iter().all(|a| a.results.len() == 4));
-            // One pool for the whole stream: a thread per worker, or
-            // none when a single worker runs on the calling thread.
-            let pool = if out.workers > 1 { out.workers } else { 0 };
-            assert_eq!(out.threads_spawned, pool);
-        }
     }
 
     #[test]
@@ -439,7 +401,6 @@ mod tests {
                 &DriverOptions {
                     workers,
                     stream_window: 2,
-                    retain_results: true,
                     inject_panic: vec!["BOOM".into()],
                     ..Default::default()
                 },
@@ -449,13 +410,12 @@ mod tests {
             assert_eq!(out.summary.failed_cells, 4);
             assert!(!out.summary.panic_free());
             assert_eq!(out.summary.failure_stages.get("driver"), Some(&4));
-            // The healthy programs still verified all cells, and only the
-            // hostile program's report carries failures.
+            // The healthy programs still verified all their cells.
             assert_eq!(out.summary.verified_ok, 12);
-            for app in &out.retained {
-                let want = if app.name == "BOOM" { 4 } else { 0 };
-                assert_eq!(app.failures.len(), want, "{} at {workers}", app.name);
-            }
+            // One pool for the whole stream: a thread per worker, or
+            // none when a single worker runs on the calling thread.
+            let pool = if out.workers > 1 { out.workers } else { 0 };
+            assert_eq!(out.threads_spawned, pool, "{workers} workers");
         }
     }
 

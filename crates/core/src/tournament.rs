@@ -32,12 +32,12 @@ use crate::driver::{run_matrix, CellConfig, DriverOptions, SuiteJob};
 use crate::json::ToJson;
 use crate::json_object;
 use crate::phase::SuiteMetrics;
-use crate::pipeline::{Emitted, InlineMode, PipelineOptions};
+use crate::pipeline::{InlineMode, PipelineOptions};
 use crate::verify::VerifyResult;
 use finline::Heuristics;
+use fir::ast::LoopId;
 use fruntime::{simulate, tune, Machine};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The default tournament portfolio: the four [`InlineMode`] columns with
 /// default knobs, widened with ablation-knob variants that the bench
@@ -165,13 +165,71 @@ impl ToJson for MachineScore {
 /// to the earliest arm in portfolio order (so widening the portfolio never
 /// flips a tie away from the classic configuration that held it). `None`
 /// when no arm scored.
-pub(crate) fn winner_index(scores: impl IntoIterator<Item = Option<u64>>) -> Option<usize> {
+fn winner_index(scores: impl IntoIterator<Item = Option<u64>>) -> Option<usize> {
     scores
         .into_iter()
         .enumerate()
         .filter_map(|(i, s)| s.map(|sc| (i, sc)))
         .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
         .map(|(i, _)| i)
+}
+
+/// A completed arm as [`rank`] reads it.
+pub(crate) struct ArmRun {
+    /// Both verification gates green.
+    pub(crate) verified: bool,
+    /// The verification's per-machine scores (read only when `verified`).
+    pub(crate) machines: Vec<MachineScore>,
+    /// Original (non-annotation) loops judged parallel.
+    pub(crate) parallel: BTreeSet<LoopId>,
+}
+
+/// A ranked portfolio: what [`run_tournament`] and the daemon's
+/// tournament requests ([`crate::service::evaluate_tournament`]) report.
+pub(crate) struct Ranking {
+    /// Per arm, portfolio order: a verified arm's score (the geometric
+    /// mean of its machine scores), or the stable failure code of an arm
+    /// that failed (`"gate"` when a verification gate was red).
+    pub(crate) scores: Vec<Result<u64, &'static str>>,
+    /// The winning arm ([`winner_index`]); `None` when no arm scored.
+    pub(crate) winner: Option<usize>,
+    /// Loops parallel under the winner but not under the first completed
+    /// no-inline arm (`UNIT#idx` labels in [`LoopId`] order).
+    pub(crate) gained: Vec<String>,
+    /// Loops parallel under that no-inline arm but not under the winner.
+    pub(crate) lost: Vec<String>,
+}
+
+/// Rank a portfolio's arms: `runs[i]` is arm `arms[i]` completed, or the
+/// failure code it stopped with.
+pub(crate) fn rank(arms: &[CellConfig], runs: &[Result<ArmRun, &'static str>]) -> Ranking {
+    let scores: Vec<Result<u64, &'static str>> = runs
+        .iter()
+        .map(|run| match run {
+            Ok(r) if r.verified => Ok(MachineScore::geomean(&r.machines)),
+            Ok(_) => Err("gate"),
+            Err(code) => Err(*code),
+        })
+        .collect();
+    let winner = winner_index(scores.iter().map(|s| s.as_ref().ok().copied()));
+    let none = arms.iter().zip(runs).find_map(|(cfg, run)| match run {
+        Ok(r) if cfg.mode() == InlineMode::None => Some(&r.parallel),
+        _ => None,
+    });
+    let (gained, lost) = match (winner, none) {
+        (Some(w), Some(base)) => {
+            let win = &runs[w].as_ref().expect("a scored arm completed").parallel;
+            let minus = |a: &BTreeSet<LoopId>, b| a.difference(b).map(LoopId::to_string).collect();
+            (minus(win, base), minus(base, win))
+        }
+        _ => (Vec::new(), Vec::new()),
+    };
+    Ranking {
+        scores,
+        winner,
+        gained,
+        lost,
+    }
 }
 
 /// One arm's row in a per-app tournament: score, shape, and failure
@@ -216,7 +274,7 @@ pub struct AppTournament {
     /// The winner's score (0 when no winner).
     pub winner_score_micros: u64,
     /// Loops parallel under the winner but not under no-inline
-    /// (`UNIT#idx` labels, sorted).
+    /// (`UNIT#idx` labels in loop order: unit, then numeric index).
     pub gained: Vec<String>,
     /// Loops parallel under no-inline but lost under the winner.
     pub lost: Vec<String>,
@@ -277,17 +335,46 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
     let arms = portfolio();
     let machines = opts.effective_machines();
 
-    let mx = run_matrix(jobs, &arms, &machines, opts);
+    let mx = run_matrix(jobs, &arms, &machines, false, opts);
     // The completed cells' metrics, in the same (app × arm) order.
     let mut cell_metrics = mx.metrics.cells.iter();
     let mut apps = Vec::with_capacity(jobs.len());
     for (job, row) in jobs.iter().zip(mx.cells) {
+        let runs: Vec<Result<ArmRun, &'static str>> = row
+            .iter()
+            .map(|outcome| match outcome {
+                Ok(done) => {
+                    let verified = done.verify.result.ok();
+                    Ok(ArmRun {
+                        verified,
+                        machines: if verified {
+                            MachineScore::all(&done.verify.scores)
+                        } else {
+                            Vec::new()
+                        },
+                        parallel: done.emitted.parallel_loops(),
+                    })
+                }
+                Err(e) => Err(e.code()),
+            })
+            .collect();
+        let ranking = rank(&arms, &runs);
+
         let mut scores: Vec<ArmScore> = Vec::with_capacity(arms.len());
-        let mut payloads: Vec<Option<Arc<Emitted>>> = Vec::with_capacity(arms.len());
+        let mut directives = Vec::new();
         let mut interp_runs = 0u64;
         let mut arms_cached = 0u64;
-        for (cfg, outcome) in arms.iter().zip(row) {
-            match outcome {
+        let arm_rows = arms.iter().zip(row).zip(runs).zip(ranking.scores);
+        for (i, (((cfg, outcome), run), score)) in arm_rows.enumerate() {
+            let machines = match (run, score) {
+                (Ok(r), Ok(_)) => r.machines,
+                _ => Vec::new(),
+            };
+            let (score_micros, error) = match score {
+                Ok(s) => (Some(s), None),
+                Err(code) => (None, Some(code.to_string())),
+            };
+            let (metrics, loc) = match outcome {
                 Ok(done) => {
                     let metrics = cell_metrics
                         .next()
@@ -296,90 +383,39 @@ pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutc
                     if metrics.verify_cached {
                         arms_cached += 1;
                     }
-                    let ok = done.verify.result.ok();
-                    let machine_scores = if ok {
-                        MachineScore::all(&done.verify.scores)
-                    } else {
-                        Vec::new()
-                    };
-                    let score = ok.then(|| MachineScore::geomean(&machine_scores));
-                    scores.push(ArmScore {
-                        arm: cfg.label.clone(),
-                        mode: cfg.mode().label(),
-                        ok,
-                        score_micros: score,
-                        machines: machine_scores,
-                        loops_total: metrics.loops_total,
-                        loops_parallel: metrics.loops_parallel,
-                        loc: done.emitted.loc,
-                        blockers: metrics.blockers.clone(),
-                        error: if ok { None } else { Some("gate".to_string()) },
-                    });
-                    payloads.push(Some(done.emitted));
-                }
-                Err(e) => {
-                    scores.push(ArmScore {
-                        arm: cfg.label.clone(),
-                        mode: cfg.mode().label(),
-                        ok: false,
-                        score_micros: None,
-                        machines: Vec::new(),
-                        loops_total: 0,
-                        loops_parallel: 0,
-                        loc: 0,
-                        blockers: BTreeMap::new(),
-                        error: Some(e.code().to_string()),
-                    });
-                    payloads.push(None);
-                }
-            }
-        }
-
-        let winner = winner_index(scores.iter().map(|s| s.score_micros));
-        let (winner, winner_score, gained, lost, directives) = match winner {
-            Some(w) => {
-                let win_res = payloads[w].as_deref().expect("scored arm retains payload");
-                // Diff against the first completed no-inline arm, when
-                // the portfolio carries one and it isn't the winner
-                // itself.
-                let none_res: Option<&Emitted> = arms
-                    .iter()
-                    .zip(&payloads)
-                    .find(|(cfg, p)| cfg.mode() == InlineMode::None && p.is_some())
-                    .and_then(|(_, p)| p.as_deref());
-                let (gained, lost) = match none_res {
-                    Some(none) => {
-                        let (base, win) = (none.parallel_loops(), win_res.parallel_loops());
-                        (
-                            win.difference(&base).map(|id| id.to_string()).collect(),
-                            base.difference(&win).map(|id| id.to_string()).collect(),
-                        )
+                    if ranking.winner == Some(i) {
+                        directives = done
+                            .emitted
+                            .source
+                            .lines()
+                            .filter(|l| l.trim_start().starts_with("!$OMP"))
+                            .map(|l| l.trim().to_string())
+                            .collect();
                     }
-                    None => (Vec::new(), Vec::new()),
-                };
-                let directives: Vec<String> = win_res
-                    .source
-                    .lines()
-                    .filter(|l| l.trim_start().starts_with("!$OMP"))
-                    .map(|l| l.trim().to_string())
-                    .collect();
-                (
-                    Some(scores[w].arm.clone()),
-                    scores[w].score_micros.unwrap_or(0),
-                    gained,
-                    lost,
-                    directives,
-                )
-            }
-            None => (None, 0, Vec::new(), Vec::new(), Vec::new()),
-        };
-
+                    (Some(metrics), done.emitted.loc)
+                }
+                Err(_) => (None, 0),
+            };
+            scores.push(ArmScore {
+                arm: cfg.label.clone(),
+                mode: cfg.mode().label(),
+                ok: score_micros.is_some(),
+                score_micros,
+                machines,
+                loops_total: metrics.map_or(0, |m| m.loops_total),
+                loops_parallel: metrics.map_or(0, |m| m.loops_parallel),
+                loc,
+                blockers: metrics.map(|m| m.blockers.clone()).unwrap_or_default(),
+                error,
+            });
+        }
+        let winner = ranking.winner.map(|w| &scores[w]);
         apps.push(AppTournament {
             app: job.name.clone(),
-            winner,
-            winner_score_micros: winner_score,
-            gained,
-            lost,
+            winner: winner.map(|w| w.arm.clone()),
+            winner_score_micros: winner.and_then(|w| w.score_micros).unwrap_or(0),
+            gained: ranking.gained,
+            lost: ranking.lost,
             directives,
             interp_runs,
             arms_cached,

@@ -41,12 +41,11 @@ pub struct VerifyResult {
     pub total_ops: u64,
     /// Parallel-loop events (for the cost model): one per dynamic
     /// execution of a directive loop in the sequential run. A plain
-    /// [`verify`] and a driver run that retains results
-    /// ([`crate::driver::DriverOptions::retain_results`]: `run_app`,
-    /// `perfect::evaluate_suite`) hand out the whole trace. Everywhere
-    /// else the driver scores the trace on its machines as soon as the
-    /// verification completes and then frees it, so those cells never
-    /// hold one.
+    /// [`verify`], [`crate::driver::run_suite`] and
+    /// [`crate::driver::run_app`] hand out the whole trace. Tournaments,
+    /// the daemon and [`crate::stream::run_stream`] score the trace on
+    /// their machines as soon as the verification completes and then free
+    /// it, so those cells never hold one.
     pub par_events: Vec<fruntime::ParLoopEvent>,
     /// VM execution counters aggregated over both verification runs
     /// (all zero when the tree-walker engine verified this cell).

@@ -321,6 +321,9 @@ fn write_expr(e: &Expr, outer: u8, out: &mut String) {
         out.push(')');
     };
     match e {
+        // `-9223372036854775808` would lex as the literal
+        // 9223372036854775808, which does not fit an INTEGER.
+        Expr::Int(i64::MIN) => out.push_str("(-9223372036854775807 - 1)"),
         Expr::Int(v) => {
             let _ = write!(out, "{v}");
         }

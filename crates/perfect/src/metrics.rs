@@ -17,14 +17,12 @@ use ipp_core::SuiteMetrics;
 /// Threads used for the correctness-checking parallel runs.
 pub const VERIFY_THREADS: usize = 4;
 
-/// Driver configuration used for suite evaluation. Result retention is
-/// on: the suite is twelve apps, and every consumer of its
-/// [`AppReport`]s reads the per-configuration payloads.
+/// Driver configuration used for suite evaluation: the verification
+/// chunk count and the Figure 20 machines.
 pub fn driver_options(machines: &[Machine]) -> DriverOptions {
     DriverOptions {
         verify_threads: VERIFY_THREADS,
         machines: machines.to_vec(),
-        retain_results: true,
         ..Default::default()
     }
 }

@@ -3,9 +3,9 @@
 //! * **determinism** — the aggregated stream summary is byte-identical
 //!   across worker counts (mirroring `driver_determinism`, but over a
 //!   generated corpus through `run_stream`);
-//! * **bounded retention** — peak retained reports depend on the worker
-//!   pool, not the stream length: a 200-program stream holds no more
-//!   programs at once than a 50-program one;
+//! * **bounded retention** — the peak of programs in flight depends on
+//!   the worker pool, not the stream length: a 200-program stream holds
+//!   no more programs at once than a 50-program one;
 //! * **corpus validity** — every generated program parses and survives
 //!   the full four-configuration pipeline with zero panicked cells
 //!   (structured failures are expected on a pathological corpus;
@@ -62,18 +62,7 @@ fn peak_retention_is_independent_of_stream_length() {
     let pool = opts(2, 8).effective_workers().min(8);
     assert_eq!(short.peak_retained, pool);
     assert_eq!(long.peak_retained, pool);
-    assert!(long.retained.is_empty());
     assert_eq!(long.summary.programs, 200);
-    // Opting in is what grows memory with stream length.
-    let retained = run_stream(
-        corpus::jobs(SEED, 50),
-        &DriverOptions {
-            retain_results: true,
-            ..opts(2, 8)
-        },
-    );
-    assert_eq!(retained.retained.len(), 50);
-    assert_eq!(retained.peak_retained, 50);
 }
 
 #[test]

@@ -155,3 +155,43 @@ fn conventional_fresh_names_never_capture_caller_variables() {
     let out = fruntime::run(&r.program, &Default::default()).unwrap();
     assert_eq!(out.io, vec!["5.000000000E0".to_string()]);
 }
+
+#[test]
+fn an_overflowing_subscript_compiles_without_a_directive() {
+    // `I - i64::MIN` has no i64 affine form: the dependence test must give
+    // up on it (no directive) rather than overflow (a panic in a debug
+    // build) or reason about the wrapped value (a directive in release).
+    // The last two loops have i64 forms whose tests would overflow:
+    // i64::MIN / -1 in the distance, |i64::MIN| in the GCD.
+    let src = "      PROGRAM MAIN
+      DIMENSION A(10)
+      DO I = 1, 10
+        A(I - (-9223372036854775807 - 1)) = 1.0
+      ENDDO
+      DO I = 1, 10
+        A(I - (-9223372036854775807 - 1)) = A(I + (-9223372036854775807 - 1)) + 1.0
+      ENDDO
+      DO I = 1, 10
+        A(-I + (-9223372036854775807 - 1)) = A(-I) + 1.0
+      ENDDO
+      DO I = 1, 10
+        A(I * (-9223372036854775807 - 1)) = A(I * (-9223372036854775807 - 1)) + 1.0
+      ENDDO
+      WRITE(6,*) A(1)
+      END
+";
+    let p = fir::parse(src).unwrap();
+    let reg = finline::annot::AnnotRegistry::default();
+    for mode in InlineMode::all() {
+        let mut timings = ipp_core::PhaseTimings::default();
+        let r = ipp_core::compile_timed(&p, &reg, &PipelineOptions::for_mode(mode), &mut timings)
+            .unwrap_or_else(|e| panic!("[{}]: {e}", mode.label()));
+        assert!(r.parallel_loops().is_empty(), "[{}]", mode.label());
+        assert!(
+            !r.source.contains("!$OMP"),
+            "[{}]\n{}",
+            mode.label(),
+            r.source
+        );
+    }
+}

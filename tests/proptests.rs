@@ -51,9 +51,9 @@ fn affine_extraction_is_linear() {
         let fa = extract(&a, &cls).unwrap();
         let fb = extract(&b, &cls).unwrap();
         let fsum = extract(&Expr::add(a.clone(), b.clone()), &cls).unwrap();
-        assert_eq!(fa.add(&fb), fsum);
+        assert_eq!(fa.add(&fb), Some(fsum));
         let fdiff = extract(&Expr::sub(a, b), &cls).unwrap();
-        assert_eq!(fa.sub(&fb), fdiff);
+        assert_eq!(fa.sub(&fb), Some(fdiff));
     }
 }
 

@@ -79,3 +79,28 @@ fn every_emitted_source_reparses_and_runs_like_its_ast() {
         failures.join("\n")
     );
 }
+
+#[test]
+fn the_most_negative_integer_reparses_on_both_engines() {
+    // `i64::MIN` has no literal of its own: the printer must spell it as
+    // an expression the lexer accepts.
+    let src = "      PROGRAM P
+      K = (-9223372036854775807 - 1) / (-1)
+      WRITE(6,*) K
+      END
+";
+    let job = SuiteJob {
+        name: "MIN".into(),
+        program: fir::parse(src).unwrap(),
+        registry: finline::annot::AnnotRegistry::default(),
+    };
+    for engine in [fruntime::Engine::TreeWalk, fruntime::Engine::Bytecode] {
+        let exec = ExecOptions {
+            engine,
+            ..Default::default()
+        };
+        let mut failures = Vec::new();
+        assert_eq!(sweep(&job, &exec, &mut failures), 4, "{engine:?}");
+        assert!(failures.is_empty(), "{engine:?}: {failures:?}");
+    }
+}

@@ -163,6 +163,45 @@ fn daemon_agrees_with_the_batch_tournament_on_every_app() {
     }
 }
 
+/// Eleven loops, each made parallel only by inlining its call: the
+/// winner gains `MAIN#2` and `MAIN#10`, which a string sort would put in
+/// the wrong order.
+fn eleven_call_loops() -> String {
+    let mut src = String::from("      PROGRAM MAIN\n      COMMON /D/ X(2000)\n");
+    for _ in 0..11 {
+        src.push_str("      DO I = 1, 2000\n        CALL S(I)\n      ENDDO\n");
+    }
+    src.push_str("      WRITE(6,*) X(1), X(2000)\n      END\n");
+    src.push_str("      SUBROUTINE S(K)\n      COMMON /D/ X(2000)\n");
+    src.push_str("      X(K) = X(K)*0.5 + K*1.5\n      END\n");
+    src
+}
+
+#[test]
+fn daemon_and_batch_order_gained_loops_by_numeric_index() {
+    let source = eleven_call_loops();
+    let annotations = "subroutine S(K) { dimension X[2000]; X[K] = unknown(X[K], K); }";
+    let opts = DriverOptions {
+        workers: 1,
+        ..Default::default()
+    };
+    let job = ipp_core::SuiteJob {
+        name: "CALLS".into(),
+        program: fir::parse(&source).unwrap(),
+        registry: finline::annot::AnnotRegistry::parse(annotations).unwrap(),
+    };
+    let batch = run_tournament(std::slice::from_ref(&job), &opts);
+    let want = &batch.apps[0];
+    let pos = |id: &str| want.gained.iter().position(|g| g == id);
+    let (two, ten) = (pos("MAIN#2"), pos("MAIN#10"));
+    assert!(two.is_some() && ten.is_some(), "{:?}", want.gained);
+    assert!(two < ten, "{:?}", want.gained);
+    let got = evaluate_tournament("CALLS", &source, annotations, &opts, None).unwrap();
+    assert_eq!(got.winner, want.winner);
+    assert_eq!(got.gained, want.gained);
+    assert_eq!(got.lost, want.lost);
+}
+
 /// The daemon's tournament response for every PERFECT app, as wire
 /// bytes, recorded while each verification still kept its whole trace
 /// until scoring: scoring once and dropping the trace changes no byte.
