@@ -5,14 +5,16 @@
 //! size. [`run_stream`] evaluates an `Iterator<Item = SuiteJob>` instead
 //! — the corpus-scale path (thousands of generated programs):
 //!
-//! * **one pool, no barriers** — one set of workers lives for the whole
-//!   stream. Each worker pulls the next job from the shared iterator,
-//!   evaluates that program's whole row on its own thread, folds the
-//!   result and pulls again; nobody waits for a slower neighbour between
-//!   programs. At most one program per worker is in flight, and the
-//!   worker count is capped by [`DriverOptions::effective_stream_window`],
-//!   so peak memory is independent of stream length (pinned by the
-//!   retention integration test);
+//! * **one pool, no barriers** — one set of workers, the batch driver's
+//!   row scheduler, lives for the whole stream. Each worker pulls the
+//!   next job from the shared iterator, evaluates that program's row,
+//!   folds the result as the row's last cell is stored and pulls again;
+//!   nobody waits for a slower neighbour between programs, and once the
+//!   iterator is dry idle workers help the rows still open. At most one
+//!   row per worker is in flight, and the worker count is capped by
+//!   [`DriverOptions::effective_stream_window`], so peak memory is
+//!   independent of stream length (pinned by the retention integration
+//!   test);
 //! * **incremental aggregation** — each program's [`SuiteMetrics`]
 //!   counters are folded into a running [`StreamSummary`]; no report is
 //!   assembled and no cell keeps its compile or event trace;
@@ -26,13 +28,12 @@
 //! stream, which is what the streaming-determinism test pins.
 //! Wall-clock and VM counters live on the [`StreamOutcome`] next to it.
 
-use crate::driver::{default_configs, run_matrix, DriverOptions, SuiteJob};
+use crate::driver::{default_configs, DriverOptions, Rows, SuiteJob};
 use crate::json::{self, ToJson};
 use crate::json_object;
 use crate::phase::{AutogenCoverage, PhaseTimings, SuiteMetrics};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Deterministic aggregate over every cell of a streamed corpus.
@@ -158,10 +159,11 @@ pub struct StreamOutcome {
     /// stream). Schedule-independent, but kept beside the summary rather
     /// than in it.
     pub compile_memo_hits: u64,
-    /// High-water mark of programs in flight. Each worker holds at most
-    /// one program, so this is at most [`StreamOutcome::workers`] no
-    /// matter how long the stream ran — the memory contract, pinned by
-    /// test.
+    /// High-water mark of rows (programs, each with its memo) in flight,
+    /// as the row scheduler counts it. A worker opens a row only when
+    /// its previous row is finished, so this is at most
+    /// [`StreamOutcome::workers`] no matter how long the stream ran —
+    /// the memory contract, pinned by test.
     pub peak_retained: usize,
 }
 
@@ -182,7 +184,6 @@ struct Fold {
     phases: PhaseTimings,
     vm: fruntime::VmCounters,
     compile_memo_hits: u64,
-    peak_retained: usize,
 }
 
 /// Evaluate an unbounded job stream with bounded memory.
@@ -191,16 +192,17 @@ struct Fold {
 /// ([`DriverOptions::effective_workers`],
 /// [`DriverOptions::effective_stream_window`]) serves the whole stream;
 /// with one worker the calling thread does the work and nothing is
-/// spawned. Each worker repeatedly takes the next job from the
-/// iterator (so parsing in a lazy iterator happens on the worker that
-/// pulls), evaluates the program's whole row on its own thread, and folds
-/// the row's counters into the [`StreamSummary`]. The stream reports no
-/// scores, so no verification is scored and no cell keeps a payload. Lazy
-/// iterators stay lazy: a job is generated only when a worker is free to
-/// evaluate it.
+/// spawned. The pool is the batch driver's row scheduler: each worker
+/// takes the next job from the iterator (so parsing in a lazy iterator
+/// happens on the worker that pulls), evaluates the program's row, and
+/// folds the row's counters into the [`StreamSummary`]; once the
+/// iterator runs dry, idle workers help the rows still open. The stream
+/// reports no scores, so no verification is scored and no cell keeps a
+/// payload. Lazy iterators stay lazy: a job is generated only when a
+/// worker is free to evaluate it.
 ///
 /// A panic raised by the iterator itself propagates out of `run_stream`;
-/// the other workers finish the program they hold and stop pulling.
+/// the other workers finish the rows still open and stop pulling.
 pub fn run_stream<I>(jobs: I, opts: &DriverOptions) -> StreamOutcome
 where
     I: IntoIterator<Item = SuiteJob>,
@@ -212,14 +214,8 @@ where
     // value that applied is recorded on the summary.
     let window = opts.effective_stream_window();
     let workers = opts.effective_workers().min(window);
-    // Each worker evaluates one program's row on its own thread.
-    let row_opts = DriverOptions {
-        workers: 1,
-        ..opts.clone()
-    };
     let configs = default_configs();
-    let source = Mutex::new(jobs.into_iter());
-    let in_flight = AtomicUsize::new(0);
+    let source = Mutex::new(jobs.into_iter().enumerate());
     let fold = Mutex::new(Fold {
         summary: StreamSummary {
             window: window as u64,
@@ -228,42 +224,26 @@ where
         ..Fold::default()
     });
 
-    let work = || loop {
-        // A poisoned source means another worker's pull panicked: that
-        // panic is the stream's outcome, so stop pulling.
-        let Ok(mut it) = source.lock() else { return };
-        let Some(job) = it.next() else { return };
-        in_flight.fetch_add(1, Ordering::Relaxed);
-        drop(it);
-
-        let mx = run_matrix(std::slice::from_ref(&job), &configs, &[], false, &row_opts);
-        drop((job, mx.cells));
-
-        let m = &mx.metrics;
-        let mut f = fold.lock().unwrap_or_else(PoisonError::into_inner);
-        f.phases.merge(&m.phases);
-        f.vm.absorb(&m.vm);
-        f.compile_memo_hits += m.compile_memo_hits;
-        f.summary.absorb(m);
-        // Programs in flight, this one included.
-        f.peak_retained = f
-            .peak_retained
-            .max(in_flight.fetch_sub(1, Ordering::Relaxed));
-    };
-    let threads_spawned = if workers <= 1 {
-        work();
-        0
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    resume_unwind(payload);
-                }
-            }
-        });
-        workers
-    };
+    let peak_retained = Rows::new(&configs, &[], false, opts).run(
+        workers,
+        || {
+            // A poisoned source means another worker's pull panicked:
+            // that panic is the stream's outcome, so stop pulling.
+            let (index, job) = source.lock().ok()?.next()?;
+            Some((index, Cow::Owned(job)))
+        },
+        |_, mut row| {
+            let mut m = SuiteMetrics::default();
+            row.fold_into(&mut m);
+            drop(row);
+            let mut f = fold.lock().unwrap_or_else(PoisonError::into_inner);
+            f.phases.merge(&m.phases);
+            f.vm.absorb(&m.vm);
+            f.compile_memo_hits += m.compile_memo_hits;
+            f.summary.absorb(&m);
+        },
+    );
+    let threads_spawned = if workers <= 1 { 0 } else { workers };
 
     let f = fold.into_inner().unwrap_or_else(PoisonError::into_inner);
     StreamOutcome {
@@ -275,7 +255,7 @@ where
         phases: f.phases,
         vm: f.vm,
         compile_memo_hits: f.compile_memo_hits,
-        peak_retained: f.peak_retained,
+        peak_retained,
     }
 }
 

@@ -63,6 +63,10 @@ fn peak_retention_is_independent_of_stream_length() {
     assert_eq!(short.peak_retained, pool);
     assert_eq!(long.peak_retained, pool);
     assert_eq!(long.summary.programs, 200);
+    // One worker holds one row at a time, helpers at the tail or not.
+    let single = run_stream(corpus::jobs(SEED, 50), &opts(1, 8));
+    assert_eq!(single.peak_retained, 1);
+    assert_eq!(single.summary, short.summary);
 }
 
 #[test]

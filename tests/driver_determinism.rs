@@ -34,6 +34,7 @@ fn concurrent_driver_is_byte_identical_to_single_worker() {
     assert_eq!(base_metrics.interp_runs, 90);
     assert_eq!(base_metrics.baseline_memo_hits, 36);
     assert_eq!(base_metrics.verify_cache_hits, 9);
+    assert_eq!(base_metrics.peak_rows, 1);
     for phase in ipp_core::Phase::ALL {
         assert!(
             base_metrics.phases.count_of(phase) > 0,
@@ -75,14 +76,13 @@ fn concurrent_driver_is_byte_identical_to_single_worker() {
             }
         }
 
-        // The interpreter-run count and the verify-cache hit count are
-        // schedule-independent (`OnceLock::get_or_init` runs each closure
-        // exactly once); the baseline-memo hit counter alone may undercount
-        // when a worker arrives while the baseline is still initializing,
-        // so it only gets an upper bound here.
+        // The run and hit counts are schedule-independent:
+        // `OnceLock::get_or_init` runs each closure exactly once, and a
+        // hit is a cell served a result it did not pay for, even one it
+        // waited for while another worker computed it.
         assert_eq!(metrics.interp_runs, 90, "{workers} workers");
         assert_eq!(metrics.verify_cache_hits, 9, "{workers} workers");
-        assert!(metrics.baseline_memo_hits <= 36, "{workers} workers");
+        assert_eq!(metrics.baseline_memo_hits, 36, "{workers} workers");
         // `metrics.workers` reports the *effective* pool size: the request
         // clamped to available parallelism (and to the cell count).
         let effective = DriverOptions {
@@ -91,6 +91,8 @@ fn concurrent_driver_is_byte_identical_to_single_worker() {
         }
         .effective_workers();
         assert_eq!(metrics.workers, effective.min(48), "{workers} workers");
+        // Each worker runs one app's row at a time.
+        assert!(metrics.peak_rows <= metrics.workers, "{workers} workers");
     }
 }
 
@@ -152,5 +154,49 @@ fn poisoned_job_degrades_alone_at_every_worker_count() {
                 }
             }
         }
+    }
+}
+
+/// Interpreter runs and the three hit counters of a run, in that order.
+fn accounting(m: &SuiteMetrics) -> [u64; 4] {
+    [
+        m.interp_runs,
+        m.baseline_memo_hits,
+        m.verify_cache_hits,
+        m.compile_memo_hits,
+    ]
+}
+
+#[test]
+fn one_app_with_helping_workers_equals_one_worker() {
+    // One app is one row: beyond the worker that opens it, every worker
+    // helps with that row's cells, sharing its memo while the baseline,
+    // the shared compiles and the verifications are still being filled.
+    let machines = [Machine::intel8(), Machine::amd4()];
+    for job in perfect::suite_jobs() {
+        let run = |workers| {
+            let opts = DriverOptions {
+                workers,
+                ..driver_options(&machines)
+            };
+            ipp_core::driver::run_app(&job, &opts)
+        };
+        let (base, base_metrics) = run(1);
+        assert!(base.all_verified(), "{}", job.name);
+        assert_eq!(base_metrics.peak_rows, 1, "{}", job.name);
+        let (report, metrics) = run(4);
+        assert_eq!(
+            format!("{base:?}"),
+            format!("{report:?}"),
+            "{}: report differs at 4 workers",
+            job.name
+        );
+        assert_eq!(
+            accounting(&base_metrics),
+            accounting(&metrics),
+            "{}: run accounting differs at 4 workers",
+            job.name
+        );
+        assert_eq!(metrics.peak_rows, 1, "{}", job.name);
     }
 }

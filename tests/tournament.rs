@@ -41,12 +41,51 @@ fn batch() -> &'static TournamentOutcome {
 fn tournament_report_is_byte_identical_across_worker_counts() {
     let base = run_at(1);
     let json = base.to_json();
+    // One worker runs one app's row at a time, and so does each of many.
+    assert_eq!(base.metrics.peak_rows, 1);
     for workers in [2, 8] {
+        let out = run_at(workers);
         assert_eq!(
             json,
-            run_at(workers).to_json(),
+            out.to_json(),
             "tournament report diverged at {workers} workers"
         );
+        let m = &out.metrics;
+        assert!(m.peak_rows >= 1 && m.peak_rows <= m.workers, "{m:?}");
+    }
+}
+
+#[test]
+fn one_app_tournament_with_helping_workers_equals_one_worker() {
+    // A one-app tournament is one row: every worker beyond the first helps
+    // with that row's seven cells through the same memo.
+    let accounting = |m: &ipp_core::SuiteMetrics| {
+        [
+            m.interp_runs,
+            m.baseline_memo_hits,
+            m.verify_cache_hits,
+            m.compile_memo_hits,
+        ]
+    };
+    for job in suite_jobs() {
+        let run = |workers| {
+            let opts = DriverOptions {
+                workers,
+                machines: vec![Machine::intel8(), Machine::amd4()],
+                ..Default::default()
+            };
+            run_tournament(std::slice::from_ref(&job), &opts)
+        };
+        let base = run(1);
+        let out = run(8);
+        assert_eq!(base.to_json(), out.to_json(), "{}", job.name);
+        assert_eq!(
+            accounting(&base.metrics),
+            accounting(&out.metrics),
+            "{}: run accounting differs at 8 workers",
+            job.name
+        );
+        assert_eq!(out.metrics.peak_rows, 1, "{}", job.name);
     }
 }
 
@@ -227,10 +266,14 @@ fn daemon_tournament_responses_are_byte_identical_to_the_recorded_ones() {
 }
 
 /// The one-worker tournament's peak live heap above its inputs, in
-/// bytes, plus 5%. Each verification keeps its per-machine scores, not
-/// its loop-execution trace, once it is scored: with every trace held to
-/// the end of the run the same peak was 5,660,750 bytes.
-const PEAK_LIVE_CEILING: u64 = 3_763_286 * 105 / 100;
+/// bytes, plus 5%. The driver evaluates row by row, so only the running
+/// app's memo (its baseline run with final memory, its shared compiles
+/// and verify slots) is alive besides the finished cells' scores and
+/// emitted output; each verification keeps its per-machine scores, not
+/// its loop-execution trace. With every app's memo kept to the end of
+/// the run the same peak was 3,763,286 bytes, and 5,660,750 bytes with
+/// every trace kept as well.
+const PEAK_LIVE_CEILING: u64 = 2_086_279 * 105 / 100;
 
 #[test]
 fn one_worker_tournament_peak_heap_holds_scores_not_traces() {
