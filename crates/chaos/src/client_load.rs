@@ -12,7 +12,9 @@
 //! * garbage header bytes;
 //! * structurally broken or type-confused JSON documents;
 //! * slow-loris dribble writes;
-//! * mid-request disconnects.
+//! * mid-request disconnects;
+//! * well-formed requests for a program no host can allocate
+//!   ([`UNALLOCATABLE_SOURCE`]), which must fail as one structured error.
 //!
 //! Every abuse slot is followed (per batch) by a **canary**: a fixed
 //! well-formed request whose response must match, byte for byte, the
@@ -146,6 +148,16 @@ pub const CANARY_SOURCE: &str = "      PROGRAM CANARY
       END
 ";
 
+/// A well-formed program whose array no host can allocate (10^17 REAL
+/// elements): its baseline run must fail with a structured runtime error
+/// scoped to its own request, never abort the daemon.
+pub const UNALLOCATABLE_SOURCE: &str = "      PROGRAM HUGE
+      DIMENSION A(100000000000000000)
+      A(1) = 1.0
+      WRITE(6,*) A(1)
+      END
+";
+
 /// Build the canary request (same bytes every call).
 pub fn canary_request() -> EvaluateRequest {
     EvaluateRequest {
@@ -210,7 +222,7 @@ pub fn send_shutdown(addr: &str, timeout: Duration) -> std::io::Result<String> {
 
 /// The protocol-mutation catalog. Order is part of the campaign's
 /// determinism contract — append, don't reorder.
-const WIRE_MUTATIONS: [&str; 8] = [
+const WIRE_MUTATIONS: [&str; 9] = [
     "truncated-frame",
     "oversized-length",
     "garbage-header",
@@ -219,6 +231,7 @@ const WIRE_MUTATIONS: [&str; 8] = [
     "missing-fields",
     "slow-loris",
     "mid-request-disconnect",
+    "unallocatable-array",
 ];
 
 fn hostile_slot(
@@ -317,6 +330,13 @@ fn hostile_slot(
                 // Hard close mid-payload.
                 drop(s);
                 Ok(None)
+            }
+            "unallocatable-array" => {
+                let huge = encode_evaluate(&EvaluateRequest {
+                    source: UNALLOCATABLE_SOURCE.into(),
+                    ..req
+                });
+                Ok(Some(exchange_with_retry(addr, &huge, timeout, stats)?))
             }
             _ => unreachable!("unknown wire mutation"),
         }

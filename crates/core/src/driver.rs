@@ -12,10 +12,10 @@
 //!   program's cells — per worker: a worker opens the next program,
 //!   creates its memo then, and claims the row's cells in portfolio
 //!   order; once every program is open, idle workers help the open rows
-//!   with their remaining cells. A row's memo is freed when its last cell
-//!   is stored, so at most one memo per worker is ever alive (the
-//!   one-worker tournament peaks at 2,086,279 live bytes instead of
-//!   3,763,286 with every app's memo kept to the end);
+//!   with their remaining cells. When a row's last cell is stored, its
+//!   worker frees the memo and reduces the row at once (a tournament
+//!   ranks it, a suite assembles its report), so at most one row per
+//!   worker is ever alive with its payloads;
 //! * **baseline memo** — the original program is interpreted once per
 //!   application and shared across all of its configurations, cutting
 //!   verification runs per app from 12 to 9;
@@ -50,7 +50,7 @@ use crate::pipeline::{
 };
 use crate::report::{rows_from, Fig20Point, Table2Row};
 use crate::tournament::{default_machines, tuned_speedup, TunedScore};
-use crate::verify::{baseline_run_with, guarded, verify_with_baseline_using, VerifyResult};
+use crate::verify::{baseline_run_with, guarded, Verification, VerifyResult};
 use finline::annot::AnnotRegistry;
 use fir::ast::Program;
 use fruntime::{ExecOptions, Machine, RunResult};
@@ -500,19 +500,34 @@ impl ProgramMemo {
         })
     }
 
-    /// Score a fresh verification on every machine of the memo, then free
-    /// its event trace unless the memo retains results: the scores are all
-    /// that Figure 20, tournaments and the daemon read of it.
-    fn score(&self, mut result: VerifyResult) -> Verified {
+    /// Verify `optimized` against `base` and score it: gate 1's
+    /// sequential run, the cost model's score of its trace on every
+    /// machine of the memo, then gate 2's chunked run on the same lowered
+    /// program. Unless the memo retains results the trace is freed before
+    /// the chunked run starts: the scores are all that Figure 20,
+    /// tournaments and the daemon read of it. Scoring sits between the two
+    /// guarded runs, so a failure of either keeps its stage and cause.
+    fn verify(
+        &self,
+        base: &RunResult,
+        optimized: &Program,
+        par_opts: &ExecOptions,
+    ) -> Result<Verified, FailCause> {
+        let max_ops = par_opts.max_ops;
+        let mut run = guarded(max_ops, || {
+            Verification::sequential(base, optimized, par_opts)
+        })?;
+        let seq = &run.seq;
         let scores = self
             .machines
             .iter()
-            .map(|m| tuned_speedup(&result, m))
+            .map(|m| tuned_speedup(seq.total_ops, &seq.par_events, m))
             .collect();
         if !self.retain {
-            result.par_events = Vec::new();
+            run.seq.par_events = Vec::new();
         }
-        Verified { result, scores }
+        let result = guarded(max_ops, || run.chunked(par_opts))?;
+        Ok(Verified { result, scores })
     }
 
     /// The no-inline compile of `normalized` under `par`, built on first
@@ -643,19 +658,7 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One matrix cell's outcome.
-type CellOutcome = Result<Box<CellDone>, PipelineError>;
-
-/// The generic matrix run behind [`run_suite`] and
-/// [`crate::tournament::run_tournament`]: per-app, per-config outcomes in
-/// deterministic (input × portfolio) order, plus the aggregated
-/// [`SuiteMetrics`] with cache accounting shared across all columns.
-pub(crate) struct MatrixOutcome {
-    /// `outcomes[app][config]`, both in input order. Each completed
-    /// cell's `metrics` has moved into `metrics.cells`, in the same order.
-    pub(crate) cells: Vec<Vec<CellOutcome>>,
-    /// Aggregated counters, cell metrics, and failure records.
-    pub(crate) metrics: SuiteMetrics,
-}
+pub(crate) type CellOutcome = Result<Box<CellDone>, PipelineError>;
 
 /// Evaluate every job across every configuration column row by row
 /// ([`Rows`]), sharing one [`ProgramMemo`] across *all* columns of an
@@ -663,25 +666,41 @@ pub(crate) struct MatrixOutcome {
 /// portfolio near one pass — and keeping it only while the app's row
 /// runs. Each distinct verification is scored on `machines`, and
 /// completed cells keep their payloads when `retain` is set.
-pub(crate) fn run_matrix(
+///
+/// The worker that stores a row's last cell reduces the row at once:
+/// `reduce` gets the job, the row's cells in portfolio order, and the
+/// completed cells' [`CellMetrics`] in the same order, moved out of the
+/// cells. The cells' payloads go with the call, so a finished row holds
+/// only its `T` and its metrics. Returns one `T` per job in input order,
+/// and the [`SuiteMetrics`] with every row's accounting, cell metrics and
+/// failures folded in input order, whatever order the rows finished in.
+/// A row lost to a dead worker reduces from its [`lost`] cells.
+pub(crate) fn run_matrix<T: Send>(
     jobs: &[SuiteJob],
     configs: &[CellConfig],
     machines: &[Machine],
     retain: bool,
     opts: &DriverOptions,
-) -> MatrixOutcome {
+    reduce: impl Fn(&SuiteJob, Vec<CellOutcome>, &[CellMetrics]) -> T + Sync,
+) -> (Vec<T>, SuiteMetrics) {
     let t0 = std::time::Instant::now();
     let n_cells = jobs.len() * configs.len();
     let workers = opts.effective_workers().max(1).min(n_cells.max(1));
     let next = AtomicUsize::new(0);
-    let rows: Vec<Mutex<Option<RowDone>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    let settle = |i: usize, mut row: RowDone| {
+        let mut tally = SuiteMetrics::default();
+        row.fold_into(&mut tally);
+        (reduce(&jobs[i], row.cells, &tally.cells), tally)
+    };
+    let rows: Vec<Mutex<Option<(T, SuiteMetrics)>>> =
+        jobs.iter().map(|_| Mutex::new(None)).collect();
     let peak_rows = Rows::new(configs, machines, retain, opts).run(
         workers,
         || {
             let i = next.fetch_add(1, Ordering::Relaxed);
             jobs.get(i).map(|job| (i, Cow::Borrowed(job)))
         },
-        |i, row| *lock_clean(&rows[i]) = Some(row),
+        |i, row| *lock_clean(&rows[i]) = Some(settle(i, row)),
     );
 
     let mut metrics = SuiteMetrics {
@@ -691,23 +710,26 @@ pub(crate) fn run_matrix(
         wall_nanos: t0.elapsed().as_nanos() as u64,
         ..Default::default()
     };
-    // Fold the rows in input order, whatever order they finished in.
-    let cells = jobs
-        .iter()
-        .zip(rows)
-        .map(|(job, slot)| {
-            let mut row = slot
+    let values = rows
+        .into_iter()
+        .enumerate()
+        .map(|(i, slot)| {
+            let (value, tally) = slot
                 .into_inner()
                 .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| RowDone {
-                    cells: configs.iter().map(|cfg| lost(&job.name, cfg)).collect(),
-                    ..RowDone::default()
+                .unwrap_or_else(|| {
+                    let cells = configs.iter().map(|cfg| lost(&jobs[i].name, cfg));
+                    let row = RowDone {
+                        cells: cells.collect(),
+                        ..RowDone::default()
+                    };
+                    settle(i, row)
                 });
-            row.fold_into(&mut metrics);
-            row.cells
+            metrics.absorb(tally);
+            value
         })
         .collect();
-    MatrixOutcome { cells, metrics }
+    (values, metrics)
 }
 
 /// A missing or never-written cell (a worker died outside the isolation
@@ -987,8 +1009,10 @@ impl<'a> Rows<'a> {
 /// none.
 pub fn run_suite(jobs: &[SuiteJob], opts: &DriverOptions) -> SuiteOutcome {
     let configs = default_configs();
-    let mx = run_matrix(jobs, &configs, &opts.machines, true, opts);
-    assemble(jobs, &configs, mx)
+    let (apps, metrics) = run_matrix(jobs, &configs, &opts.machines, true, opts, |job, row, _| {
+        app_report(job, &configs, row)
+    });
+    SuiteOutcome { apps, metrics }
 }
 
 /// Evaluate a single application (a one-job [`run_suite`]), payloads
@@ -996,7 +1020,7 @@ pub fn run_suite(jobs: &[SuiteJob], opts: &DriverOptions) -> SuiteOutcome {
 pub fn run_app(job: &SuiteJob, opts: &DriverOptions) -> (AppReport, SuiteMetrics) {
     let mut out = run_suite(std::slice::from_ref(job), opts);
     let report = out.apps.pop().unwrap_or_else(|| {
-        // Structurally unreachable (assemble emits one report per job),
+        // Structurally unreachable (every job's row reduces to a report),
         // but a missing report must degrade like any other fault instead
         // of compounding into a second panic.
         AppReport {
@@ -1099,10 +1123,8 @@ pub(crate) fn evaluate_cell(
             paid = true;
             cell_runs += 2;
             let par_opts = opts.exec(opts.effective_verify_threads());
-            guarded(max_ops, || {
-                verify_with_baseline_using(base, &compiled.program, &par_opts)
-            })
-            .map(|result| Arc::new(memo.score(result)))
+            memo.verify(base, &compiled.program, &par_opts)
+                .map(Arc::new)
         });
         verify_cached = !paid;
         if verify_cached {
@@ -1159,79 +1181,71 @@ pub(crate) fn evaluate_cell(
     }))
 }
 
-/// Assemble the classic suite view from a finished, retaining
+/// The classic suite view of one finished row of a retaining
 /// default-config matrix.
-fn assemble(jobs: &[SuiteJob], configs: &[CellConfig], mx: MatrixOutcome) -> SuiteOutcome {
-    let mut apps = Vec::with_capacity(jobs.len());
-    for (job, row) in jobs.iter().zip(mx.cells) {
-        let mut done: Vec<(InlineMode, CellDone)> = Vec::with_capacity(configs.len());
-        let mut fig20 = Vec::new();
-        let mut failures = Vec::new();
-        for (cfg, outcome) in configs.iter().zip(row) {
-            match outcome {
-                Ok(cell) => {
-                    // Figure 20: the verification's scores on
-                    // `opts.machines`, the machines `run_suite` gave the
-                    // matrix (no extra interpreter run).
-                    fig20.extend(cell.verify.scores.iter().map(|t| Fig20Point {
-                        app: job.name.clone(),
-                        config: cfg.label.clone(),
-                        machine: t.machine.to_string(),
-                        speedup: t.speedup,
-                        tuned_off: t.tuned_off,
-                    }));
-                    done.push((cfg.mode(), *cell));
-                }
-                Err(e) => failures.push(e),
+fn app_report(job: &SuiteJob, configs: &[CellConfig], row: Vec<CellOutcome>) -> AppReport {
+    let mut done: Vec<(InlineMode, CellDone)> = Vec::with_capacity(configs.len());
+    let mut fig20 = Vec::new();
+    let mut failures = Vec::new();
+    for (cfg, outcome) in configs.iter().zip(row) {
+        match outcome {
+            Ok(cell) => {
+                // Figure 20: the verification's scores on
+                // `opts.machines`, the machines `run_suite` gave the
+                // matrix (no extra interpreter run).
+                fig20.extend(cell.verify.scores.iter().map(|t| Fig20Point {
+                    app: job.name.clone(),
+                    config: cfg.label.clone(),
+                    machine: t.machine.to_string(),
+                    speedup: t.speedup,
+                    tuned_off: t.tuned_off,
+                }));
+                done.push((cfg.mode(), *cell));
             }
+            Err(e) => failures.push(e),
         }
-        // Table II rows compare the paper's three configurations; they
-        // only exist when all three classic cells completed (the derived
-        // auto-annot cell reports coverage, not a Table II column).
-        let classic: Vec<&Emitted> = InlineMode::classic()
-            .iter()
-            .filter_map(|m| done.iter().find(|(dm, _)| dm == m))
-            .map(|(_, cell)| &*cell.emitted)
-            .collect();
-        let rows = if let [none, conv, annot] = classic[..] {
-            rows_from(
-                &job.name,
-                [none, conv, annot].map(|c| (c.parallel_loops(), c.loc)),
-            )
-        } else {
-            Vec::new()
-        };
-        let (results, verify) = done
-            .into_iter()
-            .map(|(mode, cell)| {
-                let CellDone {
-                    emitted,
-                    retained,
-                    reports,
-                    verify,
-                    ..
-                } = cell;
-                // The compile's own handle on `emitted` is the only one
-                // left unless another cell shares it.
-                drop(emitted);
-                let compiled = retained.expect("a retaining run keeps every compile");
-                let result = PipelineResult::from_parts(Arc::unwrap_or_clone(compiled), reports);
-                ((mode, result), (mode, Arc::unwrap_or_clone(verify).result))
-            })
-            .unzip();
-        apps.push(AppReport {
-            name: job.name.clone(),
-            rows,
-            fig20,
-            verify,
-            results,
-            failures,
-        });
     }
-
-    SuiteOutcome {
-        apps,
-        metrics: mx.metrics,
+    // Table II rows compare the paper's three configurations; they
+    // only exist when all three classic cells completed (the derived
+    // auto-annot cell reports coverage, not a Table II column).
+    let classic: Vec<&Emitted> = InlineMode::classic()
+        .iter()
+        .filter_map(|m| done.iter().find(|(dm, _)| dm == m))
+        .map(|(_, cell)| &*cell.emitted)
+        .collect();
+    let rows = if let [none, conv, annot] = classic[..] {
+        rows_from(
+            &job.name,
+            [none, conv, annot].map(|c| (c.parallel_loops(), c.loc)),
+        )
+    } else {
+        Vec::new()
+    };
+    let (results, verify) = done
+        .into_iter()
+        .map(|(mode, cell)| {
+            let CellDone {
+                emitted,
+                retained,
+                reports,
+                verify,
+                ..
+            } = cell;
+            // The compile's own handle on `emitted` is the only one
+            // left unless another cell shares it.
+            drop(emitted);
+            let compiled = retained.expect("a retaining run keeps every compile");
+            let result = PipelineResult::from_parts(Arc::unwrap_or_clone(compiled), reports);
+            ((mode, result), (mode, Arc::unwrap_or_clone(verify).result))
+        })
+        .unzip();
+    AppReport {
+        name: job.name.clone(),
+        rows,
+        fig20,
+        verify,
+        results,
+        failures,
     }
 }
 
@@ -1516,12 +1530,12 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
             ..Default::default()
         };
         let run = |retain| -> Vec<Arc<Verified>> {
-            run_matrix(&jobs, &arms, &machines, retain, &opts)
-                .cells
-                .into_iter()
-                .flatten()
-                .map(|c| c.unwrap_or_else(|e| panic!("{e}")).verify)
-                .collect()
+            let verifies = |_: &SuiteJob, row: Vec<CellOutcome>, _: &[CellMetrics]| {
+                let done = row.into_iter().map(|c| c.unwrap_or_else(|e| panic!("{e}")));
+                done.map(|d| d.verify).collect::<Vec<_>>()
+            };
+            let (rows, _) = run_matrix(&jobs, &arms, &machines, retain, &opts, verifies);
+            rows.into_iter().flatten().collect()
         };
         let (kept, dropped) = (run(true), run(false));
         assert_eq!(kept.len(), jobs.len() * arms.len());
@@ -1533,7 +1547,7 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
             // The stored scores are the cost model's on the whole trace.
             let fresh: Vec<TunedScore> = machines
                 .iter()
-                .map(|m| tuned_speedup(&k.result, m))
+                .map(|m| tuned_speedup(k.result.total_ops, &k.result.par_events, m))
                 .collect();
             assert_eq!(k.scores, fresh);
         }
@@ -1544,10 +1558,14 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
         // run_suite hands out.
         for app in run_suite(&jobs, &opts).apps {
             assert_eq!(app.fig20.len(), 4 * machines.len());
+            assert!(app.verify.iter().all(|(_, v)| !v.par_events.is_empty()));
             let fresh: Vec<f64> = app
                 .verify
                 .iter()
-                .flat_map(|(_, v)| machines.iter().map(|m| tuned_speedup(v, m).speedup))
+                .flat_map(|(_, v)| {
+                    let score = |m| tuned_speedup(v.total_ops, &v.par_events, m).speedup;
+                    machines.iter().map(score)
+                })
                 .collect();
             let points: Vec<f64> = app.fig20.iter().map(|p| p.speedup).collect();
             assert_eq!(points, fresh, "{}", app.name);
@@ -1571,6 +1589,93 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
             let plain = crate::verify(&jobs[1].program, &r.program, 4).unwrap();
             assert_eq!(v.par_events, plain.par_events, "{mode:?}");
         }
+    }
+
+    /// A wrong directive whose chunked run outlasts its sequential run:
+    /// every chunk of the `I` loop starts from N = 800, so the merge
+    /// leaves N = 600 where the sequential run leaves 0, and the `J` loop
+    /// runs 600 times instead of never.
+    const LONGER_CHUNKED: &str = "      PROGRAM MAIN
+      COMMON /B/ N, X
+      X = 0.0
+      DO K = 1, 200
+        X = X + 0.5
+      ENDDO
+      N = 800
+      DO I = 1, 8
+        N = N - 100
+      ENDDO
+      DO J = 1, N
+        X = X + 1.0
+      ENDDO
+      WRITE(6,*) X
+      END
+";
+
+    #[test]
+    fn budget_exhaustion_in_either_verification_run_keeps_its_stage_and_cause() {
+        let j = job("L", LONGER_CHUNKED, "");
+        let mut optimized = j.program.clone();
+        fir::visit::walk_loops_mut(&mut optimized.units[0].body, &mut |d| {
+            if d.var == "I" {
+                d.directive = Some(Default::default());
+            }
+        });
+        let opts = DriverOptions::default();
+        let roomy = opts.exec(4);
+        let base = baseline_run_with(&j.program, &roomy).unwrap();
+        let seq_ops = Verification::sequential(&base, &optimized, &roomy)
+            .unwrap()
+            .seq
+            .total_ops;
+        let chunked_ops = fruntime::run(&optimized, &roomy).unwrap().total_ops;
+        assert!(chunked_ops > seq_ops + 500, "{seq_ops} {chunked_ops}");
+        // Half the sequential run's cost stops the sequential run; exactly
+        // its cost lets it finish and stops the chunked run. Both report
+        // the op-budget timeout, as one guarded run over both did.
+        let fits = ExecOptions {
+            max_ops: seq_ops,
+            ..roomy.clone()
+        };
+        assert!(Verification::sequential(&base, &optimized, &fits).is_ok());
+        for max_ops in [seq_ops / 2, seq_ops] {
+            let memo = ProgramMemo::new(1, &[Machine::intel8()], false);
+            let par_opts = ExecOptions {
+                max_ops,
+                ..roomy.clone()
+            };
+            match memo.verify(&base, &optimized, &par_opts) {
+                Ok(_) => panic!("verified under a {max_ops}-op budget"),
+                Err(cause) => assert_eq!(
+                    cause,
+                    FailCause::Timeout {
+                        max_ops,
+                        wall_ms: 0
+                    }
+                ),
+            }
+        }
+        // Through the cell evaluator, a sequential run out of budget after
+        // a baseline that fit fails the cell at the verify stage.
+        let tight = DriverOptions {
+            verify_max_ops: seq_ops / 2,
+            ..Default::default()
+        };
+        let memo = ProgramMemo::new(1, &[Machine::intel8()], false);
+        assert!(memo.baseline.set(Ok(base)).is_ok());
+        let cfg = CellConfig::for_mode(InlineMode::None);
+        let deadline = WallDeadline::start(0);
+        let e = match evaluate_cell("L", &j.program, &j.registry, &cfg, &tight, &memo, &deadline) {
+            Ok(_) => panic!("verified under half the sequential run's budget"),
+            Err(e) => e,
+        };
+        assert_eq!(e.stage, FailStage::Verify, "{e}");
+        let cause = FailCause::Timeout {
+            max_ops: seq_ops / 2,
+            wall_ms: 0,
+        };
+        assert_eq!(e.cause, cause);
+        assert_eq!(memo.interp_runs.load(Ordering::Relaxed), 2);
     }
 
     #[test]
@@ -1753,6 +1858,37 @@ subroutine MATMLT(M1, M2, M3, L, M, N) {
                 wall_ms: 1
             }
         ));
+    }
+
+    #[test]
+    fn an_unallocatable_array_fails_every_cell_at_the_baseline() {
+        // 10^17 REAL elements: no host can allocate the array, and the
+        // run says so instead of aborting the process.
+        let src = "      PROGRAM HUGE
+      DIMENSION A(100000000000000000)
+      A(1) = 1.0
+      WRITE(6,*) A(1)
+      END
+";
+        for engine in [fruntime::Engine::Bytecode, fruntime::Engine::TreeWalk] {
+            let opts = DriverOptions {
+                workers: 1,
+                engine,
+                ..Default::default()
+            };
+            let (report, metrics) = run_app(&job("HUGE", src, ""), &opts);
+            assert_eq!(report.failures.len(), 4, "{engine:?}");
+            for f in &report.failures {
+                assert_eq!(f.stage, FailStage::Baseline, "{f}");
+                let FailCause::Runtime(e) = &f.cause else {
+                    panic!("{engine:?}: {f:?}");
+                };
+                let want = "cannot allocate storage of 100000000000000000 elements";
+                assert_eq!(e.message, want);
+            }
+            // One baseline run was paid and failed; it served every cell.
+            assert_eq!((metrics.interp_runs, metrics.failed_cells), (1, 4));
+        }
     }
 
     #[test]

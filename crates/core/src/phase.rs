@@ -352,6 +352,25 @@ pub struct SuiteMetrics {
 }
 
 impl SuiteMetrics {
+    /// Fold one row's metrics into this aggregate: counters and phase
+    /// timings add up, cell metrics and failure records append after the
+    /// ones already here. The run-level fields (`workers`, `peak_rows`,
+    /// `configs`, `wall_nanos`) stay as they are.
+    pub(crate) fn absorb(&mut self, row: SuiteMetrics) {
+        self.interp_runs += row.interp_runs;
+        self.baseline_memo_hits += row.baseline_memo_hits;
+        self.verify_cache_hits += row.verify_cache_hits;
+        self.compile_memo_hits += row.compile_memo_hits;
+        self.failed_cells += row.failed_cells;
+        self.timed_out_cells += row.timed_out_cells;
+        self.panicked_cells += row.panicked_cells;
+        self.verified_ok += row.verified_ok;
+        self.phases.merge(&row.phases);
+        self.vm.absorb(&row.vm);
+        self.cells.extend(row.cells);
+        self.failures.extend(row.failures);
+    }
+
     /// Serialize the full report as a JSON object.
     pub fn to_json(&self) -> String {
         json_object!({

@@ -28,15 +28,14 @@
 //! shared slot first). The `tournament` integration tests assert
 //! byte-identical reports across worker counts.
 
-use crate::driver::{run_matrix, CellConfig, DriverOptions, SuiteJob};
+use crate::driver::{run_matrix, CellConfig, CellOutcome, DriverOptions, SuiteJob};
 use crate::json::ToJson;
 use crate::json_object;
-use crate::phase::SuiteMetrics;
+use crate::phase::{CellMetrics, SuiteMetrics};
 use crate::pipeline::{InlineMode, PipelineOptions};
-use crate::verify::VerifyResult;
 use finline::Heuristics;
 use fir::ast::LoopId;
-use fruntime::{simulate, tune, Machine};
+use fruntime::{simulate, tune, Machine, ParLoopEvent};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The default tournament portfolio: the four [`InlineMode`] columns with
@@ -116,10 +115,10 @@ pub(crate) struct TunedScore {
 
 /// The §IV-B cost model on one machine: empirical tuning (loops that run
 /// slower in parallel are disabled) and then the simulation, from a
-/// verification's sequential-run trace.
-pub(crate) fn tuned_speedup(verify: &VerifyResult, m: &Machine) -> TunedScore {
-    let disabled = tune(&verify.par_events, m);
-    let sim = simulate(verify.total_ops, &verify.par_events, m, &disabled);
+/// verification's sequential run — its op count and its trace.
+pub(crate) fn tuned_speedup(total_ops: u64, events: &[ParLoopEvent], m: &Machine) -> TunedScore {
+    let disabled = tune(events, m);
+    let sim = simulate(total_ops, events, m, &disabled);
     TunedScore {
         machine: m.name,
         speedup: sim.speedup(),
@@ -331,103 +330,112 @@ pub fn geomean_micros(speedups: &[f64]) -> u64 {
 /// Run the configuration tournament: every job × every portfolio arm
 /// through the shared-cache matrix, scored on `opts.machines` (the
 /// paper's two hosts when empty). The arms are the fixed [`portfolio`].
+/// Each app's row is ranked as soon as its last arm completes, so a
+/// finished app holds its [`AppTournament`], not its arms' payloads.
 pub fn run_tournament(jobs: &[SuiteJob], opts: &DriverOptions) -> TournamentOutcome {
     let arms = portfolio();
     let machines = opts.effective_machines();
-
-    let mx = run_matrix(jobs, &arms, &machines, false, opts);
-    // The completed cells' metrics, in the same (app × arm) order.
-    let mut cell_metrics = mx.metrics.cells.iter();
-    let mut apps = Vec::with_capacity(jobs.len());
-    for (job, row) in jobs.iter().zip(mx.cells) {
-        let runs: Vec<Result<ArmRun, &'static str>> = row
-            .iter()
-            .map(|outcome| match outcome {
-                Ok(done) => {
-                    let verified = done.verify.result.ok();
-                    Ok(ArmRun {
-                        verified,
-                        machines: if verified {
-                            MachineScore::all(&done.verify.scores)
-                        } else {
-                            Vec::new()
-                        },
-                        parallel: done.emitted.parallel_loops(),
-                    })
-                }
-                Err(e) => Err(e.code()),
-            })
-            .collect();
-        let ranking = rank(&arms, &runs);
-
-        let mut scores: Vec<ArmScore> = Vec::with_capacity(arms.len());
-        let mut directives = Vec::new();
-        let mut interp_runs = 0u64;
-        let mut arms_cached = 0u64;
-        let arm_rows = arms.iter().zip(row).zip(runs).zip(ranking.scores);
-        for (i, (((cfg, outcome), run), score)) in arm_rows.enumerate() {
-            let machines = match (run, score) {
-                (Ok(r), Ok(_)) => r.machines,
-                _ => Vec::new(),
-            };
-            let (score_micros, error) = match score {
-                Ok(s) => (Some(s), None),
-                Err(code) => (None, Some(code.to_string())),
-            };
-            let (metrics, loc) = match outcome {
-                Ok(done) => {
-                    let metrics = cell_metrics
-                        .next()
-                        .expect("a completed cell has its metrics");
-                    interp_runs += metrics.interp_runs;
-                    if metrics.verify_cached {
-                        arms_cached += 1;
-                    }
-                    if ranking.winner == Some(i) {
-                        directives = done
-                            .emitted
-                            .source
-                            .lines()
-                            .filter(|l| l.trim_start().starts_with("!$OMP"))
-                            .map(|l| l.trim().to_string())
-                            .collect();
-                    }
-                    (Some(metrics), done.emitted.loc)
-                }
-                Err(_) => (None, 0),
-            };
-            scores.push(ArmScore {
-                arm: cfg.label.clone(),
-                mode: cfg.mode().label(),
-                ok: score_micros.is_some(),
-                score_micros,
-                machines,
-                loops_total: metrics.map_or(0, |m| m.loops_total),
-                loops_parallel: metrics.map_or(0, |m| m.loops_parallel),
-                loc,
-                blockers: metrics.map(|m| m.blockers.clone()).unwrap_or_default(),
-                error,
-            });
-        }
-        let winner = ranking.winner.map(|w| &scores[w]);
-        apps.push(AppTournament {
-            app: job.name.clone(),
-            winner: winner.map(|w| w.arm.clone()),
-            winner_score_micros: winner.and_then(|w| w.score_micros).unwrap_or(0),
-            gained: ranking.gained,
-            lost: ranking.lost,
-            directives,
-            interp_runs,
-            arms_cached,
-            arms: scores,
-        });
-    }
-
+    let (apps, metrics) = run_matrix(jobs, &arms, &machines, false, opts, |job, row, cells| {
+        app_tournament(&job.name, &arms, &row, cells)
+    });
     TournamentOutcome {
         machines: machines.iter().map(|m| m.name.to_string()).collect(),
         arm_labels: arms.iter().map(|c| c.label.clone()).collect(),
         apps,
-        metrics: mx.metrics,
+        metrics,
+    }
+}
+
+/// Rank one app's finished row: `row` holds its arms' outcomes in
+/// portfolio order, `cell_metrics` its completed arms' metrics in the
+/// same order.
+fn app_tournament(
+    app: &str,
+    arms: &[CellConfig],
+    row: &[CellOutcome],
+    cell_metrics: &[CellMetrics],
+) -> AppTournament {
+    let runs: Vec<Result<ArmRun, &'static str>> = row
+        .iter()
+        .map(|outcome| match outcome {
+            Ok(done) => {
+                let verified = done.verify.result.ok();
+                Ok(ArmRun {
+                    verified,
+                    machines: if verified {
+                        MachineScore::all(&done.verify.scores)
+                    } else {
+                        Vec::new()
+                    },
+                    parallel: done.emitted.parallel_loops(),
+                })
+            }
+            Err(e) => Err(e.code()),
+        })
+        .collect();
+    let ranking = rank(arms, &runs);
+
+    let mut cell_metrics = cell_metrics.iter();
+    let mut scores: Vec<ArmScore> = Vec::with_capacity(arms.len());
+    let mut directives = Vec::new();
+    let mut interp_runs = 0u64;
+    let mut arms_cached = 0u64;
+    let arm_rows = arms.iter().zip(row).zip(runs).zip(ranking.scores);
+    for (i, (((cfg, outcome), run), score)) in arm_rows.enumerate() {
+        let machines = match (run, score) {
+            (Ok(r), Ok(_)) => r.machines,
+            _ => Vec::new(),
+        };
+        let (score_micros, error) = match score {
+            Ok(s) => (Some(s), None),
+            Err(code) => (None, Some(code.to_string())),
+        };
+        let (metrics, loc) = match outcome {
+            Ok(done) => {
+                let metrics = cell_metrics
+                    .next()
+                    .expect("a completed cell has its metrics");
+                interp_runs += metrics.interp_runs;
+                if metrics.verify_cached {
+                    arms_cached += 1;
+                }
+                if ranking.winner == Some(i) {
+                    directives = done
+                        .emitted
+                        .source
+                        .lines()
+                        .filter(|l| l.trim_start().starts_with("!$OMP"))
+                        .map(|l| l.trim().to_string())
+                        .collect();
+                }
+                (Some(metrics), done.emitted.loc)
+            }
+            Err(_) => (None, 0),
+        };
+        scores.push(ArmScore {
+            arm: cfg.label.clone(),
+            mode: cfg.mode().label(),
+            ok: score_micros.is_some(),
+            score_micros,
+            machines,
+            loops_total: metrics.map_or(0, |m| m.loops_total),
+            loops_parallel: metrics.map_or(0, |m| m.loops_parallel),
+            loc,
+            blockers: metrics.map(|m| m.blockers.clone()).unwrap_or_default(),
+            error,
+        });
+    }
+    let winner = ranking.winner.map(|w| &scores[w]);
+    AppTournament {
+        app: app.to_string(),
+        winner: winner.map(|w| w.arm.clone()),
+        winner_score_micros: winner.and_then(|w| w.score_micros).unwrap_or(0),
+        gained: ranking.gained,
+        lost: ranking.lost,
+        directives,
+        interp_runs,
+        arms_cached,
+        arms: scores,
     }
 }
 

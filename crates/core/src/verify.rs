@@ -18,7 +18,7 @@
 
 use crate::error::{panic_message, FailCause};
 use fir::ast::Program;
-use fruntime::{run, run_compiled, Engine, ExecOptions, RtError};
+use fruntime::{run, run_compiled, Engine, ExecOptions, RtError, RunResult};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Result of verifying one optimized program against its original.
@@ -44,8 +44,9 @@ pub struct VerifyResult {
     /// [`verify`], [`crate::driver::run_suite`] and
     /// [`crate::driver::run_app`] hand out the whole trace. Tournaments,
     /// the daemon and [`crate::stream::run_stream`] score the trace on
-    /// their machines as soon as the verification completes and then free
-    /// it, so those cells never hold one.
+    /// their machines as soon as the sequential run completes and free it
+    /// before the chunked run starts, so those cells never hold one and
+    /// their gate-2 run never holds it alive.
     pub par_events: Vec<fruntime::ParLoopEvent>,
     /// VM execution counters aggregated over both verification runs
     /// (all zero when the tree-walker engine verified this cell).
@@ -63,17 +64,14 @@ impl VerifyResult {
 /// configuration is compared against. The original is mode-independent,
 /// so the driver memoizes this per application and shares it across the
 /// inlining configurations ([`verify_with_baseline_using`]).
-pub fn baseline_run(original: &Program) -> Result<fruntime::RunResult, RtError> {
+pub fn baseline_run(original: &Program) -> Result<RunResult, RtError> {
     run(original, &ExecOptions::default())
 }
 
 /// [`baseline_run`] with explicit executor options — the driver passes a
 /// reduced `max_ops` so a runaway original program hits the per-cell
 /// deadline instead of hanging a worker.
-pub fn baseline_run_with(
-    original: &Program,
-    opts: &ExecOptions,
-) -> Result<fruntime::RunResult, RtError> {
+pub fn baseline_run_with(original: &Program, opts: &ExecOptions) -> Result<RunResult, RtError> {
     run(original, opts)
 }
 
@@ -82,41 +80,78 @@ pub fn baseline_run_with(
 /// (`threads > 1`) run. Two interpreter runs: the optimized program
 /// sequentially with race checking, then chunked.
 pub fn verify_with_baseline_using(
-    base: &fruntime::RunResult,
+    base: &RunResult,
     optimized: &Program,
     par_opts: &ExecOptions,
 ) -> Result<VerifyResult, RtError> {
-    let seq_opts = ExecOptions {
-        check_races: true,
-        engine: par_opts.engine,
-        // The caller's op budget is the cell's deadline; it must bound the
-        // sequential gate run too, not just the threaded one.
-        max_ops: par_opts.max_ops,
-        ..Default::default()
-    };
-    let (seq, par) = match par_opts.engine {
-        // Compile once, run twice: both verification runs share one
-        // lowered program.
-        Engine::Bytecode => {
-            let compiled = fruntime::compile(optimized);
-            (
-                run_compiled(&compiled, &seq_opts)?,
-                run_compiled(&compiled, par_opts)?,
-            )
-        }
-        Engine::TreeWalk => (run(optimized, &seq_opts)?, run(optimized, par_opts)?),
-    };
+    Verification::sequential(base, optimized, par_opts)?.chunked(par_opts)
+}
 
-    let mut vm = seq.vm;
-    vm.absorb(&par.vm);
-    Ok(VerifyResult {
-        matches_original: base.same_observable(&seq, 1e-12),
-        parallel_consistent: seq.same_observable(&par, 1e-9),
-        races: seq.races.len(),
-        total_ops: seq.total_ops,
-        par_events: seq.par_events,
-        vm,
-    })
+/// A verification between its two runs: the optimized program lowered
+/// once, its sequential race-checked run done and compared with the
+/// baseline (gate 1). The sequential run's `par_events` is the trace the
+/// cost model scores; the driver scores it here and, unless it keeps
+/// whole traces, frees it before [`Verification::chunked`] runs gate 2.
+pub(crate) struct Verification<'p> {
+    optimized: &'p Program,
+    /// The lowered program both runs share (`None` on the tree-walker).
+    lowered: Option<fruntime::CompiledProgram<'p>>,
+    /// The sequential run of the optimized program.
+    pub(crate) seq: RunResult,
+    matches_original: bool,
+}
+
+impl<'p> Verification<'p> {
+    /// Lower `optimized` (on the bytecode engine) and run it sequentially
+    /// with race checking, under `par_opts`' engine and op budget — the
+    /// caller's op budget is the cell's deadline, so it bounds this run
+    /// too — then compare the run with `base`.
+    pub(crate) fn sequential(
+        base: &RunResult,
+        optimized: &'p Program,
+        par_opts: &ExecOptions,
+    ) -> Result<Verification<'p>, RtError> {
+        let seq_opts = ExecOptions {
+            check_races: true,
+            engine: par_opts.engine,
+            max_ops: par_opts.max_ops,
+            ..Default::default()
+        };
+        let lowered = match par_opts.engine {
+            Engine::Bytecode => Some(fruntime::compile(optimized)),
+            Engine::TreeWalk => None,
+        };
+        let seq = match &lowered {
+            Some(lowered) => run_compiled(lowered, &seq_opts)?,
+            None => run(optimized, &seq_opts)?,
+        };
+        Ok(Verification {
+            optimized,
+            lowered,
+            matches_original: base.same_observable(&seq, 1e-12),
+            seq,
+        })
+    }
+
+    /// Run the chunked gate (`par_opts`) on the same lowered program and
+    /// compare it with the sequential run.
+    pub(crate) fn chunked(self, par_opts: &ExecOptions) -> Result<VerifyResult, RtError> {
+        let par = match &self.lowered {
+            Some(lowered) => run_compiled(lowered, par_opts)?,
+            None => run(self.optimized, par_opts)?,
+        };
+        let seq = self.seq;
+        let mut vm = seq.vm;
+        vm.absorb(&par.vm);
+        Ok(VerifyResult {
+            matches_original: self.matches_original,
+            parallel_consistent: seq.same_observable(&par, 1e-9),
+            races: seq.races.len(),
+            total_ops: seq.total_ops,
+            par_events: seq.par_events,
+            vm,
+        })
+    }
 }
 
 /// Verify `optimized` against `original`, running the chunked executor

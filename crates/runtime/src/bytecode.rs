@@ -511,7 +511,7 @@ pub fn compile(p: &Program) -> CompiledProgram<'_> {
             for d in &sym.dims {
                 match d {
                     Dim::Extent(e) => match crate::interp::const_extent(e, table) {
-                        Some(v) if v >= 0 => len *= (v as usize).max(1),
+                        Some(v) if v >= 0 => len = len.saturating_mul((v as usize).max(1)),
                         _ => resolvable = false,
                     },
                     Dim::Assumed => resolvable = false,
@@ -790,16 +790,21 @@ pub(crate) struct VmState {
     pub(crate) ctr: VmCounters,
 }
 
+/// One chunk-journal entry: `(slot, offset, raw)`, 16 bytes. The arena
+/// never hands out a slot index or a slot length past `u32::MAX`
+/// ([`crate::memory::MAX_SLOT_INDEX`]), so both coordinates fit.
+pub(crate) type JournalEntry = (u32, u32, f64);
+
 /// What a chunk of a directive loop records while it runs on the live
 /// arena. Every buffer is retained across chunks and executions.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkLog {
     /// `(slot, offset, new raw)` per logged store, in chunk order: merged
     /// into the arena once every chunk has run.
-    writes: Vec<(usize, usize, f64)>,
+    writes: Vec<JournalEntry>,
     /// `(slot, offset, pre-write raw)` of every element the running chunk
     /// overwrote, replayed newest first when the chunk ends.
-    undo: Vec<(usize, usize, f64)>,
+    undo: Vec<JournalEntry>,
     /// Each reduction's pre-loop value, then every chunk's final values,
     /// chunk-major.
     folds: Vec<f64>,
@@ -861,7 +866,7 @@ pub fn run_compiled(prog: &CompiledProgram<'_>, opts: &ExecOptions) -> Result<Ru
     let cx = Vx { prog, opts };
     let mut st = VmState::default();
     for (block, name, ty, len) in &prog.commons {
-        st.mem.common(block, name, *ty, *len);
+        st.mem.common(block, name, *ty, *len)?;
     }
     let main = prog.main.ok_or_else(|| RtError::new("no PROGRAM unit"))?;
     let flow = build_frame(cx, &mut st, main, 0, 0)
@@ -971,8 +976,10 @@ pub(crate) fn retire_race(st: &mut VmState) {
 pub(crate) fn store_raw(st: &mut VmState, slot: usize, off: usize, raw: f64) {
     let cell = &mut st.mem.slots[slot].data[off];
     if let Some(log) = &mut st.log {
-        log.undo.push((slot, off, *cell));
-        log.writes.push((slot, off, raw));
+        // Lossless: the arena bounds slot indexes and lengths by u32.
+        let (s, o) = (slot as u32, off as u32);
+        log.undo.push((s, o, *cell));
+        log.writes.push((s, o, raw));
     }
     *cell = raw;
     record(st, slot, off, true);
@@ -999,7 +1006,7 @@ pub(crate) fn write_var(mem: &mut Memory, r: Reg, val: Scalar) {
 pub(crate) fn write_var_journaled(st: &mut VmState, r: Reg, val: Scalar) {
     if let Some(log) = &mut st.log {
         if let Some(old) = st.mem.slots.get(r.slot).and_then(|s| s.data.get(r.offset)) {
-            log.undo.push((r.slot, r.offset, *old));
+            log.undo.push((r.slot as u32, r.offset as u32, *old));
         }
     }
     write_var(&mut st.mem, r, val);
@@ -1170,7 +1177,7 @@ pub(crate) fn build_frame<'a>(
                 unit.names[c.local as usize]
             ))
         })?;
-        let slot = st.mem.alloc(c.ty, 1);
+        let slot = st.mem.alloc(c.ty, 1)?;
         st.mem.slots[slot].set(0, Scalar::I(val));
         st.regs.regs[fb + c.local as usize] = Reg::scalar(slot, 0);
     }
@@ -1183,16 +1190,16 @@ pub(crate) fn build_frame<'a>(
     // reference anything already bound.
     for lp in &plan.locals {
         let (dims_at, dims_len) = resolve_dims(cx, st, (u, body), fb, &lp.dims, lp.local)?;
-        let len: usize = st.regs.dims[dims_at..dims_at + dims_len]
+        // Saturating: a shape past usize is refused by the arena, not
+        // wrapped into a small slot.
+        let len = st.regs.dims[dims_at..dims_at + dims_len]
             .iter()
-            .map(|&d| d.max(1))
-            .product::<usize>()
-            .max(1);
+            .fold(1usize, |n, &d| n.saturating_mul(d.max(1)));
         let slot = match &lp.block {
             Some(block) => st
                 .mem
-                .common(block, &unit.names[lp.local as usize], lp.ty, len),
-            None => st.mem.alloc(lp.ty, len),
+                .common(block, &unit.names[lp.local as usize], lp.ty, len)?,
+            None => st.mem.alloc(lp.ty, len)?,
         };
         st.regs.regs[fb + lp.local as usize] = Reg {
             slot,
@@ -1398,8 +1405,9 @@ fn run_chunk(
     if let Some(log) = &mut cs.log {
         cs.ctr.chunk_undo_writes += log.undo.len() as u64;
         for &(slot, off, raw) in log.undo.iter().rev() {
+            let slot = slot as usize;
             if slot < cp.slots {
-                cs.mem.slots[slot].data[off] = raw;
+                cs.mem.slots[slot].data[off as usize] = raw;
             }
         }
         log.undo.clear();
@@ -1496,6 +1504,7 @@ pub(crate) fn exec_parallel(
     if flow.is_ok() {
         let log = cs.log.as_ref().expect("chunk state carries a log");
         for &(slot, off, val) in &log.writes {
+            let (slot, off) = (slot as usize, off as usize);
             if excluded.binary_search(&slot).is_ok() {
                 continue;
             }
@@ -1654,6 +1663,13 @@ mod tests {
         // disjoint A loop is clean. One slot, one report.
         assert_eq!(r.races.len(), 1, "{:?}", r.races);
         assert!(r.races[0].what.contains("slot"), "{:?}", r.races);
+    }
+
+    #[test]
+    fn chunk_journal_entries_are_sixteen_bytes() {
+        // Two u32 coordinates and the raw: the write and undo logs of a
+        // chunked run cost 16 bytes per logged store.
+        assert_eq!(std::mem::size_of::<JournalEntry>(), 16);
     }
 
     #[test]

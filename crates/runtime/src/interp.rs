@@ -361,7 +361,7 @@ pub fn run(p: &Program, opts: &ExecOptions) -> Result<RunResult, RtError> {
 fn run_tree(p: &Program, opts: &ExecOptions) -> Result<RunResult, RtError> {
     let ctx = Ctx::new(p)?;
     let mut st = State::default();
-    preallocate_commons(&ctx, &mut st);
+    preallocate_commons(&ctx, &mut st)?;
     let main = ctx.main.ok_or_else(|| RtError::new("no PROGRAM unit"))?;
     let frame = build_frame(&ctx, &mut st, main, &[], opts)?;
     let mut interp = Interp {
@@ -437,7 +437,7 @@ pub(crate) fn const_extent(e: &Expr, table: &SymbolTable) -> Option<i64> {
 /// executor merges write logs into. COMMON extents are constants or
 /// PARAMETER references in F77, so everything resolvable is created here;
 /// anything else stays lazy and is handled by `Memory::release` compaction.
-fn preallocate_commons(ctx: &Ctx<'_>, st: &mut State) {
+fn preallocate_commons(ctx: &Ctx<'_>, st: &mut State) -> Result<(), RtError> {
     for u in &ctx.order {
         let (_, table) = &ctx.units[u.name.as_str()];
         let mut members: Vec<&fir::symbol::Symbol> = table
@@ -454,17 +454,18 @@ fn preallocate_commons(ctx: &Ctx<'_>, st: &mut State) {
             for d in &sym.dims {
                 match d {
                     Dim::Extent(e) => match const_extent(e, table) {
-                        Some(v) if v >= 0 => len *= (v as usize).max(1),
+                        Some(v) if v >= 0 => len = len.saturating_mul((v as usize).max(1)),
                         _ => resolvable = false,
                     },
                     Dim::Assumed => resolvable = false,
                 }
             }
             if resolvable {
-                st.mem.common(block, &sym.name, sym.ty, len.max(1));
+                st.mem.common(block, &sym.name, sym.ty, len.max(1))?;
             }
         }
     }
+    Ok(())
 }
 
 #[derive(Default, Clone)]
@@ -597,7 +598,7 @@ fn build_frame(
                 .param_value(&sym.name)
                 .and_then(|e| e.as_int_const())
                 .ok_or_else(|| RtError::new(format!("non-constant PARAMETER {}", sym.name)))?;
-            let slot = st.mem.alloc(sym.ty, 1);
+            let slot = st.mem.alloc(sym.ty, 1)?;
             st.mem.slots[slot].set(0, Scalar::I(val));
             frame.types.insert(sym.name.clone(), sym.ty);
             frame.views.insert(sym.name.clone(), View::scalar(slot, 0));
@@ -614,10 +615,11 @@ fn build_frame(
     pending.sort_by(|a, b| a.name.cmp(&b.name));
     for sym in pending {
         let dims = resolve_dims(ctx, st, &frame, &sym.dims, &sym.name)?;
-        let len: usize = dims.iter().map(|&d| d.max(1)).product::<usize>().max(1);
+        // Saturating, like the VM: an overflowing shape is refused.
+        let len = dims.iter().fold(1usize, |n, &d| n.saturating_mul(d.max(1)));
         let slot = match &sym.storage {
-            Storage::Common(block) => st.mem.common(block, &sym.name, sym.ty, len),
-            _ => st.mem.alloc(sym.ty, len),
+            Storage::Common(block) => st.mem.common(block, &sym.name, sym.ty, len)?,
+            _ => st.mem.alloc(sym.ty, len)?,
         };
         frame.types.insert(sym.name.clone(), sym.ty);
         frame.views.insert(
@@ -977,7 +979,7 @@ impl<'a> Interp<'a> {
                     return Ok(v);
                 }
                 // Unbound name: allocate a fresh scalar (implicit local).
-                let slot = self.st.mem.alloc(Type::implicit_for(n), 1);
+                let slot = self.st.mem.alloc(Type::implicit_for(n), 1)?;
                 Ok(View::scalar(slot, 0))
             }
             Expr::Index(n, subs) => {
@@ -1006,7 +1008,7 @@ impl<'a> Interp<'a> {
                     Scalar::F(_) => Type::Double,
                     Scalar::B(_) => Type::Logical,
                 };
-                let slot = self.st.mem.alloc(ty, 1);
+                let slot = self.st.mem.alloc(ty, 1)?;
                 self.st.mem.slots[slot].set(0, v);
                 Ok(View::scalar(slot, 0))
             }

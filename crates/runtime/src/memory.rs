@@ -9,8 +9,34 @@
 //! sequence-association semantics (`CALL PCINIT(T(IX(7)))` makes the formal
 //! an alias into `T`).
 
+use crate::interp::RtError;
 use fir::ast::Type;
 use std::collections::HashMap;
+
+/// The largest slot index and slot length the arena hands out. The
+/// bytecode VM's chunk journal packs each `(slot, offset)` into two
+/// `u32`s, so [`Memory::alloc`] and [`Memory::common`] refuse anything
+/// past this bound (as well as any allocation the allocator refuses).
+pub const MAX_SLOT_INDEX: usize = u32::MAX as usize;
+
+/// The one error of an allocation the arena refuses, identical on both
+/// engines.
+fn unallocatable(len: usize) -> RtError {
+    RtError::new(format!("cannot allocate storage of {len} elements"))
+}
+
+/// Grow `data` with zeros to `len` elements, or refuse: past
+/// [`MAX_SLOT_INDEX`], or when the allocator cannot provide the bytes.
+/// Reserves like `Vec::resize` does, so capacities stay as before.
+fn grow_zeroed(data: &mut Vec<f64>, len: usize) -> Result<(), RtError> {
+    if len > MAX_SLOT_INDEX {
+        return Err(unallocatable(len));
+    }
+    let more = len.saturating_sub(data.len());
+    data.try_reserve(more).map_err(|_| unallocatable(len))?;
+    data.resize(len, 0.0);
+    Ok(())
+}
 
 /// A runtime scalar value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -299,25 +325,42 @@ impl Clone for Memory {
 
 impl Memory {
     /// Allocate a fresh slot; returns its index. Reuses a pooled buffer
-    /// from a previously released frame when one is available.
-    pub fn alloc(&mut self, ty: Type, len: usize) -> usize {
+    /// from a previously released frame when one is available. Fails,
+    /// leaving the arena as it was, when the slot index or `len` would
+    /// pass [`MAX_SLOT_INDEX`] or the allocator refuses the storage.
+    pub fn alloc(&mut self, ty: Type, len: usize) -> Result<usize, RtError> {
+        if self.slots.len() >= MAX_SLOT_INDEX || len > MAX_SLOT_INDEX {
+            return Err(unallocatable(len));
+        }
         let data = match self.pool.pop() {
             Some(mut buf) => {
                 buf.clear();
+                grow_zeroed(&mut buf, len)?;
+                buf
+            }
+            None => {
+                let mut buf = Vec::new();
+                buf.try_reserve_exact(len).map_err(|_| unallocatable(len))?;
                 buf.resize(len, 0.0);
                 buf
             }
-            None => vec![0.0; len],
         };
         self.slots.push(Slot { ty, data });
-        self.slots.len() - 1
+        Ok(self.slots.len() - 1)
     }
 
     /// Find or create the slot of a COMMON member; grows the slot when a
     /// later unit declares a larger shape. The hit path builds its
     /// directory key in a reused scratch buffer, so repeated lookups from
-    /// steady-state frame builds do not allocate.
-    pub fn common(&mut self, block: &str, name: &str, ty: Type, len: usize) -> usize {
+    /// steady-state frame builds do not allocate. Creating or growing the
+    /// member fails like [`Memory::alloc`].
+    pub fn common(
+        &mut self,
+        block: &str,
+        name: &str,
+        ty: Type,
+        len: usize,
+    ) -> Result<usize, RtError> {
         self.key_buf.clear();
         self.key_buf.push_str(block);
         self.key_buf.push('\u{1F}');
@@ -325,17 +368,17 @@ impl Memory {
         if let Some(&idx) = self.commons.get(self.key_buf.as_str()) {
             let have = self.slots[idx].data.len();
             if have < len {
+                grow_zeroed(&mut self.slots[idx].data, len)?;
                 if let Some(grown) = &mut self.grown {
                     grown.push((idx, have));
                 }
-                self.slots[idx].data.resize(len, 0.0);
             }
-            return idx;
+            return Ok(idx);
         }
-        let idx = self.alloc(ty, len);
+        let idx = self.alloc(ty, len)?;
         let key = std::mem::take(&mut self.key_buf);
         self.commons.insert(key, idx);
-        idx
+        Ok(idx)
     }
 
     /// Element type of an existing COMMON member, without creating it.
@@ -478,7 +521,7 @@ mod tests {
     #[test]
     fn views_alias_with_offset() {
         let mut m = Memory::default();
-        let slot = m.alloc(Type::Real, 100);
+        let slot = m.alloc(Type::Real, 100).unwrap();
         // Formal X2(*) bound to T(41): element i of the view is T(40 + i).
         let view = View {
             slot,
@@ -497,21 +540,43 @@ mod tests {
     #[test]
     fn commons_are_shared_and_grow() {
         let mut m = Memory::default();
-        let a = m.common("BLK", "T", Type::Real, 10);
-        let b = m.common("BLK", "T", Type::Real, 20);
+        let a = m.common("BLK", "T", Type::Real, 10).unwrap();
+        let b = m.common("BLK", "T", Type::Real, 20).unwrap();
         assert_eq!(a, b);
         assert_eq!(m.slots[a].data.len(), 20);
-        let c = m.common("BLK", "U", Type::Real, 5);
+        let c = m.common("BLK", "U", Type::Real, 5).unwrap();
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn storage_past_the_slot_bound_is_refused() {
+        let mut m = Memory::default();
+        let a = m.common("BLK", "T", Type::Real, 10).unwrap();
+        let huge = MAX_SLOT_INDEX + 1;
+        let e = m.alloc(Type::Real, huge).unwrap_err();
+        assert_eq!(
+            e.message,
+            format!("cannot allocate storage of {huge} elements")
+        );
+        // Growing a COMMON member past the bound fails the same way.
+        assert_eq!(m.common("BLK", "T", Type::Real, huge).unwrap_err(), e);
+        assert_eq!(
+            m.common("BLK", "U", Type::Real, huge).unwrap_err().message,
+            e.message
+        );
+        // The arena is as it was.
+        assert_eq!(m.slots.len(), 1);
+        assert_eq!(m.slots[a].data.len(), 10);
+        assert!(m.common_ty("BLK", "U").is_none());
     }
 
     #[test]
     fn stack_discipline() {
         let mut m = Memory::default();
-        let _g = m.common("B", "X", Type::Real, 4);
+        let _g = m.common("B", "X", Type::Real, 4).unwrap();
         let mark = m.mark();
-        let _l1 = m.alloc(Type::Real, 8);
-        let _l2 = m.alloc(Type::Integer, 8);
+        let _l1 = m.alloc(Type::Real, 8).unwrap();
+        let _l2 = m.alloc(Type::Integer, 8).unwrap();
         assert_eq!(m.slots.len(), 3);
         m.release(mark);
         assert_eq!(m.slots.len(), 1);
@@ -536,7 +601,7 @@ mod tests {
     #[test]
     fn scalar_views() {
         let mut m = Memory::default();
-        let s = m.alloc(Type::Integer, 1);
+        let s = m.alloc(Type::Integer, 1).unwrap();
         let v = View::scalar(s, 0);
         m.write(&v, &[], Scalar::I(42)).unwrap();
         assert_eq!(m.read(&v, &[]), Some(Scalar::I(42)));
@@ -578,17 +643,17 @@ mod tests {
     #[test]
     fn release_reclaims_locals_under_lazy_commons() {
         let mut m = Memory::default();
-        let _g = m.common("B", "X", Type::Real, 4);
+        let _g = m.common("B", "X", Type::Real, 4).unwrap();
         let mark = m.mark();
-        let _l1 = m.alloc(Type::Real, 8);
-        let lazy = m.common("L", "Y", Type::Real, 6);
+        let _l1 = m.alloc(Type::Real, 8).unwrap();
+        let lazy = m.common("L", "Y", Type::Real, 6).unwrap();
         m.slots[lazy].set(0, Scalar::F(9.5));
-        let _l2 = m.alloc(Type::Integer, 8);
+        let _l2 = m.alloc(Type::Integer, 8).unwrap();
         m.release(mark);
         // Only the lazily created COMMON survives, compacted to the mark;
         // the frame's locals are reclaimed (they used to stay pinned).
         assert_eq!(m.slots.len(), mark + 1);
-        let y = m.common("L", "Y", Type::Real, 6);
+        let y = m.common("L", "Y", Type::Real, 6).unwrap();
         assert_eq!(y, mark);
         assert_eq!(m.slots[y].get(0), Scalar::F(9.5));
         // The compacted slot is addressable through the directory.

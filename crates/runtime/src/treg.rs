@@ -3070,7 +3070,7 @@ fn step_cold(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr
                 None => {
                     // Unbound name: fresh implicit scalar.
                     let ty = Type::implicit_for(&t.unit.names[a as usize]);
-                    let slot = st.mem.alloc(ty, 1);
+                    let slot = st.mem.alloc(ty, 1)?;
                     st.regs.regs.push(Reg::scalar(slot, 0));
                 }
             }
@@ -3100,21 +3100,21 @@ fn step_cold(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr
             Ok(Ctl::Next)
         }
         Op::ArgValI => {
-            let slot = st.mem.alloc(Type::Integer, 1);
+            let slot = st.mem.alloc(Type::Integer, 1)?;
             let v = Scalar::I(vi(st, a));
             st.mem.slots[slot].set(0, v);
             st.regs.regs.push(Reg::scalar(slot, 0));
             Ok(Ctl::Next)
         }
         Op::ArgValF => {
-            let slot = st.mem.alloc(Type::Double, 1);
+            let slot = st.mem.alloc(Type::Double, 1)?;
             let v = Scalar::F(vf(st, a));
             st.mem.slots[slot].set(0, v);
             st.regs.regs.push(Reg::scalar(slot, 0));
             Ok(Ctl::Next)
         }
         Op::ArgValB => {
-            let slot = st.mem.alloc(Type::Logical, 1);
+            let slot = st.mem.alloc(Type::Logical, 1)?;
             let v = Scalar::B(st.vregs[a as usize] != 0);
             st.mem.slots[slot].set(0, v);
             st.regs.regs.push(Reg::scalar(slot, 0));

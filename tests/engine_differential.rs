@@ -231,3 +231,171 @@ fn integer_overflow_edges_wrap_alike_on_both_engines() {
         );
     }
 }
+
+/// Chunk-journal shapes the bytecode VM's 16-byte `(slot, offset, raw)`
+/// entries must replay exactly as the tree-walker's write log: many
+/// stores to one element, a store to a non-private DO variable inside its
+/// own loop (the merge keeps the last *logged* store, not the value the
+/// back-edge wrote after it), a reduction and a private. Each directive
+/// goes on the `I` loop of the main unit; the fixtures run at 3 and 4
+/// chunks, so chunk boundaries fall inside every shape.
+#[test]
+fn chunk_journal_fixtures_agree_bit_for_bit_at_3_and_4_chunks() {
+    use fir::ast::{OmpDirective, RedOp};
+    // The fourth field is the last value the chunked run prints, where
+    // the fixture pins one.
+    let fixtures: [(&str, &str, OmpDirective, Option<&str>); 4] = [
+        (
+            "many stores to one element",
+            "      PROGRAM P
+      COMMON /B/ A(11), S(2)
+      DO I = 1, 11
+        A(I) = I*1.5
+        S(1) = A(I)
+        S(1) = S(1) + 2.0
+        S(1) = S(1)*0.5
+        S(2) = S(2) + S(1)
+      ENDDO
+      WRITE(6,*) A(11), S(1), S(2)
+      END
+",
+            OmpDirective::default(),
+            None,
+        ),
+        (
+            "store to a non-private DO variable in its own loop",
+            "      PROGRAM P
+      COMMON /B/ A(11), K
+      DO I = 1, 11
+        DO K = 1, 3
+          A(I) = A(I) + K*0.25
+          IF (K .EQ. 2) K = K + 10
+        ENDDO
+      ENDDO
+      WRITE(6,*) A(1), A(11), K
+      END
+",
+            OmpDirective::default(),
+            // K's last logged store (iteration K = 2), where the sequential
+            // run ends at 3 after the back-edge write.
+            Some("12"),
+        ),
+        (
+            "reduction",
+            "      PROGRAM P
+      COMMON /B/ A(11), S
+      S = 0.5
+      DO I = 1, 11
+        A(I) = I*0.1
+        S = S + A(I)
+      ENDDO
+      WRITE(6,*) S
+      END
+",
+            OmpDirective {
+                reductions: vec![(RedOp::Add, "S".into())],
+                ..Default::default()
+            },
+            Some("7.100000000E0"),
+        ),
+        (
+            "private",
+            "      PROGRAM P
+      COMMON /B/ A(11), T
+      T = 7.0
+      DO I = 1, 11
+        T = I*3.0
+        A(I) = T + 1.0
+      ENDDO
+      WRITE(6,*) A(11), T
+      END
+",
+            OmpDirective {
+                private: vec!["T".into()],
+                ..Default::default()
+            },
+            // The private's pre-loop value survives the merge.
+            Some("7.000000000E0"),
+        ),
+    ];
+    for (label, src, directive, merged) in fixtures {
+        let mut p = fir::parse(src).unwrap();
+        fir::visit::walk_loops_mut(&mut p.units[0].body, &mut |d| {
+            if d.var == "I" {
+                d.directive = Some(directive.clone());
+            }
+        });
+        for threads in [3usize, 4] {
+            let opts = ExecOptions {
+                threads,
+                ..Default::default()
+            };
+            differential(&format!("{label} at {threads} chunks"), &p, &opts);
+            let r = run(&p, &opts).unwrap();
+            assert_eq!(r.vm.chunks_run, threads as u64, "{label}");
+            if let Some(last) = merged {
+                let got = r.io.last().and_then(|l| l.split_whitespace().last());
+                assert_eq!(got, Some(last), "{label} at {threads} chunks");
+            }
+        }
+    }
+}
+
+/// An array no host can allocate is a runtime error on both engines, with
+/// one text, whether it is a local, a COMMON member created by the
+/// preallocation pass, a COMMON member a later unit grows, or a shape
+/// whose element count overflows `usize` (it saturates, never wraps into
+/// a small slot).
+#[test]
+fn an_unallocatable_array_is_a_runtime_error_on_both_engines() {
+    let local = "      PROGRAM P
+      DIMENSION A(100000000000000000)
+      A(1) = 1.0
+      WRITE(6,*) A(1)
+      END
+";
+    let common = "      PROGRAM P
+      COMMON /B/ A(100000000000000000)
+      A(1) = 1.0
+      END
+";
+    let grown = "      PROGRAM P
+      COMMON /B/ A(4)
+      CALL S(100000000000000000)
+      END
+      SUBROUTINE S(N)
+      COMMON /B/ A(N)
+      A(1) = 1.0
+      END
+";
+    let overflowing = "      PROGRAM P
+      DIMENSION A(4294967296, 4294967296)
+      A(1, 1) = 1.0
+      A(2, 1) = 2.0
+      END
+";
+    let huge = "100000000000000000".to_string();
+    let cases = [
+        ("local", local, &huge),
+        ("common", common, &huge),
+        ("grown common", grown, &huge),
+        ("overflowing shape", overflowing, &usize::MAX.to_string()),
+    ];
+    for (label, src, len) in cases {
+        let want = format!("cannot allocate storage of {len} elements");
+        let p = fir::parse(src).unwrap();
+        for engine in [Engine::TreeWalk, Engine::Bytecode] {
+            let opts = ExecOptions {
+                engine,
+                ..Default::default()
+            };
+            match run(&p, &opts) {
+                Ok(_) => panic!("{label} {engine:?}: ran"),
+                Err(e) => {
+                    assert_eq!(e.message, want, "{label} {engine:?}");
+                    assert_eq!(e.kind, fruntime::RtErrorKind::General, "{label}");
+                }
+            }
+        }
+    }
+}

@@ -396,6 +396,34 @@ fn per_client_budgets_throttle_without_collateral() {
 /// flight; the shared caches stay usable and sibling responses are
 /// byte-identical to an uncontended run.
 #[test]
+fn an_unallocatable_array_fails_its_request_and_the_daemon_serves_the_next() {
+    let handle = daemon::spawn(generous()).expect("spawn");
+    let addr = handle.addr().to_string();
+    let huge = evaluate(
+        "HUGE",
+        client_load::UNALLOCATABLE_SOURCE,
+        ipp_core::InlineMode::None,
+        "huge",
+    );
+    let resp = exchange(&addr, &encode_evaluate(&huge));
+    let doc = json::parse(&resp).unwrap();
+    let field = |key| doc.get(key).and_then(Json::as_str);
+    assert_eq!(field("status"), Some("error"), "{resp}");
+    assert_eq!(field("code"), Some("runtime"), "{resp}");
+    assert_eq!(field("stage"), Some("baseline"), "{resp}");
+    // The process survived, and the next request is served.
+    let resp = exchange(&addr, &encode_evaluate(&canary_request()));
+    assert_eq!(status_of(&resp), "ok", "{resp}");
+    let m = handle.shutdown();
+    assert_eq!(
+        (m.failed, m.completed_ok, m.panicked),
+        (1, 1, 0),
+        "{}",
+        m.to_json()
+    );
+}
+
+#[test]
 fn poisoned_cell_under_concurrent_load_leaves_siblings_identical() {
     let siblings: Vec<String> = corpus::requests(0x90150, 10, 4)
         .enumerate()

@@ -266,14 +266,17 @@ fn daemon_tournament_responses_are_byte_identical_to_the_recorded_ones() {
 }
 
 /// The one-worker tournament's peak live heap above its inputs, in
-/// bytes, plus 5%. The driver evaluates row by row, so only the running
-/// app's memo (its baseline run with final memory, its shared compiles
-/// and verify slots) is alive besides the finished cells' scores and
-/// emitted output; each verification keeps its per-machine scores, not
-/// its loop-execution trace. With every app's memo kept to the end of
-/// the run the same peak was 3,763,286 bytes, and 5,660,750 bytes with
-/// every trace kept as well.
-const PEAK_LIVE_CEILING: u64 = 2_086_279 * 105 / 100;
+/// bytes, plus 5%. The driver evaluates row by row and ranks each app's
+/// row the moment its last arm completes, so only the running app's memo
+/// (its baseline run with final memory, its shared compiles and verify
+/// slots) and its cells are alive besides the finished apps' ranked
+/// records. Each verification keeps its per-machine scores, and its
+/// loop-execution trace is freed before the chunked gate runs; the chunk
+/// journal costs 16 bytes per logged store. The peak was 2,086,279 bytes
+/// while finished rows kept their payloads to the end of the run,
+/// 3,763,286 bytes with every app's memo kept as well, and 5,660,750
+/// bytes with every trace kept too.
+const PEAK_LIVE_CEILING: u64 = 1_162_080 * 105 / 100;
 
 #[test]
 fn one_worker_tournament_peak_heap_holds_scores_not_traces() {
@@ -297,5 +300,40 @@ fn one_worker_tournament_peak_heap_holds_scores_not_traces() {
         alloc_counter::thread_live_bytes(),
         before,
         "the tournament left heap behind on its thread"
+    );
+}
+
+#[test]
+fn a_tournament_holds_only_the_rows_in_flight() {
+    // At one worker a tournament holds one app's row at a time, and each
+    // finished app only its ranked record. So the whole suite may peak
+    // above its largest one-app tournament by no more than the outcome it
+    // returns (twice that, for slack): every payload of a finished row is
+    // freed when the row is ranked.
+    let opts = DriverOptions {
+        workers: 1,
+        machines: vec![Machine::intel8(), Machine::amd4()],
+        ..Default::default()
+    };
+    // Peak live heap of a tournament over `jobs`, and the live bytes of
+    // the outcome it returned.
+    let measure = |jobs: &[ipp_core::SuiteJob]| {
+        let before = alloc_counter::thread_live_bytes();
+        let (out, peak) = alloc_counter::peak_live(|| run_tournament(jobs, &opts));
+        let held = (alloc_counter::thread_live_bytes() - before) as u64;
+        drop(out);
+        (peak, held)
+    };
+    let jobs = suite_jobs();
+    let largest_app = jobs
+        .iter()
+        .map(|job| measure(std::slice::from_ref(job)).0)
+        .max()
+        .unwrap();
+    let (peak, held) = measure(&jobs);
+    assert!(
+        peak <= largest_app + 2 * held,
+        "the 12-app peak {peak} B exceeds the largest one-app peak {largest_app} B \
+         by more than twice the {held} B outcome"
     );
 }
