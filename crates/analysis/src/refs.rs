@@ -335,7 +335,7 @@ mod tests {
         let p = parse(src).unwrap();
         for s in &p.units[0].body {
             if let StmtKind::Do(d) = &s.kind {
-                return d.clone();
+                return (**d).clone();
             }
         }
         panic!("no loop");

@@ -40,9 +40,21 @@ pub fn parse_body(unit: &str, src: &str) -> Result<Block> {
     Ok(body)
 }
 
+/// The parser builds every list of the tree at its exact length. Each
+/// element type has one work stack: a list notes the stack's length as its
+/// mark, pushes its items (a nested list pushes above the mark and drains
+/// its own items first), and ends with `drain(mark..).collect()`, one
+/// allocation of exactly the list's length with no growth reallocations.
 struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    units: Vec<ProcUnit>,
+    idents: Vec<Ident>,
+    decls: Vec<Decl>,
+    vars: Vec<VarDecl>,
+    dims: Vec<Dim>,
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
     unit_name: Ident,
     loop_counter: u32,
     /// Target labels of enclosing labeled DO loops (innermost last).
@@ -59,6 +71,13 @@ impl Parser {
         Parser {
             toks,
             pos: 0,
+            units: Vec::new(),
+            idents: Vec::new(),
+            decls: Vec::new(),
+            vars: Vec::new(),
+            dims: Vec::new(),
+            stmts: Vec::new(),
+            exprs: Vec::new(),
             unit_name: Ident::default(),
             loop_counter: 0,
             do_stack: Vec::new(),
@@ -146,15 +165,17 @@ impl Parser {
     // ----- program structure ------------------------------------------------
 
     fn program(mut self) -> Result<Program> {
-        let mut units = Vec::new();
         loop {
             self.skip_newlines();
             if matches!(self.peek(), Tok::Eof) {
                 break;
             }
-            units.push(self.unit()?);
+            let unit = self.unit()?;
+            self.units.push(unit);
         }
-        Ok(Program { units })
+        Ok(Program {
+            units: self.units.drain(..).collect(),
+        })
     }
 
     fn unit(&mut self) -> Result<ProcUnit> {
@@ -167,10 +188,11 @@ impl Parser {
             }
             Tok::Subroutine => {
                 let name = self.expect_ident()?;
-                let mut params = Vec::new();
+                let mark = self.idents.len();
                 if self.eat(&Tok::LParen) && !self.eat(&Tok::RParen) {
                     loop {
-                        params.push(self.expect_ident()?);
+                        let param = self.expect_ident()?;
+                        self.idents.push(param);
                         if !self.eat(&Tok::Comma) {
                             break;
                         }
@@ -178,6 +200,7 @@ impl Parser {
                     self.expect(Tok::RParen)?;
                 }
                 self.end_of_stmt()?;
+                let params = self.idents.drain(mark..).collect();
                 (UnitKind::Subroutine, name, params)
             }
             other => {
@@ -193,25 +216,20 @@ impl Parser {
 
         // Declarations come first; the declaration section ends at the first
         // executable statement.
-        let mut decls = Vec::new();
+        let mark = self.decls.len();
         loop {
             self.skip_newlines();
             match self.peek() {
                 Tok::Integer | Tok::Real_ | Tok::DoublePrecision | Tok::Logical => {
-                    decls.push(self.type_decl()?)
+                    self.type_decl()?
                 }
-                Tok::Dimension => decls.push(self.dimension_decl()?),
-                Tok::Common => {
-                    let mut blocks = self.common_decl()?;
-                    decls.append(&mut blocks);
-                }
-                Tok::Parameter => {
-                    let mut ps = self.parameter_decl()?;
-                    decls.append(&mut ps);
-                }
+                Tok::Dimension => self.dimension_decl()?,
+                Tok::Common => self.common_decl()?,
+                Tok::Parameter => self.parameter_decl()?,
                 _ => break,
             }
         }
+        let decls = self.decls.drain(mark..).collect();
 
         let body = self.block(&[Tok::End])?;
         self.expect(Tok::End)?;
@@ -231,7 +249,7 @@ impl Parser {
         })
     }
 
-    fn type_decl(&mut self) -> Result<Decl> {
+    fn type_decl(&mut self) -> Result<()> {
         let ty = match self.bump() {
             Tok::Integer => Type::Integer,
             Tok::Real_ => Type::Real,
@@ -239,81 +257,70 @@ impl Parser {
             Tok::Logical => Type::Logical,
             _ => unreachable!(),
         };
-        // A type declaration declares a comma-separated list, but each entry
-        // is a single `Decl::Var`; wrap lists into one synthetic Decl each.
-        let mut vars = Vec::new();
+        self.var_list(Some(ty))
+    }
+
+    fn dimension_decl(&mut self) -> Result<()> {
+        self.expect(Tok::Dimension)?;
+        self.var_list(None)
+    }
+
+    /// The comma-separated entries of a type or `DIMENSION` statement: one
+    /// entry is a `Decl::Var`, several are one anonymous `Decl::Common`
+    /// group (empty block name) that the printer writes back as one line.
+    fn var_list(&mut self, ty: Option<Type>) -> Result<()> {
+        let mark = self.vars.len();
         loop {
-            vars.push(self.decl_entry(Some(ty))?);
+            let var = self.decl_entry(ty)?;
+            self.vars.push(var);
             if !self.eat(&Tok::Comma) {
                 break;
             }
         }
         self.end_of_stmt()?;
-        // Flatten: emit the first entry, push the rest back through recursion
-        // by merging into one combined Decl list is not possible (Decl is a
-        // single var). Use a small trick: fold multiple vars into sequential
-        // Decl::Var entries via a synthetic Common-free wrapper.
-        if vars.len() == 1 {
-            Ok(Decl::Var(vars.pop().unwrap()))
+        let decl = if self.vars.len() == mark + 1 {
+            Decl::Var(self.vars.pop().expect("one entry above the mark"))
         } else {
-            // Represent multi-var declarations as a chain: the caller pushes
-            // one Decl; store extras inside a Common with empty block name is
-            // ugly, so instead we return a Var and stash the rest.
-            Ok(Decl::Common {
+            Decl::Common {
                 block: Ident::default(),
-                vars,
-            })
-        }
+                vars: self.vars.drain(mark..).collect(),
+            }
+        };
+        self.decls.push(decl);
+        Ok(())
     }
 
     fn decl_entry(&mut self, ty: Option<Type>) -> Result<VarDecl> {
         let name = self.expect_ident()?;
-        let mut dims = Vec::new();
+        let mark = self.dims.len();
         if self.eat(&Tok::LParen) {
             loop {
-                if self.eat(&Tok::Star) {
-                    dims.push(Dim::Assumed);
+                let dim = if self.eat(&Tok::Star) {
+                    Dim::Assumed
                 } else {
-                    dims.push(Dim::Extent(self.expr()?));
-                }
+                    Dim::Extent(self.expr()?)
+                };
+                self.dims.push(dim);
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
             }
             self.expect(Tok::RParen)?;
         }
+        let dims = self.dims.drain(mark..).collect();
         Ok(VarDecl { name, ty, dims })
     }
 
-    fn dimension_decl(&mut self) -> Result<Decl> {
-        self.expect(Tok::Dimension)?;
-        let mut vars = Vec::new();
-        loop {
-            vars.push(self.decl_entry(None)?);
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
-        self.end_of_stmt()?;
-        if vars.len() == 1 {
-            Ok(Decl::Var(vars.pop().unwrap()))
-        } else {
-            Ok(Decl::Common {
-                block: Ident::default(),
-                vars,
-            })
-        }
-    }
-
-    fn common_decl(&mut self) -> Result<Vec<Decl>> {
+    fn common_decl(&mut self) -> Result<()> {
         self.expect(Tok::Common)?;
-        let mut out = Vec::new();
+        let mut blocks = 0;
         while self.eat(&Tok::Slash) {
             let block = self.expect_ident()?;
             self.expect(Tok::Slash)?;
-            let mut vars = Vec::new();
+            let mark = self.vars.len();
             loop {
-                vars.push(self.decl_entry(None)?);
+                let var = self.decl_entry(None)?;
+                self.vars.push(var);
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
@@ -322,31 +329,31 @@ impl Parser {
                     break;
                 }
             }
-            out.push(Decl::Common { block, vars });
+            let vars = self.vars.drain(mark..).collect();
+            self.decls.push(Decl::Common { block, vars });
+            blocks += 1;
         }
         self.end_of_stmt()?;
-        if out.is_empty() {
+        if blocks == 0 {
             return Err(Error::parse("COMMON requires /block/ name", self.span()));
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn parameter_decl(&mut self) -> Result<Vec<Decl>> {
+    fn parameter_decl(&mut self) -> Result<()> {
         self.expect(Tok::Parameter)?;
         self.expect(Tok::LParen)?;
-        let mut out = Vec::new();
         loop {
             let name = self.expect_ident()?;
             self.expect(Tok::Assign)?;
             let value = self.expr()?;
-            out.push(Decl::Param { name, value });
+            self.decls.push(Decl::Param { name, value });
             if !self.eat(&Tok::Comma) {
                 break;
             }
         }
         self.expect(Tok::RParen)?;
-        self.end_of_stmt()?;
-        Ok(out)
+        self.end_of_stmt()
     }
 
     // ----- statements -------------------------------------------------------
@@ -354,7 +361,7 @@ impl Parser {
     /// Parse statements until one of `terminators` (or a shared-label close)
     /// is seen. Terminator tokens are *not* consumed.
     fn block(&mut self, terminators: &[Tok]) -> Result<Block> {
-        let mut out = Vec::new();
+        let mark = self.stmts.len();
         loop {
             self.skip_newlines();
 
@@ -417,7 +424,7 @@ impl Parser {
                     // loop; a bare CONTINUE is dropped (it is a no-op and the
                     // printer re-emits ENDDO form).
                     if !matches!(stmt.kind, StmtKind::Continue) {
-                        out.push(stmt);
+                        self.stmts.push(stmt);
                     }
                     self.pending_close = Some(l);
                     break;
@@ -425,9 +432,9 @@ impl Parser {
             }
 
             let stmt = self.stmt(label)?;
-            out.push(stmt);
+            self.stmts.push(stmt);
         }
-        Ok(out)
+        Ok(self.stmts.drain(mark..).collect())
     }
 
     fn stmt(&mut self, label: Option<u32>) -> Result<Stmt> {
@@ -512,7 +519,7 @@ impl Parser {
             }
         };
 
-        Ok(StmtKind::Do(DoLoop {
+        Ok(StmtKind::Do(Box::new(DoLoop {
             id,
             var,
             lo,
@@ -520,7 +527,7 @@ impl Parser {
             step,
             body,
             directive: None,
-        }))
+        })))
     }
 
     fn if_stmt(&mut self) -> Result<StmtKind> {
@@ -606,16 +613,7 @@ impl Parser {
     fn call_stmt(&mut self) -> Result<StmtKind> {
         self.expect(Tok::Call)?;
         let name = self.expect_ident()?;
-        let mut args = Vec::new();
-        if self.eat(&Tok::LParen) && !self.eat(&Tok::RParen) {
-            loop {
-                args.push(self.expr()?);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
-            self.expect(Tok::RParen)?;
-        }
+        let args = self.call_args()?;
         self.end_of_stmt()?;
         Ok(StmtKind::Call { name, args })
     }
@@ -642,15 +640,11 @@ impl Parser {
             }
         }
         self.expect(Tok::RParen)?;
-        let mut items = Vec::new();
-        if !matches!(self.peek(), Tok::Newline | Tok::Eof) {
-            loop {
-                items.push(self.expr()?);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
-        }
+        let items = if matches!(self.peek(), Tok::Newline | Tok::Eof) {
+            Vec::new()
+        } else {
+            self.expr_list()?
+        };
         self.end_of_stmt()?;
         Ok(StmtKind::Write { unit, items })
     }
@@ -658,15 +652,11 @@ impl Parser {
     fn print_stmt(&mut self) -> Result<StmtKind> {
         self.expect(Tok::Print)?;
         self.expect(Tok::Star)?;
-        let mut items = Vec::new();
-        if self.eat(&Tok::Comma) {
-            loop {
-                items.push(self.expr()?);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
-        }
+        let items = if self.eat(&Tok::Comma) {
+            self.expr_list()?
+        } else {
+            Vec::new()
+        };
         self.end_of_stmt()?;
         Ok(StmtKind::Write { unit: 6, items })
     }
@@ -687,13 +677,7 @@ impl Parser {
     fn assign_stmt(&mut self) -> Result<StmtKind> {
         let name = self.expect_ident()?;
         let lhs = if self.eat(&Tok::LParen) {
-            let mut subs = Vec::new();
-            loop {
-                subs.push(self.expr()?);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
+            let subs = self.expr_list()?;
             self.expect(Tok::RParen)?;
             Expr::Index(name, subs)
         } else {
@@ -706,6 +690,29 @@ impl Parser {
     }
 
     // ----- expressions ------------------------------------------------------
+
+    /// `expr {, expr}`.
+    fn expr_list(&mut self) -> Result<Vec<Expr>> {
+        let mark = self.exprs.len();
+        loop {
+            let e = self.expr()?;
+            self.exprs.push(e);
+            if !self.eat(&Tok::Comma) {
+                break;
+            }
+        }
+        Ok(self.exprs.drain(mark..).collect())
+    }
+
+    /// An optional parenthesized argument list: none, `()` or `(expr, ...)`.
+    fn call_args(&mut self) -> Result<Vec<Expr>> {
+        if !self.eat(&Tok::LParen) || self.eat(&Tok::RParen) {
+            return Ok(Vec::new());
+        }
+        let args = self.expr_list()?;
+        self.expect(Tok::RParen)?;
+        Ok(args)
+    }
 
     /// Entry: lowest precedence is `.OR.`.
     fn expr(&mut self) -> Result<Expr> {
@@ -835,24 +842,14 @@ impl Parser {
                 Ok(e)
             }
             Tok::Ident(name) => {
-                if self.eat(&Tok::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(Tok::RParen)?;
-                    }
-                    if let Some(intr) = Intrinsic::from_name(&name) {
-                        Ok(Expr::Intrinsic(intr, args))
-                    } else {
-                        Ok(Expr::Index(name, args))
-                    }
+                if !matches!(self.peek(), Tok::LParen) {
+                    return Ok(Expr::Var(name));
+                }
+                let args = self.call_args()?;
+                if let Some(intr) = Intrinsic::from_name(&name) {
+                    Ok(Expr::Intrinsic(intr, args))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok(Expr::Index(name, args))
                 }
             }
             other => Err(Error::parse(

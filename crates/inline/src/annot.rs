@@ -82,6 +82,11 @@ impl AnnotRegistry {
             op_counter: 0,
             loop_counter: 0,
             sub: Ident::default(),
+            idents: Vec::new(),
+            dims: Vec::new(),
+            stmts: Vec::new(),
+            exprs: Vec::new(),
+            secs: Vec::new(),
         };
         let mut reg = AnnotRegistry::default();
         while !p.at(&T::Eof) {
@@ -310,6 +315,14 @@ struct P {
     /// Allocator for annotation loop ids, per subroutine.
     loop_counter: u32,
     sub: Ident,
+    // Work stacks that build every list at its exact length, as in
+    // `fir`'s parser: a list pushes its items above a mark and ends with
+    // `drain(mark..).collect()`, one allocation of exactly its length.
+    idents: Vec<Ident>,
+    dims: Vec<Dim>,
+    stmts: Vec<Stmt>,
+    exprs: Vec<Expr>,
+    secs: Vec<SecRange>,
 }
 
 impl P {
@@ -379,21 +392,23 @@ impl P {
         self.sub = name.clone();
         self.op_counter = 0;
         self.loop_counter = 0;
-        let mut params = Vec::new();
+        let mark = self.idents.len();
         self.expect(T::LParen)?;
         if !self.eat(&T::RParen) {
             loop {
-                params.push(self.ident()?);
+                let param = self.ident()?;
+                self.idents.push(param);
                 if !self.eat(&T::Comma) {
                     break;
                 }
             }
             self.expect(T::RParen)?;
         }
+        let params = self.idents.drain(mark..).collect();
         self.expect(T::LBrace)?;
         let mut dims = BTreeMap::new();
         let mut types = BTreeMap::new();
-        let mut body: Block = Vec::new();
+        let body_mark = self.stmts.len();
         while !self.eat(&T::RBrace) {
             if let T::Id(word) = self.peek().clone() {
                 match word.as_str() {
@@ -402,19 +417,20 @@ impl P {
                         loop {
                             let n = self.ident()?;
                             self.expect(T::LBrack)?;
-                            let mut ds = Vec::new();
+                            let mark = self.dims.len();
                             loop {
-                                if self.eat(&T::Star) {
-                                    ds.push(Dim::Assumed);
+                                let dim = if self.eat(&T::Star) {
+                                    Dim::Assumed
                                 } else {
-                                    ds.push(Dim::Extent(self.expr()?));
-                                }
+                                    Dim::Extent(self.expr()?)
+                                };
+                                self.dims.push(dim);
                                 if !self.eat(&T::Comma) {
                                     break;
                                 }
                             }
                             self.expect(T::RBrack)?;
-                            dims.insert(n, ds);
+                            dims.insert(n, self.dims.drain(mark..).collect());
                             if !self.eat(&T::Comma) {
                                 break;
                             }
@@ -443,32 +459,33 @@ impl P {
                     _ => {}
                 }
             }
-            self.stmt_into(&mut body)?;
+            self.stmt()?;
         }
         Ok(AnnotSub {
             name,
             params,
             dims,
             types,
-            body,
+            body: self.stmts.drain(body_mark..).collect(),
         })
     }
 
     fn block_or_stmt(&mut self) -> Result<Block> {
-        let mut out = Vec::new();
+        let mark = self.stmts.len();
         if self.eat(&T::LBrace) {
             while !self.eat(&T::RBrace) {
-                self.stmt_into(&mut out)?;
+                self.stmt()?;
             }
         } else {
-            self.stmt_into(&mut out)?;
+            self.stmt()?;
         }
-        Ok(out)
+        Ok(self.stmts.drain(mark..).collect())
     }
 
-    /// Parse one source-level statement, which may lower to several IR
-    /// statements (a multi-assignment expands to one assign per target).
-    fn stmt_into(&mut self, out: &mut Block) -> Result<()> {
+    /// Parse one source-level statement onto the statement stack; it may
+    /// lower to several IR statements (a multi-assignment expands to one
+    /// assign per target).
+    fn stmt(&mut self) -> Result<()> {
         if let T::Id(word) = self.peek().clone() {
             match word.as_str() {
                 "IF" => {
@@ -483,7 +500,7 @@ impl P {
                     } else {
                         vec![]
                     };
-                    out.push(Stmt::synth(StmtKind::If {
+                    self.stmts.push(Stmt::synth(StmtKind::If {
                         cond,
                         then_blk,
                         else_blk,
@@ -507,7 +524,7 @@ impl P {
                     self.loop_counter += 1;
                     let id = LoopId::new(self.sub.clone(), LoopId::ANNOT_BASE + self.loop_counter);
                     let body = self.block_or_stmt()?;
-                    out.push(Stmt::synth(StmtKind::Do(DoLoop {
+                    self.stmts.push(Stmt::synth(StmtKind::Do(Box::new(DoLoop {
                         id,
                         var,
                         lo,
@@ -515,7 +532,7 @@ impl P {
                         step,
                         body,
                         directive: None,
-                    })));
+                    }))));
                     return Ok(());
                 }
                 "RETURN" => {
@@ -524,7 +541,7 @@ impl P {
                         let _ = self.expr()?; // returned value is documentation only
                     }
                     self.expect(T::Semi)?;
-                    out.push(Stmt::synth(StmtKind::Return));
+                    self.stmts.push(Stmt::synth(StmtKind::Return));
                     return Ok(());
                 }
                 _ => {}
@@ -556,7 +573,8 @@ impl P {
                     }
                     other => other.clone(),
                 };
-                out.push(Stmt::synth(StmtKind::Assign { lhs, rhs: rhs_k }));
+                self.stmts
+                    .push(Stmt::synth(StmtKind::Assign { lhs, rhs: rhs_k }));
             }
             return Ok(());
         }
@@ -564,26 +582,27 @@ impl P {
         self.expect(T::Assign)?;
         let rhs = self.expr()?;
         self.expect(T::Semi)?;
-        out.push(Stmt::synth(StmtKind::Assign { lhs, rhs }));
+        self.stmts.push(Stmt::synth(StmtKind::Assign { lhs, rhs }));
         Ok(())
     }
 
     fn lvalue(&mut self) -> Result<Expr> {
         let name = self.ident()?;
         if self.eat(&T::LBrack) {
-            let secs = self.sections()?;
-            self.expect(T::RBrack)?;
-            Ok(make_ref(name, secs))
+            self.bracket_ref(name)
         } else {
             Ok(Expr::Var(name))
         }
     }
 
-    fn sections(&mut self) -> Result<Vec<SecRange>> {
-        let mut out = Vec::new();
+    /// The rest of a bracket reference `name[...]` after its `[`: an
+    /// all-point reference is an `Index`; anything with a section becomes
+    /// a `Section`.
+    fn bracket_ref(&mut self, name: Ident) -> Result<Expr> {
+        let mark = self.secs.len();
         loop {
-            if self.eat(&T::Star) {
-                out.push(SecRange::Full);
+            let sec = if self.eat(&T::Star) {
+                SecRange::Full
             } else {
                 let lo = self.expr()?;
                 if self.eat(&T::Colon) {
@@ -593,20 +612,36 @@ impl P {
                     } else {
                         None
                     };
-                    out.push(SecRange::Range {
+                    SecRange::Range {
                         lo: Some(Box::new(lo)),
                         hi: Some(Box::new(hi)),
                         step,
-                    });
+                    }
                 } else {
-                    out.push(SecRange::At(lo));
+                    SecRange::At(lo)
                 }
-            }
+            };
+            self.secs.push(sec);
             if !self.eat(&T::Comma) {
                 break;
             }
         }
-        Ok(out)
+        self.expect(T::RBrack)?;
+        let all_points = self.secs[mark..]
+            .iter()
+            .all(|s| matches!(s, SecRange::At(_)));
+        let secs = self.secs.drain(mark..);
+        Ok(if all_points {
+            let subs = secs
+                .map(|s| match s {
+                    SecRange::At(e) => e,
+                    _ => unreachable!(),
+                })
+                .collect();
+            Expr::Index(name, subs)
+        } else {
+            Expr::Section(name, secs.collect())
+        })
     }
 
     // Expression precedence: || < && < ! < relational < +- < */% < unary- < primary
@@ -715,21 +750,21 @@ impl P {
             T::Id(name) => {
                 let name_span = self.last_span;
                 if self.eat(&T::LBrack) {
-                    let secs = self.sections()?;
-                    self.expect(T::RBrack)?;
-                    return Ok(make_ref(name, secs));
+                    return self.bracket_ref(name);
                 }
                 if self.eat(&T::LParen) {
-                    let mut args = Vec::new();
+                    let mark = self.exprs.len();
                     if !self.eat(&T::RParen) {
                         loop {
-                            args.push(self.expr()?);
+                            let arg = self.expr()?;
+                            self.exprs.push(arg);
                             if !self.eat(&T::Comma) {
                                 break;
                             }
                         }
                         self.expect(T::RParen)?;
                     }
+                    let args = self.exprs.drain(mark..).collect();
                     return Ok(match name.as_str() {
                         "UNKNOWN" => {
                             self.op_counter += 1;
@@ -757,23 +792,6 @@ impl P {
                 self.last_span,
             )),
         }
-    }
-}
-
-/// An all-point bracket reference is an `Index`; anything with a section
-/// becomes a `Section`.
-fn make_ref(name: Ident, secs: Vec<SecRange>) -> Expr {
-    if secs.iter().all(|s| matches!(s, SecRange::At(_))) {
-        let subs = secs
-            .into_iter()
-            .map(|s| match s {
-                SecRange::At(e) => e,
-                _ => unreachable!(),
-            })
-            .collect();
-        Expr::Index(name, subs)
-    } else {
-        Expr::Section(name, secs)
     }
 }
 

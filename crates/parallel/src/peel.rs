@@ -66,7 +66,7 @@ pub fn peel_last_iteration(d: &DoLoop) -> Vec<Stmt> {
     peeled.extend(d.body.iter().cloned());
 
     vec![
-        Stmt::synth(StmtKind::Do(main)),
+        Stmt::synth(StmtKind::Do(Box::new(main))),
         Stmt::synth(StmtKind::If {
             cond: guard,
             then_blk: peeled,
@@ -85,7 +85,7 @@ mod tests {
         let p = parse(src).unwrap();
         for s in &p.units[0].body {
             if let StmtKind::Do(d) = &s.kind {
-                return d.clone();
+                return (**d).clone();
             }
         }
         panic!("no loop");
