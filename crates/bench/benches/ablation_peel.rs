@@ -9,10 +9,7 @@ use ipp_core::{compile, InlineMode, PipelineOptions};
 
 fn options(peel: bool) -> PipelineOptions {
     let mut o = PipelineOptions::for_mode(InlineMode::Annotation);
-    o.par = ParOptions {
-        enable_peel: peel,
-        ..ParOptions::default()
-    };
+    o.par = ParOptions { enable_peel: peel };
     o
 }
 

@@ -7,12 +7,11 @@
 use ipp_core::json::Json;
 
 /// The counters the engine artifact's `vm_counters` block must carry.
-const VM_COUNTER_FIELDS: [&str; 14] = [
+const VM_COUNTER_FIELDS: [&str; 13] = [
     "insns_retired",
     "fused_insns",
     "fused_ticks",
     "fused_int",
-    "scal_prebound",
     "calls",
     "pool_hits",
     "pool_misses",
@@ -93,7 +92,7 @@ fn first_violation(gates: Vec<(bool, String)>) -> Result<(), String> {
 
 /// The `interp_engines.json` gates: the VM's counter block is complete
 /// and every fast path fired (fusion, tick folding, integer plans,
-/// operand pre-resolution, type-pun specialization), no program fell
+/// type-pun specialization), no program fell
 /// back to the tree-walker, retirements hold the ceiling, the retire
 /// histogram is filled, allocation metering is present, and the typed
 /// VM keeps a ≥ 2× margin over the tree-walker.
@@ -125,10 +124,6 @@ pub fn engines_gate(a: &Json) -> Result<String, String> {
             "control-op tick folding inert".into(),
         ),
         (c("fused_int")? > 0, "integer fused plans inert".into()),
-        (
-            c("scal_prebound")? > 0,
-            "operand pre-resolution inert".into(),
-        ),
         // ARC2D binds implicitly INTEGER formals to REAL arrays: those
         // frames run typed bodies specialized on the bound classes, and
         // no PERFECT program needs the tree-walker route.

@@ -234,7 +234,7 @@ impl ToJson for fruntime::VmCounters {
         json_object!(out, {
             "insns_retired": self.insns_retired, "fused_insns": self.fused_insns,
             "fused_ticks": self.fused_ticks, "fused_int": self.fused_int,
-            "scal_prebound": self.scal_prebound, "calls": self.calls,
+            "calls": self.calls,
             "pool_hits": self.pool_hits, "pool_misses": self.pool_misses,
             "peak_call_depth": self.peak_call_depth, "warm_allocs": self.warm_allocs,
             "chunks_run": self.chunks_run, "chunk_undo_writes": self.chunk_undo_writes,
@@ -520,7 +520,7 @@ mod tests {
         // The exact bytes of the report format.
         assert_eq!(
             j,
-            r#"{"workers":4,"peak_rows":0,"configs":0,"wall_ns":123,"interp_runs":0,"baseline_memo_hits":0,"verify_cache_hits":0,"compile_memo_hits":0,"failed_cells":1,"timed_out_cells":0,"panicked_cells":0,"verified_ok":0,"phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":7,"calls":1},"verify":{"ns":0,"calls":0}},"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"cells":[{"app":"ADM","config":"no-inline","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{"call":3},"loops_total":10,"loops_parallel":4,"interp_runs":3,"verify_cached":false,"compile_memo_hits":0,"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"autogen":{"auto_sites":5,"manual_sites":1,"refused_sites":2,"derived_subs":4,"chain_derived_subs":1,"refused_subs":2}},{"app":"ADM","config":"annotation","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{},"loops_total":10,"loops_parallel":6,"interp_runs":0,"verify_cached":true,"compile_memo_hits":1,"vm":{"insns_retired":9,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":2,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0}}],"failures":[{"app":"QCD","config":"annotation","stage":"verify","code":"timeout","timeout":true,"message":"verification exceeded the op-budget deadline"}]}"#
+            r#"{"workers":4,"peak_rows":0,"configs":0,"wall_ns":123,"interp_runs":0,"baseline_memo_hits":0,"verify_cache_hits":0,"compile_memo_hits":0,"failed_cells":1,"timed_out_cells":0,"panicked_cells":0,"verified_ok":0,"phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":7,"calls":1},"verify":{"ns":0,"calls":0}},"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"cells":[{"app":"ADM","config":"no-inline","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{"call":3},"loops_total":10,"loops_parallel":4,"interp_runs":3,"verify_cached":false,"compile_memo_hits":0,"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0},"autogen":{"auto_sites":5,"manual_sites":1,"refused_sites":2,"derived_subs":4,"chain_derived_subs":1,"refused_subs":2}},{"app":"ADM","config":"annotation","phases":{"normalize":{"ns":0,"calls":0},"inline":{"ns":0,"calls":0},"parallelize":{"ns":0,"calls":0},"reverse-inline":{"ns":0,"calls":0},"print":{"ns":0,"calls":0},"verify":{"ns":0,"calls":0}},"blockers":{},"loops_total":10,"loops_parallel":6,"interp_runs":0,"verify_cached":true,"compile_memo_hits":1,"vm":{"insns_retired":9,"fused_insns":0,"fused_ticks":0,"fused_int":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":2,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0}}],"failures":[{"app":"QCD","config":"annotation","stage":"verify","code":"timeout","timeout":true,"message":"verification exceeded the op-budget deadline"}]}"#
         );
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"workers\":4"));

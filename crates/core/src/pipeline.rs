@@ -28,7 +28,7 @@
 
 use fdep::analyze::Blocker;
 use finline::annot::AnnotRegistry;
-use finline::{annot_inline, chain, conventional, reverse, AutoGenOptions, Heuristics};
+use finline::{annot_inline, chain, conventional, reverse, Heuristics};
 use fir::ast::{LoopId, Program};
 use fir::fold::normalize_program;
 use fpar::{parallelize, ParOptions, ParReport};
@@ -385,7 +385,7 @@ pub(crate) fn inline<'p>(
                 // Derive summaries bottom-up over the call graph, then
                 // inline with the derived registry (manual annotations
                 // inside it only where derivation refused).
-                let rep = chain::generate_with_chains(&p, annotations, &AutoGenOptions::default());
+                let rep = chain::generate_with_chains(&p, annotations);
                 let q = annotate(p, &rep.registry, &mut reports);
                 reports.autogen = Some(rep);
                 q

@@ -276,10 +276,10 @@ fn evaluate_request_inner(
 }
 
 /// Content address for a request: 128-bit FNV-1a over the mode label,
-/// source, annotations, and op budget, each part separated by a byte the
-/// texts cannot contain mid-stream ambiguity for (the hash runs over
-/// length-free concatenation, so a NUL fence between parts keeps
-/// `("ab","c")` and `("a","bc")` distinct).
+/// source, annotations, and op budget, each part followed by a `0xFF`
+/// fence. The hash runs over a length-free concatenation, and no UTF-8
+/// text holds a `0xFF` byte (a NUL it may hold), so the fence keeps
+/// `("ab","c")` and `("a","bc")` distinct.
 pub fn request_key(mode: InlineMode, source: &str, annotations: &str, max_ops: u64) -> u128 {
     arm_key(mode.label(), source, annotations, max_ops)
 }
@@ -800,6 +800,21 @@ mod tests {
             matches!(&p, Err(e) if e.code() == "panic" && e.stage == FailStage::Driver),
             "{p:?}"
         );
+    }
+
+    #[test]
+    fn a_duplicate_unit_name_fails_at_parse() {
+        let src = "      PROGRAM P\n      CALL S(Y)\n      WRITE(6,*) Y\n      END\n\
+                   \x20     SUBROUTINE S(X)\n      REAL X, T\n      T = 1.5\n      X = T\n      END\n\
+                   \x20     SUBROUTINE S(X)\n      INTEGER T\n      END\n";
+        let opts = DriverOptions::default();
+        let e = evaluate_request("T", src, "", InlineMode::None, &opts).unwrap_err();
+        assert_eq!(e.stage, FailStage::Parse, "{e}");
+        let FailCause::Diag(d) = &e.cause else {
+            panic!("not a diagnostic: {e}");
+        };
+        assert!(d.message.contains("duplicate unit name S"), "{e}");
+        assert_eq!(d.span.line, 10, "{e}");
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //!
 //! The summary deliberately carries only *schedule-independent* counters
 //! (no wall-clock, no memo-hit counts, no per-cell timing): its JSON is
-//! byte-identical across worker counts and window sizes for the same job
-//! stream, which is what the streaming-determinism test pins.
+//! byte-identical across worker counts for the same job stream and
+//! window, which is what the streaming-determinism test pins. Across
+//! window sizes only [`StreamSummary::window`], the window itself,
+//! differs.
 //! Wall-clock and VM counters live on the [`StreamOutcome`] next to it.
 
 use crate::driver::{default_configs, DriverOptions, Rows, SuiteJob};

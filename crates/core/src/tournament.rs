@@ -69,10 +69,7 @@ pub fn portfolio() -> Vec<CellConfig> {
     arms.push(CellConfig {
         label: "annotation-no-peel".to_string(),
         opts: PipelineOptions {
-            par: fpar::ParOptions {
-                enable_peel: false,
-                ..Default::default()
-            },
+            par: fpar::ParOptions { enable_peel: false },
             ..PipelineOptions::for_mode(InlineMode::Annotation)
         },
     });

@@ -2,16 +2,19 @@
 //! (§III-D: "we use runtime testers to check and verify the correctness of
 //! our optimized code").
 //!
-//! Three gates, all driven by `fruntime`:
+//! Two gates decide the verdict, both driven by `fruntime`:
 //!
 //! 1. the optimized program's *sequential* run must match the original
 //!    program's run bit-for-bit on I/O and COMMON memory;
 //! 2. the optimized program's *chunked* run (`threads > 1`: every
 //!    directive loop split into contiguous chunks that start from the
 //!    pre-loop memory) must match its own sequential run (floating
-//!    reductions compared with a tolerance);
-//! 3. the runtime race checker must find no cross-iteration conflicts in
-//!    any parallelized loop.
+//!    reductions compared with a tolerance).
+//!
+//! The runtime race checker also runs on the sequential run, but its
+//! count of cross-iteration conflicts ([`VerifyResult::races`]) is
+//! advisory: [`VerifyResult::ok`] does not read it until the checker
+//! stops reporting callee-frame slots (ROADMAP item 1).
 //!
 //! `guarded` is the isolation boundary every evaluator (the batch
 //! driver, the daemon) runs these interpreter calls behind.

@@ -171,6 +171,14 @@ impl Parser {
                 break;
             }
             let unit = self.unit()?;
+            // Two units of one name are a link error in Fortran; accepting
+            // them would leave each consumer to pick its own winner.
+            if self.units.iter().any(|u| u.name == unit.name) {
+                return Err(Error::resolve(
+                    format!("duplicate unit name {}", unit.name),
+                    unit.span,
+                ));
+            }
             self.units.push(unit);
         }
         Ok(Program {
@@ -1095,6 +1103,19 @@ mod tests {
             ".NOT.".repeat(MAX_DEPTH)
         );
         assert!(parse(&nots).is_err());
+    }
+
+    #[test]
+    fn a_duplicate_unit_name_is_a_located_error() {
+        // The first S's body would otherwise run with the last S's symbol
+        // table on one engine and its own on the other.
+        let src = "      PROGRAM P\n      CALL S(Y)\n      WRITE(6,*) Y\n      END\n\
+                   \x20     SUBROUTINE S(X)\n      REAL X, T\n      T = 1.5\n      X = T\n      END\n\
+                   \x20     SUBROUTINE S(X)\n      INTEGER T\n      END\n";
+        let e = parse(src).unwrap_err();
+        assert_eq!(e.phase, crate::diag::Phase::Resolve, "{e}");
+        assert!(e.message.contains("duplicate unit name S"), "{e}");
+        assert_eq!(e.span.line, 10, "{e}");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! only when every write region is exactly representable:
 //!
 //! * every write unguarded, except inside *error-handling* conditionals
-//!   (`IF` whose body is only `WRITE`/`STOP`), which are omitted under the
-//!   §III-B3 relaxation when [`AutoGenOptions::relax_error_handling`] is on;
+//!   (`IF` whose body is only `WRITE`/`STOP`), which are always omitted
+//!   under the §III-B3 relaxation;
 //! * every written region loop-invariant per call: a whole array, a fixed
 //!   point, or a dense range swept by an inner loop;
 //! * no early `RETURN`.
@@ -42,26 +42,10 @@ use fir::symbol::{Storage, SymbolTable};
 use fir::visit::walk_stmts;
 use std::collections::BTreeMap;
 
-/// Options for annotation generation.
-#[derive(Debug, Clone)]
-pub struct AutoGenOptions {
-    /// Omit `IF` blocks containing only error handling (`WRITE`/`STOP`),
-    /// per paper §III-B3. When off, such subroutines are refused instead.
-    pub relax_error_handling: bool,
-    /// Cap on `unknown` operand lists. The summary must name *every* read
-    /// (the soundness checker requires it), so generation refuses when the
-    /// read set exceeds this cap rather than silently truncating.
-    pub max_operands: usize,
-}
-
-impl Default for AutoGenOptions {
-    fn default() -> Self {
-        AutoGenOptions {
-            relax_error_handling: true,
-            max_operands: 16,
-        }
-    }
-}
+/// Cap on `unknown` operand lists. The summary must name *every* read
+/// (the soundness checker requires it), so generation refuses when the
+/// read set exceeds this cap rather than silently truncating.
+pub const MAX_OPERANDS: usize = 16;
 
 /// Why a subroutine could not be summarized automatically.
 ///
@@ -161,17 +145,15 @@ impl std::fmt::Display for AutoGenRefusal {
 
 /// Generate an annotation for one *leaf* subroutine. Refuses subroutines
 /// that make calls; use [`crate::chain::generate_with_chains`] for those.
-pub fn generate(unit: &ProcUnit, opts: &AutoGenOptions) -> Result<AnnotSub, AutoGenRefusal> {
+pub fn generate(unit: &ProcUnit) -> Result<AnnotSub, AutoGenRefusal> {
     if unit.kind != UnitKind::Subroutine {
         return Err(AutoGenRefusal::NotASubroutine);
     }
     let table = SymbolTable::build(unit);
 
-    // Strip omittable error-handling conditionals first.
+    // Strip omittable error-handling conditionals first (§III-B3).
     let mut body = unit.body.clone();
-    if opts.relax_error_handling {
-        strip_error_handlers(&mut body);
-    }
+    strip_error_handlers(&mut body);
 
     // Structural refusals.
     let calls = called_sites(&body);
@@ -182,7 +164,7 @@ pub fn generate(unit: &ProcUnit, opts: &AutoGenOptions) -> Result<AnnotSub, Auto
 
     let refs = collect_body_refs(&body, &table);
     let visible = visible_in(&table);
-    let pool = operand_pool(&refs, &visible, opts)?;
+    let pool = operand_pool(&refs, &visible)?;
 
     let mut out_body: Block = Vec::new();
     let mut dims: BTreeMap<Ident, Vec<Dim>> = BTreeMap::new();
@@ -265,7 +247,6 @@ pub(crate) fn visible_in(table: &SymbolTable) -> impl Fn(&str) -> bool + '_ {
 pub(crate) fn operand_pool(
     refs: &BodyRefs,
     visible: &impl Fn(&str) -> bool,
-    opts: &AutoGenOptions,
 ) -> Result<Vec<Expr>, AutoGenRefusal> {
     let mut operands: Vec<Expr> = Vec::new();
     for a in &refs.arrays {
@@ -284,7 +265,7 @@ pub(crate) fn operand_pool(
             }
         }
     }
-    if operands.len() > opts.max_operands {
+    if operands.len() > MAX_OPERANDS {
         return Err(AutoGenRefusal::UnrepresentableRegion(
             "<operand overflow>".into(),
         ));
@@ -425,7 +406,6 @@ fn normalize_full(lo: Expr, hi: Expr, declared: Option<&Dim>) -> SecRange {
 /// [`crate::chain::generate_with_chains`].
 pub fn generate_program(
     p: &Program,
-    opts: &AutoGenOptions,
 ) -> (crate::annot::AnnotRegistry, Vec<(Ident, AutoGenRefusal)>) {
     let mut reg = crate::annot::AnnotRegistry::default();
     let mut refusals = Vec::new();
@@ -433,7 +413,7 @@ pub fn generate_program(
         if u.kind != UnitKind::Subroutine {
             continue;
         }
-        match generate(u, opts) {
+        match generate(u) {
             Ok(sub) => {
                 reg.subs.insert(sub.name.clone(), sub);
             }
@@ -504,7 +484,7 @@ mod tests {
     #[test]
     fn generates_section_summaries_for_leaf_kernels() {
         let u = unit_of(PCINIT, "PCINIT");
-        let sub = generate(&u, &AutoGenOptions::default()).unwrap();
+        let sub = generate(&u).unwrap();
         assert_eq!(sub.name, "PCINIT");
         assert_eq!(sub.params, vec!["X2", "Y2", "N"]);
         // Two section writes: X2[1:N], Y2[1:N].
@@ -539,7 +519,7 @@ mod tests {
 ",
             "STR",
         );
-        let sub = generate(&u, &AutoGenOptions::default()).unwrap();
+        let sub = generate(&u).unwrap();
         assert_eq!(sub.body.len(), 1);
         assert!(
             matches!(&sub.body[0].kind,
@@ -577,7 +557,7 @@ mod tests {
 {PCINIT}"
         );
         let p = fir::parse(&src).unwrap();
-        let (reg, _refusals) = generate_program(&p, &AutoGenOptions::default());
+        let (reg, _refusals) = generate_program(&p);
         assert!(reg.get("PCINIT").is_some());
 
         use ipp_core_test_shim::*;
@@ -650,10 +630,7 @@ mod tests {
 ",
             "FSMP",
         );
-        assert!(matches!(
-            generate(&u, &AutoGenOptions::default()),
-            Err(AutoGenRefusal::MakesCalls(_))
-        ));
+        assert!(matches!(generate(&u), Err(AutoGenRefusal::MakesCalls(_))));
     }
 
     #[test]
@@ -666,7 +643,7 @@ mod tests {
 ",
             "FSMP",
         );
-        let err = generate(&u, &AutoGenOptions::default()).unwrap_err();
+        let err = generate(&u).unwrap_err();
         let msg = err.to_string();
         assert_eq!(msg, "makes calls: GETCR (line 2), SHAPE1 (line 3)");
     }
@@ -685,14 +662,8 @@ mod tests {
       END
 ";
         let u = unit_of(src, "W");
-        let sub = generate(&u, &AutoGenOptions::default()).unwrap();
+        let sub = generate(&u).unwrap();
         assert_eq!(sub.body.len(), 1);
-        // Without the relaxation, refused.
-        let strict = AutoGenOptions {
-            relax_error_handling: false,
-            ..Default::default()
-        };
-        assert_eq!(generate(&u, &strict), Err(AutoGenRefusal::HasIo));
     }
 
     #[test]
@@ -707,10 +678,7 @@ mod tests {
 ",
             "G",
         );
-        assert_eq!(
-            generate(&u, &AutoGenOptions::default()),
-            Err(AutoGenRefusal::GuardedWrite("X".into()))
-        );
+        assert_eq!(generate(&u), Err(AutoGenRefusal::GuardedWrite("X".into())));
     }
 
     #[test]
@@ -726,7 +694,7 @@ mod tests {
             "S",
         );
         assert_eq!(
-            generate(&u, &AutoGenOptions::default()),
+            generate(&u),
             Err(AutoGenRefusal::UnrepresentableRegion("ACC".into()))
         );
     }
@@ -744,7 +712,7 @@ mod tests {
       END
 ";
         let u = unit_of(src, "T2");
-        let sub = generate(&u, &AutoGenOptions::default()).unwrap();
+        let sub = generate(&u).unwrap();
         // Only X is summarized; TMP vanished (paper §III-B4).
         assert_eq!(sub.body.len(), 1);
         let mut mentions_tmp = false;
@@ -767,7 +735,7 @@ mod tests {
       END
 ";
         let u = unit_of(src, "SC");
-        let sub = generate(&u, &AutoGenOptions::default()).unwrap();
+        let sub = generate(&u).unwrap();
         assert_eq!(sub.body.len(), 2);
         assert!(matches!(&sub.body[0].kind,
             StmtKind::Assign { lhs: Expr::Var(n), rhs: Expr::Unknown(_, _) } if n == "KOUNT"));
@@ -789,7 +757,7 @@ mod tests {
 ",
         )
         .unwrap();
-        let (reg, refusals) = generate_program(&p, &AutoGenOptions::default());
+        let (reg, refusals) = generate_program(&p);
         // B(I): write region V(I) is a visible point — representable.
         assert!(reg.get("B").is_some());
         assert!(refusals.iter().any(|(n, _)| n == "A"));

@@ -52,7 +52,7 @@
 
 use crate::annot::{AnnotRegistry, AnnotSub};
 use crate::annot_inline;
-use crate::autogen::{self, AutoGenOptions, AutoGenRefusal};
+use crate::autogen::{self, AutoGenRefusal, MAX_OPERANDS};
 use fdep::callgraph::CallGraph;
 use fir::ast::*;
 use fir::loc::Span;
@@ -135,11 +135,7 @@ impl ChainReport {
 /// the call graph, substituting already-derived (or, failing that, manual)
 /// callee summaries at call sites. Never fails: refused units are recorded
 /// and fall back to their manual annotation when one exists.
-pub fn generate_with_chains(
-    p: &Program,
-    manual: &AnnotRegistry,
-    opts: &AutoGenOptions,
-) -> ChainReport {
+pub fn generate_with_chains(p: &Program, manual: &AnnotRegistry) -> ChainReport {
     let graph = CallGraph::build(p);
     let defined: BTreeSet<&str> = p
         .units
@@ -184,15 +180,7 @@ pub fn generate_with_chains(
                 ));
                 continue;
             }
-            match derive_unit(
-                unit,
-                &defined,
-                &derived,
-                manual,
-                opts,
-                &origins,
-                &mut widened,
-            ) {
+            match derive_unit(unit, &defined, &derived, manual, &origins, &mut widened) {
                 Ok((sub, was_chain, new_origins)) => {
                     if was_chain {
                         chain_derived.push(name.clone());
@@ -266,16 +254,13 @@ fn derive_unit(
     defined: &BTreeSet<&str>,
     derived: &AnnotRegistry,
     manual: &AnnotRegistry,
-    opts: &AutoGenOptions,
     origins: &BTreeMap<(Ident, u32), (Ident, u32)>,
     widened: &mut Vec<(Ident, Ident)>,
 ) -> Result<(AnnotSub, bool, NewOrigins), AutoGenRefusal> {
     let mut body = unit.body.clone();
-    if opts.relax_error_handling {
-        autogen::strip_error_handlers(&mut body);
-    }
+    autogen::strip_error_handlers(&mut body);
     if autogen::called_sites(&body).is_empty() {
-        return autogen::generate(unit, opts).map(|s| (s, false, BTreeMap::new()));
+        return autogen::generate(unit).map(|s| (s, false, BTreeMap::new()));
     }
     autogen::check_io_and_return(&body)?;
 
@@ -287,7 +272,7 @@ fn derive_unit(
     let pool = {
         let visible = autogen::visible_in(&table);
         let whole = autogen::collect_body_refs(&body, &table);
-        autogen::operand_pool(&whole, &visible, opts)?
+        autogen::operand_pool(&whole, &visible)?
     };
 
     let mut cx = Composer {
@@ -295,7 +280,6 @@ fn derive_unit(
         defined,
         derived,
         manual,
-        opts,
         pool,
         origins,
         new_origins: BTreeMap::new(),
@@ -343,7 +327,6 @@ struct Composer<'a> {
     defined: &'a BTreeSet<&'a str>,
     derived: &'a AnnotRegistry,
     manual: &'a AnnotRegistry,
-    opts: &'a AutoGenOptions,
     /// Whole-body operand pool for own-statement summarization.
     pool: Vec<Expr>,
     /// Global operator provenance from already-derived summaries.
@@ -694,12 +677,12 @@ impl Composer<'_> {
         // The shared pool plus anything only this item reads (substituted
         // callee content can read names the original body did not).
         let mut pool = self.pool.clone();
-        for e in autogen::operand_pool(&refs, &visible, self.opts)? {
+        for e in autogen::operand_pool(&refs, &visible)? {
             if !pool.contains(&e) {
                 pool.push(e);
             }
         }
-        if pool.len() > self.opts.max_operands {
+        if pool.len() > MAX_OPERANDS {
             return Err(AutoGenRefusal::UnrepresentableRegion(
                 "<operand overflow>".into(),
             ));
@@ -777,7 +760,7 @@ mod tests {
     fn chains_with(src: &str, manual: &str) -> ChainReport {
         let p = parse(src).unwrap();
         let reg = AnnotRegistry::parse(manual).unwrap();
-        generate_with_chains(&p, &reg, &AutoGenOptions::default())
+        generate_with_chains(&p, &reg)
     }
 
     /// The BONDFC idiom (BDNA): caller sequences two leaves through a
@@ -1168,7 +1151,7 @@ mod tests {
     #[test]
     fn derived_chain_summaries_pass_the_soundness_checker() {
         let p = parse(BONDFC_LIKE).unwrap();
-        let rep = generate_with_chains(&p, &AnnotRegistry::default(), &AutoGenOptions::default());
+        let rep = generate_with_chains(&p, &AnnotRegistry::default());
         let issues = crate::soundness::check_registry(&p, &rep.registry);
         let errors: Vec<_> = issues
             .iter()

@@ -34,7 +34,7 @@ pub mod soundness;
 
 pub use annot::{AnnotRegistry, AnnotSub};
 pub use annot_inline::AnnotInlineReport;
-pub use autogen::{generate, generate_program, AutoGenOptions, AutoGenRefusal};
+pub use autogen::{generate, generate_program, AutoGenRefusal};
 pub use chain::{generate_with_chains, CallSite, ChainReport, SiteClass};
 pub use conventional::{inline_program, ConvReport};
 pub use heuristics::{Heuristics, SkipReason};

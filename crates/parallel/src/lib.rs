@@ -13,4 +13,4 @@ pub mod planner;
 pub mod profit;
 
 pub use planner::{parallelize, LoopDecision, ParOptions, ParReport};
-pub use profit::{ProfitVerdict, Profitability};
+pub use profit::{ProfitVerdict, MIN_TRIP};

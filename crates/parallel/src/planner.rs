@@ -8,7 +8,7 @@
 //! observable final values.
 
 use crate::peel::peel_last_iteration;
-use crate::profit::{ProfitVerdict, Profitability};
+use crate::profit::{judge, ProfitVerdict};
 use fdep::analyze::{analyze_loop, substitute_for_emission, Blocker, LoopAnalysis, UnitCtx};
 use fir::ast::*;
 use fir::symbol::SymbolTable;
@@ -16,12 +16,6 @@ use fir::symbol::SymbolTable;
 /// Options controlling the planner.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParOptions {
-    /// Profitability model.
-    pub profit: Profitability,
-    /// Emit directives on loops nested inside an already-parallelized loop
-    /// (off by default — nested parallel regions are not profitable on the
-    /// paper's machines).
-    pub nested: bool,
     /// Allow last-iteration peeling (paper §III-B4). When disabled, loops
     /// that would need peeling (privatized escaping temporaries) are left
     /// sequential — the ablation configuration.
@@ -30,11 +24,7 @@ pub struct ParOptions {
 
 impl Default for ParOptions {
     fn default() -> Self {
-        ParOptions {
-            profit: Profitability::default(),
-            nested: false,
-            enable_peel: true,
-        }
+        ParOptions { enable_peel: true }
     }
 }
 
@@ -119,13 +109,15 @@ fn plan_block(
             StmtKind::Do(mut d) => {
                 let ctx = UnitCtx::new(table);
                 let mut analysis = analyze_loop(&d, &ctx);
-                let verdict = opts.profit.judge(&analysis);
+                let verdict = judge(&analysis);
                 let legal = analysis.parallelizable
                     && (opts.enable_peel
                         || (analysis.lastprivate.is_empty()
                             && !analysis.private_arrays.iter().any(|pa| pa.needs_copy_out)));
                 let profitable = verdict == ProfitVerdict::Profitable;
-                let emit = legal && profitable && (opts.nested || !inside_parallel);
+                // Nested parallel regions are not profitable on the paper's
+                // machines: only the outermost legal loop gets a directive.
+                let emit = legal && profitable && !inside_parallel;
 
                 report.decisions.push(LoopDecision {
                     id: d.id.clone(),

@@ -7,18 +7,9 @@
 
 use fdep::analyze::LoopAnalysis;
 
-/// Static profitability policy.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Profitability {
-    /// Minimum constant trip count; loops with unknown trip counts pass.
-    pub min_trip: i64,
-}
-
-impl Default for Profitability {
-    fn default() -> Self {
-        Profitability { min_trip: 4 }
-    }
-}
+/// Minimum constant trip count of a profitable loop; loops with unknown
+/// trip counts pass.
+pub const MIN_TRIP: i64 = 4;
 
 /// Verdict of the static profitability filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,13 +20,11 @@ pub enum ProfitVerdict {
     TooFewIterations,
 }
 
-impl Profitability {
-    /// Judge a loop from its analysis.
-    pub fn judge(&self, a: &LoopAnalysis) -> ProfitVerdict {
-        match a.trip_count {
-            Some(t) if t < self.min_trip => ProfitVerdict::TooFewIterations,
-            _ => ProfitVerdict::Profitable,
-        }
+/// Judge a loop from its analysis.
+pub fn judge(a: &LoopAnalysis) -> ProfitVerdict {
+    match a.trip_count {
+        Some(t) if t < MIN_TRIP => ProfitVerdict::TooFewIterations,
+        _ => ProfitVerdict::Profitable,
     }
 }
 
@@ -70,21 +59,12 @@ mod tests {
 
     #[test]
     fn small_constant_trip_rejected() {
-        let p = Profitability::default();
-        assert_eq!(p.judge(&analysis("3")), ProfitVerdict::TooFewIterations);
-        assert_eq!(p.judge(&analysis("4")), ProfitVerdict::Profitable);
+        assert_eq!(judge(&analysis("3")), ProfitVerdict::TooFewIterations);
+        assert_eq!(judge(&analysis("4")), ProfitVerdict::Profitable);
     }
 
     #[test]
     fn unknown_trip_passes() {
-        let p = Profitability::default();
-        assert_eq!(p.judge(&analysis("N")), ProfitVerdict::Profitable);
-    }
-
-    #[test]
-    fn threshold_is_tunable() {
-        let p = Profitability { min_trip: 100 };
-        assert_eq!(p.judge(&analysis("64")), ProfitVerdict::TooFewIterations);
-        assert_eq!(p.judge(&analysis("128")), ProfitVerdict::Profitable);
+        assert_eq!(judge(&analysis("N")), ProfitVerdict::Profitable);
     }
 }

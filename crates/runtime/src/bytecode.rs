@@ -50,8 +50,8 @@
 //! driver's workers share it without cloning.
 
 use crate::interp::{
-    red_fold, red_identity, Engine, ExecOptions, ParLoopEvent, RaceViolation, RtError, RunResult,
-    VmCounters, DEFAULT_MAX_OPS, MAX_CALL_DEPTH,
+    chunk_lens, common_layout, race_step, red_fold, red_identity, report_race, Engine, ExecOptions,
+    ParLoopEvent, RaceViolation, RtError, RunResult, VmCounters, DEFAULT_MAX_OPS, MAX_CALL_DEPTH,
 };
 use crate::memory::{Memory, Scalar};
 use crate::treg::{exec_typed, lower_typed, ty_class, TypedUnit};
@@ -487,39 +487,18 @@ pub fn compile(p: &Program) -> CompiledProgram<'_> {
     let main = p.units.iter().rposition(|u| u.kind == UnitKind::Program);
     let tables: Vec<SymbolTable> = p.units.iter().map(SymbolTable::build).collect();
 
-    // COMMON preallocation, in the reference engine's order: units in
-    // program order, members sorted by name, constant extents only. On
-    // the way, collect each member's declared type classes (bit per
-    // class): a member declared at one class is always bound to it.
+    // COMMON preallocation, in the reference engine's layout. On the way,
+    // collect each member's declared type classes (bit per class), the
+    // unresolvable members' too: a member declared at one class is always
+    // bound to it.
     let mut commons = Vec::new();
     let mut classes: BTreeMap<(&str, &str), u8> = BTreeMap::new();
-    for table in &tables {
-        let mut members: Vec<&Symbol> = table
-            .iter()
-            .filter(|s| matches!(s.storage, Storage::Common(_)))
-            .collect();
-        members.sort_by(|a, b| a.name.cmp(&b.name));
-        for sym in members {
-            let Storage::Common(block) = &sym.storage else {
-                unreachable!()
-            };
-            *classes
-                .entry((block.as_str(), sym.name.as_str()))
-                .or_default() |= 1 << ty_class(sym.ty);
-            let mut len = 1usize;
-            let mut resolvable = true;
-            for d in &sym.dims {
-                match d {
-                    Dim::Extent(e) => match crate::interp::const_extent(e, table) {
-                        Some(v) if v >= 0 => len = len.saturating_mul((v as usize).max(1)),
-                        _ => resolvable = false,
-                    },
-                    Dim::Assumed => resolvable = false,
-                }
-            }
-            if resolvable {
-                commons.push((block.clone(), sym.name.clone(), sym.ty, len.max(1)));
-            }
+    for (block, sym, len) in common_layout(&tables) {
+        *classes
+            .entry((block.as_str(), sym.name.as_str()))
+            .or_default() |= 1 << ty_class(sym.ty);
+        if let Some(len) = len {
+            commons.push((block.clone(), sym.name.clone(), sym.ty, len));
         }
     }
 
@@ -764,14 +743,6 @@ pub(crate) struct VmState {
     pub(crate) regs: RegStack,
     /// Live DO loops of every frame (each frame owns a base index).
     pub(crate) loop_stack: Vec<LoopRec>,
-    /// Pre-resolved scalar operand stream — one packed
-    /// `(slot << 32) | offset` word per frame register, snapshotted at
-    /// `exec_typed` entry and truncated with the frame on return.
-    /// `u64::MAX` marks unbound (or unpackably large) entries, which
-    /// fall back to the full [`Reg`] read. Sound because frame windows
-    /// are immutable during execution: bindings are written only by
-    /// [`build_frame`]; execution appends arg views past the window.
-    pub(crate) scal: Vec<u64>,
     /// Reusable subscript buffer.
     pub(crate) idx_scratch: Vec<i64>,
     /// Reusable section-bounds buffers (`StoreSec`).
@@ -918,31 +889,19 @@ fn record_active(st: &mut VmState, slot: usize, off: usize, is_write: bool) {
             .max(off + 1);
         st.race.table[slot].resize(want, EpochEntry::default());
     }
-    let cur = st.race.cur;
-    let gen = st.race.gen;
+    let (cur, gen) = (st.race.cur, st.race.gen);
     let e = &mut st.race.table[slot][off];
-    if e.gen == gen {
-        if e.iter != cur && (is_write || e.write) {
-            if st.race.reported.insert(slot) {
-                st.races.push(RaceViolation {
-                    id: LoopId::new("?", 0),
-                    what: format!(
-                        "cross-iteration conflict on slot {slot} offset {off} (iters {} and {cur})",
-                        e.iter
-                    ),
-                });
-            }
-            e.write |= is_write;
-        } else {
-            e.write |= is_write;
-            e.iter = cur;
-        }
-    } else {
-        *e = EpochEntry {
-            gen,
-            iter: cur,
-            write: is_write,
-        };
+    if e.gen != gen {
+        (e.gen, e.iter, e.write) = (gen, cur, false);
+    }
+    if let Some(earlier) = race_step(&mut e.iter, &mut e.write, cur, is_write) {
+        report_race(
+            &mut st.races,
+            &mut st.race.reported,
+            (slot, off),
+            earlier,
+            cur,
+        );
     }
 }
 
@@ -1219,9 +1178,6 @@ pub(crate) fn build_frame<'a>(
         }
     }
 
-    // Extent snippets pre-resolved the half-built window; the body
-    // re-resolves the finished one.
-    st.scal.truncate(fb);
     Ok((fb, body))
 }
 
@@ -1318,7 +1274,6 @@ pub(crate) fn call_unit(
     // Release the callee frame and its argument window: pure truncation,
     // capacity stays for the next call.
     st.regs.regs.truncate(args_base);
-    st.scal.truncate(args_base);
     st.regs.dims.truncate(dims_mark);
     st.mem.release(mark);
     Ok(flow)
@@ -1361,7 +1316,6 @@ fn run_chunk(
     cs.line_items = 0;
     cs.regs.regs.truncate(plan.nlocals);
     cs.regs.dims.truncate(plan.dims);
-    cs.scal.truncate(plan.nlocals);
     cs.ctr.chunks_run += 1;
     let cp = cs.mem.checkpoint();
     for &(op, l) in plan.reductions {
@@ -1449,7 +1403,6 @@ pub(crate) fn exec_parallel(
         .extend_from_slice(&st.regs.regs[fb..fb + nlocals]);
     cs.regs.dims.clear();
     cs.regs.dims.extend_from_slice(&st.regs.dims);
-    cs.scal.clear();
     cs.io.clear();
     cs.ctr = VmCounters::default();
     let log = cs.log.get_or_insert_with(ChunkLog::default);
@@ -1476,13 +1429,12 @@ pub(crate) fn exec_parallel(
         dims: cs.regs.dims.len(),
         body_pc: meta.body_pc as usize,
     };
-    let chunks = cx.opts.threads.min(n as usize).max(1);
-    let (base, extra) = (n as usize / chunks, n as usize % chunks);
+    let lens = chunk_lens(n as usize, cx.opts.threads);
+    let chunks = lens.len();
     let mut start = 0usize;
     let mut ops = 0u64;
     let mut flow = Ok(Flow::Normal);
-    for k in 0..chunks {
-        let len = base + usize::from(k < extra);
+    for len in lens {
         match run_chunk(cx, &mut cs, &plan, start, len) {
             Ok(stop) => {
                 ops += cs.ops;
@@ -1670,6 +1622,14 @@ mod tests {
         // Two u32 coordinates and the raw: the write and undo logs of a
         // chunked run cost 16 bytes per logged store.
         assert_eq!(std::mem::size_of::<JournalEntry>(), 16);
+    }
+
+    #[test]
+    fn race_table_entries_are_sixteen_bytes() {
+        // The generation stamp packs beside the written bit: nesting the
+        // entry rule's `(iter, write)` pair as one struct would pad every
+        // race table to 24 bytes per element.
+        assert_eq!(std::mem::size_of::<EpochEntry>(), 16);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use crate::memory::{Memory, Scalar, View};
 use fir::ast::*;
-use fir::symbol::{Storage, SymbolTable};
+use fir::symbol::{Storage, Symbol, SymbolTable};
 use std::collections::HashMap;
 
 /// Which engine executes the program.
@@ -143,9 +143,6 @@ pub struct VmCounters {
     /// integer registers); a subset of the work also reflected in
     /// per-class counts.
     pub fused_int: u64,
-    /// Frame entries whose scalar operands were pre-resolved to direct
-    /// slot/offset pointers at typed-frame setup.
-    pub scal_prebound: u64,
     /// Instructions retired per opcode class (typed register engine
     /// only), index-aligned with [`OP_CLASS_NAMES`].
     pub class_retired: [u64; N_OP_CLASSES],
@@ -180,7 +177,6 @@ impl VmCounters {
         self.fused_insns += o.fused_insns;
         self.fused_ticks += o.fused_ticks;
         self.fused_int += o.fused_int;
-        self.scal_prebound += o.scal_prebound;
         for (k, v) in self.class_retired.iter_mut().zip(o.class_retired) {
             *k += v;
         }
@@ -359,11 +355,21 @@ pub fn run(p: &Program, opts: &ExecOptions) -> Result<RunResult, RtError> {
 
 /// The tree-walking reference engine.
 fn run_tree(p: &Program, opts: &ExecOptions) -> Result<RunResult, RtError> {
-    let ctx = Ctx::new(p)?;
+    let ctx = Ctx::new(p);
     let mut st = State::default();
-    preallocate_commons(&ctx, &mut st)?;
+    // Pre-allocate every resolvable COMMON member before any unit runs:
+    // lazily created COMMON storage would defeat frame reclamation (the
+    // slot must be pinned across `release`) and would be missing from the
+    // pre-loop memory clones the chunked gate merges write logs into.
+    // Anything unresolvable stays lazy, handled by `Memory::release`
+    // compaction.
+    for (block, sym, len) in common_layout(&ctx.tables) {
+        if let Some(len) = len {
+            st.mem.common(block, &sym.name, sym.ty, len)?;
+        }
+    }
     let main = ctx.main.ok_or_else(|| RtError::new("no PROGRAM unit"))?;
-    let frame = build_frame(&ctx, &mut st, main, &[], opts)?;
+    let frame = build_frame(&ctx, &mut st, main, &[])?;
     let mut interp = Interp {
         ctx: &ctx,
         st,
@@ -387,25 +393,28 @@ fn run_tree(p: &Program, opts: &ExecOptions) -> Result<RunResult, RtError> {
 
 // ---------------------------------------------------------------------------
 
+/// The program's units in program order, each with its own symbol table.
 struct Ctx<'a> {
-    units: HashMap<&'a str, (&'a ProcUnit, SymbolTable)>,
+    /// Unit name → index of the first unit with that name (`fir::parse`
+    /// admits one unit per name).
+    units: HashMap<&'a str, usize>,
     main: Option<usize>,
-    order: Vec<&'a ProcUnit>,
+    order: &'a [ProcUnit],
+    tables: Vec<SymbolTable>,
 }
 
 impl<'a> Ctx<'a> {
-    fn new(p: &'a Program) -> Result<Ctx<'a>, RtError> {
+    fn new(p: &'a Program) -> Ctx<'a> {
         let mut units = HashMap::new();
-        let mut main = None;
-        let mut order = Vec::new();
         for (i, u) in p.units.iter().enumerate() {
-            if u.kind == UnitKind::Program {
-                main = Some(i);
-            }
-            units.insert(u.name.as_str(), (u, SymbolTable::build(u)));
-            order.push(u);
+            units.entry(u.name.as_str()).or_insert(i);
         }
-        Ok(Ctx { units, main, order })
+        Ctx {
+            units,
+            main: p.units.iter().rposition(|u| u.kind == UnitKind::Program),
+            order: &p.units,
+            tables: p.units.iter().map(SymbolTable::build).collect(),
+        }
     }
 }
 
@@ -430,42 +439,33 @@ pub(crate) fn const_extent(e: &Expr, table: &SymbolTable) -> Option<i64> {
     }
 }
 
-/// Pre-allocate every COMMON slot declared anywhere in the program, before
-/// any unit executes. Lazily created COMMON storage is doubly problematic:
-/// it defeats frame reclamation (the slot must be pinned across `release`)
-/// and it would not exist in the pre-loop memory clones the threaded
-/// executor merges write logs into. COMMON extents are constants or
-/// PARAMETER references in F77, so everything resolvable is created here;
-/// anything else stays lazy and is handled by `Memory::release` compaction.
-fn preallocate_commons(ctx: &Ctx<'_>, st: &mut State) -> Result<(), RtError> {
-    for u in &ctx.order {
-        let (_, table) = &ctx.units[u.name.as_str()];
-        let mut members: Vec<&fir::symbol::Symbol> = table
+/// The COMMON members both engines pre-allocate before any unit runs, in
+/// their one order: units in program order (`tables` holds one table per
+/// unit), each unit's members sorted by name. A member comes with its
+/// element count when every extent is a constant or PARAMETER reference
+/// (what F77 allows in COMMON), else with `None`.
+pub(crate) fn common_layout(tables: &[SymbolTable]) -> Vec<(&Ident, &Symbol, Option<usize>)> {
+    let mut out = Vec::new();
+    for table in tables {
+        let mut members: Vec<(&Ident, &Symbol)> = table
             .iter()
-            .filter(|s| matches!(s.storage, Storage::Common(_)))
+            .filter_map(|s| match &s.storage {
+                Storage::Common(block) => Some((block, s)),
+                _ => None,
+            })
             .collect();
-        members.sort_by(|a, b| a.name.cmp(&b.name));
-        for sym in members {
-            let Storage::Common(block) = &sym.storage else {
-                unreachable!()
-            };
-            let mut len = 1usize;
-            let mut resolvable = true;
-            for d in &sym.dims {
-                match d {
-                    Dim::Extent(e) => match const_extent(e, table) {
-                        Some(v) if v >= 0 => len = len.saturating_mul((v as usize).max(1)),
-                        _ => resolvable = false,
-                    },
-                    Dim::Assumed => resolvable = false,
-                }
-            }
-            if resolvable {
-                st.mem.common(block, &sym.name, sym.ty, len.max(1))?;
-            }
-        }
+        members.sort_by(|a, b| a.1.name.cmp(&b.1.name));
+        out.extend(members.into_iter().map(|(block, sym)| {
+            let len = sym.dims.iter().try_fold(1usize, |len, d| match d {
+                Dim::Extent(e) => const_extent(e, table)
+                    .filter(|&v| v >= 0)
+                    .map(|v| len.saturating_mul((v as usize).max(1))),
+                Dim::Assumed => None,
+            });
+            (block, sym, len)
+        }));
     }
-    Ok(())
+    out
 }
 
 #[derive(Default, Clone)]
@@ -574,10 +574,9 @@ fn build_frame(
     st: &mut State,
     unit_idx: usize,
     arg_views: &[View],
-    _opts: &ExecOptions,
 ) -> Result<Frame, RtError> {
-    let unit = ctx.order[unit_idx];
-    let (_, table) = &ctx.units[unit.name.as_str()];
+    let unit = &ctx.order[unit_idx];
+    let table = &ctx.tables[unit_idx];
     let mut frame = Frame::default();
 
     // Phase 1: formals (views supplied by the caller).
@@ -697,7 +696,7 @@ impl<'a> Interp<'a> {
     }
 
     fn exec_unit(&mut self, unit_idx: usize, frame: &Frame) -> Result<Flow, RtError> {
-        let unit = self.ctx.order[unit_idx];
+        let unit = &self.ctx.order[unit_idx];
         self.exec_block(&unit.body, frame, &unit.name.clone())
     }
 
@@ -736,20 +735,11 @@ impl<'a> Interp<'a> {
             StmtKind::Write { items, .. } => {
                 let mut line = String::new();
                 for (k, item) in items.iter().enumerate() {
-                    if k > 0 {
-                        line.push(' ');
-                    }
-                    match item {
-                        Expr::Str(s) => line.push_str(s),
-                        e => {
-                            let v = self.eval(e, frame)?;
-                            match v {
-                                Scalar::I(i) => line.push_str(&i.to_string()),
-                                Scalar::F(x) => line.push_str(&format!("{x:.9E}")),
-                                Scalar::B(b) => line.push_str(if b { "T" } else { "F" }),
-                            }
-                        }
-                    }
+                    let item = match item {
+                        Expr::Str(s) => WriteItem::Str(s),
+                        e => WriteItem::Val(self.eval(e, frame)?),
+                    };
+                    write_item(&mut line, k, item);
                 }
                 self.st.io.push(line);
                 Ok(Flow::Normal)
@@ -871,9 +861,6 @@ impl<'a> Interp<'a> {
         frame: &Frame,
         unit: &str,
     ) -> Result<Flow, RtError> {
-        let threads = self.opts.threads.min(iters.len());
-        let chunks: Vec<&[i64]> = chunk_evenly(iters, threads);
-
         // Reduction slots: remember pre-values, identify op.
         let mut red_slots: Vec<(RedOp, View, f64)> = Vec::new();
         for (op, name) in &dir.reductions {
@@ -888,8 +875,12 @@ impl<'a> Interp<'a> {
         // copy isolation, the executable spec the VM's undo-log isolation
         // is differentially checked against.
         let mut scratch = self.st.scratch.take().unwrap_or_default();
-        let mut results = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
+        let lens = chunk_lens(iters.len(), self.opts.threads);
+        let mut results = Vec::with_capacity(lens.len());
+        let mut start = 0;
+        for len in lens {
+            let chunk = &iters[start..start + len];
+            start += len;
             scratch.clone_from(&self.st.mem);
             let (out, mem) = exec_chunk(
                 self.ctx,
@@ -939,15 +930,9 @@ impl<'a> Interp<'a> {
     }
 
     fn exec_call(&mut self, name: &str, args: &[Expr], frame: &Frame) -> Result<Flow, RtError> {
-        let Some((unit, _)) = self.ctx.units.get(name) else {
+        let Some(&unit_idx) = self.ctx.units.get(name) else {
             return Err(RtError::new(format!("call to undefined subroutine {name}")));
         };
-        let unit_idx = self
-            .ctx
-            .order
-            .iter()
-            .position(|u| u.name == unit.name)
-            .expect("unit in order");
 
         // Evaluate argument views in the caller frame.
         let mut views = Vec::with_capacity(args.len());
@@ -959,7 +944,7 @@ impl<'a> Interp<'a> {
             return Err(RtError::call_depth());
         }
         let mark = self.st.mem.mark();
-        let callee_frame = build_frame(self.ctx, &mut self.st, unit_idx, &views, self.opts)?;
+        let callee_frame = build_frame(self.ctx, &mut self.st, unit_idx, &views)?;
         self.st.call_depth += 1;
         let flow = self.exec_unit(unit_idx, &callee_frame);
         self.st.call_depth -= 1;
@@ -1124,27 +1109,15 @@ impl<'a> Interp<'a> {
             return;
         };
         let cur = *cur;
-        match map.get_mut(&(slot, off)) {
-            Some((iter, had_write)) => {
-                if *iter != cur && (is_write || *had_write) {
-                    // Record the violation once per slot per loop instance.
-                    if self.st.race_reported.insert(slot) {
-                        self.st.races.push(RaceViolation {
-                            id: LoopId::new("?", 0),
-                            what: format!(
-                                "cross-iteration conflict on slot {slot} offset {off} (iters {iter} and {cur})"
-                            ),
-                        });
-                    }
-                    *had_write |= is_write;
-                } else {
-                    *had_write |= is_write;
-                    *iter = cur;
-                }
-            }
-            None => {
-                map.insert((slot, off), (cur, is_write));
-            }
+        let (iter, write) = map.entry((slot, off)).or_insert((cur, false));
+        if let Some(earlier) = race_step(iter, write, cur, is_write) {
+            report_race(
+                &mut self.st.races,
+                &mut self.st.race_reported,
+                (slot, off),
+                earlier,
+                cur,
+            );
         }
     }
 
@@ -1465,7 +1438,6 @@ fn exec_chunk(
     )
 }
 
-/// Split `items` into `n` contiguous chunks of near-equal size.
 /// The value a reduction slot starts each chunk at.
 pub(crate) fn red_identity(op: RedOp) -> f64 {
     match op {
@@ -1486,18 +1458,76 @@ pub(crate) fn red_fold(op: RedOp, acc: f64, x: f64) -> f64 {
     }
 }
 
-fn chunk_evenly<T>(items: &[T], n: usize) -> Vec<&[T]> {
-    let n = n.max(1).min(items.len().max(1));
-    let mut out = Vec::with_capacity(n);
-    let base = items.len() / n;
-    let extra = items.len() % n;
-    let mut start = 0;
-    for k in 0..n {
-        let len = base + usize::from(k < extra);
-        out.push(&items[start..start + len]);
-        start += len;
+/// The lengths of the contiguous chunks the chunked gate splits a
+/// directive loop of `n` iterations into, in iteration order: `threads`
+/// chunks, but no more than `n` and at least one (an empty loop runs one
+/// empty chunk); the first `n % chunks` are one iteration longer.
+pub(crate) fn chunk_lens(n: usize, threads: usize) -> impl ExactSizeIterator<Item = usize> {
+    let chunks = threads.min(n).max(1);
+    let (base, extra) = (n / chunks, n % chunks);
+    (0..chunks).map(move |k| base + usize::from(k < extra))
+}
+
+/// The race-table entry rule both engines record each shared access of a
+/// directive loop with. An entry keeps the last iteration that touched
+/// its element and whether any access wrote it; a fresh entry is
+/// `(cur, false)`. An access by iteration `cur` conflicts when the
+/// iterations differ and either access writes: the entry keeps its
+/// iteration, which is returned for the report. Otherwise the access
+/// takes the entry over.
+#[inline(always)]
+pub(crate) fn race_step(iter: &mut i64, write: &mut bool, cur: i64, is_write: bool) -> Option<i64> {
+    let conflict = *iter != cur && (is_write || *write);
+    *write |= is_write;
+    if conflict {
+        return Some(*iter);
     }
-    out
+    *iter = cur;
+    None
+}
+
+/// Report a conflict at `(slot, offset)` between iterations `earlier` and
+/// `cur`, once per slot per directive-loop instance (`reported` holds the
+/// slots this instance already reported).
+pub(crate) fn report_race(
+    races: &mut Vec<RaceViolation>,
+    reported: &mut SlotSet,
+    (slot, off): (usize, usize),
+    earlier: i64,
+    cur: i64,
+) {
+    if reported.insert(slot) {
+        races.push(RaceViolation {
+            id: LoopId::new("?", 0),
+            what: format!(
+                "cross-iteration conflict on slot {slot} offset {off} (iters {earlier} and {cur})"
+            ),
+        });
+    }
+}
+
+/// One item of a list-directed WRITE.
+pub(crate) enum WriteItem<'a> {
+    /// A string literal, printed verbatim.
+    Str(&'a str),
+    /// An evaluated value.
+    Val(Scalar),
+}
+
+/// Append item `k` (counted from 0) to a WRITE line: a space before every
+/// item but the first, then its text — an integer plain, a real as
+/// `{:.9E}`, a logical as `T` or `F`.
+pub(crate) fn write_item(line: &mut String, k: usize, item: WriteItem<'_>) {
+    use std::fmt::Write as _;
+    if k > 0 {
+        line.push(' ');
+    }
+    let _ = match item {
+        WriteItem::Str(s) => line.write_str(s),
+        WriteItem::Val(Scalar::I(i)) => write!(line, "{i}"),
+        WriteItem::Val(Scalar::F(x)) => write!(line, "{x:.9E}"),
+        WriteItem::Val(Scalar::B(b)) => line.write_str(if b { "T" } else { "F" }),
+    };
 }
 
 #[cfg(test)]
@@ -1507,6 +1537,84 @@ mod tests {
 
     fn run_src(src: &str) -> RunResult {
         run(&parse(src).unwrap(), &ExecOptions::default()).unwrap()
+    }
+
+    #[test]
+    fn chunk_lengths_partition_the_iterations_evenly() {
+        let lens = |n, threads| chunk_lens(n, threads).collect::<Vec<_>>();
+        assert_eq!(lens(10, 4), [3, 3, 2, 2]);
+        assert_eq!(lens(0, 4), [0]);
+        assert_eq!(lens(3, 4), [1, 1, 1]);
+    }
+
+    #[test]
+    fn race_entries_conflict_across_iterations_when_one_access_writes() {
+        // A read, then a write, in one iteration: no conflict.
+        let (mut iter, mut write) = (0, false);
+        assert_eq!(race_step(&mut iter, &mut write, 0, false), None);
+        assert_eq!(race_step(&mut iter, &mut write, 0, true), None);
+        assert_eq!((iter, write), (0, true));
+        // A write, then a read in another iteration: a conflict that
+        // names the earlier iteration.
+        let (mut iter, mut write) = (2, false);
+        assert_eq!(race_step(&mut iter, &mut write, 2, true), None);
+        assert_eq!(race_step(&mut iter, &mut write, 5, false), Some(2));
+        // Two reads in different iterations: no conflict.
+        let (mut iter, mut write) = (0, false);
+        assert_eq!(race_step(&mut iter, &mut write, 0, false), None);
+        assert_eq!(race_step(&mut iter, &mut write, 1, false), None);
+        assert_eq!((iter, write), (1, false));
+    }
+
+    #[test]
+    fn a_race_is_reported_once_per_slot() {
+        let (mut races, mut reported) = (Vec::new(), SlotSet::default());
+        report_race(&mut races, &mut reported, (3, 7), 0, 1);
+        report_race(&mut races, &mut reported, (3, 8), 1, 2);
+        assert_eq!(races.len(), 1);
+        assert!(races[0]
+            .what
+            .ends_with(" on slot 3 offset 7 (iters 0 and 1)"));
+    }
+
+    #[test]
+    fn write_items_print_list_directed() {
+        let mut line = String::new();
+        write_item(&mut line, 0, WriteItem::Val(Scalar::I(-42)));
+        write_item(&mut line, 1, WriteItem::Val(Scalar::F(2.5)));
+        write_item(&mut line, 2, WriteItem::Val(Scalar::B(true)));
+        write_item(&mut line, 3, WriteItem::Str("X="));
+        assert_eq!(line, "-42 2.500000000E0 T X=");
+    }
+
+    #[test]
+    fn common_layout_lists_members_in_unit_then_name_order() {
+        let p = parse(
+            "      PROGRAM P
+      PARAMETER (N = 4)
+      COMMON /B/ Z(N), A
+      COMMON /C/ Q(M)
+      END
+      SUBROUTINE S
+      COMMON /D/ W(3, 2)
+      END
+",
+        )
+        .unwrap();
+        let tables: Vec<SymbolTable> = p.units.iter().map(SymbolTable::build).collect();
+        let layout: Vec<(&str, &str, Option<usize>)> = common_layout(&tables)
+            .into_iter()
+            .map(|(block, sym, len)| (block.as_str(), sym.name.as_str(), len))
+            .collect();
+        assert_eq!(
+            layout,
+            [
+                ("B", "A", Some(1)),
+                ("C", "Q", None),
+                ("B", "Z", Some(4)),
+                ("D", "W", Some(6)),
+            ]
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::bytecode::{
     retire_race, store_raw, trip_count, unwind_loops, write_var, write_var_journaled, DirPlan,
     Flow, LoopMeta, LoopRec, Reg, SecDimPlan, UnitCode, UnitCompiler, VmErr, VmState, Vx, UNBOUND,
 };
-use crate::interp::{ParLoopEvent, RtError};
+use crate::interp::{write_item, ParLoopEvent, RtError, WriteItem};
 use crate::memory::{flat_view, view_len, Scalar};
 use fir::ast::{
     BinOp, Block, Expr, Ident, Intrinsic, ProcUnit, SecRange, Stmt, StmtKind, Type, UnOp, R64,
@@ -2042,23 +2042,9 @@ fn want_reg(st: &VmState, t: &Tcx<'_>, l: u16, what: &'static str) -> Result<Reg
     }
 }
 
-/// Pack a register binding for the pre-resolved operand stream:
-/// `(slot << 32) | offset`, or `u64::MAX` when unbound or either half
-/// does not fit in 32 bits. `slot` is held strictly under `u32::MAX` so
-/// a packed word can never collide with the sentinel.
-#[inline]
-pub(crate) fn pack_scal(r: &Reg) -> u64 {
-    if r.slot >= u32::MAX as usize || r.offset > u32::MAX as usize {
-        return u64::MAX;
-    }
-    ((r.slot as u64) << 32) | r.offset as u64
-}
-
 /// Scalar-access fast path: slot and element offset only, no 4-word
-/// [`Reg`] round-tripped through a stack temporary. Reads the packed
-/// operand stream `exec_typed` pre-resolved for this frame; the
-/// sentinel falls back to the full register read (unbound locals keep
-/// their exact error, oversize bindings stay correct).
+/// [`Reg`] round-tripped through a stack temporary; an unbound local
+/// keeps its exact error.
 #[inline(always)]
 fn want_scal(
     st: &VmState,
@@ -2066,11 +2052,7 @@ fn want_scal(
     l: u16,
     what: &'static str,
 ) -> Result<(usize, usize), VmErr> {
-    let p = st.scal[t.fb + l as usize];
-    if p != u64::MAX {
-        return Ok(((p >> 32) as usize, (p & 0xFFFF_FFFF) as usize));
-    }
-    let r = st.regs.regs[t.fb + l as usize];
+    let r = &st.regs.regs[t.fb + l as usize];
     if r.slot == UNBOUND {
         return Err(unbound_err(t, l, what));
     }
@@ -3022,40 +3004,14 @@ fn step_cold(k: Op, t: &Tcx<'_>, st: &mut VmState, op: TOp) -> Result<Ctl, VmErr
             st.line_items = 0;
             Ok(Ctl::Next)
         }
-        Op::WriteStr => {
-            if st.line_items > 0 {
-                st.line.push(' ');
-            }
-            st.line.push_str(&t.cx.prog.strs[imm as usize]);
-            st.line_items += 1;
-            Ok(Ctl::Next)
-        }
-        Op::WriteValI => {
-            if st.line_items > 0 {
-                st.line.push(' ');
-            }
-            use std::fmt::Write as _;
-            let v = vi(st, a);
-            let _ = write!(st.line, "{v}");
-            st.line_items += 1;
-            Ok(Ctl::Next)
-        }
-        Op::WriteValF => {
-            if st.line_items > 0 {
-                st.line.push(' ');
-            }
-            use std::fmt::Write as _;
-            let v = vf(st, a);
-            let _ = write!(st.line, "{v:.9E}");
-            st.line_items += 1;
-            Ok(Ctl::Next)
-        }
-        Op::WriteValB => {
-            if st.line_items > 0 {
-                st.line.push(' ');
-            }
-            st.line
-                .push_str(if st.vregs[a as usize] != 0 { "T" } else { "F" });
+        Op::WriteStr | Op::WriteValI | Op::WriteValF | Op::WriteValB => {
+            let item = match k {
+                Op::WriteStr => WriteItem::Str(&t.cx.prog.strs[imm as usize]),
+                Op::WriteValI => WriteItem::Val(Scalar::I(vi(st, a))),
+                Op::WriteValF => WriteItem::Val(Scalar::F(vf(st, a))),
+                _ => WriteItem::Val(Scalar::B(st.vregs[a as usize] != 0)),
+            };
+            write_item(&mut st.line, st.line_items, item);
             st.line_items += 1;
             Ok(Ctl::Next)
         }
@@ -3258,20 +3214,6 @@ pub(crate) fn exec_typed(
     // entries find it sized.
     if st.vregs.len() < tu.nvregs {
         st.vregs.resize(tu.nvregs, 0);
-    }
-    // Operand-stream pre-resolution: snapshot each frame register's
-    // slot/offset into one packed word so scalar operand reads stop
-    // re-basing through the 4-word `Reg` (see `want_scal`). Frame
-    // windows are immutable during execution, so one snapshot per frame
-    // entry is sound; the length guard makes chunk re-entry (same
-    // frame, many iterations) idempotent. `call_unit` truncates the
-    // cache with the frame, and frame build once the window is complete.
-    if st.scal.len() < st.regs.regs.len() {
-        let from = st.scal.len();
-        for r in &st.regs.regs[from..] {
-            st.scal.push(pack_scal(r));
-        }
-        st.ctr.scal_prebound += (st.scal.len() - from) as u64;
     }
     let t = Tcx {
         cx,

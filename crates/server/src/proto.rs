@@ -646,7 +646,7 @@ mod tests {
             r#"{"status":"ok","id":"q\"b\\s\nt\tc\u0001é😀","tournament":{"winner":"annotation","winner_mode":"annotation","winner_score_micros":2000000,"gained":["MAIN#2"],"lost":[],"arms":[{"arm":"annotation","mode":"annotation","verified":true,"score_micros":2000000,"loops_parallel":2,"loc":10,"error":null},{"arm":"no-inline","mode":"no-inline","verified":false,"score_micros":null,"loops_parallel":0,"loc":0,"error":"timeout"}]}}"#,
             r#"{"status":"error","code":"protocol","message":"q\"b\\s\nt\tc\u0001é😀"}"#,
             r#"{"status":"rejected","id":"q\"b\\s\nt\tc\u0001é😀","code":"overloaded","retry_after_hint_ms":50,"message":"q\"b\\s\nt\tc\u0001é😀"}"#,
-            r#"{"status":"ok","metrics":{"wall_ns":0,"connections":0,"connections_rejected":0,"protocol_errors":0,"requests":0,"tournament_requests":0,"shed":0,"throttled":0,"rejected_draining":0,"completed_ok":0,"failed":0,"timed_out":0,"panicked":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"cache_entries":0,"queue_peak":0,"in_flight_at_drain":0,"failure_codes":{},"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"scal_prebound":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0}}}"#,
+            r#"{"status":"ok","metrics":{"wall_ns":0,"connections":0,"connections_rejected":0,"protocol_errors":0,"requests":0,"tournament_requests":0,"shed":0,"throttled":0,"rejected_draining":0,"completed_ok":0,"failed":0,"timed_out":0,"panicked":0,"cache_hits":0,"cache_misses":0,"cache_evictions":0,"cache_entries":0,"queue_peak":0,"in_flight_at_drain":0,"failure_codes":{},"vm":{"insns_retired":0,"fused_insns":0,"fused_ticks":0,"fused_int":0,"calls":0,"pool_hits":0,"pool_misses":0,"peak_call_depth":0,"warm_allocs":0,"chunks_run":0,"chunk_undo_writes":0,"typed_specializations":0,"reference_runs":0}}}"#,
             r#"{"status":"ok","pong":true}"#,
             r#"{"status":"ok","draining":true}"#,
             r#"{"op":"evaluate","id":"q\"b\\s\nt\tc\u0001é😀","client":"soak","name":"q\"b\\s\nt\tc\u0001é😀","mode":"auto-annot","source":"q\"b\\s\nt\tc\u0001é😀","annotations":""}"#,

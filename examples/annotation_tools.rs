@@ -5,7 +5,7 @@
 //! cargo run --example annotation_tools
 //! ```
 
-use finline::autogen::{generate_program, AutoGenOptions};
+use finline::autogen::generate_program;
 use finline::soundness::{check_registry, Severity};
 use ipp_core::{compile, lost_loops, InlineMode, PipelineOptions};
 
@@ -37,7 +37,7 @@ fn main() {
     println!("\n=== automatic annotation generation (MDG) ===");
     let app = perfect::by_name("MDG").unwrap();
     let p = app.program();
-    let (reg, refusals) = generate_program(&p, &AutoGenOptions::default());
+    let (reg, refusals) = generate_program(&p);
     println!("generated: {:?}", reg.subs.keys().collect::<Vec<_>>());
     for (name, why) in &refusals {
         println!("refused:   {name:<8} — {why}");

@@ -101,7 +101,7 @@ fn read_only_checks_agree_with_the_rewrites() {
                 );
             }
         }
-        let derived = finline::generate_with_chains(&p, registry, &Default::default()).registry;
+        let derived = finline::generate_with_chains(&p, registry).registry;
         for reg in [registry, &derived] {
             let plan = finline::annot_inline::report_if_unchanged(&p, reg);
             plans[plan.is_none() as usize] += 1;

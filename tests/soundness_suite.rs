@@ -4,7 +4,7 @@
 //! automatic annotation generator must produce sound annotations wherever
 //! it succeeds.
 
-use finline::autogen::{generate_program, AutoGenOptions};
+use finline::autogen::generate_program;
 use finline::soundness::{check, check_registry, is_sound, Severity};
 
 #[test]
@@ -41,7 +41,7 @@ fn error_handling_omissions_are_reported_as_info() {
 fn autogen_annotations_are_sound_where_generated() {
     for app in perfect::all() {
         let p = app.program();
-        let (reg, refusals) = generate_program(&p, &AutoGenOptions::default());
+        let (reg, refusals) = generate_program(&p);
         for (name, sub) in &reg.subs {
             let issues = check(&p, sub);
             let errors: Vec<_> = issues
@@ -68,7 +68,7 @@ fn autogen_refuses_induction_variable_regions() {
     // (the paper's "when possible" qualifier) rather than approximate.
     let app = perfect::by_name("BDNA").unwrap();
     let p = app.program();
-    let (reg, refusals) = generate_program(&p, &AutoGenOptions::default());
+    let (reg, refusals) = generate_program(&p);
     assert!(reg.get("PCINIT").is_none());
     assert!(refusals.iter().any(|(n, _)| n == "PCINIT"), "{refusals:?}");
 }
@@ -81,7 +81,7 @@ fn autogen_closes_losses_on_the_leaf_kernels() {
     use ipp_core::{compile, InlineMode, PipelineOptions};
     let app = perfect::by_name("MDG").unwrap();
     let p = app.program();
-    let (reg, _) = generate_program(&p, &AutoGenOptions::default());
+    let (reg, _) = generate_program(&p);
     assert!(reg.get("INTERF").is_some(), "INTERF should be generatable");
     assert!(reg.get("POTENG").is_some(), "POTENG should be generatable");
     let none = compile(&p, &reg, &PipelineOptions::for_mode(InlineMode::None));
